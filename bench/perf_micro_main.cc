@@ -150,9 +150,13 @@ void BM_StaticCondenseByK(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticCondenseByK)->RangeMultiplier(4)->Range(2, 512);
 
-// P3: dynamic ingest throughput (records/s through Insert, k = 20).
+// P3: dynamic ingest throughput (records/s through Insert, k = 20). The
+// argument is the stream length; every insert scans all group centroids,
+// so 4096 (~200 groups at the end) and 32768 (~1.6k groups) keep the
+// routing cost against group count visible.
 void BM_DynamicInsert(benchmark::State& state) {
-  std::vector<Vector> stream = MakeCloud(4096, 8, 6);
+  const auto length = static_cast<std::size_t>(state.range(0));
+  std::vector<Vector> stream = MakeCloud(length, 8, 6);
   Rng rng(7);
   for (auto _ : state) {
     state.PauseTiming();
@@ -168,7 +172,7 @@ void BM_DynamicInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(stream.size() - 256));
 }
-BENCHMARK(BM_DynamicInsert);
+BENCHMARK(BM_DynamicInsert)->Arg(4096)->Arg(32768);
 
 // P3c: deletion throughput (Remove with re-merge bookkeeping, k = 20).
 void BM_DynamicRemove(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +66,16 @@ bool ParseInt(std::string_view text, int* value) {
     return false;
   }
   *value = static_cast<int>(parsed);
+  return true;
+}
+
+bool ParseSize(std::string_view text, std::size_t* value) {
+  std::string_view stripped = StripWhitespace(text);
+  const char* end = stripped.data() + stripped.size();
+  std::size_t parsed = 0;
+  auto [stop, error] = std::from_chars(stripped.data(), end, parsed);
+  if (error != std::errc() || stop != end) return false;
+  *value = parsed;
   return true;
 }
 

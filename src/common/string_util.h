@@ -3,6 +3,7 @@
 #ifndef CONDENSA_COMMON_STRING_UTIL_H_
 #define CONDENSA_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,8 +19,13 @@ std::string_view StripWhitespace(std::string_view text);
 // Parses a double; returns false on malformed or trailing garbage.
 bool ParseDouble(std::string_view text, double* value);
 
-// Parses a non-negative integer; returns false on malformed input.
+// Parses a decimal int; returns false on malformed or out-of-range input.
 bool ParseInt(std::string_view text, int* value);
+
+// Parses a non-negative decimal integer across the full size_t range (the
+// counters the persisted formats write with std::to_string(size_t));
+// returns false on a sign, malformed input or overflow.
+bool ParseSize(std::string_view text, std::size_t* value);
 
 // Joins `parts` with `separator`: {"a","b"} + ", " -> "a, b".
 std::string Join(const std::vector<std::string>& parts,

@@ -67,15 +67,9 @@ bool ParseSequence(const std::string& name, const std::string& prefix,
       name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
     return false;
   }
-  int parsed = 0;
-  if (!ParseInt(name.substr(prefix.size(),
-                            name.size() - prefix.size() - suffix.size()),
-                &parsed) ||
-      parsed < 0) {
-    return false;
-  }
-  *sequence = static_cast<std::size_t>(parsed);
-  return true;
+  return ParseSize(name.substr(prefix.size(),
+                              name.size() - prefix.size() - suffix.size()),
+                   sequence);
 }
 
 std::string JournalHeader(std::size_t sequence) {
@@ -162,20 +156,19 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
   }
 
   std::string keyword;
-  int seq = 0, records = 0, splits = 0, merges = 0, bootstrapped = 0,
-      forming = 0;
+  std::size_t seq = 0, records = 0, splits = 0, merges = 0,
+              bootstrapped = 0, forming = 0;
   std::string token;
-  auto next_int = [&stream, &token](int* value) {
-    return static_cast<bool>(stream >> token) && ParseInt(token, value) &&
-           *value >= 0;
+  auto next_size = [&stream, &token](std::size_t* value) {
+    return static_cast<bool>(stream >> token) && ParseSize(token, value);
   };
-  if (!(stream >> keyword) || keyword != "seq" || !next_int(&seq) ||
-      !(stream >> keyword) || keyword != "records" || !next_int(&records) ||
-      !(stream >> keyword) || keyword != "splits" || !next_int(&splits) ||
-      !(stream >> keyword) || keyword != "merges" || !next_int(&merges) ||
+  if (!(stream >> keyword) || keyword != "seq" || !next_size(&seq) ||
+      !(stream >> keyword) || keyword != "records" || !next_size(&records) ||
+      !(stream >> keyword) || keyword != "splits" || !next_size(&splits) ||
+      !(stream >> keyword) || keyword != "merges" || !next_size(&merges) ||
       !(stream >> keyword) || keyword != "bootstrapped" ||
-      !next_int(&bootstrapped) || bootstrapped > 1 ||
-      !(stream >> keyword) || keyword != "forming" || !next_int(&forming) ||
+      !next_size(&bootstrapped) || bootstrapped > 1 ||
+      !(stream >> keyword) || keyword != "forming" || !next_size(&forming) ||
       forming > 1) {
     return DataLossError("malformed snapshot header line");
   }
@@ -221,12 +214,12 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     CONDENSA_ASSIGN_OR_RETURN(state.groups,
                               DeserializeGroupSet(std::string(remainder)));
   }
-  state.records_seen = static_cast<std::size_t>(records);
-  state.split_count = static_cast<std::size_t>(splits);
-  state.merge_count = static_cast<std::size_t>(merges);
+  state.records_seen = records;
+  state.split_count = splits;
+  state.merge_count = merges;
   state.bootstrapped = bootstrapped == 1;
   if (sequence_out != nullptr) {
-    *sequence_out = static_cast<std::size_t>(seq);
+    *sequence_out = seq;
   }
   return state;
 }

@@ -82,8 +82,10 @@ class CondensedGroupSet {
   // Removes group i (order not preserved; O(1)).
   void RemoveGroup(std::size_t i);
 
-  // Index of the group whose centroid is nearest to `point` (Euclidean).
-  // Requires a non-empty set.
+  // Index of the group whose centroid is nearest to `point` (Euclidean),
+  // by a linear scan over the centroids; the lowest id wins a distance
+  // tie. Every record-routing path (static leftovers, dynamic insert and
+  // remove, shard gather folds) uses it. Requires a non-empty set.
   std::size_t NearestGroup(const linalg::Vector& point) const;
 
   // Total records across groups.

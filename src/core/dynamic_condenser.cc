@@ -107,7 +107,6 @@ Status DynamicCondenser::Bootstrap(
   }
   groups_ = std::move(initial_groups);
   groups_.SetBackend(options_.backend, options_.backend_version);
-  centroid_index_.Invalidate();
   records_seen_ = initial.size();
   bootstrapped_ = true;
   return OkStatus();
@@ -133,17 +132,15 @@ Status DynamicCondenser::Insert(const linalg::Vector& record) {
     forming_->Add(record);
     if (forming_->count() >= options_.group_size) {
       groups_.AddGroup(std::move(*forming_));
-      centroid_index_.Invalidate();
       forming_.reset();
     }
     return OkStatus();
   }
 
   // Paper Fig. 2: add to the nearest centroid's aggregate; split at 2k.
-  std::size_t nearest = centroid_index_.NearestGroup(groups_, record);
+  std::size_t nearest = groups_.NearestGroup(record);
   GroupStatistics& target = groups_.mutable_group(nearest);
   target.Add(record);
-  centroid_index_.NoteGroupUpdated(nearest);
   if (target.count() >= 2 * options_.group_size) {
     CONDENSA_ASSIGN_OR_RETURN(
         SplitResult split,
@@ -151,7 +148,6 @@ Status DynamicCondenser::Insert(const linalg::Vector& record) {
     groups_.RemoveGroup(nearest);
     groups_.AddGroup(std::move(split.lower));
     groups_.AddGroup(std::move(split.upper));
-    centroid_index_.Invalidate();
     ++split_count_;
     metrics.splits.Increment();
   }
@@ -180,15 +176,13 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
     return OkStatus();
   }
 
-  std::size_t nearest = centroid_index_.NearestGroup(groups_, record);
+  std::size_t nearest = groups_.NearestGroup(record);
   GroupStatistics& target = groups_.mutable_group(nearest);
   target.Remove(record);
-  centroid_index_.NoteGroupUpdated(nearest);
   --records_seen_;
 
   if (target.count() == 0) {
     groups_.RemoveGroup(nearest);
-    centroid_index_.Invalidate();
     return OkStatus();
   }
   if (target.count() < options_.group_size && groups_.num_groups() > 1) {
@@ -196,11 +190,8 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
     // group with the nearest centroid.
     GroupStatistics undersized = std::move(target);
     groups_.RemoveGroup(nearest);
-    centroid_index_.Invalidate();
-    std::size_t merge_into =
-        centroid_index_.NearestGroup(groups_, undersized.Centroid());
+    std::size_t merge_into = groups_.NearestGroup(undersized.Centroid());
     groups_.mutable_group(merge_into).Merge(undersized);
-    centroid_index_.NoteGroupUpdated(merge_into);
     ++merge_count_;
     metrics.merges.Increment();
     // The merged group may have reached 2k; split it like an insert would.
@@ -212,7 +203,6 @@ Status DynamicCondenser::Remove(const linalg::Vector& record) {
       groups_.RemoveGroup(merge_into);
       groups_.AddGroup(std::move(split.lower));
       groups_.AddGroup(std::move(split.upper));
-      centroid_index_.Invalidate();
       ++split_count_;
       metrics.splits.Increment();
     }
@@ -234,7 +224,6 @@ CondensedGroupSet DynamicCondenser::TakeGroups() {
   }
   CondensedGroupSet out = std::move(groups_);
   groups_ = CondensedGroupSet(out.dim(), options_.group_size);
-  centroid_index_.Invalidate();
   records_seen_ = 0;
   split_count_ = 0;
   merge_count_ = 0;

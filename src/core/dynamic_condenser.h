@@ -22,7 +22,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/backend_hooks.h"
-#include "core/centroid_index.h"
 #include "core/condensed_group_set.h"
 #include "core/group_statistics.h"
 #include "core/split.h"
@@ -119,10 +118,6 @@ class DynamicCondenser {
  private:
   DynamicCondenserOptions options_;
   CondensedGroupSet groups_;
-  // Accelerates the per-record nearest-centroid lookup; derived state
-  // (never checkpointed), invalidated on group churn, and guaranteed to
-  // answer exactly like groups_.NearestGroup.
-  CentroidIndex centroid_index_;
   // Pure-stream warm-up buffer: fewer than k records, not yet a group.
   std::optional<GroupStatistics> forming_;
   std::size_t split_count_ = 0;

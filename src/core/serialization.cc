@@ -29,11 +29,7 @@ bool NextDouble(std::istringstream& stream, double* value) {
 
 bool NextSize(std::istringstream& stream, std::size_t* value) {
   std::string token;
-  if (!(stream >> token)) return false;
-  int parsed = 0;
-  if (!ParseInt(token, &parsed) || parsed < 0) return false;
-  *value = static_cast<std::size_t>(parsed);
-  return true;
+  return static_cast<bool>(stream >> token) && ParseSize(token, value);
 }
 
 }  // namespace

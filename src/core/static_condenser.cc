@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/centroid_index.h"
 #include "index/deletion_aware.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
@@ -191,16 +190,12 @@ StatusOr<CondensedGroupSet> StaticCondenser::Condense(
   }
   metrics.groups_built.Increment(result.num_groups());
 
-  // Step 3: between 0 and k-1 leftovers join their nearest group. The
-  // centroid index answers exactly like CondensedGroupSet::NearestGroup,
-  // absorbing one leftover only dirties that group's snapshot entry.
+  // Step 3: between 0 and k-1 leftovers join their nearest group, found
+  // by a linear scan over the group centroids.
   metrics.leftover_absorbed.Increment(alive.size());
-  CentroidIndex centroid_index;
   for (std::size_t orig : alive) {
     const linalg::Vector& point = points[orig];
-    std::size_t nearest = centroid_index.NearestGroup(result, point);
-    result.mutable_group(nearest).Add(point);
-    centroid_index.NoteGroupUpdated(nearest);
+    result.mutable_group(result.NearestGroup(point)).Add(point);
   }
 
   return result;

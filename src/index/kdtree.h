@@ -1,15 +1,16 @@
 // k-d tree for exact nearest-neighbour queries.
 //
-// The condensation pipeline is dominated by nearest-neighbour work, and
-// this tree backs all of it: the static condenser's neighbour gathering
-// goes through index::DeletionAwareKdTree (a tombstone wrapper over this
-// tree that rebuilds as tombstones accumulate and falls back to the
-// brute-force scan below a size threshold — see deletion_aware.h), the
-// leftover-absorption and dynamic-insert nearest-centroid lookups go
-// through core::CentroidIndex, and the k-NN classifier queries it
-// directly. A k-d tree brings the per-query cost from O(n) to roughly
-// O(log n) in the low dimensions typical of the paper's workloads, and
-// degrades gracefully (never worse than a full scan) in high dimensions.
+// The condensation pipeline is dominated by nearest-neighbour work over
+// records, and this tree backs it: the static condenser's neighbour
+// gathering goes through index::DeletionAwareKdTree (a tombstone wrapper
+// over this tree that rebuilds as tombstones accumulate and falls back to
+// the brute-force scan below a size threshold — see deletion_aware.h),
+// and the k-NN classifier queries it directly. Nearest-centroid group
+// routing does not use it: CondensedGroupSet::NearestGroup scans the
+// centroids linearly. A k-d tree brings the per-query cost from O(n) to
+// roughly O(log n) in the low dimensions typical of the paper's
+// workloads, and degrades gracefully (never worse than a full scan) in
+// high dimensions.
 //
 // The tree stores point indices into a caller-owned point array; points
 // are not copied. Build is median-split on the widest-spread dimension.

@@ -11,11 +11,21 @@
 namespace condensa::linalg {
 namespace {
 
-// Counters are looked up per flush (not cached as references): a test
-// calling MetricsRegistry::Reset() destroys every registered series, so
-// a cached reference would dangle across the reset. Lookups happen at
-// flush granularity (every kFlushEvery decompositions), where the map
-// walk is noise.
+struct EigenMetrics {
+  obs::Counter& decompositions = obs::DefaultRegistry().GetCounter(
+      "condensa_eigen_decompositions_total");
+  obs::Counter& sweeps =
+      obs::DefaultRegistry().GetCounter("condensa_eigen_sweeps_total");
+  obs::Counter& failures =
+      obs::DefaultRegistry().GetCounter("condensa_eigen_failures_total");
+  obs::Counter& clamped_eigenvalues = obs::DefaultRegistry().GetCounter(
+      "condensa_eigen_clamped_eigenvalues_total");
+
+  static EigenMetrics& Get() {
+    static EigenMetrics metrics;
+    return metrics;
+  }
+};
 
 // A 2x2 decomposition runs in ~200ns, so even two relaxed fetch_adds
 // per call are measurable. Successful runs therefore tally into
@@ -36,10 +46,9 @@ struct EigenTally {
 
   void Flush() {
     if (runs == 0) return;
-    obs::MetricsRegistry& registry = obs::DefaultRegistry();
-    registry.GetCounter("condensa_eigen_decompositions_total")
-        .Increment(runs);
-    registry.GetCounter("condensa_eigen_sweeps_total").Increment(sweeps);
+    EigenMetrics& metrics = EigenMetrics::Get();
+    metrics.decompositions.Increment(runs);
+    metrics.sweeps.Increment(sweeps);
     runs = 0;
     sweeps = 0;
   }
@@ -102,9 +111,7 @@ StatusOr<EigenDecomposition> JacobiEigenDecomposition(
   int sweep = 0;
   while (OffDiagonalNorm(work) > tolerance) {
     if (++sweep > options.max_sweeps) {
-      obs::DefaultRegistry()
-          .GetCounter("condensa_eigen_failures_total")
-          .Increment();
+      EigenMetrics::Get().failures.Increment();
       return InternalError("Jacobi eigendecomposition failed to converge");
     }
     for (std::size_t p = 0; p + 1 < n; ++p) {
@@ -180,9 +187,7 @@ StatusOr<EigenDecomposition> CovarianceEigenDecomposition(
   for (std::size_t i = 0; i < decomposition.eigenvalues.dim(); ++i) {
     if (decomposition.eigenvalues[i] < 0.0) {
       decomposition.eigenvalues[i] = 0.0;
-      obs::DefaultRegistry()
-          .GetCounter("condensa_eigen_clamped_eigenvalues_total")
-          .Increment();
+      EigenMetrics::Get().clamped_eigenvalues.Increment();
     }
   }
   return decomposition;

@@ -39,6 +39,33 @@ Status DeadlineExpired(const char* where) {
   return UnavailableError(std::string("deadline expired during ") + where);
 }
 
+// Request series for one query kind, looked up once.
+struct QueryKindMetrics {
+  obs::Counter& requests;
+  obs::Counter& failures;
+  obs::Histogram& seconds;
+
+  explicit QueryKindMetrics(QueryKind kind)
+      : requests(obs::DefaultRegistry().GetCounter(
+            "condensa_query_requests_total", KindLabels(kind))),
+        failures(obs::DefaultRegistry().GetCounter(
+            "condensa_query_request_failures_total", KindLabels(kind))),
+        seconds(obs::DefaultRegistry().GetHistogram(
+            "condensa_query_request_seconds", KindLabels(kind))) {}
+
+  static obs::Labels KindLabels(QueryKind kind) {
+    return {{"kind", QueryKindName(kind)}};
+  }
+
+  static QueryKindMetrics& Get(QueryKind kind) {
+    static QueryKindMetrics metrics[] = {
+        QueryKindMetrics(QueryKind::kClassify),
+        QueryKindMetrics(QueryKind::kAggregate),
+        QueryKindMetrics(QueryKind::kRegenerate)};
+    return metrics[static_cast<std::size_t>(kind)];
+  }
+};
+
 }  // namespace
 
 ExecutionContext ExecutionContext::WithBudgetMs(double budget_ms) {
@@ -59,11 +86,8 @@ QueryEngine::QueryEngine(QueryEngineOptions options)
 StatusOr<QueryResult> QueryEngine::Execute(const QuerySnapshot& snapshot,
                                            const Query& query,
                                            const ExecutionContext& context) {
-  obs::MetricsRegistry& registry = obs::DefaultRegistry();
-  registry
-      .GetCounter("condensa_query_requests_total",
-                  {{"kind", QueryKindName(query.kind)}})
-      .Increment();
+  QueryKindMetrics& metrics = QueryKindMetrics::Get(query.kind);
+  metrics.requests.Increment();
   obs::Timer timer;
 
   QueryResult result;
@@ -111,15 +135,9 @@ StatusOr<QueryResult> QueryEngine::Execute(const QuerySnapshot& snapshot,
     }
   }
 
-  registry
-      .GetHistogram("condensa_query_request_seconds",
-                    {{"kind", QueryKindName(query.kind)}})
-      .Observe(timer.ElapsedSeconds());
+  metrics.seconds.Observe(timer.ElapsedSeconds());
   if (!status.ok()) {
-    registry
-        .GetCounter("condensa_query_request_failures_total",
-                    {{"kind", QueryKindName(query.kind)}})
-        .Increment();
+    metrics.failures.Increment();
     return status;
   }
   return result;

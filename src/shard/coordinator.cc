@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/centroid_index.h"
 #include "core/group_statistics.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
@@ -116,18 +115,14 @@ StatusOr<core::CondensedGroupSet> Coordinator::Gather(
   // (split halves are always >= k), so the loop terminates.
   {
     obs::TraceSpan fold_span("shard.gather.fold");
-    core::CentroidIndex index;
     while (global.num_groups() > 1) {
       const std::size_t victim = FindUndersized(global, k);
       if (victim == kNone) break;
       core::GroupStatistics undersized =
           std::move(global.mutable_group(victim));
       global.RemoveGroup(victim);
-      index.Invalidate();
-      const std::size_t target =
-          index.NearestGroup(global, undersized.Centroid());
+      const std::size_t target = global.NearestGroup(undersized.Centroid());
       global.mutable_group(target).Merge(undersized);
-      index.NoteGroupUpdated(target);
       ++local.merges;
       metrics.merges.Increment();
 
@@ -139,7 +134,6 @@ StatusOr<core::CondensedGroupSet> Coordinator::Gather(
         global.RemoveGroup(target);
         global.AddGroup(std::move(split.lower));
         global.AddGroup(std::move(split.upper));
-        index.Invalidate();
         ++local.splits;
         metrics.splits.Increment();
       }

@@ -15,13 +15,13 @@
 //      input sets' records (merges are exact, splits conserve n and Fs);
 //   2. global k-floor — every sub-k group (shard warm-up remainders,
 //      shards that saw fewer than k records) is folded into the group
-//      with the nearest centroid, located through CentroidIndex exactly
-//      as the dynamic condenser does;
+//      with the nearest centroid, located by the same linear centroid
+//      scan the dynamic condenser uses;
 //   3. size ceiling — any fold result at or past 2k is split, keeping
 //      groups inside the dynamic regime's [k, 2k) band.
 // The whole pass is deterministic: shards are concatenated in shard
-// order, the lowest-id undersized group is folded first, and
-// CentroidIndex answers bit-identically to the linear scan — so a fixed
+// order, the lowest-id undersized group is folded first, and the
+// centroid scan breaks distance ties by lowest group id — so a fixed
 // (seed, shard count) reproduces a bit-identical global structure.
 
 #ifndef CONDENSA_SHARD_COORDINATOR_H_

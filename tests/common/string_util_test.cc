@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+
 namespace condensa {
 namespace {
 
@@ -74,6 +77,29 @@ TEST(ParseIntTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseInt("3.5", &v));
   EXPECT_FALSE(ParseInt("seven", &v));
   EXPECT_FALSE(ParseInt("99999999999999999999", &v));
+}
+
+TEST(ParseSizeTest, ParsesTheFullSizeRange) {
+  std::size_t v = 0;
+  EXPECT_TRUE(ParseSize("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseSize(" 2147483648 ", &v));
+  EXPECT_EQ(v, std::size_t{1} << 31);
+  EXPECT_TRUE(ParseSize("9007199254740993", &v));
+  EXPECT_EQ(v, (std::size_t{1} << 53) + 1);
+  EXPECT_TRUE(ParseSize("18446744073709551615", &v));
+  EXPECT_EQ(v, std::numeric_limits<std::size_t>::max());
+}
+
+TEST(ParseSizeTest, RejectsSignsMalformedInputAndOverflow) {
+  std::size_t v = 7;
+  EXPECT_FALSE(ParseSize("", &v));
+  EXPECT_FALSE(ParseSize("-1", &v));
+  EXPECT_FALSE(ParseSize("+1", &v));
+  EXPECT_FALSE(ParseSize("1.0", &v));
+  EXPECT_FALSE(ParseSize("12ab", &v));
+  EXPECT_FALSE(ParseSize("18446744073709551616", &v));
+  EXPECT_EQ(v, 7u);
 }
 
 TEST(JoinTest, JoinsWithSeparator) {

@@ -92,6 +92,24 @@ TEST_F(CheckpointingTest, StateRoundTripWithoutForming) {
                                              {.group_size = 4});
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(Fingerprint(*rebuilt), Fingerprint(condenser));
+
+  // Header counters past the int and uint32 ranges, and past exact double
+  // integers: a long stream's snapshot must stay recoverable.
+  for (std::size_t wide : {std::size_t{1} << 31, std::size_t{1} << 32,
+                           (std::size_t{1} << 53) + 1}) {
+    DynamicCondenser::State long_run = condenser.ExportState();
+    long_run.records_seen = wide;
+    long_run.split_count = wide + 1;
+    long_run.merge_count = wide + 2;
+    std::size_t wide_sequence = 0;
+    auto reloaded = DeserializeCondenserState(
+        SerializeCondenserState(long_run, wide + 3), &wide_sequence);
+    ASSERT_TRUE(reloaded.ok()) << wide << ": " << reloaded.status();
+    EXPECT_EQ(wide_sequence, wide + 3);
+    EXPECT_EQ(reloaded->records_seen, wide);
+    EXPECT_EQ(reloaded->split_count, wide + 1);
+    EXPECT_EQ(reloaded->merge_count, wide + 2);
+  }
 }
 
 TEST_F(CheckpointingTest, StateRoundTripPreservesFormingBuffer) {

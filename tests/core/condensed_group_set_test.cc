@@ -44,6 +44,19 @@ TEST(CondensedGroupSetTest, NearestGroupFindsClosestCentroid) {
   EXPECT_EQ(set.NearestGroup(Vector{1.0, 9.0}), 2u);
 }
 
+TEST(CondensedGroupSetTest, NearestGroupTieBreaksByLowestGroupId) {
+  // Several groups share the nearest centroid: the lowest id wins. Every
+  // routing path relies on this for its bit-identical replays.
+  CondensedGroupSet set(2, 1);
+  for (int g = 0; g < 40; ++g) {
+    const bool tied = g == 3 || g == 7 || g == 12;
+    set.AddGroup(tied ? MakeGroupAt(1.0, 1.0, 1)
+                      : MakeGroupAt(10.0 + g, -5.0, 1));
+  }
+  EXPECT_EQ(set.NearestGroup(Vector{1.0, 1.0}), 3u);
+  EXPECT_EQ(set.NearestGroup(Vector{1.5, 0.5}), 3u);
+}
+
 TEST(CondensedGroupSetTest, RemoveGroupIsSwapRemove) {
   CondensedGroupSet set(2, 5);
   set.AddGroup(MakeGroupAt(0.0, 0.0, 5));

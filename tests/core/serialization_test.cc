@@ -14,6 +14,13 @@ namespace {
 
 using linalg::Vector;
 
+// Counters past the int and uint32 ranges, and past exact double
+// integers: every persisted count is written from size_t and must come
+// back exactly.
+constexpr std::size_t kWideCounts[] = {std::size_t{1} << 31,
+                                       std::size_t{1} << 32,
+                                       (std::size_t{1} << 53) + 1};
+
 CondensedGroupSet MakeSampleSet(Rng& rng, std::size_t dim,
                                 std::size_t groups, std::size_t per_group) {
   CondensedGroupSet set(dim, per_group);
@@ -49,6 +56,17 @@ TEST(SerializationTest, RoundTripPreservesEverything) {
     EXPECT_TRUE(linalg::ApproxEqual(loaded->group(g).second_order(),
                                     original.group(g).second_order(),
                                     1e-9));
+  }
+
+  for (std::size_t count : kWideCounts) {
+    CondensedGroupSet wide(3, count);
+    wide.AddGroup(GroupStatistics::FromRawSums(
+        count, original.group(0).first_order(),
+        original.group(0).second_order()));
+    auto reloaded = DeserializeGroupSet(SerializeGroupSet(wide));
+    ASSERT_TRUE(reloaded.ok()) << count << ": " << reloaded.status();
+    EXPECT_EQ(reloaded->indistinguishability_level(), count);
+    EXPECT_EQ(reloaded->group(0).count(), count);
   }
 }
 
@@ -175,6 +193,15 @@ TEST(PoolsSerializationTest, ClassificationRoundTrip) {
           reloaded->pools[p].groups.group(g).first_order(),
           pools->pools[p].groups.group(g).first_order(), 1e-12));
     }
+  }
+
+  for (std::size_t splits : kWideCounts) {
+    CondensedPools wide = *pools;
+    wide.pools[0].splits = splits;
+    auto wide_reloaded = DeserializePools(SerializePools(wide));
+    ASSERT_TRUE(wide_reloaded.ok()) << splits << ": "
+                                    << wide_reloaded.status();
+    EXPECT_EQ(wide_reloaded->pools[0].splits, splits);
   }
 }
 
