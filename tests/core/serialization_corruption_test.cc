@@ -255,7 +255,7 @@ TEST(SerializationCorruptionTest, FramedDocumentsFailClosedUnderMangling) {
 
   // Truncated frames — the common partial-write shape — also fail closed
   // for every cut point.
-  const Target& target = Targets().front();
+  const Target target = Targets().front();
   const std::string wire =
       net::EncodeFrame(net::FrameType::kFinishResult, target.valid);
   for (std::size_t cut = 0; cut < wire.size(); cut += 7) {

@@ -7,6 +7,8 @@
 
 #include "shard/fabric.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -74,7 +76,8 @@ class FabricTest : public ::testing::Test {
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("condensa-fabric-test-" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+            std::to_string(static_cast<unsigned long>(::getpid())) + "-" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -164,6 +164,29 @@ else
   failures=$((failures + 1))
 fi
 
+# Every subcommand answers --help with exit 0 and rejects an unknown flag
+# with exit 2.
+for cmd in condense generate ingest serve-stream shard worker fabric \
+    recover query query-server inspect evaluate stats; do
+  expect_code 0 "$cmd --help (all commands)"        "$CLI" "$cmd" --help
+  expect_code 2 "$cmd unknown flag (all commands)"  "$CLI" "$cmd" --bogus=1
+done
+
+# Negative sizes are usage errors, not huge unsigned settings, in both the
+# single-pipeline and the sharded serve-stream.
+for shards in 1 2; do
+  for flag in --k=-1 --queue-capacity=-1 --snapshot-every=-5 --batch-size=-1; do
+    expect_code 2 "serve-stream --shards=$shards $flag" \
+      "$CLI" serve-stream --checkpoint-dir="$workdir/negative" --records=50 \
+      --no-sync --shards="$shards" "$flag"
+  done
+done
+
+# A regenerate whose --output cannot be written is a runtime failure.
+expect_code 1 "query regenerate unwritable output" \
+  "$CLI" query --groups="$workdir/groups.bin" --op=regenerate \
+  --output=/nonexistent-condensa-dir/x.csv
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI contract check(s) failed" >&2
   exit 1

@@ -1,68 +1,23 @@
 // condensa — command-line anonymizer.
 //
-// Subcommands:
-//   condense  CSV in -> condensation -> anonymized CSV out
-//   generate  regenerate a release from saved pool statistics
-//   ingest    stream a CSV into a crash-safe checkpointed condenser
-//   serve-stream  run the supervised streaming runtime (bounded queue,
-//             retry/backoff, quarantine, circuit breaker) over a CSV or a
-//             synthetic stream; with --shards=N the stream is scattered
-//             across N independent durable pipelines and gathered into one
-//             release via exact moment merge; see docs/resilience.md and
-//             docs/scaling.md
-//   shard     batch scatter/gather condensation: route a CSV (or synthetic
-//             data) across N shard condensers, exact-merge the shard-local
-//             aggregates, optionally anonymize; see docs/scaling.md
-//   worker    run one standalone fabric worker process: a durable
-//             streaming shard behind the framed TCP protocol, serving
-//             Hello/Submit/Heartbeat/Finish from a coordinator; see
-//             docs/fabric.md
-//   fabric    coordinate a fleet of worker processes: scatter a stream
-//             across them with liveness tracking, reconnect, and
-//             zero-loss handoff, then gather the release; see
-//             docs/fabric.md
-//   recover   restore a condenser from its checkpoint directory
-//   query     one-shot mining queries (classify / aggregate / regenerate)
-//             answered directly from condensed statistics — a saved
-//             groups file, a checkpoint directory, or a running
-//             query-server; see docs/query.md
-//   query-server  long-lived read-side server answering framed Query
-//             requests from a loaded snapshot; see docs/query.md
-//   inspect   print the privacy summary of a saved group-statistics file
-//   evaluate  compare an original and an anonymized CSV (mu, linkage)
-//   stats     run a synthetic end-to-end pipeline and dump the metrics
-//             registry (see docs/observability.md)
-//
-// Examples:
-//   condensa condense --input=patients.csv --output=release.csv ...
-//     --task=classification --k=25
-//   condensa condense --input=stream.csv --task=none --k=20 ...
-//       --mode=dynamic --save-groups=groups.txt --output=release.csv
-//   condensa ingest --input=day1.csv --checkpoint-dir=state --k=20
-//   condensa ingest --input=day2.csv --checkpoint-dir=state --k=20
-//   condensa serve-stream --checkpoint-dir=state --records=20000 --chaos=0.05
-//   condensa serve-stream --checkpoint-dir=state --shards=4 --records=100000
-//   condensa shard --input=patients.csv --shards=8 --k=10 --output=release.csv
-//   condensa recover --checkpoint-dir=state --save-groups=groups.txt
-//   condensa query --groups=groups.txt --op=aggregate --range=0:0.2:0.8
-//   condensa query-server --checkpoint-dir=state --port=7070
-//
-// Every subcommand accepts --help and exits 0 after printing its flags;
-// unknown or malformed flags exit 2.
-//   condensa inspect --groups=groups.txt
-//   condensa evaluate --original=patients.csv --anonymized=release.csv ...
-//       --task=classification
+// Every subcommand is one row of kCommands near the bottom of this file:
+// its summary, its Run function and its flag rows (name, value hint,
+// default, help, bounds). `condensa --help`, `condensa <command> --help`,
+// typed flag parsing, the unknown-flag check and dispatch are all generated
+// from that table. Exit codes: 0 ok, 1 runtime error, 2 usage error
+// (detected before any work starts).
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
-#include <thread>
-#include <set>
+#include <optional>
 #include <string>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "backend/registry.h"
@@ -98,447 +53,61 @@ using condensa::ParseDouble;
 using condensa::ParseInt;
 using condensa::StartsWith;
 
-// Minimal --flag=value parser; returns false on unknown flags.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string_view arg = argv[i];
-      if (!StartsWith(arg, "--")) {
-        ok_ = false;
-        bad_ = std::string(arg);
-        return;
-      }
-      arg.remove_prefix(2);
-      std::size_t eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        values_[std::string(arg)] = "true";
-      } else {
-        values_[std::string(arg.substr(0, eq))] =
-            std::string(arg.substr(eq + 1));
-      }
-    }
-  }
-
-  bool ok() const { return ok_; }
-  const std::string& bad() const { return bad_; }
-
-  std::string Get(const std::string& name, const std::string& fallback) {
-    seen_.insert(name);
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  // Flags provided but never consumed (typos).
-  std::vector<std::string> Unused() const {
-    std::vector<std::string> unused;
-    for (const auto& [name, value] : values_) {
-      if (seen_.find(name) == seen_.end()) {
-        unused.push_back(name);
-      }
-    }
-    return unused;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> seen_;
-  bool ok_ = true;
-  std::string bad_;
+// Every flag value of every subcommand once parsed. Each field is filled
+// from its command's flag row: the given value, else the row's default.
+struct Args {
+  std::string input, output, groups, checkpoint_dir, checkpoint_root,
+      save_groups, points, original, anonymized, trace_out,
+      local_fallback_root, mode, task, backend, policy, backpressure, format,
+      op, range, workers, connect, host, worker_id;
+  bool header{}, no_sync{};
+  int k{}, seed{}, label_column{}, records{}, dim{}, shards{},
+      snapshot_every{}, queue_capacity{}, batch_size{}, retry_attempts{},
+      retry_budget{}, threads{}, port{}, wire_batch{}, neighbors{},
+      records_per_group{}, retries{}, cache_capacity{}, max_sessions{};
+  double batch_deadline_ms{}, chaos{}, idle_timeout_ms{}, flush_timeout_ms{},
+      heartbeat_interval_ms{}, heartbeat_timeout_ms{}, timeout_ms{},
+      deadline_ms{};
 };
 
-// Call after a command has Get() every flag it understands: any flag still
-// unconsumed is a typo, and failing before the work starts beats silently
-// running with a default. Returns the exit code (0 ok, 2 bad flag).
-int RejectUnknownFlags(Flags& flags, const char* command) {
-  bool unknown = false;
-  for (const std::string& name : flags.Unused()) {
-    std::fprintf(stderr, "error: unknown flag --%s for '%s'\n", name.c_str(),
-                 command);
-    unknown = true;
-  }
-  if (unknown) {
-    std::fprintf(stderr, "run `condensa %s --help` for the flag list\n",
-                 command);
-    return 2;
-  }
-  return 0;
+// Allowed values of a numeric flag; an open end excludes its bound.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+constexpr Range AtLeast(double lo) { return {lo}; }
+constexpr Range Above(double lo) {
+  return {lo, std::numeric_limits<double>::infinity(), true};
 }
+constexpr Range Within(double lo, double hi) { return {lo, hi}; }
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: condensa <command> [--flag=value ...]\n"
-      "       condensa <command> --help\n"
-      "\n"
-      "commands:\n"
-      "  condense   --input=FILE --output=FILE [--k=N] [--mode=static|dynamic]\n"
-      "             [--task=classification|regression|none] [--label-column=N]\n"
-      "             [--backend=ID] [--header] [--seed=N] [--save-groups=FILE]\n"
-      "  generate   --groups=FILE --output=FILE [--seed=N]\n"
-      "  ingest     --input=FILE --checkpoint-dir=DIR [--k=N] [--backend=ID]\n"
-      "             [--snapshot-every=N] [--no-sync] [--header] [--seed=N]\n"
-      "  serve-stream --checkpoint-dir=DIR [--input=FILE | --records=N\n"
-      "             --dim=N] [--shards=N] [--policy=hash|round-robin] [--k=N]\n"
-      "             [--backend=ID] [--snapshot-every=N] [--no-sync]\n"
-      "             [--queue-capacity=N]\n"
-      "             [--backpressure=block|drop-oldest|reject] [--batch-size=N]\n"
-      "             [--batch-deadline-ms=X] [--retry-attempts=N]\n"
-      "             [--retry-budget=N] [--chaos=P] [--header] [--seed=N]\n"
-      "             [--format=prometheus|json]\n"
-      "  shard      [--input=FILE | --records=N --dim=N] --shards=N [--k=N]\n"
-      "             [--backend=ID] [--policy=hash|round-robin]\n"
-      "             [--mode=batch|stream]\n"
-      "             [--checkpoint-root=DIR] [--snapshot-every=N] [--no-sync]\n"
-      "             [--threads=N] [--save-groups=FILE] [--output=FILE]\n"
-      "             [--header] [--seed=N] [--format=prometheus|json]\n"
-      "  worker     --checkpoint-root=DIR [--host=ADDR] [--port=N]\n"
-      "             [--worker-id=ID] [--idle-timeout-ms=X]\n"
-      "             [--flush-timeout-ms=X]\n"
-      "  fabric     --workers=HOST:PORT[,HOST:PORT...] [--input=FILE |\n"
-      "             --records=N --dim=N] [--k=N] [--backend=ID]\n"
-      "             [--policy=hash|round-robin]\n"
-      "             [--wire-batch=N] [--local-fallback-root=DIR]\n"
-      "             [--heartbeat-interval-ms=X] [--heartbeat-timeout-ms=X]\n"
-      "             [--save-groups=FILE] [--output=FILE] [--header]\n"
-      "             [--seed=N] [--format=prometheus|json]\n"
-      "  recover    --checkpoint-dir=DIR [--save-groups=FILE] [--k=N]\n"
-      "             [--backend=ID]\n"
-      "  query      [--groups=FILE | --checkpoint-dir=DIR [--k=N] |\n"
-      "             --connect=HOST:PORT] [--op=classify|aggregate|regenerate]\n"
-      "             [--points=FILE] [--neighbors=N] [--range=DIM:LO:HI,...]\n"
-      "             [--seed=N] [--records-per-group=N] [--output=FILE]\n"
-      "             [--header] [--timeout-ms=X] [--retries=N]\n"
-      "             [--deadline-ms=X]\n"
-      "  query-server [--groups=FILE | --checkpoint-dir=DIR [--k=N]]\n"
-      "             [--host=ADDR] [--port=N] [--idle-timeout-ms=X]\n"
-      "             [--cache-capacity=N] [--max-sessions=N]\n"
-      "             [--deadline-ms=X]\n"
-      "  inspect    --groups=FILE\n"
-      "  evaluate   --original=FILE --anonymized=FILE\n"
-      "             [--task=classification|regression|none] [--header]\n"
-      "             [--label-column=N]\n"
-      "  stats      [--records=N] [--dim=N] [--k=N] [--seed=N]\n"
-      "             [--format=prometheus|json] [--trace-out=FILE]\n"
-      "\n"
-      "anonymization backends (--backend=ID on condense, ingest,\n"
-      "serve-stream, shard, fabric, and recover; default condensation):\n");
-  condensa::backend::Registry& registry =
-      condensa::backend::Registry::Global();
-  for (const std::string& id : registry.Ids()) {
-    condensa::StatusOr<const condensa::backend::AnonymizationBackend*>
-        resolved = registry.Get(id);
-    std::fprintf(out, "  %-12s %s\n", id.c_str(),
-                 resolved.ok() ? (*resolved)->info().summary.c_str() : "");
-  }
-  std::fprintf(
-      out,
-      "\n`condensa <command> --help` describes one command's flags in "
-      "detail.\n");
-}
+using Field = std::variant<std::string Args::*, bool Args::*, int Args::*,
+                           double Args::*>;
 
-int Usage() {
-  PrintUsage(stderr);
-  return 2;
-}
+// A flag with no default must be given, with a non-empty value.
+constexpr const char* kRequired = nullptr;
 
-// Detailed per-command help, printed by `condensa <command> --help`.
-// Returns nullptr for unknown commands.
-const char* HelpText(const std::string& command) {
-  if (command == "condense") {
-    return "condensa condense — CSV in -> condensation -> anonymized CSV out\n"
-           "\n"
-           "  --input=FILE       raw records CSV (required)\n"
-           "  --output=FILE      anonymized release CSV (required)\n"
-           "  --k=N              indistinguishability level (default 10)\n"
-           "  --mode=static|dynamic\n"
-           "                     whole-batch split condensation, or one-at-a-\n"
-           "                     time streaming maintenance (default static)\n"
-           "  --task=classification|regression|none\n"
-           "                     label handling; labeled tasks condense each\n"
-           "                     class pool separately (default classification)\n"
-           "  --backend=ID       anonymization backend (docs/backends.md);\n"
-           "                     `condensa --help` lists the registered ids\n"
-           "                     (default condensation)\n"
-           "  --label-column=N   0-based label column (-1 = last; default -1)\n"
-           "  --header           first CSV row is a header\n"
-           "  --seed=N           RNG seed; fixed seed => identical release\n"
-           "  --save-groups=FILE also save pool statistics for `generate`\n";
-  }
-  if (command == "generate") {
-    return "condensa generate — regenerate a release from saved statistics\n"
-           "\n"
-           "  --groups=FILE      pool statistics from condense --save-groups\n"
-           "                     (required); the backend recorded in the file\n"
-           "                     drives regeneration automatically\n"
-           "  --output=FILE      anonymized release CSV (required)\n"
-           "  --seed=N           RNG seed (default 42)\n";
-  }
-  if (command == "ingest") {
-    return "condensa ingest — stream a CSV into a crash-safe condenser\n"
-           "\n"
-           "  --input=FILE          records CSV (required)\n"
-           "  --checkpoint-dir=DIR  snapshot+journal directory (required);\n"
-           "                        re-running resumes from recovered state\n"
-           "  --k=N                 indistinguishability level (default 10)\n"
-           "  --backend=ID          anonymization backend stamped into the\n"
-           "                        checkpoints (default condensation)\n"
-           "  --snapshot-every=N    journal appends per snapshot (default 1024)\n"
-           "  --no-sync             skip fsync per append (faster, less safe)\n"
-           "  --header              first CSV row is a header\n"
-           "  --seed=N              RNG seed for the bootstrap pass\n";
-  }
-  if (command == "serve-stream") {
-    return "condensa serve-stream — supervised streaming runtime\n"
-           "\n"
-           "Runs records through bounded-queue ingest with retry/backoff,\n"
-           "poison quarantine, circuit breaker, and crash-safe checkpoints\n"
-           "(docs/resilience.md). With --shards=N the stream is scattered\n"
-           "across N independent pipelines — each with its own checkpoint\n"
-           "directory under --checkpoint-dir — and gathered into one global\n"
-           "release by exact moment merge (docs/scaling.md).\n"
-           "\n"
-           "  --checkpoint-dir=DIR  checkpoint root (required)\n"
-           "  --input=FILE          records CSV; otherwise a synthetic\n"
-           "  --records=N --dim=N   two-blob Gaussian stream is generated\n"
-           "                        (defaults 5000 x 4)\n"
-           "  --shards=N            pipelines to scatter across (default 1)\n"
-           "  --policy=hash|round-robin\n"
-           "                        record-to-shard routing (default hash)\n"
-           "  --k=N                 indistinguishability level (default 10)\n"
-           "  --backend=ID          anonymization backend (default\n"
-           "                        condensation)\n"
-           "  --snapshot-every=N    appends per snapshot (default 256)\n"
-           "  --no-sync             skip fsync per journal append\n"
-           "  --queue-capacity=N    bounded queue size (default 1024)\n"
-           "  --backpressure=block|drop-oldest|reject\n"
-           "                        full-queue policy (default block;\n"
-           "                        single-pipeline mode only)\n"
-           "  --batch-size=N        worker batch size (default 32)\n"
-           "  --batch-deadline-ms=X watchdog deadline per batch (single-\n"
-           "                        pipeline mode only)\n"
-           "  --retry-attempts=N    attempts per transient failure (single-\n"
-           "                        pipeline mode only)\n"
-           "  --retry-budget=N      run-wide retry cap (single-pipeline only)\n"
-           "  --chaos=P             arm failpoints at probability P during\n"
-           "                        ingest (healed before Finish)\n"
-           "  --header              first CSV row is a header\n"
-           "  --seed=N              RNG seed (per-shard seeds are derived)\n"
-           "  --format=prometheus|json  also dump the metrics registry\n";
-  }
-  if (command == "shard") {
-    return "condensa shard — batch scatter/gather condensation\n"
-           "\n"
-           "Routes records across N shard condensers (each condensing its\n"
-           "partition independently), then exact-merges the shard-local\n"
-           "aggregates into one global k-indistinguishable structure\n"
-           "(docs/scaling.md). Fixed --seed and --shards reproduce a\n"
-           "bit-identical release.\n"
-           "\n"
-           "  --input=FILE          records CSV; otherwise a synthetic\n"
-           "  --records=N --dim=N   two-blob Gaussian set is generated\n"
-           "                        (defaults 10000 x 4)\n"
-           "  --shards=N            shard count (default 2)\n"
-           "  --policy=hash|round-robin\n"
-           "                        record-to-shard routing (default hash)\n"
-           "  --k=N                 indistinguishability level (default 10)\n"
-           "  --backend=ID          anonymization backend; group construction\n"
-           "                        and release regeneration both follow it\n"
-           "                        (default condensation)\n"
-           "  --mode=batch|stream   in-memory batch workers, or durable\n"
-           "                        streaming workers with per-shard\n"
-           "                        checkpoints (default batch)\n"
-           "  --checkpoint-root=DIR per-shard checkpoint parent directory\n"
-           "                        (required with --mode=stream)\n"
-           "  --snapshot-every=N    appends per snapshot (default 1024)\n"
-           "  --no-sync             skip fsync per journal append\n"
-           "  --threads=N           worker threads (0 = hardware; output is\n"
-           "                        identical at any thread count)\n"
-           "  --save-groups=FILE    save the gathered group statistics\n"
-           "  --output=FILE         also anonymize and write a release CSV\n"
-           "  --header              first CSV row is a header\n"
-           "  --seed=N              RNG seed (per-shard streams are derived)\n"
-           "  --format=prometheus|json  also dump the metrics registry\n";
-  }
-  if (command == "worker") {
-    return "condensa worker — standalone fabric worker process\n"
-           "\n"
-           "Listens for a coordinator (condensa fabric) and serves one\n"
-           "shard of the networked fabric: records arrive in framed Submit\n"
-           "batches, flow through the durable streaming runtime, and are\n"
-           "acknowledged only once durably in custody — a kill -9 after an\n"
-           "ack loses nothing (docs/fabric.md). The shard id, dimension,\n"
-           "k, and seed all arrive in the coordinator's Hello, so one\n"
-           "worker invocation serves any shard. Restarting the worker on\n"
-           "the same --checkpoint-root recovers its durable state and\n"
-           "rejoins the fabric.\n"
-           "\n"
-           "  --checkpoint-root=DIR shard checkpoint parent directory\n"
-           "                        (required); shard i lives under\n"
-           "                        DIR/shard-<i>\n"
-           "  --host=ADDR           bind address (default 127.0.0.1)\n"
-           "  --port=N              TCP port; 0 picks a free one, printed\n"
-           "                        to stdout as 'listening on PORT'\n"
-           "  --worker-id=ID        stable metric-label identity (default\n"
-           "                        w<shard>); keep it stable across\n"
-           "                        restarts so no duplicate series appear\n"
-           "  --idle-timeout-ms=X   drop a silent session after X ms\n"
-           "                        (default 30000)\n"
-           "  --flush-timeout-ms=X  durability barrier per Submit batch\n"
-           "                        (default 30000)\n";
-  }
-  if (command == "fabric") {
-    return "condensa fabric — coordinate networked fabric workers\n"
-           "\n"
-           "Scatters a stream across standalone worker processes\n"
-           "(condensa worker) over the framed TCP protocol, tracking\n"
-           "liveness with heartbeats, reconnecting with exponential\n"
-           "backoff, re-routing unacknowledged records off dead workers,\n"
-           "and gathering the shard releases by exact moment merge\n"
-           "(docs/fabric.md). A clean run is bit-identical to the\n"
-           "in-process `serve-stream --shards=N` run with the same seed\n"
-           "and shard count.\n"
-           "\n"
-           "  --workers=HOST:PORT[,HOST:PORT...]\n"
-           "                        one endpoint per shard (required)\n"
-           "  --input=FILE          records CSV; otherwise a synthetic\n"
-           "  --records=N --dim=N   two-blob Gaussian stream is generated\n"
-           "                        (defaults 5000 x 4)\n"
-           "  --k=N                 indistinguishability level (default 10)\n"
-           "  --backend=ID          anonymization backend, carried to every\n"
-           "                        worker in the Hello (default condensation)\n"
-           "  --policy=hash|round-robin\n"
-           "                        record-to-shard routing (default hash)\n"
-           "  --wire-batch=N        records per Submit frame (default 64)\n"
-           "  --local-fallback-root=DIR\n"
-           "                        take over unreachable shards with\n"
-           "                        in-process workers over this checkpoint\n"
-           "                        root (point it at the same tree the\n"
-           "                        workers use)\n"
-           "  --heartbeat-interval-ms=X  probe cadence (default 200)\n"
-           "  --heartbeat-timeout-ms=X   declare-dead threshold (default\n"
-           "                        1500)\n"
-           "  --save-groups=FILE    save the gathered group statistics\n"
-           "  --output=FILE         also anonymize and write a release CSV\n"
-           "  --header              first CSV row is a header\n"
-           "  --seed=N              RNG seed (per-shard seeds are derived)\n"
-           "  --format=prometheus|json  also dump the metrics registry\n";
-  }
-  if (command == "recover") {
-    return "condensa recover — restore a condenser from its checkpoints\n"
-           "\n"
-           "  --checkpoint-dir=DIR  directory to recover from (required)\n"
-           "  --k=N                 group size the state was built with\n"
-           "                        (default 10)\n"
-           "  --backend=ID          backend the state was built with; a\n"
-           "                        mismatched checkpoint refuses to load\n"
-           "                        (default condensation)\n"
-           "  --save-groups=FILE    save the recovered group statistics\n";
-  }
-  if (command == "query") {
-    return "condensa query — mining queries answered from condensed "
-           "statistics\n"
-           "\n"
-           "Snapshot source (exactly one required):\n"
-           "  --groups=FILE      saved pool statistics or bare group file\n"
-           "  --checkpoint-dir=DIR\n"
-           "                     recover a durable condenser's state\n"
-           "  --connect=HOST:PORT\n"
-           "                     send the query to a running query-server\n"
-           "  --k=N              group size for --checkpoint-dir recovery\n"
-           "                     (default 10)\n"
-           "\n"
-           "Query (see docs/query.md for the full language):\n"
-           "  --op=classify|aggregate|regenerate\n"
-           "                     query kind (default aggregate)\n"
-           "  --points=FILE      CSV of points to classify (classify only,\n"
-           "                     required for it)\n"
-           "  --neighbors=N      nearest group centroids consulted per point\n"
-           "                     (default 1)\n"
-           "  --range=DIM:LO:HI[,DIM:LO:HI...]\n"
-           "                     centroid box selecting groups (aggregate\n"
-           "                     and regenerate; empty = every group)\n"
-           "  --seed=N           regeneration RNG seed (default 42)\n"
-           "  --records-per-group=N\n"
-           "                     regenerated records per selected group\n"
-           "                     (default 0 = each group's own count)\n"
-           "  --output=FILE      write regenerated records as CSV (default\n"
-           "                     stdout)\n"
-           "  --header           first row of --points is a header\n"
-           "  --timeout-ms=X     per-frame timeout for --connect\n"
-           "                     (default 5000)\n"
-           "  --retries=N        attempts against --connect, redialing and\n"
-           "                     backing off on transport errors and\n"
-           "                     kUnavailable (default 1 = no retry)\n"
-           "  --deadline-ms=X    overall budget for the --connect call,\n"
-           "                     forwarded to the server so it sheds work\n"
-           "                     past the deadline (default 0 = none)\n";
-  }
-  if (command == "query-server") {
-    return "condensa query-server — serve framed mining queries from a "
-           "snapshot\n"
-           "\n"
-           "Loads condensed state once, then answers Query frames until\n"
-           "killed. Prints `listening on PORT` when ready.\n"
-           "\n"
-           "  --groups=FILE      saved pool statistics or bare group file\n"
-           "  --checkpoint-dir=DIR\n"
-           "                     recover a durable condenser's state\n"
-           "                     (exactly one source required)\n"
-           "  --k=N              group size for --checkpoint-dir recovery\n"
-           "                     (default 10)\n"
-           "  --host=ADDR        bind address (default 127.0.0.1)\n"
-           "  --port=N           listen port (default 0 = pick a free one)\n"
-           "  --idle-timeout-ms=X\n"
-           "                     drop sessions silent this long\n"
-           "                     (default 30000)\n"
-           "  --cache-capacity=N bound on cached eigendecompositions\n"
-           "                     (default 1024)\n"
-           "  --max-sessions=N   concurrent sessions served; further\n"
-           "                     connections are refused in-band with a\n"
-           "                     retry-after hint (default 8)\n"
-           "  --deadline-ms=X    deadline applied to requests that carry\n"
-           "                     none (default 0 = unbounded)\n";
-  }
-  if (command == "inspect") {
-    return "condensa inspect — print the privacy summary of a saved file\n"
-           "\n"
-           "  --groups=FILE  pool statistics (engine output) or bare group\n"
-           "                 statistics file (required)\n";
-  }
-  if (command == "evaluate") {
-    return "condensa evaluate — compare an original and an anonymized CSV\n"
-           "\n"
-           "  --original=FILE    raw records CSV (required)\n"
-           "  --anonymized=FILE  release CSV (required)\n"
-           "  --task=classification|regression|none  label handling\n"
-           "  --label-column=N   0-based label column (-1 = last)\n"
-           "  --header           first CSV row is a header\n";
-  }
-  if (command == "stats") {
-    return "condensa stats — synthetic end-to-end run + metrics dump\n"
-           "\n"
-           "  --records=N        synthetic records (default 2000, min 10)\n"
-           "  --dim=N            record dimension (default 8)\n"
-           "  --k=N              indistinguishability level (default 10)\n"
-           "  --seed=N           RNG seed (default 42)\n"
-           "  --format=prometheus|json  registry dump format\n"
-           "  --trace-out=FILE   also record a Perfetto trace\n";
-  }
-  return nullptr;
-}
+// One flag of one subcommand. A hint of the form `a|b|c` lists the only
+// values accepted; switches (bool fields) have no hint. The default is
+// parsed like a given value; bounds apply to given values only.
+struct Flag {
+  const char* name;
+  const char* hint;
+  const char* fallback;
+  const char* help;
+  Field field;
+  Range range = {};
+};
 
-bool ParsePolicy(const std::string& text,
-                 condensa::shard::ShardPolicy* policy) {
-  if (text == "hash") {
-    *policy = condensa::shard::ShardPolicy::kHash;
-  } else if (text == "round-robin") {
-    *policy = condensa::shard::ShardPolicy::kRoundRobin;
-  } else {
-    return false;
-  }
-  return true;
-}
+struct Command {
+  const char* name;
+  const char* summary;  // one line, for `condensa --help`
+  const char* details;  // extra paragraph for `condensa <command> --help`
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+};
 
 // Resolves a --backend flag value against the global registry. On an
 // unknown id, prints the NotFound message (which lists every registered
@@ -555,85 +124,192 @@ const condensa::backend::AnonymizationBackend* ResolveBackendFlag(
   return *resolved;
 }
 
-bool ParseTask(const std::string& text, condensa::data::TaskType* task) {
-  if (text == "classification") {
-    *task = condensa::data::TaskType::kClassification;
-  } else if (text == "regression") {
-    *task = condensa::data::TaskType::kRegression;
-  } else if (text == "none") {
-    *task = condensa::data::TaskType::kUnlabeled;
-  } else {
-    return false;
-  }
-  return true;
+// Exit code for a service that refused to start: a configuration the
+// library rejects is a usage error.
+int StartupExitCode(const condensa::Status& status) {
+  return status.code() == condensa::StatusCode::kInvalidArgument ? 2 : 1;
 }
 
-condensa::StatusOr<condensa::data::Dataset> LoadCsv(
+condensa::data::TaskType TaskFromFlag(const std::string& name) {
+  if (name == "regression") return condensa::data::TaskType::kRegression;
+  if (name == "none") return condensa::data::TaskType::kUnlabeled;
+  return condensa::data::TaskType::kClassification;
+}
+
+condensa::shard::ShardPolicy PolicyFromFlag(const std::string& name) {
+  return name == "round-robin" ? condensa::shard::ShardPolicy::kRoundRobin
+                               : condensa::shard::ShardPolicy::kHash;
+}
+
+// Reads a CSV; on failure prints the error and returns nullopt, which
+// callers turn into exit 1.
+std::optional<condensa::data::Dataset> LoadCsv(
     const std::string& path, condensa::data::TaskType task, bool header,
     int label_column) {
   condensa::data::CsvReadOptions options;
   options.task = task;
   options.has_header = header;
   options.label_column = label_column;
-  CONDENSA_ASSIGN_OR_RETURN(condensa::data::CsvReadResult result,
-                            condensa::data::ReadCsv(path, options));
-  return std::move(result.dataset);
+  auto result = condensa::data::ReadCsv(path, options);
+  if (!result.ok()) {
+    std::fprintf(stderr, "error reading %s: %s\n", path.c_str(),
+                 result.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return std::move(result->dataset);
 }
 
-int RunCondense(Flags& flags) {
-  const std::string input = flags.Get("input", "");
-  const std::string output = flags.Get("output", "");
-  const std::string mode_name = flags.Get("mode", "static");
-  const std::string task_name = flags.Get("task", "classification");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  const std::string save_groups = flags.Get("save-groups", "");
-  const bool header = flags.Get("header", "false") == "true";
+// The record stream of serve-stream, shard and fabric: --input as an
+// unlabeled CSV, or else --records draws of --dim attributes from two
+// Gaussian blobs seeded by --seed + 1.
+std::optional<std::vector<condensa::linalg::Vector>> LoadStream(
+    const Args& args) {
+  if (!args.input.empty()) {
+    auto dataset = LoadCsv(args.input, condensa::data::TaskType::kUnlabeled,
+                           args.header, -1);
+    if (!dataset) return std::nullopt;
+    return dataset->records();
+  }
+  condensa::Rng data_rng(static_cast<std::uint64_t>(args.seed) + 1);
+  std::vector<condensa::linalg::Vector> stream;
+  stream.reserve(static_cast<std::size_t>(args.records));
+  for (int i = 0; i < args.records; ++i) {
+    condensa::linalg::Vector record(static_cast<std::size_t>(args.dim));
+    for (int d = 0; d < args.dim; ++d) {
+      record[static_cast<std::size_t>(d)] =
+          data_rng.Gaussian(i % 2 == 0 ? -3.0 : 3.0, 1.0);
+    }
+    stream.push_back(record);
+  }
+  return stream;
+}
 
-  int k = 10, seed = 42, label_column = -1;
-  if (!ParseInt(flags.Get("k", "10"), &k) || k < 1 ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("label-column", "-1"), &label_column)) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "condense")) return code;
-  condensa::data::TaskType task;
-  if (!ParseTask(task_name, &task)) {
-    std::fprintf(stderr, "error: unknown --task=%s\n", task_name.c_str());
-    return 2;
-  }
-  if (input.empty() || output.empty()) {
-    std::fprintf(stderr, "error: --input and --output are required\n");
-    return 2;
-  }
-  condensa::core::CondensationMode mode;
-  if (mode_name == "static") {
-    mode = condensa::core::CondensationMode::kStatic;
-  } else if (mode_name == "dynamic") {
-    mode = condensa::core::CondensationMode::kDynamic;
-  } else {
-    std::fprintf(stderr, "error: unknown --mode=%s\n", mode_name.c_str());
-    return 2;
-  }
-  // Fail an unknown backend before any file I/O: a usage error, exit 2.
-  if (ResolveBackendFlag(backend_id) == nullptr) return 2;
+std::size_t StreamDim(const Args& args,
+                      const std::vector<condensa::linalg::Vector>& stream) {
+  return stream.empty() ? static_cast<std::size_t>(args.dim)
+                        : stream.front().dim();
+}
 
-  auto dataset = LoadCsv(input, task, header, label_column);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                 dataset.status().ToString().c_str());
+// Arms the --chaos failpoints: journal appends fail, fsyncs stall and the
+// condenser throws internal errors, each seeded from --seed.
+void ArmChaos(const Args& args) {
+  const std::uint64_t chaos_seed = static_cast<std::uint64_t>(args.seed);
+  condensa::FailPoint::Arm(
+      "io.append", {.code = condensa::StatusCode::kUnavailable,
+                    .probability = args.chaos,
+                    .seed = chaos_seed + 1});
+  condensa::FailPoint::Arm(
+      "io.sync", {.mode = condensa::FailPointMode::kLatency,
+                  .probability = args.chaos,
+                  .seed = chaos_seed + 2,
+                  .latency_ms = 1.0});
+  condensa::FailPoint::Arm(
+      "dynamic.insert", {.code = condensa::StatusCode::kInternal,
+                         .probability = args.chaos / 5.0,
+                         .seed = chaos_seed + 3});
+  std::fprintf(stderr,
+               "chaos armed: io.append/io.sync/dynamic.insert at p=%.3f\n",
+               args.chaos);
+}
+
+// Writes the metrics registry to stdout in --format; empty = no dump.
+void DumpRegistry(const std::string& format) {
+  if (format.empty()) return;
+  condensa::obs::MetricsRegistry& registry = condensa::obs::DefaultRegistry();
+  std::fputs(format == "json" ? registry.DumpJson().c_str()
+                              : registry.DumpPrometheusText().c_str(),
+             stdout);
+}
+
+// --save-groups: writes the group statistics to `path` unless it is
+// empty. Returns the exit code.
+int SaveGroups(const condensa::core::CondensedGroupSet& groups,
+               const std::string& path) {
+  if (path.empty()) return 0;
+  condensa::Status status = condensa::core::SaveGroupSet(groups, path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "error saving %s: %s\n", path.c_str(),
+                 status.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "loaded %zu records x %zu attributes from %s\n",
-               dataset->size(), dataset->dim(), input.c_str());
+  std::fprintf(stderr, "saved group statistics to %s\n", path.c_str());
+  return 0;
+}
 
-  condensa::Rng rng(static_cast<std::uint64_t>(seed));
+// --output for shard and fabric: regenerates a release from the gathered
+// groups with the backend's sampler and writes it as CSV, unless `output`
+// is empty. Returns the exit code.
+int WriteRelease(const condensa::core::CondensedGroupSet& groups,
+                 const condensa::backend::AnonymizationBackend& backend,
+                 condensa::Rng& rng, const std::string& output) {
+  if (output.empty()) return 0;
+  condensa::core::AnonymizerOptions anonymizer_options;
+  anonymizer_options.group_sampler = backend.SamplerHook();
+  auto anonymized =
+      condensa::core::Anonymizer(anonymizer_options).Generate(groups, rng);
+  if (!anonymized.ok()) {
+    std::fprintf(stderr, "release generation failed: %s\n",
+                 anonymized.status().ToString().c_str());
+    return 1;
+  }
+  condensa::data::Dataset release(groups.dim());
+  for (condensa::linalg::Vector& record : *anonymized) {
+    release.Add(std::move(record));
+  }
+  condensa::Status write_status = condensa::data::WriteCsv(release, output);
+  if (!write_status.ok()) {
+    std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
+                 write_status.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "wrote %zu anonymized records to %s\n",
+               release.size(), output.c_str());
+  return 0;
+}
+
+// Dynamic-condenser options for a durable state built by `backend`.
+condensa::core::DynamicCondenserOptions DynamicOptionsFor(
+    const condensa::backend::AnonymizationBackend& backend, int k) {
+  condensa::core::DynamicCondenserOptions options;
+  options.group_size = static_cast<std::size_t>(k);
+  options.backend = backend.info().id;
+  options.backend_version = backend.info().version;
+  options.bootstrap_construction = backend.ConstructionHook();
+  return options;
+}
+
+void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
+                       const char* indent) {
+  condensa::core::PrivacySummary summary = groups.Summary();
+  std::printf("%sdimension             : %zu\n", indent, groups.dim());
+  std::printf("%sconfigured k          : %zu\n", indent,
+              groups.indistinguishability_level());
+  std::printf("%sgroups                : %zu\n", indent, summary.num_groups);
+  std::printf("%srecords represented   : %zu\n", indent,
+              summary.total_records);
+  std::printf("%sgroup size min/avg/max: %zu / %.2f / %zu\n", indent,
+              summary.min_group_size, summary.average_group_size,
+              summary.max_group_size);
+}
+
+int RunCondense(const Args& args) {
+  // Fail an unknown backend before any file I/O: a usage error, exit 2.
+  if (ResolveBackendFlag(args.backend) == nullptr) return 2;
+
+  auto dataset = LoadCsv(args.input, TaskFromFlag(args.task), args.header,
+                         args.label_column);
+  if (!dataset) return 1;
+  std::fprintf(stderr, "loaded %zu records x %zu attributes from %s\n",
+               dataset->size(), dataset->dim(), args.input.c_str());
+
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   condensa::core::CondensationConfig engine_config;
-  engine_config.group_size = static_cast<std::size_t>(k);
-  engine_config.mode = mode;
+  engine_config.group_size = static_cast<std::size_t>(args.k);
+  engine_config.mode = args.mode == "dynamic"
+                           ? condensa::core::CondensationMode::kDynamic
+                           : condensa::core::CondensationMode::kStatic;
   condensa::Status backend_status =
-      condensa::backend::ApplyBackend(backend_id, &engine_config);
+      condensa::backend::ApplyBackend(args.backend, &engine_config);
   if (!backend_status.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  backend_status.message().c_str());
@@ -646,16 +322,16 @@ int RunCondense(Flags& flags) {
                  pools.status().ToString().c_str());
     return 1;
   }
-  if (!save_groups.empty()) {
+  if (!args.save_groups.empty()) {
     condensa::Status save_status =
-        condensa::core::SavePools(*pools, save_groups);
+        condensa::core::SavePools(*pools, args.save_groups);
     if (!save_status.ok()) {
-      std::fprintf(stderr, "error saving %s: %s\n", save_groups.c_str(),
+      std::fprintf(stderr, "error saving %s: %s\n", args.save_groups.c_str(),
                    save_status.ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "saved pool statistics to %s\n",
-                 save_groups.c_str());
+                 args.save_groups.c_str());
   }
 
   condensa::core::AnonymizerOptions anonymizer_options;
@@ -669,9 +345,9 @@ int RunCondense(Flags& flags) {
   }
 
   condensa::Status write_status =
-      condensa::data::WriteCsv(result->anonymized, output);
+      condensa::data::WriteCsv(result->anonymized, args.output);
   if (!write_status.ok()) {
-    std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
+    std::fprintf(stderr, "error writing %s: %s\n", args.output.c_str(),
                  write_status.ToString().c_str());
     return 1;
   }
@@ -680,7 +356,7 @@ int RunCondense(Flags& flags) {
                "wrote %zu anonymized records to %s\n"
                "achieved indistinguishability level: %zu\n"
                "average group size: %.2f\n",
-               result->anonymized.size(), output.c_str(),
+               result->anonymized.size(), args.output.c_str(),
                result->AchievedIndistinguishability(),
                result->AverageGroupSize());
   return 0;
@@ -688,23 +364,10 @@ int RunCondense(Flags& flags) {
 
 // Regenerates a fresh release from saved pool statistics — no raw data
 // needed ever again.
-int RunGenerate(Flags& flags) {
-  const std::string groups_path = flags.Get("groups", "");
-  const std::string output = flags.Get("output", "");
-  int seed = 42;
-  if (!ParseInt(flags.Get("seed", "42"), &seed)) {
-    std::fprintf(stderr, "error: bad --seed\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "generate")) return code;
-  if (groups_path.empty() || output.empty()) {
-    std::fprintf(stderr, "error: --groups and --output are required\n");
-    return 2;
-  }
-
-  auto pools = condensa::core::LoadPools(groups_path);
+int RunGenerate(const Args& args) {
+  auto pools = condensa::core::LoadPools(args.groups);
   if (!pools.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", groups_path.c_str(),
+    std::fprintf(stderr, "error reading %s: %s\n", args.groups.c_str(),
                  pools.status().ToString().c_str());
     return 1;
   }
@@ -721,13 +384,13 @@ int RunGenerate(Flags& flags) {
   if (!resolved.ok()) {
     std::fprintf(stderr, "error: %s was written by a backend this build "
                  "cannot regenerate: %s\n",
-                 groups_path.c_str(),
+                 args.groups.c_str(),
                  resolved.status().message().c_str());
     return 1;
   }
   condensa::core::AnonymizerOptions anonymizer_options;
   anonymizer_options.group_sampler = (*resolved)->SamplerHook();
-  condensa::Rng rng(static_cast<std::uint64_t>(seed));
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   auto result =
       condensa::core::GenerateRelease(*pools, rng, anonymizer_options);
   if (!result.ok()) {
@@ -736,72 +399,42 @@ int RunGenerate(Flags& flags) {
     return 1;
   }
   condensa::Status write_status =
-      condensa::data::WriteCsv(result->anonymized, output);
+      condensa::data::WriteCsv(result->anonymized, args.output);
   if (!write_status.ok()) {
-    std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
+    std::fprintf(stderr, "error writing %s: %s\n", args.output.c_str(),
                  write_status.ToString().c_str());
     return 1;
   }
   std::fprintf(stderr,
                "regenerated %zu anonymized records to %s "
                "(indistinguishability level %zu)\n",
-               result->anonymized.size(), output.c_str(),
+               result->anonymized.size(), args.output.c_str(),
                result->AchievedIndistinguishability());
   return 0;
 }
-
-void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
-                       const char* indent);
 
 // Streams a CSV into a crash-safe checkpointed condenser. Re-running with
 // the same --checkpoint-dir resumes from the recovered state, so a stream
 // can be fed in daily batches (or restarted after a crash) without losing
 // acknowledged records.
-int RunIngest(Flags& flags) {
-  const std::string input = flags.Get("input", "");
-  const std::string dir = flags.Get("checkpoint-dir", "");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  const bool header = flags.Get("header", "false") == "true";
-  const bool no_sync = flags.Get("no-sync", "false") == "true";
-  int k = 10, seed = 42, snapshot_every = 1024;
-  if (!ParseInt(flags.Get("k", "10"), &k) || k < 1 ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("snapshot-every", "1024"), &snapshot_every) ||
-      snapshot_every < 1) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "ingest")) return code;
-  if (input.empty() || dir.empty()) {
-    std::fprintf(stderr, "error: --input and --checkpoint-dir are required\n");
-    return 2;
-  }
+int RunIngest(const Args& args) {
   const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(backend_id);
+      ResolveBackendFlag(args.backend);
   if (anonymization_backend == nullptr) return 2;
 
-  auto dataset =
-      LoadCsv(input, condensa::data::TaskType::kUnlabeled, header, -1);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                 dataset.status().ToString().c_str());
-    return 1;
-  }
+  auto dataset = LoadCsv(args.input, condensa::data::TaskType::kUnlabeled,
+                         args.header, -1);
+  if (!dataset) return 1;
 
-  condensa::core::DynamicCondenserOptions options;
-  options.group_size = static_cast<std::size_t>(k);
-  options.backend = anonymization_backend->info().id;
-  options.backend_version = anonymization_backend->info().version;
-  options.bootstrap_construction =
-      anonymization_backend->ConstructionHook();
   const condensa::core::DurabilityOptions durability{
-      .snapshot_interval = static_cast<std::size_t>(snapshot_every),
-      .sync_every_append = !no_sync};
+      .snapshot_interval = static_cast<std::size_t>(args.snapshot_every),
+      .sync_every_append = !args.no_sync};
   auto durable = condensa::core::DurableCondenser::Open(
-      dataset->dim(), options, durability, dir);
+      dataset->dim(), DynamicOptionsFor(*anonymization_backend, args.k),
+      durability, args.checkpoint_dir);
   if (!durable.ok()) {
-    std::fprintf(stderr, "error opening %s: %s\n", dir.c_str(),
+    std::fprintf(stderr, "error opening %s: %s\n",
+                 args.checkpoint_dir.c_str(),
                  durable.status().ToString().c_str());
     return 1;
   }
@@ -809,10 +442,11 @@ int RunIngest(Flags& flags) {
   const std::size_t already_seen = durable->records_seen();
   if (already_seen > 0) {
     std::fprintf(stderr, "resuming from %s: %zu records already ingested\n",
-                 dir.c_str(), already_seen);
+                 args.checkpoint_dir.c_str(), already_seen);
   }
-  condensa::Rng rng(static_cast<std::uint64_t>(seed));
-  if (already_seen == 0 && dataset->size() >= static_cast<std::size_t>(k)) {
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
+  if (already_seen == 0 &&
+      dataset->size() >= static_cast<std::size_t>(args.k)) {
     // Fresh state: bootstrap the whole batch statically (paper's initial
     // database D); later batches stream one record at a time.
     condensa::Status status = durable->Bootstrap(dataset->records(), rng);
@@ -840,7 +474,7 @@ int RunIngest(Flags& flags) {
 
   std::fprintf(stderr,
                "ingested %zu records from %s (total %zu, snapshot %zu)\n",
-               durable->records_seen() - already_seen, input.c_str(),
+               durable->records_seen() - already_seen, args.input.c_str(),
                durable->records_seen(), durable->snapshot_sequence());
   PrintGroupSummary(durable->groups(), "");
   return 0;
@@ -848,72 +482,87 @@ int RunIngest(Flags& flags) {
 
 // Restores a condenser from its checkpoint directory (newest valid
 // snapshot plus journal replay) and reports what survived.
-int RunRecover(Flags& flags) {
-  const std::string dir = flags.Get("checkpoint-dir", "");
-  const std::string save_groups = flags.Get("save-groups", "");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  int k = 10;
-  if (!ParseInt(flags.Get("k", "10"), &k) || k < 1) {
-    std::fprintf(stderr, "error: bad --k\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "recover")) return code;
-  if (dir.empty()) {
-    std::fprintf(stderr, "error: --checkpoint-dir is required\n");
-    return 2;
-  }
+int RunRecover(const Args& args) {
   const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(backend_id);
+      ResolveBackendFlag(args.backend);
   if (anonymization_backend == nullptr) return 2;
 
-  condensa::core::DynamicCondenserOptions options;
-  options.group_size = static_cast<std::size_t>(k);
-  options.backend = anonymization_backend->info().id;
-  options.backend_version = anonymization_backend->info().version;
-  options.bootstrap_construction =
-      anonymization_backend->ConstructionHook();
   auto durable = condensa::core::DurableCondenser::Recover(
-      dir, options, condensa::core::DurabilityOptions{});
+      args.checkpoint_dir, DynamicOptionsFor(*anonymization_backend, args.k),
+      condensa::core::DurabilityOptions{});
   if (!durable.ok()) {
-    std::fprintf(stderr, "recovery from %s failed: %s\n", dir.c_str(),
+    std::fprintf(stderr, "recovery from %s failed: %s\n",
+                 args.checkpoint_dir.c_str(),
                  durable.status().ToString().c_str());
     return 1;
   }
 
-  std::printf("checkpoint directory  : %s\n", dir.c_str());
+  std::printf("checkpoint directory  : %s\n", args.checkpoint_dir.c_str());
   std::printf("snapshot sequence     : %zu\n", durable->snapshot_sequence());
   std::printf("journal records replayed: %zu\n",
               durable->appends_since_snapshot());
   std::printf("records ingested      : %zu\n", durable->records_seen());
   PrintGroupSummary(durable->groups(), "");
-
-  if (!save_groups.empty()) {
-    condensa::Status status =
-        condensa::core::SaveGroupSet(durable->groups(), save_groups);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error saving %s: %s\n", save_groups.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "saved group statistics to %s\n",
-                 save_groups.c_str());
-  }
-  return 0;
+  return SaveGroups(durable->groups(), args.save_groups);
 }
 
-void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
-                       const char* indent) {
-  condensa::core::PrivacySummary summary = groups.Summary();
-  std::printf("%sdimension             : %zu\n", indent, groups.dim());
-  std::printf("%sconfigured k          : %zu\n", indent,
-              groups.indistinguishability_level());
-  std::printf("%sgroups                : %zu\n", indent, summary.num_groups);
-  std::printf("%srecords represented   : %zu\n", indent,
-              summary.total_records);
-  std::printf("%sgroup size min/avg/max: %zu / %.2f / %zu\n", indent,
-              summary.min_group_size, summary.average_group_size,
-              summary.max_group_size);
+// serve-stream --shards=N: N independent durable pipelines, each
+// checkpointing under <dir>/shard-<i>, gathered into one release by exact
+// moment merge (docs/scaling.md). Backpressure/retry/deadline tuning
+// flags apply to single-pipeline mode; shards use defaults.
+int ServeSharded(const Args& args,
+                 const condensa::backend::AnonymizationBackend& backend,
+                 const std::vector<condensa::linalg::Vector>& stream) {
+  condensa::shard::ShardedStreamConfig config;
+  config.num_shards = static_cast<std::size_t>(args.shards);
+  config.policy = PolicyFromFlag(args.policy);
+  config.dim = StreamDim(args, stream);
+  config.group_size = static_cast<std::size_t>(args.k);
+  config.checkpoint_root = args.checkpoint_dir;
+  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
+  config.sync_every_append = !args.no_sync;
+  config.queue_capacity = static_cast<std::size_t>(args.queue_capacity);
+  config.batch_size = static_cast<std::size_t>(args.batch_size);
+  config.seed = static_cast<std::uint64_t>(args.seed);
+  config.backend = backend.info().id;
+
+  auto service = condensa::shard::ShardedStreamService::Start(config);
+  if (!service.ok()) {
+    std::fprintf(stderr, "error starting sharded service in %s: %s\n",
+                 args.checkpoint_dir.c_str(),
+                 service.status().ToString().c_str());
+    return StartupExitCode(service.status());
+  }
+
+  if (args.chaos > 0.0) ArmChaos(args);
+  for (const condensa::linalg::Vector& record : stream) {
+    condensa::Status status = (*service)->Submit(record);
+    if (!status.ok()) {
+      std::fprintf(stderr, "submit failed: %s\n", status.ToString().c_str());
+      return 1;
+    }
+  }
+  if (args.chaos > 0.0) condensa::FailPoint::Reset();
+
+  auto result = (*service)->Finish();
+  if (!result.ok()) {
+    std::fprintf(stderr, "finish failed: %s\n",
+                 result.status().ToString().c_str());
+    return 1;
+  }
+  for (std::size_t shard = 0; shard < result->shard_stats.size(); ++shard) {
+    std::printf("shard %zu ledger: %s\n", shard,
+                result->shard_stats[shard].ToString().c_str());
+  }
+  std::printf("gather: %s\n", result->gather.ToString().c_str());
+  PrintGroupSummary(result->groups, "");
+  DumpRegistry(args.format);
+  if (!result->Balanced()) {
+    std::fprintf(stderr,
+                 "error: a shard ledger does not balance — records lost\n");
+    return 1;
+  }
+  return 0;
 }
 
 // Runs the supervised streaming runtime (docs/resilience.md): records flow
@@ -926,233 +575,51 @@ void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
 // fsyncs stall, the condenser throws internal errors) and are healed before
 // Finish so the spool drains; the printed ledger shows what the runtime
 // absorbed. Exits nonzero if the ledger does not balance.
-int RunServeStream(Flags& flags) {
-  const std::string dir = flags.Get("checkpoint-dir", "");
-  const std::string input = flags.Get("input", "");
-  const std::string backpressure_name = flags.Get("backpressure", "block");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  const std::string policy_name = flags.Get("policy", "hash");
-  const std::string format = flags.Get("format", "");
-  const bool header = flags.Get("header", "false") == "true";
-  const bool no_sync = flags.Get("no-sync", "false") == "true";
-  int records = 5000, dim = 4, k = 10, seed = 42, shards = 1;
-  int snapshot_every = 256, queue_capacity = 1024, batch_size = 32;
-  int retry_attempts = 4, retry_budget = 10000;
-  double batch_deadline_ms = 1000.0, chaos = 0.0;
-  if (!ParseInt(flags.Get("records", "5000"), &records) || records < 1 ||
-      !ParseInt(flags.Get("dim", "4"), &dim) || dim < 1 ||
-      !ParseInt(flags.Get("k", "10"), &k) ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("shards", "1"), &shards) || shards < 1 ||
-      !ParseInt(flags.Get("snapshot-every", "256"), &snapshot_every) ||
-      !ParseInt(flags.Get("queue-capacity", "1024"), &queue_capacity) ||
-      !ParseInt(flags.Get("batch-size", "32"), &batch_size) ||
-      !ParseInt(flags.Get("retry-attempts", "4"), &retry_attempts) ||
-      retry_attempts < 1 ||
-      !ParseInt(flags.Get("retry-budget", "10000"), &retry_budget) ||
-      retry_budget < 0 ||
-      !ParseDouble(flags.Get("batch-deadline-ms", "1000"),
-                   &batch_deadline_ms) ||
-      !ParseDouble(flags.Get("chaos", "0"), &chaos) || chaos < 0.0 ||
-      chaos >= 1.0) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "serve-stream")) return code;
-  condensa::shard::ShardPolicy policy;
-  if (!ParsePolicy(policy_name, &policy)) {
-    std::fprintf(stderr, "error: unknown --policy=%s\n", policy_name.c_str());
-    return 2;
-  }
-  if (dir.empty()) {
-    std::fprintf(stderr, "error: --checkpoint-dir is required\n");
-    return 2;
-  }
+int RunServeStream(const Args& args) {
   const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(backend_id);
+      ResolveBackendFlag(args.backend);
   if (anonymization_backend == nullptr) return 2;
-  condensa::runtime::BackpressurePolicy backpressure;
-  if (backpressure_name == "block") {
-    backpressure = condensa::runtime::BackpressurePolicy::kBlock;
-  } else if (backpressure_name == "drop-oldest") {
-    backpressure = condensa::runtime::BackpressurePolicy::kDropOldest;
-  } else if (backpressure_name == "reject") {
-    backpressure = condensa::runtime::BackpressurePolicy::kReject;
-  } else {
-    std::fprintf(stderr, "error: unknown --backpressure=%s\n",
-                 backpressure_name.c_str());
-    return 2;
-  }
-  if (!format.empty() && format != "prometheus" && format != "json") {
-    std::fprintf(stderr, "error: unknown --format=%s\n", format.c_str());
-    return 2;
-  }
-
-  std::vector<condensa::linalg::Vector> stream;
-  if (!input.empty()) {
-    auto dataset =
-        LoadCsv(input, condensa::data::TaskType::kUnlabeled, header, -1);
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                   dataset.status().ToString().c_str());
-      return 1;
-    }
-    stream = dataset->records();
-  } else {
-    condensa::Rng data_rng(static_cast<std::uint64_t>(seed) + 1);
-    stream.reserve(static_cast<std::size_t>(records));
-    for (int i = 0; i < records; ++i) {
-      condensa::linalg::Vector record(static_cast<std::size_t>(dim));
-      for (int d = 0; d < dim; ++d) {
-        record[static_cast<std::size_t>(d)] =
-            data_rng.Gaussian(i % 2 == 0 ? -3.0 : 3.0, 1.0);
-      }
-      stream.push_back(record);
-    }
-  }
-
-  if (shards > 1) {
-    // Scatter/gather mode: N independent durable pipelines, each
-    // checkpointing under <dir>/shard-<i>, gathered into one release by
-    // exact moment merge (docs/scaling.md). Backpressure/retry/deadline
-    // tuning flags apply to single-pipeline mode; shards use defaults.
-    condensa::shard::ShardedStreamConfig config;
-    config.num_shards = static_cast<std::size_t>(shards);
-    config.policy = policy;
-    config.dim = stream.empty() ? static_cast<std::size_t>(dim)
-                                : stream.front().dim();
-    config.group_size = static_cast<std::size_t>(k);
-    config.checkpoint_root = dir;
-    config.snapshot_interval = static_cast<std::size_t>(snapshot_every);
-    config.sync_every_append = !no_sync;
-    config.queue_capacity = static_cast<std::size_t>(queue_capacity);
-    config.batch_size = static_cast<std::size_t>(batch_size);
-    config.seed = static_cast<std::uint64_t>(seed);
-    config.backend = anonymization_backend->info().id;
-
-    auto service = condensa::shard::ShardedStreamService::Start(config);
-    if (!service.ok()) {
-      std::fprintf(stderr, "error starting sharded service in %s: %s\n",
-                   dir.c_str(), service.status().ToString().c_str());
-      return service.status().code() ==
-                     condensa::StatusCode::kInvalidArgument
-                 ? 2
-                 : 1;
-    }
-
-    if (chaos > 0.0) {
-      const std::uint64_t chaos_seed = static_cast<std::uint64_t>(seed);
-      condensa::FailPoint::Arm(
-          "io.append", {.code = condensa::StatusCode::kUnavailable,
-                        .probability = chaos,
-                        .seed = chaos_seed + 1});
-      condensa::FailPoint::Arm(
-          "io.sync", {.mode = condensa::FailPointMode::kLatency,
-                      .probability = chaos,
-                      .seed = chaos_seed + 2,
-                      .latency_ms = 1.0});
-      condensa::FailPoint::Arm(
-          "dynamic.insert", {.code = condensa::StatusCode::kInternal,
-                             .probability = chaos / 5.0,
-                             .seed = chaos_seed + 3});
-      std::fprintf(
-          stderr,
-          "chaos armed: io.append/io.sync/dynamic.insert at p=%.3f\n",
-          chaos);
-    }
-
-    for (const condensa::linalg::Vector& record : stream) {
-      condensa::Status status = (*service)->Submit(record);
-      if (!status.ok()) {
-        std::fprintf(stderr, "submit failed: %s\n",
-                     status.ToString().c_str());
-        return 1;
-      }
-    }
-    if (chaos > 0.0) {
-      condensa::FailPoint::Reset();
-    }
-
-    auto result = (*service)->Finish();
-    if (!result.ok()) {
-      std::fprintf(stderr, "finish failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    for (std::size_t shard = 0; shard < result->shard_stats.size();
-         ++shard) {
-      std::printf("shard %zu ledger: %s\n", shard,
-                  result->shard_stats[shard].ToString().c_str());
-    }
-    std::printf("gather: %s\n", result->gather.ToString().c_str());
-    PrintGroupSummary(result->groups, "");
-    if (!format.empty()) {
-      condensa::obs::MetricsRegistry& registry =
-          condensa::obs::DefaultRegistry();
-      std::fputs(format == "json" ? registry.DumpJson().c_str()
-                                  : registry.DumpPrometheusText().c_str(),
-                 stdout);
-    }
-    if (!result->Balanced()) {
-      std::fprintf(stderr,
-                   "error: a shard ledger does not balance — records lost\n");
-      return 1;
-    }
-    return 0;
+  std::optional<std::vector<condensa::linalg::Vector>> stream =
+      LoadStream(args);
+  if (!stream) return 1;
+  if (args.shards > 1) {
+    return ServeSharded(args, *anonymization_backend, *stream);
   }
 
   condensa::runtime::StreamPipelineConfig config;
-  config.dim = stream.empty() ? static_cast<std::size_t>(dim)
-                              : stream.front().dim();
-  config.group_size = static_cast<std::size_t>(k);
-  config.checkpoint_dir = dir;
-  config.snapshot_interval = static_cast<std::size_t>(snapshot_every);
-  config.sync_every_append = !no_sync;
-  config.queue_capacity = static_cast<std::size_t>(queue_capacity);
-  config.backpressure = backpressure;
-  config.batch_size = static_cast<std::size_t>(batch_size);
-  config.batch_deadline_ms = batch_deadline_ms;
-  config.retry.max_attempts = static_cast<std::size_t>(retry_attempts);
-  config.retry_budget = static_cast<std::size_t>(retry_budget);
-  config.seed = static_cast<std::uint64_t>(seed);
+  config.dim = StreamDim(args, *stream);
+  config.group_size = static_cast<std::size_t>(args.k);
+  config.checkpoint_dir = args.checkpoint_dir;
+  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
+  config.sync_every_append = !args.no_sync;
+  config.queue_capacity = static_cast<std::size_t>(args.queue_capacity);
+  config.backpressure =
+      args.backpressure == "drop-oldest"
+          ? condensa::runtime::BackpressurePolicy::kDropOldest
+      : args.backpressure == "reject"
+          ? condensa::runtime::BackpressurePolicy::kReject
+          : condensa::runtime::BackpressurePolicy::kBlock;
+  config.batch_size = static_cast<std::size_t>(args.batch_size);
+  config.batch_deadline_ms = args.batch_deadline_ms;
+  config.retry.max_attempts = static_cast<std::size_t>(args.retry_attempts);
+  config.retry_budget = static_cast<std::size_t>(args.retry_budget);
+  config.seed = static_cast<std::uint64_t>(args.seed);
   config.backend = anonymization_backend->info().id;
   config.backend_version = anonymization_backend->info().version;
 
   auto pipeline = condensa::runtime::StreamPipeline::Start(config);
   if (!pipeline.ok()) {
-    std::fprintf(stderr, "error starting pipeline in %s: %s\n", dir.c_str(),
+    std::fprintf(stderr, "error starting pipeline in %s: %s\n",
+                 args.checkpoint_dir.c_str(),
                  pipeline.status().ToString().c_str());
-    return pipeline.status().code() ==
-                   condensa::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return StartupExitCode(pipeline.status());
   }
 
-  if (chaos > 0.0) {
-    // The disk starts lying only after startup (initial snapshot and the
-    // quarantine header are deterministic), and heals before Finish so
-    // the spool can drain — the same discipline as the chaos soak test.
-    const std::uint64_t chaos_seed = static_cast<std::uint64_t>(seed);
-    condensa::FailPoint::Arm(
-        "io.append", {.code = condensa::StatusCode::kUnavailable,
-                      .probability = chaos,
-                      .seed = chaos_seed + 1});
-    condensa::FailPoint::Arm(
-        "io.sync", {.mode = condensa::FailPointMode::kLatency,
-                    .probability = chaos,
-                    .seed = chaos_seed + 2,
-                    .latency_ms = 1.0});
-    condensa::FailPoint::Arm(
-        "dynamic.insert", {.code = condensa::StatusCode::kInternal,
-                           .probability = chaos / 5.0,
-                           .seed = chaos_seed + 3});
-    std::fprintf(stderr,
-                 "chaos armed: io.append/io.sync/dynamic.insert at p=%.3f\n",
-                 chaos);
-  }
-
-  for (const condensa::linalg::Vector& record : stream) {
+  // The disk starts lying only after startup (initial snapshot and the
+  // quarantine header are deterministic), and heals before Finish so
+  // the spool can drain — the same discipline as the chaos soak test.
+  if (args.chaos > 0.0) ArmChaos(args);
+  for (const condensa::linalg::Vector& record : *stream) {
     condensa::Status status = (*pipeline)->Submit(record);
     if (!status.ok()) {
       // kReject backpressure surfaces as kResourceExhausted; the ledger
@@ -1165,10 +632,8 @@ int RunServeStream(Flags& flags) {
       }
     }
   }
+  if (args.chaos > 0.0) condensa::FailPoint::Reset();
 
-  if (chaos > 0.0) {
-    condensa::FailPoint::Reset();
-  }
   auto stats = (*pipeline)->Finish();
   if (!stats.ok()) {
     std::fprintf(stderr, "finish failed: %s\n",
@@ -1178,13 +643,7 @@ int RunServeStream(Flags& flags) {
 
   std::printf("ledger: %s\n", stats->ToString().c_str());
   PrintGroupSummary((*pipeline)->groups(), "");
-  if (!format.empty()) {
-    condensa::obs::MetricsRegistry& registry =
-        condensa::obs::DefaultRegistry();
-    std::fputs(format == "json" ? registry.DumpJson().c_str()
-                                : registry.DumpPrometheusText().c_str(),
-               stdout);
-  }
+  DumpRegistry(args.format);
   if (!stats->Balanced()) {
     std::fprintf(stderr, "error: ledger does not balance — records lost\n");
     return 1;
@@ -1195,104 +654,40 @@ int RunServeStream(Flags& flags) {
 // Batch scatter/gather condensation (docs/scaling.md): route the records
 // across N shard workers, condense each partition independently, then
 // exact-merge the shard-local aggregates into one global structure.
-int RunShard(Flags& flags) {
-  const std::string input = flags.Get("input", "");
-  const std::string policy_name = flags.Get("policy", "hash");
-  const std::string mode_name = flags.Get("mode", "batch");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  const std::string checkpoint_root = flags.Get("checkpoint-root", "");
-  const std::string save_groups = flags.Get("save-groups", "");
-  const std::string output = flags.Get("output", "");
-  const std::string format = flags.Get("format", "");
-  const bool header = flags.Get("header", "false") == "true";
-  const bool no_sync = flags.Get("no-sync", "false") == "true";
-  int records = 10000, dim = 4, shards = 2, k = 10, seed = 42;
-  int snapshot_every = 1024, threads = 0;
-  if (!ParseInt(flags.Get("records", "10000"), &records) || records < 1 ||
-      !ParseInt(flags.Get("dim", "4"), &dim) || dim < 1 ||
-      !ParseInt(flags.Get("shards", "2"), &shards) || shards < 1 ||
-      !ParseInt(flags.Get("k", "10"), &k) || k < 1 ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("snapshot-every", "1024"), &snapshot_every) ||
-      snapshot_every < 1 ||
-      !ParseInt(flags.Get("threads", "0"), &threads) || threads < 0) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "shard")) return code;
-  condensa::shard::ShardPolicy policy;
-  if (!ParsePolicy(policy_name, &policy)) {
-    std::fprintf(stderr, "error: unknown --policy=%s\n", policy_name.c_str());
-    return 2;
-  }
-  condensa::shard::WorkerMode mode;
-  if (mode_name == "batch") {
-    mode = condensa::shard::WorkerMode::kStaticBatch;
-  } else if (mode_name == "stream") {
-    mode = condensa::shard::WorkerMode::kDurableStream;
-  } else {
-    std::fprintf(stderr, "error: unknown --mode=%s\n", mode_name.c_str());
-    return 2;
-  }
-  if (mode == condensa::shard::WorkerMode::kDurableStream &&
-      checkpoint_root.empty()) {
+int RunShard(const Args& args) {
+  const bool stream_mode = args.mode == "stream";
+  if (stream_mode && args.checkpoint_root.empty()) {
     std::fprintf(stderr,
                  "error: --checkpoint-root is required with --mode=stream\n");
     return 2;
   }
   const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(backend_id);
+      ResolveBackendFlag(args.backend);
   if (anonymization_backend == nullptr) return 2;
-  if (!format.empty() && format != "prometheus" && format != "json") {
-    std::fprintf(stderr, "error: unknown --format=%s\n", format.c_str());
-    return 2;
-  }
-
-  std::vector<condensa::linalg::Vector> data;
-  if (!input.empty()) {
-    auto dataset =
-        LoadCsv(input, condensa::data::TaskType::kUnlabeled, header, -1);
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                   dataset.status().ToString().c_str());
-      return 1;
-    }
-    data = dataset->records();
-  } else {
-    condensa::Rng data_rng(static_cast<std::uint64_t>(seed) + 1);
-    data.reserve(static_cast<std::size_t>(records));
-    for (int i = 0; i < records; ++i) {
-      condensa::linalg::Vector record(static_cast<std::size_t>(dim));
-      for (int d = 0; d < dim; ++d) {
-        record[static_cast<std::size_t>(d)] =
-            data_rng.Gaussian(i % 2 == 0 ? -3.0 : 3.0, 1.0);
-      }
-      data.push_back(record);
-    }
-  }
+  std::optional<std::vector<condensa::linalg::Vector>> data =
+      LoadStream(args);
+  if (!data) return 1;
 
   condensa::shard::ShardedCondenserConfig config;
-  config.num_shards = static_cast<std::size_t>(shards);
-  config.policy = policy;
-  config.mode = mode;
-  config.group_size = static_cast<std::size_t>(k);
-  config.checkpoint_root = checkpoint_root;
-  config.snapshot_interval = static_cast<std::size_t>(snapshot_every);
-  config.sync_every_append = !no_sync;
-  config.num_threads = static_cast<std::size_t>(threads);
-  config.seed = static_cast<std::uint64_t>(seed);
+  config.num_shards = static_cast<std::size_t>(args.shards);
+  config.policy = PolicyFromFlag(args.policy);
+  config.mode = stream_mode ? condensa::shard::WorkerMode::kDurableStream
+                            : condensa::shard::WorkerMode::kStaticBatch;
+  config.group_size = static_cast<std::size_t>(args.k);
+  config.checkpoint_root = args.checkpoint_root;
+  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
+  config.sync_every_append = !args.no_sync;
+  config.num_threads = static_cast<std::size_t>(args.threads);
+  config.seed = static_cast<std::uint64_t>(args.seed);
   config.backend = anonymization_backend->info().id;
 
-  condensa::Rng rng(static_cast<std::uint64_t>(seed));
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   auto result =
-      condensa::shard::ShardedCondenser(config).Condense(data, rng);
+      condensa::shard::ShardedCondenser(config).Condense(*data, rng);
   if (!result.ok()) {
     std::fprintf(stderr, "sharded condensation failed: %s\n",
                  result.status().ToString().c_str());
-    return result.status().code() == condensa::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return StartupExitCode(result.status());
   }
 
   for (const condensa::shard::ShardReport& report : result->shards) {
@@ -1303,89 +698,29 @@ int RunShard(Flags& flags) {
   std::printf("gather: %s\n", result->gather.ToString().c_str());
   PrintGroupSummary(result->groups, "");
 
-  if (!save_groups.empty()) {
-    condensa::Status save_status =
-        condensa::core::SaveGroupSet(result->groups, save_groups);
-    if (!save_status.ok()) {
-      std::fprintf(stderr, "error saving %s: %s\n", save_groups.c_str(),
-                   save_status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "saved group statistics to %s\n",
-                 save_groups.c_str());
+  if (int code = SaveGroups(result->groups, args.save_groups)) return code;
+  if (int code = WriteRelease(result->groups, *anonymization_backend, rng,
+                              args.output)) {
+    return code;
   }
-  if (!output.empty()) {
-    condensa::core::AnonymizerOptions anonymizer_options;
-    anonymizer_options.group_sampler = anonymization_backend->SamplerHook();
-    auto anonymized = condensa::core::Anonymizer(anonymizer_options)
-                          .Generate(result->groups, rng);
-    if (!anonymized.ok()) {
-      std::fprintf(stderr, "release generation failed: %s\n",
-                   anonymized.status().ToString().c_str());
-      return 1;
-    }
-    condensa::data::Dataset release(result->groups.dim());
-    for (condensa::linalg::Vector& record : *anonymized) {
-      release.Add(std::move(record));
-    }
-    condensa::Status write_status = condensa::data::WriteCsv(release, output);
-    if (!write_status.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
-                   write_status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %zu anonymized records to %s\n",
-                 release.size(), output.c_str());
-  }
-  if (!format.empty()) {
-    condensa::obs::MetricsRegistry& registry =
-        condensa::obs::DefaultRegistry();
-    std::fputs(format == "json" ? registry.DumpJson().c_str()
-                                : registry.DumpPrometheusText().c_str(),
-               stdout);
-  }
+  DumpRegistry(args.format);
   return 0;
 }
 
 // Runs one standalone fabric worker until a coordinator finishes it.
-int RunWorker(Flags& flags) {
-  const std::string checkpoint_root = flags.Get("checkpoint-root", "");
-  const std::string host = flags.Get("host", "127.0.0.1");
-  const std::string worker_id = flags.Get("worker-id", "");
-  int port = 0;
-  double idle_timeout_ms = 30000.0, flush_timeout_ms = 30000.0;
-  if (!ParseInt(flags.Get("port", "0"), &port) || port < 0 ||
-      port > 65535 ||
-      !ParseDouble(flags.Get("idle-timeout-ms", "30000"),
-                   &idle_timeout_ms) ||
-      idle_timeout_ms <= 0 ||
-      !ParseDouble(flags.Get("flush-timeout-ms", "30000"),
-                   &flush_timeout_ms) ||
-      flush_timeout_ms <= 0) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "worker")) return code;
-  if (checkpoint_root.empty()) {
-    std::fprintf(stderr, "error: --checkpoint-root is required\n");
-    return 2;
-  }
-
+int RunWorker(const Args& args) {
   condensa::shard::WorkerServerConfig config;
-  config.host = host;
-  config.port = static_cast<std::uint16_t>(port);
-  config.checkpoint_root = checkpoint_root;
-  config.worker_id = worker_id;
-  config.idle_timeout_ms = idle_timeout_ms;
-  config.flush_timeout_ms = flush_timeout_ms;
+  config.host = args.host;
+  config.port = static_cast<std::uint16_t>(args.port);
+  config.checkpoint_root = args.checkpoint_root;
+  config.worker_id = args.worker_id;
+  config.idle_timeout_ms = args.idle_timeout_ms;
+  config.flush_timeout_ms = args.flush_timeout_ms;
   auto server = condensa::shard::WorkerServer::Create(std::move(config));
   if (!server.ok()) {
     std::fprintf(stderr, "error starting worker: %s\n",
                  server.status().ToString().c_str());
-    return server.status().code() ==
-                   condensa::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return StartupExitCode(server.status());
   }
   std::printf("listening on %u\n", (*server)->port());
   std::fflush(stdout);
@@ -1423,100 +758,45 @@ bool ParseWorkerList(const std::string& text,
 }
 
 // Drives a fleet of fabric workers: scatter, supervise, gather.
-int RunFabric(Flags& flags) {
-  const std::string workers_text = flags.Get("workers", "");
-  const std::string input = flags.Get("input", "");
-  const std::string backend_id = flags.Get(
-      "backend", condensa::core::CondensedGroupSet::kDefaultBackendId);
-  const std::string policy_name = flags.Get("policy", "hash");
-  const std::string fallback_root = flags.Get("local-fallback-root", "");
-  const std::string save_groups = flags.Get("save-groups", "");
-  const std::string output = flags.Get("output", "");
-  const std::string format = flags.Get("format", "");
-  const bool header = flags.Get("header", "false") == "true";
-  int records = 5000, dim = 4, k = 10, seed = 42, wire_batch = 64;
-  double heartbeat_interval_ms = 200.0, heartbeat_timeout_ms = 1500.0;
-  if (!ParseInt(flags.Get("records", "5000"), &records) || records < 1 ||
-      !ParseInt(flags.Get("dim", "4"), &dim) || dim < 1 ||
-      !ParseInt(flags.Get("k", "10"), &k) || k < 2 ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("wire-batch", "64"), &wire_batch) ||
-      wire_batch < 1 ||
-      !ParseDouble(flags.Get("heartbeat-interval-ms", "200"),
-                   &heartbeat_interval_ms) ||
-      heartbeat_interval_ms <= 0 ||
-      !ParseDouble(flags.Get("heartbeat-timeout-ms", "1500"),
-                   &heartbeat_timeout_ms) ||
-      heartbeat_timeout_ms < heartbeat_interval_ms) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "fabric")) return code;
-  condensa::shard::ShardPolicy policy;
-  if (!ParsePolicy(policy_name, &policy)) {
-    std::fprintf(stderr, "error: unknown --policy=%s\n", policy_name.c_str());
-    return 2;
-  }
-  if (!format.empty() && format != "prometheus" && format != "json") {
-    std::fprintf(stderr, "error: unknown --format=%s\n", format.c_str());
+int RunFabric(const Args& args) {
+  if (args.heartbeat_timeout_ms < args.heartbeat_interval_ms) {
+    std::fprintf(stderr,
+                 "error: --heartbeat-timeout-ms must be >= "
+                 "--heartbeat-interval-ms\n");
     return 2;
   }
   std::vector<condensa::shard::FabricEndpoint> endpoints;
-  if (workers_text.empty() || !ParseWorkerList(workers_text, &endpoints)) {
+  if (!ParseWorkerList(args.workers, &endpoints)) {
     std::fprintf(stderr,
                  "error: --workers=HOST:PORT[,HOST:PORT...] is required\n");
     return 2;
   }
   const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(backend_id);
+      ResolveBackendFlag(args.backend);
   if (anonymization_backend == nullptr) return 2;
-
-  std::vector<condensa::linalg::Vector> stream;
-  if (!input.empty()) {
-    auto dataset =
-        LoadCsv(input, condensa::data::TaskType::kUnlabeled, header, -1);
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                   dataset.status().ToString().c_str());
-      return 1;
-    }
-    stream = dataset->records();
-  } else {
-    condensa::Rng data_rng(static_cast<std::uint64_t>(seed) + 1);
-    stream.reserve(static_cast<std::size_t>(records));
-    for (int i = 0; i < records; ++i) {
-      condensa::linalg::Vector record(static_cast<std::size_t>(dim));
-      for (int d = 0; d < dim; ++d) {
-        record[static_cast<std::size_t>(d)] =
-            data_rng.Gaussian(i % 2 == 0 ? -3.0 : 3.0, 1.0);
-      }
-      stream.push_back(record);
-    }
-  }
+  std::optional<std::vector<condensa::linalg::Vector>> stream =
+      LoadStream(args);
+  if (!stream) return 1;
 
   condensa::shard::FabricConfig config;
   config.workers = std::move(endpoints);
-  config.dim = stream.empty() ? static_cast<std::size_t>(dim)
-                              : stream.front().dim();
-  config.group_size = static_cast<std::size_t>(k);
-  config.policy = policy;
-  config.seed = static_cast<std::uint64_t>(seed);
-  config.wire_batch = static_cast<std::size_t>(wire_batch);
-  config.heartbeat_interval_ms = heartbeat_interval_ms;
-  config.heartbeat_timeout_ms = heartbeat_timeout_ms;
-  config.local_fallback_root = fallback_root;
+  config.dim = StreamDim(args, *stream);
+  config.group_size = static_cast<std::size_t>(args.k);
+  config.policy = PolicyFromFlag(args.policy);
+  config.seed = static_cast<std::uint64_t>(args.seed);
+  config.wire_batch = static_cast<std::size_t>(args.wire_batch);
+  config.heartbeat_interval_ms = args.heartbeat_interval_ms;
+  config.heartbeat_timeout_ms = args.heartbeat_timeout_ms;
+  config.local_fallback_root = args.local_fallback_root;
   config.backend = anonymization_backend->info().id;
 
   auto service = condensa::shard::FabricService::Start(std::move(config));
   if (!service.ok()) {
     std::fprintf(stderr, "error starting fabric: %s\n",
                  service.status().ToString().c_str());
-    return service.status().code() ==
-                   condensa::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return StartupExitCode(service.status());
   }
-  for (const condensa::linalg::Vector& record : stream) {
+  for (const condensa::linalg::Vector& record : *stream) {
     condensa::Status status = (*service)->Submit(record);
     if (!status.ok()) {
       std::fprintf(stderr, "submit failed: %s\n", status.ToString().c_str());
@@ -1538,48 +818,13 @@ int RunFabric(Flags& flags) {
   std::printf("gather: %s\n", result->gather.ToString().c_str());
   PrintGroupSummary(result->groups, "");
 
-  if (!save_groups.empty()) {
-    condensa::Status save_status =
-        condensa::core::SaveGroupSet(result->groups, save_groups);
-    if (!save_status.ok()) {
-      std::fprintf(stderr, "error saving %s: %s\n", save_groups.c_str(),
-                   save_status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "saved group statistics to %s\n",
-                 save_groups.c_str());
+  if (int code = SaveGroups(result->groups, args.save_groups)) return code;
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
+  if (int code = WriteRelease(result->groups, *anonymization_backend, rng,
+                              args.output)) {
+    return code;
   }
-  if (!output.empty()) {
-    condensa::Rng rng(static_cast<std::uint64_t>(seed));
-    condensa::core::AnonymizerOptions anonymizer_options;
-    anonymizer_options.group_sampler = anonymization_backend->SamplerHook();
-    auto anonymized = condensa::core::Anonymizer(anonymizer_options)
-                          .Generate(result->groups, rng);
-    if (!anonymized.ok()) {
-      std::fprintf(stderr, "release generation failed: %s\n",
-                   anonymized.status().ToString().c_str());
-      return 1;
-    }
-    condensa::data::Dataset release(result->groups.dim());
-    for (condensa::linalg::Vector& record : *anonymized) {
-      release.Add(std::move(record));
-    }
-    condensa::Status write_status = condensa::data::WriteCsv(release, output);
-    if (!write_status.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
-                   write_status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %zu anonymized records to %s\n",
-                 release.size(), output.c_str());
-  }
-  if (!format.empty()) {
-    condensa::obs::MetricsRegistry& registry =
-        condensa::obs::DefaultRegistry();
-    std::fputs(format == "json" ? registry.DumpJson().c_str()
-                                : registry.DumpPrometheusText().c_str(),
-               stdout);
-  }
+  DumpRegistry(args.format);
   if (!result->Balanced()) {
     std::fprintf(stderr,
                  "error: a shard ledger does not balance — records lost\n");
@@ -1588,48 +833,34 @@ int RunFabric(Flags& flags) {
   return 0;
 }
 
-// Shared snapshot-source flags for `query` and `query-server`: condensed
-// state comes from a saved file or a checkpoint directory. Reading the
-// flags is split from loading so validation (exit 2) happens before any
-// work starts.
-struct SnapshotSource {
-  std::string groups;
-  std::string checkpoint_dir;
-  int k = 10;
-};
-
-bool ReadSnapshotSourceFlags(Flags& flags, SnapshotSource* out) {
-  out->groups = flags.Get("groups", "");
-  out->checkpoint_dir = flags.Get("checkpoint-dir", "");
-  return ParseInt(flags.Get("k", "10"), &out->k) && out->k >= 1;
-}
-
-int LoadSnapshot(const SnapshotSource& source,
-                 condensa::query::QuerySnapshot* snapshot) {
-  if (!source.groups.empty()) {
+// Loads the snapshot `query` and `query-server` answer from: --groups (a
+// saved pools or group-set file) or --checkpoint-dir (durable state,
+// recovered with group size --k). Returns the exit code.
+int LoadSnapshot(const Args& args, condensa::query::QuerySnapshot* snapshot) {
+  if (!args.groups.empty()) {
     // Accept either a condensa-pools file or a bare group-set file,
     // mirroring `inspect`.
-    auto pools = condensa::core::LoadPools(source.groups);
+    auto pools = condensa::core::LoadPools(args.groups);
     if (pools.ok()) {
       *snapshot = condensa::query::SnapshotFromPools(*pools);
       return 0;
     }
-    auto groups = condensa::core::LoadGroupSet(source.groups);
+    auto groups = condensa::core::LoadGroupSet(args.groups);
     if (!groups.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", source.groups.c_str(),
+      std::fprintf(stderr, "error reading %s: %s\n", args.groups.c_str(),
                    groups.status().ToString().c_str());
       return 1;
     }
     *snapshot = condensa::query::SnapshotFromGroupSet(*groups);
     return 0;
   }
-  const condensa::core::DynamicCondenserOptions options{
-      .group_size = static_cast<std::size_t>(source.k)};
+  condensa::core::DynamicCondenserOptions options;
+  options.group_size = static_cast<std::size_t>(args.k);
   auto durable = condensa::core::DurableCondenser::Recover(
-      source.checkpoint_dir, options, condensa::core::DurabilityOptions{});
+      args.checkpoint_dir, options, condensa::core::DurabilityOptions{});
   if (!durable.ok()) {
     std::fprintf(stderr, "recovery from %s failed: %s\n",
-                 source.checkpoint_dir.c_str(),
+                 args.checkpoint_dir.c_str(),
                  durable.status().ToString().c_str());
     return 1;
   }
@@ -1638,9 +869,11 @@ int LoadSnapshot(const SnapshotSource& source,
   return 0;
 }
 
-void PrintQueryResult(const condensa::query::Query& query,
-                      const condensa::query::QueryResult& result,
-                      const std::string& output) {
+// Prints a query answer; regenerated records go to `output` as CSV, or to
+// stdout when it is empty. Returns the exit code.
+int PrintQueryResult(const condensa::query::Query& query,
+                     const condensa::query::QueryResult& result,
+                     const std::string& output) {
   switch (result.kind) {
     case condensa::query::QueryKind::kClassify: {
       for (std::size_t i = 0; i < result.classify.labels.size(); ++i) {
@@ -1684,6 +917,7 @@ void PrintQueryResult(const condensa::query::Query& query,
         if (!status.ok()) {
           std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
                        status.ToString().c_str());
+          return 1;
         }
       } else {
         for (const auto& record : regen.records) {
@@ -1698,38 +932,15 @@ void PrintQueryResult(const condensa::query::Query& query,
   }
   std::fprintf(stderr, "answered from snapshot version %llu\n",
                static_cast<unsigned long long>(result.snapshot_version));
+  return 0;
 }
 
 // One-shot mining queries against condensed statistics: a saved groups
 // file, a checkpoint directory, or a running query-server (--connect).
-int RunQuery(Flags& flags) {
-  const std::string op = flags.Get("op", "aggregate");
-  const std::string range_spec = flags.Get("range", "");
-  const std::string points_path = flags.Get("points", "");
-  const std::string connect = flags.Get("connect", "");
-  const std::string output = flags.Get("output", "");
-  const bool header = flags.Get("header", "false") == "true";
-  SnapshotSource source;
-  int neighbors = 1, seed = 42, records_per_group = 0, retries = 1;
-  double timeout_ms = 5000.0, deadline_ms = 0.0;
-  if (!ReadSnapshotSourceFlags(flags, &source) ||
-      !ParseInt(flags.Get("neighbors", "1"), &neighbors) || neighbors < 1 ||
-      !ParseInt(flags.Get("seed", "42"), &seed) ||
-      !ParseInt(flags.Get("records-per-group", "0"), &records_per_group) ||
-      records_per_group < 0 ||
-      !ParseDouble(flags.Get("timeout-ms", "5000"), &timeout_ms) ||
-      timeout_ms <= 0 ||
-      !ParseInt(flags.Get("retries", "1"), &retries) || retries < 1 ||
-      !ParseDouble(flags.Get("deadline-ms", "0"), &deadline_ms) ||
-      deadline_ms < 0) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "query")) return code;
-
-  const int sources = (source.groups.empty() ? 0 : 1) +
-                      (source.checkpoint_dir.empty() ? 0 : 1) +
-                      (connect.empty() ? 0 : 1);
+int RunQuery(const Args& args) {
+  const int sources = (args.groups.empty() ? 0 : 1) +
+                      (args.checkpoint_dir.empty() ? 0 : 1) +
+                      (args.connect.empty() ? 0 : 1);
   if (sources != 1) {
     std::fprintf(stderr,
                  "error: exactly one of --groups, --checkpoint-dir, or "
@@ -1738,48 +949,39 @@ int RunQuery(Flags& flags) {
   }
 
   condensa::query::Query query;
-  if (op == "classify") {
-    query.kind = condensa::query::QueryKind::kClassify;
-  } else if (op == "aggregate") {
-    query.kind = condensa::query::QueryKind::kAggregate;
-  } else if (op == "regenerate") {
-    query.kind = condensa::query::QueryKind::kRegenerate;
-  } else {
-    std::fprintf(stderr, "error: bad --op '%s'\n", op.c_str());
-    return 2;
-  }
+  query.kind = args.op == "classify" ? condensa::query::QueryKind::kClassify
+               : args.op == "regenerate"
+                   ? condensa::query::QueryKind::kRegenerate
+                   : condensa::query::QueryKind::kAggregate;
   if (query.kind == condensa::query::QueryKind::kClassify &&
-      points_path.empty()) {
+      args.points.empty()) {
     std::fprintf(stderr, "error: --points is required for --op=classify\n");
     return 2;
   }
-  auto range = condensa::query::ParseRangeSpec(range_spec);
+  auto range = condensa::query::ParseRangeSpec(args.range);
   if (!range.ok()) {
     std::fprintf(stderr, "error: bad --range: %s\n",
                  range.status().ToString().c_str());
     return 2;
   }
-  query.classify.neighbors = static_cast<std::size_t>(neighbors);
+  query.classify.neighbors = static_cast<std::size_t>(args.neighbors);
   query.aggregate.range = *range;
   query.regenerate.range = *range;
-  query.regenerate.seed = static_cast<std::uint64_t>(seed);
+  query.regenerate.seed = static_cast<std::uint64_t>(args.seed);
   query.regenerate.records_per_group =
-      static_cast<std::size_t>(records_per_group);
+      static_cast<std::size_t>(args.records_per_group);
 
-  if (!points_path.empty()) {
-    auto dataset = LoadCsv(points_path, condensa::data::TaskType::kUnlabeled,
-                           header, -1);
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", points_path.c_str(),
-                   dataset.status().ToString().c_str());
-      return 1;
-    }
+  if (!args.points.empty()) {
+    auto dataset = LoadCsv(args.points, condensa::data::TaskType::kUnlabeled,
+                           args.header, -1);
+    if (!dataset) return 1;
     query.classify.points = dataset->records();
   }
 
   condensa::StatusOr<condensa::query::QueryResult> result =
       condensa::InternalError("unreachable");
-  if (!connect.empty()) {
+  if (!args.connect.empty()) {
+    const std::string& connect = args.connect;
     const std::size_t colon = connect.rfind(':');
     int port = 0;
     if (colon == std::string::npos || colon == 0 ||
@@ -1798,18 +1000,18 @@ int RunQuery(Flags& flags) {
     dial_backoff.max_backoff_ms = 1000.0;
     auto client = condensa::query::QueryClient::Connect(
         connect.substr(0, colon), static_cast<std::uint16_t>(port),
-        timeout_ms);
+        args.timeout_ms);
     for (std::size_t attempt = 1;
-         !client.ok() && attempt < static_cast<std::size_t>(retries);
+         !client.ok() && attempt < static_cast<std::size_t>(args.retries);
          ++attempt) {
       double wait_ms =
           condensa::runtime::BackoffDelayMs(dial_backoff, attempt, dial_rng);
-      if (deadline_ms > 0) {
+      if (args.deadline_ms > 0) {
         const double elapsed_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - dial_started)
                 .count();
-        const double remaining_ms = deadline_ms - elapsed_ms;
+        const double remaining_ms = args.deadline_ms - elapsed_ms;
         if (remaining_ms <= 0) break;
         if (wait_ms > remaining_ms) wait_ms = remaining_ms;
       }
@@ -1817,63 +1019,38 @@ int RunQuery(Flags& flags) {
           std::chrono::duration<double, std::milli>(wait_ms));
       client = condensa::query::QueryClient::Connect(
           connect.substr(0, colon), static_cast<std::uint16_t>(port),
-          timeout_ms);
+          args.timeout_ms);
     }
     if (!client.ok()) {
       std::fprintf(stderr, "error connecting to %s: %s\n", connect.c_str(),
                    client.status().ToString().c_str());
       return 1;
     }
-    query.deadline_ms = deadline_ms;
+    query.deadline_ms = args.deadline_ms;
     condensa::query::QueryRetryOptions retry;
-    retry.max_attempts = static_cast<std::size_t>(retries);
-    retry.deadline_ms = deadline_ms;
+    retry.max_attempts = static_cast<std::size_t>(args.retries);
+    retry.deadline_ms = args.deadline_ms;
     result = client->ExecuteWithRetry(query, retry);
   } else {
     condensa::query::QuerySnapshot snapshot;
-    if (int code = LoadSnapshot(source, &snapshot)) return code;
+    if (int code = LoadSnapshot(args, &snapshot)) return code;
     condensa::query::QueryEngine engine;
     result = engine.Execute(
         snapshot, query,
-        condensa::query::ExecutionContext::WithBudgetMs(deadline_ms));
+        condensa::query::ExecutionContext::WithBudgetMs(args.deadline_ms));
   }
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
-  PrintQueryResult(query, *result, output);
-  return 0;
+  return PrintQueryResult(query, *result, args.output);
 }
 
 // Long-lived read-side server: loads condensed state once, then answers
 // framed Query requests until killed.
-int RunQueryServer(Flags& flags) {
-  const std::string host = flags.Get("host", "127.0.0.1");
-  SnapshotSource source;
-  int port = 0, cache_capacity = 1024, max_sessions = 8;
-  double idle_timeout_ms = 30000.0, deadline_ms = 0.0;
-  // An explicit --deadline-ms must be positive ("serve with no deadline"
-  // is spelled by omitting the flag, not by zero).
-  const std::string deadline_str = flags.Get("deadline-ms", "");
-  // All flag validation happens here, BEFORE any state is loaded or a
-  // socket is bound — bad values must exit 2 without side effects.
-  if (!ReadSnapshotSourceFlags(flags, &source) ||
-      !ParseInt(flags.Get("port", "0"), &port) || port < 0 || port > 65535 ||
-      !ParseInt(flags.Get("cache-capacity", "1024"), &cache_capacity) ||
-      cache_capacity < 1 ||
-      !ParseDouble(flags.Get("idle-timeout-ms", "30000"),
-                   &idle_timeout_ms) ||
-      idle_timeout_ms <= 0 ||
-      !ParseInt(flags.Get("max-sessions", "8"), &max_sessions) ||
-      max_sessions < 1 ||
-      (!deadline_str.empty() &&
-       (!ParseDouble(deadline_str, &deadline_ms) || deadline_ms <= 0))) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "query-server")) return code;
-  if (source.groups.empty() == source.checkpoint_dir.empty()) {
+int RunQueryServer(const Args& args) {
+  if (args.groups.empty() == args.checkpoint_dir.empty()) {
     std::fprintf(stderr,
                  "error: exactly one of --groups or --checkpoint-dir is "
                  "required\n");
@@ -1881,27 +1058,24 @@ int RunQueryServer(Flags& flags) {
   }
 
   condensa::query::QuerySnapshot snapshot;
-  if (int code = LoadSnapshot(source, &snapshot)) return code;
+  if (int code = LoadSnapshot(args, &snapshot)) return code;
   auto store = std::make_shared<condensa::query::SnapshotStore>();
   store->Publish(std::move(snapshot));
 
   condensa::query::QueryServerConfig config;
-  config.host = host;
-  config.port = static_cast<std::uint16_t>(port);
-  config.idle_timeout_ms = idle_timeout_ms;
-  config.max_sessions = static_cast<std::size_t>(max_sessions);
-  config.default_deadline_ms = deadline_ms;
+  config.host = args.host;
+  config.port = static_cast<std::uint16_t>(args.port);
+  config.idle_timeout_ms = args.idle_timeout_ms;
+  config.max_sessions = static_cast<std::size_t>(args.max_sessions);
+  config.default_deadline_ms = args.deadline_ms;
   config.engine.eigen_cache_capacity =
-      static_cast<std::size_t>(cache_capacity);
+      static_cast<std::size_t>(args.cache_capacity);
   auto server =
       condensa::query::QueryServer::Create(std::move(config), store);
   if (!server.ok()) {
     std::fprintf(stderr, "error starting query server: %s\n",
                  server.status().ToString().c_str());
-    return server.status().code() ==
-                   condensa::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return StartupExitCode(server.status());
   }
   std::printf("listening on %u\n", (*server)->port());
   std::fflush(stdout);
@@ -1915,13 +1089,8 @@ int RunQueryServer(Flags& flags) {
   return 0;
 }
 
-int RunInspect(Flags& flags) {
-  const std::string path = flags.Get("groups", "");
-  if (int code = RejectUnknownFlags(flags, "inspect")) return code;
-  if (path.empty()) {
-    std::fprintf(stderr, "error: --groups is required\n");
-    return 2;
-  }
+int RunInspect(const Args& args) {
+  const std::string& path = args.groups;
   // Accept either a condensa-pools file (engine output) or a bare
   // condensa-groups file.
   auto pools = condensa::core::LoadPools(path);
@@ -1955,33 +1124,13 @@ int RunInspect(Flags& flags) {
   return 0;
 }
 
-int RunEvaluate(Flags& flags) {
-  const std::string original_path = flags.Get("original", "");
-  const std::string anonymized_path = flags.Get("anonymized", "");
-  const std::string task_name = flags.Get("task", "classification");
-  const bool header = flags.Get("header", "false") == "true";
-  int label_column = -1;
-  if (!ParseInt(flags.Get("label-column", "-1"), &label_column)) {
-    std::fprintf(stderr, "error: bad --label-column\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "evaluate")) return code;
-  condensa::data::TaskType task;
-  if (!ParseTask(task_name, &task)) {
-    std::fprintf(stderr, "error: unknown --task=%s\n", task_name.c_str());
-    return 2;
-  }
-  if (original_path.empty() || anonymized_path.empty()) {
-    std::fprintf(stderr, "error: --original and --anonymized are required\n");
-    return 2;
-  }
-
-  auto original = LoadCsv(original_path, task, header, label_column);
-  auto anonymized = LoadCsv(anonymized_path, task, header, label_column);
-  if (!original.ok() || !anonymized.ok()) {
-    std::fprintf(stderr, "error reading input CSVs\n");
-    return 1;
-  }
+int RunEvaluate(const Args& args) {
+  const condensa::data::TaskType task = TaskFromFlag(args.task);
+  auto original =
+      LoadCsv(args.original, task, args.header, args.label_column);
+  auto anonymized =
+      LoadCsv(args.anonymized, task, args.header, args.label_column);
+  if (!original || !anonymized) return 1;
 
   auto mu = condensa::metrics::CovarianceCompatibility(*original,
                                                        *anonymized);
@@ -2008,38 +1157,23 @@ int RunEvaluate(Flags& flags) {
 // durable ingest plus recovery — then dumps the default metrics registry.
 // This is the quickest way to see which series a deployment will emit,
 // and doubles as a smoke test that the instruments fire.
-int RunStats(Flags& flags) {
-  const std::string format = flags.Get("format", "prometheus");
-  const std::string trace_out = flags.Get("trace-out", "");
-  int records = 2000, dim = 8, k = 10, seed = 42;
-  if (!ParseInt(flags.Get("records", "2000"), &records) || records < 10 ||
-      !ParseInt(flags.Get("dim", "8"), &dim) || dim < 1 ||
-      !ParseInt(flags.Get("k", "10"), &k) || k < 1 ||
-      !ParseInt(flags.Get("seed", "42"), &seed)) {
-    std::fprintf(stderr, "error: bad numeric flag value\n");
-    return 2;
-  }
-  if (int code = RejectUnknownFlags(flags, "stats")) return code;
-  if (format != "prometheus" && format != "json") {
-    std::fprintf(stderr, "error: unknown --format=%s\n", format.c_str());
-    return 2;
-  }
-  if (!trace_out.empty()) {
+int RunStats(const Args& args) {
+  if (!args.trace_out.empty()) {
     condensa::obs::StartTracing();
   }
 
   // Two well-separated Gaussian blobs, labeled, so classification pools,
   // splits, and kd-tree pruning all have something to do.
-  condensa::Rng rng(static_cast<std::uint64_t>(seed));
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   condensa::data::Dataset dataset(
-      static_cast<std::size_t>(dim),
+      static_cast<std::size_t>(args.dim),
       condensa::data::TaskType::kClassification);
   std::vector<condensa::linalg::Vector> points;
-  points.reserve(static_cast<std::size_t>(records));
-  for (int i = 0; i < records; ++i) {
-    condensa::linalg::Vector record(static_cast<std::size_t>(dim));
+  points.reserve(static_cast<std::size_t>(args.records));
+  for (int i = 0; i < args.records; ++i) {
+    condensa::linalg::Vector record(static_cast<std::size_t>(args.dim));
     const int label = i % 2;
-    for (int d = 0; d < dim; ++d) {
+    for (int d = 0; d < args.dim; ++d) {
       record[static_cast<std::size_t>(d)] =
           rng.Gaussian(label == 0 ? -2.0 : 2.0, 1.0);
     }
@@ -2051,8 +1185,10 @@ int RunStats(Flags& flags) {
   for (condensa::core::CondensationMode mode :
        {condensa::core::CondensationMode::kStatic,
         condensa::core::CondensationMode::kDynamic}) {
-    condensa::core::CondensationEngine engine(
-        {.group_size = static_cast<std::size_t>(k), .mode = mode});
+    condensa::core::CondensationConfig engine_config;
+    engine_config.group_size = static_cast<std::size_t>(args.k);
+    engine_config.mode = mode;
+    condensa::core::CondensationEngine engine(engine_config);
     auto result = engine.Anonymize(dataset, rng);
     if (!result.ok()) {
       std::fprintf(stderr, "condensation failed: %s\n",
@@ -2079,12 +1215,12 @@ int RunStats(Flags& flags) {
   std::error_code cleanup_error;
   std::filesystem::remove_all(ckpt_dir, cleanup_error);
   {
-    const condensa::core::DynamicCondenserOptions options{
-        .group_size = static_cast<std::size_t>(k)};
+    condensa::core::DynamicCondenserOptions options;
+    options.group_size = static_cast<std::size_t>(args.k);
     const condensa::core::DurabilityOptions durability{
         .snapshot_interval = 256};
     auto durable = condensa::core::DurableCondenser::Open(
-        static_cast<std::size_t>(dim), options, durability,
+        static_cast<std::size_t>(args.dim), options, durability,
         ckpt_dir.string());
     if (!durable.ok()) {
       std::fprintf(stderr, "durable open failed: %s\n",
@@ -2114,23 +1250,566 @@ int RunStats(Flags& flags) {
   }
   std::filesystem::remove_all(ckpt_dir, cleanup_error);
 
-  if (!trace_out.empty()) {
+  if (!args.trace_out.empty()) {
     condensa::Status status = condensa::WriteFileAtomic(
-        trace_out, condensa::obs::StopTracingAndDump());
+        args.trace_out, condensa::obs::StopTracingAndDump());
     if (!status.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", trace_out.c_str(),
+      std::fprintf(stderr, "error writing %s: %s\n", args.trace_out.c_str(),
                    status.ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "wrote trace to %s (load in ui.perfetto.dev)\n",
-                 trace_out.c_str());
+                 args.trace_out.c_str());
   }
 
-  condensa::obs::MetricsRegistry& registry = condensa::obs::DefaultRegistry();
-  std::fputs(format == "json" ? registry.DumpJson().c_str()
-                              : registry.DumpPrometheusText().c_str(),
-             stdout);
+  DumpRegistry(args.format);
   return 0;
+}
+
+constexpr const char* kDefaultBackend =
+    condensa::core::CondensedGroupSet::kDefaultBackendId;
+constexpr const char* kFormats = "prometheus|json";
+constexpr const char* kPolicies = "hash|round-robin";
+constexpr const char* kTasks = "classification|regression|none";
+constexpr Range kPort = Within(0, 65535);
+
+// The CLI: every subcommand and every flag it accepts, in --help order.
+const std::vector<Command> kCommands = {
+    {"condense", "CSV in -> condensation -> anonymized CSV out", "",
+     RunCondense,
+     {{"input", "FILE", kRequired, "raw records CSV", &Args::input},
+      {"output", "FILE", kRequired, "anonymized release CSV", &Args::output},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(1)},
+      {"mode", "static|dynamic", "static",
+       "whole-batch split condensation, or one-at-a-time streaming "
+       "maintenance",
+       &Args::mode},
+      {"task", kTasks, "classification",
+       "label handling; labeled tasks condense each class pool separately",
+       &Args::task},
+      {"backend", "ID", kDefaultBackend,
+       "anonymization backend (docs/backends.md); the top-level help lists "
+       "the registered ids",
+       &Args::backend},
+      {"label-column", "N", "-1", "0-based label column; -1 = last",
+       &Args::label_column},
+      {"header", "", "false", "first CSV row is a header", &Args::header},
+      {"seed", "N", "42", "RNG seed; a fixed seed gives an identical release",
+       &Args::seed},
+      {"save-groups", "FILE", "", "also save pool statistics for `generate`",
+       &Args::save_groups}}},
+    {"generate", "regenerate a release from saved statistics", "",
+     RunGenerate,
+     {{"groups", "FILE", kRequired,
+       "pool statistics from condense --save-groups; the backend recorded "
+       "in the file drives regeneration",
+       &Args::groups},
+      {"output", "FILE", kRequired, "anonymized release CSV", &Args::output},
+      {"seed", "N", "42", "RNG seed", &Args::seed}}},
+    {"ingest", "stream a CSV into a crash-safe condenser", "", RunIngest,
+     {{"input", "FILE", kRequired, "records CSV", &Args::input},
+      {"checkpoint-dir", "DIR", kRequired,
+       "snapshot+journal directory; re-running resumes from the recovered "
+       "state",
+       &Args::checkpoint_dir},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(1)},
+      {"backend", "ID", kDefaultBackend,
+       "anonymization backend stamped into the checkpoints", &Args::backend},
+      {"snapshot-every", "N", "1024", "journal appends per snapshot",
+       &Args::snapshot_every, AtLeast(1)},
+      {"no-sync", "", "false", "skip fsync per append: faster, less safe",
+       &Args::no_sync},
+      {"header", "", "false", "first CSV row is a header", &Args::header},
+      {"seed", "N", "42", "RNG seed for the bootstrap pass", &Args::seed}}},
+    {"serve-stream", "supervised streaming runtime",
+     "Runs records through bounded-queue ingest with retry/backoff, poison "
+     "quarantine, circuit breaker, and crash-safe checkpoints "
+     "(docs/resilience.md). With --shards=N the stream is scattered across "
+     "N independent pipelines, each with its own checkpoint directory under "
+     "--checkpoint-dir, and gathered into one global release by exact "
+     "moment merge (docs/scaling.md).",
+     RunServeStream,
+     {{"checkpoint-dir", "DIR", kRequired, "checkpoint root",
+       &Args::checkpoint_dir},
+      {"input", "FILE", "",
+       "records CSV; without it a synthetic two-blob Gaussian stream of "
+       "--records x --dim is generated",
+       &Args::input},
+      {"records", "N", "5000", "synthetic stream length", &Args::records,
+       AtLeast(1)},
+      {"dim", "N", "4", "synthetic record dimension", &Args::dim, AtLeast(1)},
+      {"shards", "N", "1", "pipelines to scatter across", &Args::shards,
+       AtLeast(1)},
+      {"policy", kPolicies, "hash", "record-to-shard routing", &Args::policy},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(2)},
+      {"backend", "ID", kDefaultBackend, "anonymization backend",
+       &Args::backend},
+      {"snapshot-every", "N", "256", "appends per snapshot",
+       &Args::snapshot_every, AtLeast(1)},
+      {"no-sync", "", "false", "skip fsync per journal append",
+       &Args::no_sync},
+      {"queue-capacity", "N", "1024", "bounded queue size",
+       &Args::queue_capacity, AtLeast(1)},
+      {"backpressure", "block|drop-oldest|reject", "block",
+       "full-queue policy; single-pipeline mode only", &Args::backpressure},
+      {"batch-size", "N", "32", "worker batch size", &Args::batch_size,
+       AtLeast(1)},
+      {"batch-deadline-ms", "X", "1000",
+       "watchdog deadline per batch; single-pipeline mode only",
+       &Args::batch_deadline_ms, Above(0)},
+      {"retry-attempts", "N", "4",
+       "attempts per transient failure; single-pipeline mode only",
+       &Args::retry_attempts, AtLeast(1)},
+      {"retry-budget", "N", "10000",
+       "run-wide retry cap; single-pipeline mode only", &Args::retry_budget,
+       AtLeast(0)},
+      {"chaos", "P", "0",
+       "arm failpoints at probability P during ingest, healed before "
+       "Finish",
+       &Args::chaos, Range{0, 1, false, true}},
+      {"header", "", "false", "first CSV row is a header", &Args::header},
+      {"seed", "N", "42", "RNG seed; per-shard seeds are derived",
+       &Args::seed},
+      {"format", kFormats, "", "also dump the metrics registry",
+       &Args::format}}},
+    {"shard", "batch scatter/gather condensation",
+     "Routes records across N shard condensers (each condensing its "
+     "partition independently), then exact-merges the shard-local "
+     "aggregates into one global k-indistinguishable structure "
+     "(docs/scaling.md). Fixed --seed and --shards reproduce a "
+     "bit-identical release.",
+     RunShard,
+     {{"input", "FILE", "",
+       "records CSV; without it a synthetic two-blob Gaussian set of "
+       "--records x --dim is generated",
+       &Args::input},
+      {"records", "N", "10000", "synthetic record count", &Args::records,
+       AtLeast(1)},
+      {"dim", "N", "4", "synthetic record dimension", &Args::dim, AtLeast(1)},
+      {"shards", "N", "2", "shard count", &Args::shards, AtLeast(1)},
+      {"policy", kPolicies, "hash", "record-to-shard routing", &Args::policy},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(1)},
+      {"backend", "ID", kDefaultBackend,
+       "anonymization backend; group construction and release regeneration "
+       "both follow it",
+       &Args::backend},
+      {"mode", "batch|stream", "batch",
+       "in-memory batch workers, or durable streaming workers with "
+       "per-shard checkpoints",
+       &Args::mode},
+      {"checkpoint-root", "DIR", "",
+       "per-shard checkpoint parent directory; required with --mode=stream",
+       &Args::checkpoint_root},
+      {"snapshot-every", "N", "1024", "appends per snapshot",
+       &Args::snapshot_every, AtLeast(1)},
+      {"no-sync", "", "false", "skip fsync per journal append",
+       &Args::no_sync},
+      {"threads", "N", "0",
+       "worker threads; 0 = hardware concurrency; output is identical at "
+       "any thread count",
+       &Args::threads, AtLeast(0)},
+      {"save-groups", "FILE", "", "save the gathered group statistics",
+       &Args::save_groups},
+      {"output", "FILE", "", "also anonymize and write a release CSV",
+       &Args::output},
+      {"header", "", "false", "first CSV row is a header", &Args::header},
+      {"seed", "N", "42", "RNG seed; per-shard streams are derived",
+       &Args::seed},
+      {"format", kFormats, "", "also dump the metrics registry",
+       &Args::format}}},
+    {"worker", "standalone fabric worker process",
+     "Listens for a coordinator (condensa fabric) and serves one shard of "
+     "the networked fabric: records arrive in framed Submit batches, flow "
+     "through the durable streaming runtime, and are acknowledged only "
+     "once durably in custody, so a kill -9 after an ack loses nothing "
+     "(docs/fabric.md). The shard id, dimension, k, and seed all arrive in "
+     "the coordinator's Hello, so one worker invocation serves any shard. "
+     "Restarting the worker on the same --checkpoint-root recovers its "
+     "durable state and rejoins the fabric.",
+     RunWorker,
+     {{"checkpoint-root", "DIR", kRequired,
+       "shard checkpoint parent directory; shard i lives under "
+       "DIR/shard-<i>",
+       &Args::checkpoint_root},
+      {"host", "ADDR", "127.0.0.1", "bind address", &Args::host},
+      {"port", "N", "0",
+       "TCP port; 0 picks a free one, printed to stdout as 'listening on "
+       "PORT'",
+       &Args::port, kPort},
+      {"worker-id", "ID", "",
+       "stable metric-label identity (empty = w<shard>); keep it stable "
+       "across restarts so no duplicate series appear",
+       &Args::worker_id},
+      {"idle-timeout-ms", "X", "30000", "drop a silent session after X ms",
+       &Args::idle_timeout_ms, Above(0)},
+      {"flush-timeout-ms", "X", "30000",
+       "durability barrier per Submit batch", &Args::flush_timeout_ms,
+       Above(0)}}},
+    {"fabric", "coordinate networked fabric workers",
+     "Scatters a stream across standalone worker processes (condensa "
+     "worker) over the framed TCP protocol, tracking liveness with "
+     "heartbeats, reconnecting with exponential backoff, re-routing "
+     "unacknowledged records off dead workers, and gathering the shard "
+     "releases by exact moment merge (docs/fabric.md). A clean run is "
+     "bit-identical to the in-process `serve-stream --shards=N` run with "
+     "the same seed and shard count.",
+     RunFabric,
+     {{"workers", "HOST:PORT[,HOST:PORT...]", kRequired,
+       "one endpoint per shard", &Args::workers},
+      {"input", "FILE", "",
+       "records CSV; without it a synthetic two-blob Gaussian stream of "
+       "--records x --dim is generated",
+       &Args::input},
+      {"records", "N", "5000", "synthetic stream length", &Args::records,
+       AtLeast(1)},
+      {"dim", "N", "4", "synthetic record dimension", &Args::dim, AtLeast(1)},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(2)},
+      {"backend", "ID", kDefaultBackend,
+       "anonymization backend, carried to every worker in the Hello",
+       &Args::backend},
+      {"policy", kPolicies, "hash", "record-to-shard routing", &Args::policy},
+      {"wire-batch", "N", "64", "records per Submit frame",
+       &Args::wire_batch, AtLeast(1)},
+      {"local-fallback-root", "DIR", "",
+       "take over unreachable shards with in-process workers over this "
+       "checkpoint root; point it at the same tree the workers use",
+       &Args::local_fallback_root},
+      {"heartbeat-interval-ms", "X", "200", "probe cadence",
+       &Args::heartbeat_interval_ms, Above(0)},
+      {"heartbeat-timeout-ms", "X", "1500",
+       "declare-dead threshold; at least --heartbeat-interval-ms",
+       &Args::heartbeat_timeout_ms, Above(0)},
+      {"save-groups", "FILE", "", "save the gathered group statistics",
+       &Args::save_groups},
+      {"output", "FILE", "", "also anonymize and write a release CSV",
+       &Args::output},
+      {"header", "", "false", "first CSV row is a header", &Args::header},
+      {"seed", "N", "42", "RNG seed; per-shard seeds are derived",
+       &Args::seed},
+      {"format", kFormats, "", "also dump the metrics registry",
+       &Args::format}}},
+    {"recover", "restore a condenser from its checkpoints", "", RunRecover,
+     {{"checkpoint-dir", "DIR", kRequired, "directory to recover from",
+       &Args::checkpoint_dir},
+      {"k", "N", "10", "group size the state was built with", &Args::k,
+       AtLeast(1)},
+      {"backend", "ID", kDefaultBackend,
+       "backend the state was built with; a mismatched checkpoint refuses "
+       "to load",
+       &Args::backend},
+      {"save-groups", "FILE", "", "save the recovered group statistics",
+       &Args::save_groups}}},
+    {"query", "mining queries answered from condensed statistics",
+     "Answers come from condensed statistics, never raw records "
+     "(docs/query.md). Exactly one snapshot source is required: --groups, "
+     "--checkpoint-dir, or --connect.",
+     RunQuery,
+     {{"groups", "FILE", "", "saved pool statistics or bare group file",
+       &Args::groups},
+      {"checkpoint-dir", "DIR", "", "recover a durable condenser's state",
+       &Args::checkpoint_dir},
+      {"connect", "HOST:PORT", "",
+       "send the query to a running query-server", &Args::connect},
+      {"k", "N", "10", "group size for --checkpoint-dir recovery", &Args::k,
+       AtLeast(1)},
+      {"op", "classify|aggregate|regenerate", "aggregate", "query kind",
+       &Args::op},
+      {"points", "FILE", "",
+       "CSV of points to classify; required for --op=classify",
+       &Args::points},
+      {"neighbors", "N", "1", "nearest group centroids consulted per point",
+       &Args::neighbors, AtLeast(1)},
+      {"range", "DIM:LO:HI[,DIM:LO:HI...]", "",
+       "centroid box selecting groups for aggregate and regenerate; empty = "
+       "every group",
+       &Args::range},
+      {"seed", "N", "42", "regeneration RNG seed", &Args::seed},
+      {"records-per-group", "N", "0",
+       "regenerated records per selected group; 0 = each group's own count",
+       &Args::records_per_group, AtLeast(0)},
+      {"output", "FILE", "",
+       "write regenerated records as CSV; empty = stdout", &Args::output},
+      {"header", "", "false", "first row of --points is a header",
+       &Args::header},
+      {"timeout-ms", "X", "5000", "per-frame timeout for --connect",
+       &Args::timeout_ms, Above(0)},
+      {"retries", "N", "1",
+       "attempts against --connect, redialing and backing off on transport "
+       "errors and kUnavailable; 1 = no retry",
+       &Args::retries, AtLeast(1)},
+      {"deadline-ms", "X", "0",
+       "overall budget for the --connect call, forwarded to the server so "
+       "it sheds work past the deadline; 0 = none",
+       &Args::deadline_ms, AtLeast(0)}}},
+    {"query-server", "serve framed mining queries from a snapshot",
+     "Loads condensed state once, then answers Query frames until killed. "
+     "Prints `listening on PORT` when ready. Exactly one snapshot source "
+     "is required: --groups or --checkpoint-dir.",
+     RunQueryServer,
+     {{"groups", "FILE", "", "saved pool statistics or bare group file",
+       &Args::groups},
+      {"checkpoint-dir", "DIR", "", "recover a durable condenser's state",
+       &Args::checkpoint_dir},
+      {"k", "N", "10", "group size for --checkpoint-dir recovery", &Args::k,
+       AtLeast(1)},
+      {"host", "ADDR", "127.0.0.1", "bind address", &Args::host},
+      {"port", "N", "0", "listen port; 0 picks a free one", &Args::port,
+       kPort},
+      {"idle-timeout-ms", "X", "30000", "drop sessions silent this long",
+       &Args::idle_timeout_ms, Above(0)},
+      {"cache-capacity", "N", "1024", "bound on cached eigendecompositions",
+       &Args::cache_capacity, AtLeast(1)},
+      {"max-sessions", "N", "8",
+       "concurrent sessions served; further connections are refused "
+       "in-band with a retry-after hint",
+       &Args::max_sessions, AtLeast(1)},
+      {"deadline-ms", "X", "0",
+       "deadline applied to requests that carry none; omit for no "
+       "deadline",
+       &Args::deadline_ms, Above(0)}}},
+    {"inspect", "print the privacy summary of a saved file", "", RunInspect,
+     {{"groups", "FILE", kRequired,
+       "pool statistics (engine output) or bare group statistics file",
+       &Args::groups}}},
+    {"evaluate", "compare an original and an anonymized CSV (mu, linkage)",
+     "", RunEvaluate,
+     {{"original", "FILE", kRequired, "raw records CSV", &Args::original},
+      {"anonymized", "FILE", kRequired, "release CSV", &Args::anonymized},
+      {"task", kTasks, "classification", "label handling", &Args::task},
+      {"label-column", "N", "-1", "0-based label column; -1 = last",
+       &Args::label_column},
+      {"header", "", "false", "first CSV row is a header", &Args::header}}},
+    {"stats", "synthetic end-to-end run + metrics dump",
+     "Runs static and dynamic condensation, kd-tree queries and durable "
+     "ingest plus recovery on synthetic data, then dumps the metrics "
+     "registry (docs/observability.md).",
+     RunStats,
+     {{"records", "N", "2000", "synthetic records", &Args::records,
+       AtLeast(10)},
+      {"dim", "N", "8", "record dimension", &Args::dim, AtLeast(1)},
+      {"k", "N", "10", "indistinguishability level", &Args::k, AtLeast(1)},
+      {"seed", "N", "42", "RNG seed", &Args::seed},
+      {"format", kFormats, "prometheus", "registry dump format",
+       &Args::format},
+      {"trace-out", "FILE", "", "also record a Perfetto trace",
+       &Args::trace_out}}},
+};
+
+bool IsSwitch(const Flag& flag) {
+  return std::holds_alternative<bool Args::*>(flag.field);
+}
+
+std::string Spelling(const Flag& flag) {
+  std::string text = std::string("--") + flag.name;
+  if (!IsSwitch(flag)) text += std::string("=") + flag.hint;
+  return text;
+}
+
+std::string FormatNumber(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  return buffer;
+}
+
+// "" when unbounded, ">=1", ">0", or an interval such as "[0,1)". No
+// spaces, so help text never wraps inside a bound.
+std::string DescribeRange(const Range& range) {
+  std::string text;
+  if (range.hi == std::numeric_limits<double>::infinity()) {
+    if (range.lo == -std::numeric_limits<double>::infinity()) return text;
+    text = range.lo_open ? ">" : ">=";
+    text += FormatNumber(range.lo);
+    return text;
+  }
+  text = range.lo_open ? "(" : "[";
+  text += FormatNumber(range.lo) + "," + FormatNumber(range.hi);
+  text += range.hi_open ? ")" : "]";
+  return text;
+}
+
+constexpr std::size_t kWidth = 79;
+
+// Prints `text` word-wrapped at kWidth, starting at `column` with
+// continuation lines indented to `indent`, then a newline.
+void PrintWrapped(std::FILE* out, std::size_t column, std::size_t indent,
+                  const std::string& text) {
+  bool line_empty = true;
+  for (std::size_t start = 0; start < text.size();) {
+    std::size_t end = text.find(' ', start);
+    if (end == std::string::npos) end = text.size();
+    const std::size_t length = end - start;
+    if (!line_empty && column + 1 + length > kWidth) {
+      std::fprintf(out, "\n%*s", static_cast<int>(indent), "");
+      column = indent;
+      line_empty = true;
+    }
+    if (!line_empty) {
+      std::fputc(' ', out);
+      ++column;
+    }
+    std::fwrite(text.data() + start, 1, length, out);
+    column += length;
+    line_empty = false;
+    start = end + 1;
+  }
+  std::fputc('\n', out);
+}
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: condensa <command> [--flag=value ...]\n"
+               "       condensa <command> --help\n"
+               "\n"
+               "commands:\n");
+  constexpr int kIndent = 16;
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %-*s", kIndent - 2, command.name);
+    PrintWrapped(out, kIndent, kIndent, command.summary);
+    std::string synopsis;
+    for (const Flag& flag : command.flags) {
+      const bool optional = flag.fallback != kRequired;
+      if (!synopsis.empty()) synopsis += ' ';
+      if (optional) synopsis += '[';
+      synopsis += Spelling(flag);
+      if (optional) synopsis += ']';
+    }
+    std::fprintf(out, "%*s", kIndent, "");
+    PrintWrapped(out, kIndent, kIndent, synopsis);
+  }
+  std::string backend_users;
+  for (const Command& command : kCommands) {
+    for (const Flag& flag : command.flags) {
+      if (flag.field != Field(&Args::backend)) continue;
+      if (!backend_users.empty()) backend_users += ", ";
+      backend_users += command.name;
+    }
+  }
+  std::fputc('\n', out);
+  PrintWrapped(out, 0, 0,
+               "anonymization backends (--backend=ID on " + backend_users +
+                   "; default " + kDefaultBackend + "):");
+  condensa::backend::Registry& registry =
+      condensa::backend::Registry::Global();
+  for (const std::string& id : registry.Ids()) {
+    condensa::StatusOr<const condensa::backend::AnonymizationBackend*>
+        resolved = registry.Get(id);
+    std::fprintf(out, "  %-12s %s\n", id.c_str(),
+                 resolved.ok() ? (*resolved)->info().summary.c_str() : "");
+  }
+  std::fprintf(
+      out,
+      "\n`condensa <command> --help` describes one command's flags in "
+      "detail.\n");
+}
+
+int Usage() {
+  PrintUsage(stderr);
+  return 2;
+}
+
+// `condensa <command> --help`: every flag with its default and bounds.
+void PrintHelp(const Command& command) {
+  std::printf("condensa %s — %s\n\n", command.name, command.summary);
+  if (*command.details != '\0') {
+    PrintWrapped(stdout, 0, 0, command.details);
+    std::printf("\n");
+  }
+  constexpr std::size_t kHelpColumn = 26;
+  for (const Flag& flag : command.flags) {
+    const std::string spelling = "  " + Spelling(flag);
+    std::fputs(spelling.c_str(), stdout);
+    if (spelling.size() + 1 < kHelpColumn) {
+      std::printf("%*s", static_cast<int>(kHelpColumn - spelling.size()), "");
+    } else {
+      std::printf("\n%*s", static_cast<int>(kHelpColumn), "");
+    }
+    std::vector<std::string> notes;
+    if (flag.fallback == kRequired) {
+      notes.push_back("required");
+    } else if (*flag.fallback != '\0' && !IsSwitch(flag)) {
+      notes.push_back(std::string("default ") + flag.fallback);
+    }
+    if (std::string bounds = DescribeRange(flag.range); !bounds.empty()) {
+      notes.push_back(bounds);
+    }
+    std::string text = flag.help;
+    for (std::size_t i = 0; i < notes.size(); ++i) {
+      text += (i == 0 ? " (" : "; ") + notes[i];
+    }
+    if (!notes.empty()) text += ")";
+    PrintWrapped(stdout, kHelpColumn, kHelpColumn, text);
+  }
+}
+
+// Stores one flag value into its Args field, parsed by the field's type.
+// `given` says the user typed it: only given values are checked against
+// the row's choices and bounds. Prints the error and returns false on a
+// bad value.
+bool StoreFlag(const Flag& flag, const std::string& text, bool given,
+               Args* args) {
+  const auto in_range = [&](double value) {
+    const Range& r = flag.range;
+    return !given ||
+           ((r.lo_open ? value > r.lo : value >= r.lo) &&
+            (r.hi_open ? value < r.hi : value <= r.hi));
+  };
+  const char* want = nullptr;
+  if (auto* field = std::get_if<std::string Args::*>(&flag.field)) {
+    const std::string choices = flag.hint;
+    if (given && choices.find('|') != std::string::npos &&
+        ("|" + choices + "|").find("|" + text + "|") == std::string::npos) {
+      want = flag.hint;
+    }
+    args->**field = text;
+  } else if (auto* field = std::get_if<bool Args::*>(&flag.field)) {
+    if (text != "true" && text != "false") want = "no value, true or false";
+    args->**field = text == "true";
+  } else if (auto* field = std::get_if<int Args::*>(&flag.field)) {
+    if (!ParseInt(text, &(args->**field)) || !in_range(args->**field)) {
+      want = "an integer";
+    }
+  } else if (auto* field = std::get_if<double Args::*>(&flag.field)) {
+    if (!ParseDouble(text, &(args->**field)) || !in_range(args->**field)) {
+      want = "a number";
+    }
+  }
+  if (want == nullptr) return true;
+  const std::string bounds = DescribeRange(flag.range);
+  std::fprintf(stderr, "error: bad value --%s=%s (want %s%s%s)\n", flag.name,
+               text.c_str(), want, bounds.empty() ? "" : " ",
+               bounds.c_str());
+  return false;
+}
+
+// Fills `args` from the `--name=value` pairs given to `command`: typed,
+// bounds-checked, required flags present, no unknown names. Prints every
+// problem and returns false if there was one.
+bool ParseFlags(const Command& command,
+                std::map<std::string, std::string> given, Args* args) {
+  bool ok = true;
+  for (const Flag& flag : command.flags) {
+    auto it = given.find(flag.name);
+    const bool is_given = it != given.end();
+    const std::string text =
+        is_given ? it->second : (flag.fallback ? flag.fallback : "");
+    if (is_given) given.erase(it);
+    if (flag.fallback == kRequired && text.empty()) {
+      std::fprintf(stderr, "error: --%s is required\n", flag.name);
+      ok = false;
+    } else if (!StoreFlag(flag, text, is_given, args)) {
+      ok = false;
+    }
+  }
+  for (const auto& [name, value] : given) {
+    std::fprintf(stderr, "error: unknown flag --%s for '%s'\n", name.c_str(),
+                 command.name);
+  }
+  if (!given.empty()) {
+    std::fprintf(stderr, "run `condensa %s --help` for the flag list\n",
+                 command.name);
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
@@ -2139,58 +1818,41 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
     PrintUsage(stdout);
     return 0;
   }
-  Flags flags(argc, argv, 2);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                 flags.bad().c_str());
-    return Usage();
-  }
-  if (flags.Get("help", "false") == "true" || flags.Get("h", "false") == "true") {
-    const char* help = HelpText(command);
-    if (help == nullptr) {
-      std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
+  // Flags are --name=value; a bare --name means "true".
+  std::map<std::string, std::string> given;
+  for (int i = 2; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (!StartsWith(arg, "--")) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
       return Usage();
     }
-    std::fputs(help, stdout);
-    return 0;
+    arg.remove_prefix(2);
+    const std::size_t eq = arg.find('=');
+    given[std::string(arg.substr(0, eq))] =
+        eq == std::string_view::npos ? "true"
+                                     : std::string(arg.substr(eq + 1));
   }
-
-  int code;
-  if (command == "condense") {
-    code = RunCondense(flags);
-  } else if (command == "generate") {
-    code = RunGenerate(flags);
-  } else if (command == "ingest") {
-    code = RunIngest(flags);
-  } else if (command == "serve-stream") {
-    code = RunServeStream(flags);
-  } else if (command == "shard") {
-    code = RunShard(flags);
-  } else if (command == "worker") {
-    code = RunWorker(flags);
-  } else if (command == "fabric") {
-    code = RunFabric(flags);
-  } else if (command == "recover") {
-    code = RunRecover(flags);
-  } else if (command == "query") {
-    code = RunQuery(flags);
-  } else if (command == "query-server") {
-    code = RunQueryServer(flags);
-  } else if (command == "inspect") {
-    code = RunInspect(flags);
-  } else if (command == "evaluate") {
-    code = RunEvaluate(flags);
-  } else if (command == "stats") {
-    code = RunStats(flags);
-  } else {
-    std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (name == candidate.name) command = &candidate;
+  }
+  if (command == nullptr) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
     return Usage();
   }
-
-  return code;
+  const bool help = given["help"] == "true" || given["h"] == "true";
+  given.erase("help");
+  given.erase("h");
+  if (help) {
+    PrintHelp(*command);
+    return 0;
+  }
+  Args args;
+  if (!ParseFlags(*command, std::move(given), &args)) return 2;
+  return command->run(args);
 }
