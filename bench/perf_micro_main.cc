@@ -1,6 +1,7 @@
-// P1-P4: google-benchmark microbenchmarks for the computational kernels —
+// P1-P5: google-benchmark microbenchmarks for the computational kernels —
 // the Jacobi eigensolver, static condensation, dynamic ingest, anonymized
-// data generation, and nearest-neighbour search.
+// data generation, nearest-neighbour search — and the text codecs that
+// carry a release in and out (CSV, pools).
 
 #include <benchmark/benchmark.h>
 
@@ -10,8 +11,11 @@
 #include "common/thread_pool.h"
 #include "core/anonymizer.h"
 #include "core/dynamic_condenser.h"
+#include "core/engine.h"
+#include "core/serialization.h"
 #include "core/split.h"
 #include "core/static_condenser.h"
+#include "data/csv.h"
 #include "datagen/random_covariance.h"
 #include "index/kdtree.h"
 #include "linalg/eigen.h"
@@ -267,6 +271,73 @@ void BM_KnnPredict(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_KnnPredict)->RangeMultiplier(4)->Range(256, 16384)->Complexity();
+
+// P5: text codecs on the condense_csv shape — 100k records x 10
+// features, 3 classes — so the codec layer can be timed on its own.
+constexpr std::size_t kCodecRecords = 100000;
+constexpr std::size_t kCodecDim = 10;
+
+const condensa::data::Dataset& CodecDataset() {
+  static const condensa::data::Dataset dataset = [] {
+    condensa::data::Dataset out(kCodecDim,
+                                condensa::data::TaskType::kClassification);
+    for (Vector& record : MakeCloud(kCodecRecords, kCodecDim, 21)) {
+      out.Add(std::move(record), static_cast<int>(out.size() % 3));
+    }
+    return out;
+  }();
+  return dataset;
+}
+
+void BM_CsvWrite(benchmark::State& state) {
+  const condensa::data::Dataset& dataset = CodecDataset();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = condensa::data::WriteCsvToString(dataset);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+    bytes = text.size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kCodecRecords));
+}
+BENCHMARK(BM_CsvWrite)->Unit(benchmark::kMillisecond);
+
+void BM_CsvRead(benchmark::State& state) {
+  const std::string text = condensa::data::WriteCsvToString(CodecDataset());
+  condensa::data::CsvReadOptions options;
+  options.task = condensa::data::TaskType::kClassification;
+  for (auto _ : state) {
+    auto parsed = condensa::data::ReadCsvFromString(text, options);
+    CONDENSA_CHECK(parsed.ok());
+    benchmark::DoNotOptimize(parsed->dataset.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kCodecRecords));
+}
+BENCHMARK(BM_CsvRead)->Unit(benchmark::kMillisecond);
+
+// Pools of a k = 10 static condensation of the codec dataset.
+void BM_SerializePools(benchmark::State& state) {
+  condensa::core::CondensationConfig config;
+  config.group_size = 10;
+  Rng rng(22);
+  auto pools =
+      condensa::core::CondensationEngine(config).Condense(CodecDataset(), rng);
+  CONDENSA_CHECK(pools.ok());
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = condensa::core::SerializePools(*pools);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+    bytes = text.size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SerializePools)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -92,6 +92,12 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
     return NotFoundError("cannot open " + path);
   }
   std::string content;
+  // Size the string once for a regular file, so reading a large document
+  // never holds two copies while the string grows.
+  struct stat info;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    content.reserve(static_cast<std::size_t>(info.st_size));
+  }
   char buffer[1 << 16];
   while (true) {
     ssize_t n = ::read(fd, buffer, sizeof(buffer));

@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <climits>
@@ -9,45 +8,60 @@
 
 namespace condensa {
 
-std::vector<std::string> Split(std::string_view text, char delimiter) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      break;
-    }
-    parts.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
+namespace {
+
+// std::isspace in the "C" locale: space, \t, \n, \v, \f, \r.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 std::string_view StripWhitespace(std::string_view text) {
   std::size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsSpace(text[begin])) ++begin;
   std::size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
+std::string_view NextToken(std::string_view* text) {
+  std::size_t begin = 0;
+  while (begin < text->size() && IsSpace((*text)[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < text->size() && !IsSpace((*text)[end])) ++end;
+  const std::string_view token = text->substr(begin, end - begin);
+  text->remove_prefix(end);
+  return token;
+}
+
+std::string_view NextLine(std::string_view* text) {
+  const std::size_t newline = text->find('\n');
+  const std::string_view line = text->substr(0, newline);
+  text->remove_prefix(newline == std::string_view::npos ? text->size()
+                                                        : newline + 1);
+  return line;
+}
+
+void AppendDouble(std::string& out, double value) {
+  // The longest shortest form is 24 chars: -2.2250738585072014e-308.
+  char buffer[32];
+  const std::to_chars_result written =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, written.ptr);
+}
+
 bool ParseDouble(std::string_view text, double* value) {
-  std::string_view stripped = StripWhitespace(text);
-  if (stripped.empty()) return false;
-  std::string buffer(stripped);
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(buffer.c_str(), &end);
-  if (errno != 0 || end != buffer.c_str() + buffer.size()) {
-    return false;
+  std::string_view number = StripWhitespace(text);
+  // from_chars refuses the leading '+' strtod took; drop one, but "+-1"
+  // stays malformed.
+  if (!number.empty() && number.front() == '+') {
+    number.remove_prefix(1);
+    if (!number.empty() && number.front() == '-') return false;
   }
+  const char* end = number.data() + number.size();
+  double parsed = 0.0;
+  const std::from_chars_result result =
+      std::from_chars(number.data(), end, parsed);
+  if (result.ec != std::errc() || result.ptr != end) return false;
   *value = parsed;
   return true;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -77,43 +77,28 @@ std::string JournalHeader(std::size_t sequence) {
          "\n";
 }
 
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
+}  // namespace
 
-// One journal entry: "<op> v0 ... vd-1 .\n". The trailing "." marks a
-// complete entry; a line missing it (or its newline) is a torn write.
-std::string JournalLine(char op, const linalg::Vector& record) {
-  std::string line(1, op);
+void AppendRecordLine(std::string& out, char tag,
+                      const linalg::Vector& record) {
+  out += tag;
   for (std::size_t j = 0; j < record.dim(); ++j) {
-    line += ' ';
-    AppendDouble(line, record[j]);
+    out += ' ';
+    AppendDouble(out, record[j]);
   }
-  line += " .\n";
-  return line;
+  out += " .\n";
 }
 
-bool ParseJournalLine(const std::string& line, std::size_t dim, char* op,
-                      linalg::Vector* record) {
-  std::istringstream stream(line);
-  std::string token;
-  if (!(stream >> token) || token.size() != 1 ||
-      (token[0] != 'i' && token[0] != 'r')) {
-    return false;
-  }
-  *op = token[0];
-  for (std::size_t j = 0; j < dim; ++j) {
-    if (!(stream >> token) || !ParseDouble(token, &(*record)[j])) {
-      return false;
-    }
+char ParseRecordLine(std::string_view line, linalg::Vector* record) {
+  const std::string_view tag = NextToken(&line);
+  if (tag.size() != 1) return '\0';
+  for (std::size_t j = 0; j < record->dim(); ++j) {
+    if (!ParseDouble(NextToken(&line), &(*record)[j])) return '\0';
   }
   // Terminator, then nothing else.
-  return (stream >> token) && token == "." && !(stream >> token);
+  if (NextToken(&line) != "." || !NextToken(&line).empty()) return '\0';
+  return tag[0];
 }
-
-}  // namespace
 
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
                                     std::size_t sequence) {
@@ -148,39 +133,31 @@ std::string SerializeCondenserState(const DynamicCondenser::State& state,
 }
 
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
-    const std::string& text, std::size_t* sequence_out) {
-  std::istringstream stream(text);
-  std::string line;
-  if (!std::getline(stream, line) || StripWhitespace(line) != kSnapshotMagic) {
+    std::string_view text, std::size_t* sequence_out) {
+  std::string_view rest = text;
+  if (rest.empty() || StripWhitespace(NextLine(&rest)) != kSnapshotMagic) {
     return InvalidArgumentError("missing condensa-snapshot v1 header");
   }
 
-  std::string keyword;
   std::size_t seq = 0, records = 0, splits = 0, merges = 0,
               bootstrapped = 0, forming = 0;
-  std::string token;
-  auto next_size = [&stream, &token](std::size_t* value) {
-    return static_cast<bool>(stream >> token) && ParseSize(token, value);
+  auto next_field = [&rest](std::string_view keyword, std::size_t* value) {
+    return NextToken(&rest) == keyword && ParseSize(NextToken(&rest), value);
   };
-  if (!(stream >> keyword) || keyword != "seq" || !next_size(&seq) ||
-      !(stream >> keyword) || keyword != "records" || !next_size(&records) ||
-      !(stream >> keyword) || keyword != "splits" || !next_size(&splits) ||
-      !(stream >> keyword) || keyword != "merges" || !next_size(&merges) ||
-      !(stream >> keyword) || keyword != "bootstrapped" ||
-      !next_size(&bootstrapped) || bootstrapped > 1 ||
-      !(stream >> keyword) || keyword != "forming" || !next_size(&forming) ||
-      forming > 1) {
+  if (!next_field("seq", &seq) || !next_field("records", &records) ||
+      !next_field("splits", &splits) || !next_field("merges", &merges) ||
+      !next_field("bootstrapped", &bootstrapped) || bootstrapped > 1 ||
+      !next_field("forming", &forming) || forming > 1) {
     return DataLossError("malformed snapshot header line");
   }
 
   // The remainder is one or two embedded group-set sections plus a
   // trailing "end" marker that proves the snapshot was written fully.
   std::size_t body_begin = text.find(kGroupsMagic);
-  if (body_begin == std::string::npos) {
+  if (body_begin == std::string_view::npos) {
     return DataLossError("snapshot missing group-set section");
   }
-  std::string_view remainder(text);
-  remainder.remove_prefix(body_begin);
+  std::string_view remainder = text.substr(body_begin);
   std::size_t end_marker = remainder.rfind("\nend");
   if (end_marker == std::string_view::npos ||
       StripWhitespace(remainder.substr(end_marker)) != "end") {
@@ -190,7 +167,7 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
 
   std::size_t forming_begin =
       remainder.find(kGroupsMagic, std::strlen(kGroupsMagic));
-  if ((forming == 1) != (forming_begin != std::string::npos)) {
+  if ((forming == 1) != (forming_begin != std::string_view::npos)) {
     return DataLossError("snapshot forming flag disagrees with body");
   }
 
@@ -198,10 +175,10 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
   if (forming == 1) {
     CONDENSA_ASSIGN_OR_RETURN(
         state.groups,
-        DeserializeGroupSet(std::string(remainder.substr(0, forming_begin))));
+        DeserializeGroupSet(remainder.substr(0, forming_begin)));
     CONDENSA_ASSIGN_OR_RETURN(
         CondensedGroupSet wrapper,
-        DeserializeGroupSet(std::string(remainder.substr(forming_begin))));
+        DeserializeGroupSet(remainder.substr(forming_begin)));
     if (wrapper.num_groups() != 1) {
       return DataLossError("snapshot forming section must hold one group");
     }
@@ -212,7 +189,7 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     state.forming = wrapper.group(0);
   } else {
     CONDENSA_ASSIGN_OR_RETURN(state.groups,
-                              DeserializeGroupSet(std::string(remainder)));
+                              DeserializeGroupSet(remainder));
   }
   state.records_seen = records;
   state.split_count = splits;
@@ -321,10 +298,11 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
       if (line_end == std::string::npos) {
         break;  // torn tail: entry never got its newline
       }
-      std::string line =
-          content.substr(valid_offset, line_end - valid_offset);
-      char op = 0;
-      if (!ParseJournalLine(line, dim, &op, &record)) {
+      const char op = ParseRecordLine(
+          std::string_view(content).substr(valid_offset,
+                                           line_end - valid_offset),
+          &record);
+      if (op != 'i' && op != 'r') {
         break;  // malformed entry: truncate from here
       }
       Status applied = op == 'i' ? durable.condenser_.Insert(record)
@@ -439,7 +417,8 @@ Status DurableCondenser::Bootstrap(
 Status DurableCondenser::AppendJournal(char op,
                                        const linalg::Vector& record) {
   CONDENSA_RETURN_IF_ERROR(FailPoint::Maybe("checkpoint.journal_append"));
-  const std::string line = JournalLine(op, record);
+  std::string line;
+  AppendRecordLine(line, op, record);
   Status status = journal_.Append(line);
   if (status.ok() && durability_.sync_every_append) {
     status = journal_.Sync();

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/io.h"
@@ -55,7 +56,19 @@ struct DurabilityOptions {
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
                                     std::size_t sequence);
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
-    const std::string& text, std::size_t* sequence_out);
+    std::string_view text, std::size_t* sequence_out);
+
+// The record line of the journal (tags 'i' insert, 'r' remove) and of the
+// runtime spool (tag 's'): "<tag> v0 ... vd-1 .\n". The trailing "."
+// marks a complete entry; a line missing it (or its newline) is a torn
+// write. Appends the line for `record` to `out`.
+void AppendRecordLine(std::string& out, char tag,
+                      const linalg::Vector& record);
+
+// Parses one record line (without its newline) carrying exactly
+// `record->dim()` values into `record`. Returns the tag, or '\0' when
+// the line is malformed or torn.
+char ParseRecordLine(std::string_view line, linalg::Vector* record);
 
 class DurableCondenser {
  public:

@@ -1,9 +1,8 @@
 #include "core/serialization.h"
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
-#include <sstream>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/io.h"
@@ -14,28 +13,24 @@ namespace {
 
 constexpr char kMagic[] = "condensa-groups v1";
 
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
+// Token readers over a document cursor (see NextToken): each consumes
+// one whitespace-separated token and fails when it is missing or is not
+// the expected keyword or number.
+bool NextKeyword(std::string_view* text, std::string_view keyword) {
+  return NextToken(text) == keyword;
 }
 
-// Reads the next whitespace-separated token as a double.
-bool NextDouble(std::istringstream& stream, double* value) {
-  std::string token;
-  if (!(stream >> token)) return false;
-  return ParseDouble(token, value);
+bool NextDouble(std::string_view* text, double* value) {
+  return ParseDouble(NextToken(text), value);
 }
 
-bool NextSize(std::istringstream& stream, std::size_t* value) {
-  std::string token;
-  return static_cast<bool>(stream >> token) && ParseSize(token, value);
+bool NextSize(std::string_view* text, std::size_t* value) {
+  return ParseSize(NextToken(text), value);
 }
 
-}  // namespace
-
-std::string SerializeGroupSet(const CondensedGroupSet& groups) {
-  std::string out = kMagic;
+// Appends `groups` in the condensa-groups v1 text format.
+void AppendGroupSet(std::string& out, const CondensedGroupSet& groups) {
+  out += kMagic;
   out += "\ndim ";
   out += std::to_string(groups.dim());
   out += " k ";
@@ -74,22 +69,26 @@ std::string SerializeGroupSet(const CondensedGroupSet& groups) {
     }
     out += '\n';
   }
+}
+
+}  // namespace
+
+std::string SerializeGroupSet(const CondensedGroupSet& groups) {
+  std::string out;
+  AppendGroupSet(out, groups);
   return out;
 }
 
-StatusOr<CondensedGroupSet> DeserializeGroupSet(const std::string& text) {
-  std::istringstream stream(text);
-  std::string line;
-  if (!std::getline(stream, line) || StripWhitespace(line) != kMagic) {
+StatusOr<CondensedGroupSet> DeserializeGroupSet(std::string_view text) {
+  std::string_view rest = text;
+  if (rest.empty() || StripWhitespace(NextLine(&rest)) != kMagic) {
     return InvalidArgumentError("missing condensa-groups v1 header");
   }
 
-  std::string keyword;
   std::size_t dim = 0, k = 0, num_groups = 0;
-  if (!(stream >> keyword) || keyword != "dim" || !NextSize(stream, &dim) ||
-      !(stream >> keyword) || keyword != "k" || !NextSize(stream, &k) ||
-      !(stream >> keyword) || keyword != "groups" ||
-      !NextSize(stream, &num_groups)) {
+  if (!NextKeyword(&rest, "dim") || !NextSize(&rest, &dim) ||
+      !NextKeyword(&rest, "k") || !NextSize(&rest, &k) ||
+      !NextKeyword(&rest, "groups") || !NextSize(&rest, &num_groups)) {
     return DataLossError("malformed group-set header line");
   }
   if (dim == 0) {
@@ -106,53 +105,46 @@ StatusOr<CondensedGroupSet> DeserializeGroupSet(const std::string& text) {
 
   // Optional backend annotation between the header and the first group.
   // Default-backend writers omit it, so absence means "condensation".
-  {
-    const std::istringstream::pos_type mark = stream.tellg();
-    std::string maybe;
-    if ((stream >> maybe) && maybe == "backend") {
-      std::string id;
-      std::size_t version = 0;
-      if (!(stream >> id) || !NextSize(stream, &version) || version == 0 ||
-          version > static_cast<std::size_t>(
-                        std::numeric_limits<int>::max())) {
-        return DataLossError("malformed backend annotation line");
-      }
-      groups.SetBackend(id, static_cast<int>(version));
-    } else {
-      stream.clear();
-      stream.seekg(mark);
+  if (std::string_view peek = rest; NextKeyword(&peek, "backend")) {
+    const std::string_view id = NextToken(&peek);
+    std::size_t version = 0;
+    if (id.empty() || !NextSize(&peek, &version) || version == 0 ||
+        version > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+      return DataLossError("malformed backend annotation line");
     }
+    groups.SetBackend(std::string(id), static_cast<int>(version));
+    rest = peek;
   }
 
   for (std::size_t g = 0; g < num_groups; ++g) {
     std::size_t count = 0;
-    if (!(stream >> keyword) || keyword != "group" || !(stream >> keyword) ||
-        keyword != "n" || !NextSize(stream, &count) || count == 0) {
+    if (!NextKeyword(&rest, "group") || !NextKeyword(&rest, "n") ||
+        !NextSize(&rest, &count) || count == 0) {
       return DataLossError("malformed group header in group " +
                            std::to_string(g));
     }
 
     linalg::Vector fs(dim);
-    if (!(stream >> keyword) || keyword != "fs") {
+    if (!NextKeyword(&rest, "fs")) {
       return DataLossError("missing fs section in group " +
                            std::to_string(g));
     }
     for (std::size_t j = 0; j < dim; ++j) {
-      if (!NextDouble(stream, &fs[j])) {
+      if (!NextDouble(&rest, &fs[j])) {
         return DataLossError("truncated fs values in group " +
                              std::to_string(g));
       }
     }
 
     linalg::Matrix sc(dim, dim);
-    if (!(stream >> keyword) || keyword != "sc") {
+    if (!NextKeyword(&rest, "sc")) {
       return DataLossError("missing sc section in group " +
                            std::to_string(g));
     }
     for (std::size_t i = 0; i < dim; ++i) {
       for (std::size_t j = i; j < dim; ++j) {
         double value = 0.0;
-        if (!NextDouble(stream, &value)) {
+        if (!NextDouble(&rest, &value)) {
           return DataLossError("truncated sc values in group " +
                                std::to_string(g));
         }
@@ -168,8 +160,7 @@ StatusOr<CondensedGroupSet> DeserializeGroupSet(const std::string& text) {
   }
 
   // Reject trailing garbage (ignoring whitespace).
-  std::string rest;
-  if (stream >> rest) {
+  if (!NextToken(&rest).empty()) {
     return DataLossError("trailing content after final group");
   }
   return groups;
@@ -197,33 +188,29 @@ std::string SerializePools(const CondensedPools& pools) {
     out += " splits ";
     out += std::to_string(pool.splits);
     out += '\n';
-    out += SerializeGroupSet(pool.groups);
+    AppendGroupSet(out, pool.groups);
   }
   return out;
 }
 
-StatusOr<CondensedPools> DeserializePools(const std::string& text) {
-  std::istringstream stream(text);
-  std::string line;
-  if (!std::getline(stream, line) || StripWhitespace(line) != kPoolsMagic) {
+StatusOr<CondensedPools> DeserializePools(std::string_view text) {
+  std::string_view rest = text;
+  if (rest.empty() || StripWhitespace(NextLine(&rest)) != kPoolsMagic) {
     return InvalidArgumentError("missing condensa-pools v1 header");
   }
-  std::string keyword;
   int task_value = 0;
   std::size_t feature_dim = 0, pool_count = 0;
-  std::string token;
-  if (!(stream >> keyword) || keyword != "task" || !(stream >> token) ||
-      !ParseInt(token, &task_value) || task_value < 0 || task_value > 2 ||
-      !(stream >> keyword) || keyword != "feature_dim" ||
-      !NextSize(stream, &feature_dim) || !(stream >> keyword) ||
-      keyword != "pools" || !NextSize(stream, &pool_count)) {
+  if (!NextKeyword(&rest, "task") || !ParseInt(NextToken(&rest), &task_value) ||
+      task_value < 0 || task_value > 2 ||
+      !NextKeyword(&rest, "feature_dim") || !NextSize(&rest, &feature_dim) ||
+      !NextKeyword(&rest, "pools") || !NextSize(&rest, &pool_count)) {
     return DataLossError("malformed pools header line");
   }
   if (feature_dim == 0) {
     return InvalidArgumentError("feature dimension must be positive");
   }
   // Consume the rest of the header line.
-  std::getline(stream, line);
+  NextLine(&rest);
 
   CondensedPools pools;
   pools.task = static_cast<data::TaskType>(task_value);
@@ -231,35 +218,29 @@ StatusOr<CondensedPools> DeserializePools(const std::string& text) {
 
   // The remainder is `pool label L splits S\n<group set>` repeated; split
   // on the pool header lines and hand each body to DeserializeGroupSet.
-  std::string rest;
-  if (stream.tellg() != std::istringstream::pos_type(-1)) {
-    rest = text.substr(static_cast<std::size_t>(stream.tellg()));
-  }
   std::size_t cursor = 0;
   for (std::size_t p = 0; p < pool_count; ++p) {
     std::size_t header_pos = rest.find(kPoolHeader, cursor);
-    if (header_pos == std::string::npos) {
+    if (header_pos == std::string_view::npos) {
       return DataLossError("missing pool " + std::to_string(p));
     }
     std::size_t line_end = rest.find('\n', header_pos);
-    if (line_end == std::string::npos) {
+    if (line_end == std::string_view::npos) {
       return DataLossError("truncated pool header");
     }
-    std::istringstream header(
+    std::string_view header =
         rest.substr(header_pos + strlen(kPoolHeader),
-                    line_end - header_pos - strlen(kPoolHeader)));
+                    line_end - header_pos - strlen(kPoolHeader));
     int label = 0;
     std::size_t splits = 0;
-    std::string label_token;
-    if (!(header >> label_token) || !ParseInt(label_token, &label) ||
-        !(header >> keyword) || keyword != "splits" ||
-        !NextSize(header, &splits)) {
+    if (!ParseInt(NextToken(&header), &label) ||
+        !NextKeyword(&header, "splits") || !NextSize(&header, &splits)) {
       return DataLossError("malformed pool header in pool " +
                            std::to_string(p));
     }
     std::size_t body_begin = line_end + 1;
     std::size_t body_end = rest.find(kPoolHeader, body_begin);
-    if (body_end == std::string::npos) {
+    if (body_end == std::string_view::npos) {
       body_end = rest.size();
     }
     CONDENSA_ASSIGN_OR_RETURN(
@@ -285,7 +266,7 @@ StatusOr<CondensedPools> DeserializePools(const std::string& text) {
         CondensedPools::Pool{label, splits, std::move(groups)});
     cursor = body_end;
   }
-  if (rest.find(kPoolHeader, cursor) != std::string::npos) {
+  if (rest.find(kPoolHeader, cursor) != std::string_view::npos) {
     return DataLossError("more pools than the header declares");
   }
   return pools;

@@ -4,13 +4,16 @@
 // statistics H = {(Fs(G), Sc(G), n(G))}. This module serializes H to a
 // versioned, human-inspectable text format so a server can checkpoint the
 // structure between sessions (or hand it to another process) without ever
-// materializing records. Round-tripping is exact: values are written with
-// 17 significant digits, enough to reproduce every double bit-for-bit.
+// materializing records. Round-tripping is exact: values are written in
+// their shortest round-trip form (AppendDouble in common/string_util.h),
+// which parses back to every double bit-for-bit; the readers also take
+// the longer 17-significant-digit form older writers produced.
 
 #ifndef CONDENSA_CORE_SERIALIZATION_H_
 #define CONDENSA_CORE_SERIALIZATION_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/condensed_group_set.h"
@@ -23,7 +26,7 @@ std::string SerializeGroupSet(const CondensedGroupSet& groups);
 
 // Parses the text format. Fails with DataLoss on malformed input and
 // InvalidArgument on inconsistent headers (wrong magic, bad counts).
-StatusOr<CondensedGroupSet> DeserializeGroupSet(const std::string& text);
+StatusOr<CondensedGroupSet> DeserializeGroupSet(std::string_view text);
 
 // File wrappers around the string forms. Saves are atomic (temp file +
 // fsync + rename, see common/io.h): a crash mid-save never corrupts an
@@ -35,7 +38,7 @@ StatusOr<CondensedGroupSet> LoadGroupSet(const std::string& path);
 // in the condensa-pools v1 text format — a header plus one embedded
 // group-set section per pool. Round-trips exactly.
 std::string SerializePools(const CondensedPools& pools);
-StatusOr<CondensedPools> DeserializePools(const std::string& text);
+StatusOr<CondensedPools> DeserializePools(std::string_view text);
 Status SavePools(const CondensedPools& pools, const std::string& path);
 StatusOr<CondensedPools> LoadPools(const std::string& path);
 

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -58,7 +59,7 @@ StatusOr<CsvReadResult> ReadCsv(const std::string& path,
                                 const CsvReadOptions& options);
 
 // Parses CSV from an in-memory string (same semantics as ReadCsv).
-StatusOr<CsvReadResult> ReadCsvFromString(const std::string& content,
+StatusOr<CsvReadResult> ReadCsvFromString(std::string_view content,
                                           const CsvReadOptions& options);
 
 // Writes `dataset` to `path`; labels/targets become the last column. When

@@ -2,12 +2,11 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace condensa::runtime {
@@ -19,38 +18,9 @@ double SteadyNowMs() {
       .count();
 }
 
-void AppendDouble(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
-// One spool entry: "s v0 ... vd-1 .\n" — the journal's line discipline
-// (trailing "." marks a complete record) so torn tails are detectable.
-std::string SpoolLine(const linalg::Vector& record) {
-  std::string line(1, 's');
-  for (std::size_t j = 0; j < record.dim(); ++j) {
-    line += ' ';
-    AppendDouble(line, record[j]);
-  }
-  line += " .\n";
-  return line;
-}
-
-bool ParseSpoolLine(const std::string& line, std::size_t dim,
-                    linalg::Vector* record) {
-  std::istringstream stream(line);
-  std::string token;
-  if (!(stream >> token) || token != "s") {
-    return false;
-  }
-  for (std::size_t j = 0; j < dim; ++j) {
-    if (!(stream >> token) || !ParseDouble(token, &(*record)[j])) {
-      return false;
-    }
-  }
-  return (stream >> token) && token == "." && !(stream >> token);
-}
+// Spool entries are journal record lines (core/checkpointing.h) with
+// this tag, so torn tails are detectable the same way.
+constexpr char kSpoolTag = 's';
 
 struct RuntimeMetrics {
   obs::Counter& submitted;
@@ -254,8 +224,9 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Start(
         break;
       }
       linalg::Vector record(cfg.dim);
-      if (!ParseSpoolLine(content.substr(pos, newline - pos), cfg.dim,
-                          &record)) {
+      if (core::ParseRecordLine(
+              std::string_view(content).substr(pos, newline - pos),
+              &record) != kSpoolTag) {
         break;
       }
       pipeline->spool_.push_back(std::move(record));
@@ -404,7 +375,8 @@ Status StreamPipeline::ApplyRecord(const linalg::Vector& record) {
 
 void StreamPipeline::SpoolRecord(const linalg::Vector& record) {
   RuntimeMetrics& metrics = RuntimeMetrics::Get();
-  const std::string line = SpoolLine(record);
+  std::string line;
+  core::AppendRecordLine(line, kSpoolTag, record);
   // Unbudgeted like the quarantine: the spool is what keeps degraded mode
   // lossless, so it must not be starved by a spent retry budget.
   Status status = RetryWithBackoff(config_.retry, nullptr, rng_, [&] {

@@ -1,7 +1,6 @@
 #include "runtime/quarantine.h"
 
-#include <cstdio>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
@@ -21,7 +20,7 @@ std::string Sanitize(const std::string& text) {
   return out;
 }
 
-bool ParseReason(const std::string& name, QuarantineReason* reason) {
+bool ParseReason(std::string_view name, QuarantineReason* reason) {
   for (std::size_t i = 0; i < kQuarantineReasonCount; ++i) {
     QuarantineReason candidate = static_cast<QuarantineReason>(i);
     if (name == QuarantineReasonName(candidate)) {
@@ -71,9 +70,7 @@ Status QuarantineWriter::Write(const linalg::Vector& record,
   line += '\t';
   for (std::size_t j = 0; j < record.dim(); ++j) {
     if (j > 0) line += ',';
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", record[j]);
-    line += buffer;
+    AppendDouble(line, record[j]);
   }
   line += '\n';
   std::lock_guard<std::mutex> lock(*mu_);
@@ -98,21 +95,21 @@ std::size_t QuarantineWriter::count(QuarantineReason reason) const {
 StatusOr<std::vector<QuarantineWriter::Entry>> QuarantineWriter::ReadAll(
     const std::string& path) {
   CONDENSA_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  std::istringstream stream(content);
-  std::string line;
-  if (!std::getline(stream, line) || !StartsWith(line, kMagic)) {
+  std::string_view rest = content;
+  if (rest.empty() || !StartsWith(NextLine(&rest), kMagic)) {
     return DataLossError(path + " is not a condensa-quarantine v1 file");
   }
   std::vector<Entry> entries;
   std::size_t line_number = 1;
-  while (std::getline(stream, line)) {
+  while (!rest.empty()) {
+    const std::string_view line = NextLine(&rest);
     ++line_number;
     if (line.empty()) continue;
     const std::size_t tab1 = line.find('\t');
     const std::size_t tab2 =
-        tab1 == std::string::npos ? std::string::npos
-                                  : line.find('\t', tab1 + 1);
-    if (tab2 == std::string::npos) {
+        tab1 == std::string_view::npos ? std::string_view::npos
+                                       : line.find('\t', tab1 + 1);
+    if (tab2 == std::string_view::npos) {
       return DataLossError(path + ": malformed entry at line " +
                            std::to_string(line_number));
     }
@@ -122,16 +119,18 @@ StatusOr<std::vector<QuarantineWriter::Entry>> QuarantineWriter::ReadAll(
                            std::to_string(line_number));
     }
     entry.detail = line.substr(tab1 + 1, tab2 - tab1 - 1);
-    std::string values = line.substr(tab2 + 1);
-    std::istringstream value_stream(values);
-    std::string token;
-    while (std::getline(value_stream, token, ',')) {
+    // Comma-separated values; a trailing comma ends the list.
+    std::string_view values = line.substr(tab2 + 1);
+    while (!values.empty()) {
+      const std::size_t comma = values.find(',');
       double value = 0.0;
-      if (!ParseDouble(token, &value)) {
+      if (!ParseDouble(values.substr(0, comma), &value)) {
         return DataLossError(path + ": bad value at line " +
                              std::to_string(line_number));
       }
       entry.values.push_back(value);
+      values.remove_prefix(comma == std::string_view::npos ? values.size()
+                                                           : comma + 1);
     }
     entries.push_back(std::move(entry));
   }

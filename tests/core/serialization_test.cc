@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -158,6 +160,42 @@ TEST(SerializationTest, FileRoundTrip) {
   EXPECT_EQ(loaded->num_groups(), 4u);
   EXPECT_EQ(loaded->TotalRecords(), 24u);
   std::remove(path.c_str());
+}
+
+// glibc strtod flags subnormals with ERANGE, so a set holding one used to
+// be refused by the loader that wrote it.
+TEST(SerializationTest, SubnormalSumsSurviveSaveAndLoad) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double largest_subnormal =
+      std::nextafter(std::numeric_limits<double>::min(), 0.0);
+  CondensedGroupSet set(2, 3);
+  linalg::Matrix sc(2, 2);
+  sc(0, 0) = largest_subnormal;
+  sc(0, 1) = sc(1, 0) = -tiny;
+  sc(1, 1) = 1.0;
+  set.AddGroup(
+      GroupStatistics::FromRawSums(3, Vector{tiny, -largest_subnormal}, sc));
+
+  const std::string groups_path =
+      ::testing::TempDir() + "/condensa_subnormal_groups.txt";
+  ASSERT_TRUE(SaveGroupSet(set, groups_path).ok());
+  auto loaded = LoadGroupSet(groups_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SerializeGroupSet(*loaded), SerializeGroupSet(set));
+  EXPECT_EQ(loaded->group(0).first_order()[0], tiny);
+  EXPECT_EQ(loaded->group(0).second_order()(0, 0), largest_subnormal);
+  std::remove(groups_path.c_str());
+
+  CondensedPools pools;
+  pools.feature_dim = 2;
+  pools.pools.push_back({-1, 0, set});
+  const std::string pools_path =
+      ::testing::TempDir() + "/condensa_subnormal_pools.txt";
+  ASSERT_TRUE(SavePools(pools, pools_path).ok());
+  auto reloaded = LoadPools(pools_path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(SerializePools(*reloaded), SerializePools(pools));
+  std::remove(pools_path.c_str());
 }
 
 TEST(SerializationTest, LoadMissingFileIsNotFound) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 namespace condensa::data {
 namespace {
@@ -111,6 +116,54 @@ TEST(CsvReadTest, EscapedQuotesInsideQuotedField) {
   auto result = ReadCsvFromString(content, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->label_ids.count("she said \"hi\""), 1u);
+}
+
+TEST(CsvReadTest, SplittingKeepsEmptyFields) {
+  for (bool quoting : {true, false}) {
+    CsvReadOptions options;
+    options.task = TaskType::kClassification;
+    options.allow_quoting = quoting;
+    // A trailing delimiter ends in an empty field: here, an empty label.
+    auto result = ReadCsvFromString("1,2,\n3,4,x\n", options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->dataset.dim(), 2u);
+    EXPECT_EQ(result->dataset.size(), 2u);
+    EXPECT_EQ(result->label_ids.count(""), 1u);
+
+    // An empty feature cell between delimiters is a non-numeric value.
+    options.strict = false;
+    auto lenient = ReadCsvFromString("1,,a\n3,4,b\n", options);
+    ASSERT_TRUE(lenient.ok());
+    EXPECT_EQ(lenient->dataset.size(), 1u);
+    EXPECT_EQ(lenient->skipped_rows, 1u);
+
+    // A line without the delimiter is one field.
+    options.task = TaskType::kUnlabeled;
+    auto single = ReadCsvFromString("5\n6\n", options);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(single->dataset.dim(), 1u);
+    EXPECT_EQ(single->dataset.size(), 2u);
+  }
+}
+
+TEST(CsvReadTest, QuotedFieldKeepsTextAfterClosingQuote) {
+  // RFC-4180 leniency: text after the closing quote joins the field, and
+  // an unterminated quote runs to the end of the line.
+  const std::string content =
+      "1.0,\"ab\"cd\n"
+      "2.0,\"x\"\"y\"z\n"
+      "3.0,\"open, to the end\n"
+      "4.0,\"\"\n";
+  CsvReadOptions options;
+  options.task = TaskType::kClassification;
+  auto result = ReadCsvFromString(content, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->dataset.size(), 4u);
+  EXPECT_EQ(result->label_ids.count("abcd"), 1u);
+  EXPECT_EQ(result->label_ids.count("x\"yz"), 1u);
+  EXPECT_EQ(result->label_ids.count("open, to the end"), 1u);
+  EXPECT_EQ(result->label_ids.count(""), 1u);
+  EXPECT_EQ(result->dataset.label(3), 3);
 }
 
 TEST(CsvReadTest, QuotedNumericFieldParses) {
@@ -344,6 +397,62 @@ TEST(CsvRoundTripTest, RegressionSurvivesWriteReadViaFile) {
   EXPECT_DOUBLE_EQ(result->dataset.target(0), 9.25);
   EXPECT_DOUBLE_EQ(result->dataset.record(1)[0], 2.5);
   std::remove(path.c_str());
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Values glibc strtod flags with ERANGE; a strict read used to refuse a
+// release that WriteCsv wrote.
+TEST(CsvRoundTripTest, SubnormalValuesSurviveStrictRead) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Dataset ds(2, TaskType::kRegression);
+  ds.Add(linalg::Vector{tiny, -DBL_MIN / 3}, 1.0);
+  ds.Add(linalg::Vector{1.5, std::nextafter(DBL_MIN, 0.0)}, tiny);
+
+  CsvReadOptions options;
+  options.task = TaskType::kRegression;
+  auto result = ReadCsvFromString(WriteCsvToString(ds), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->dataset.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(Bits(result->dataset.record(i)[j]), Bits(ds.record(i)[j]));
+    }
+    EXPECT_EQ(Bits(result->dataset.target(i)), Bits(ds.target(i)));
+  }
+}
+
+// A release written with 17 significant digits (the writer's earlier
+// form) loads to the same bits as the shortest form.
+TEST(CsvRoundTripTest, SeventeenDigitFileLoadsToSameBits) {
+  const std::vector<double> values = {0.1, -2.0 / 3.0, 1e22, 5e-324,
+                                      DBL_MAX, -0.0};
+  Dataset ds(values.size(), TaskType::kClassification);
+  ds.Add(linalg::Vector(values), 7);
+  std::string legacy;
+  for (double value : values) {
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%.17g,", value);
+    legacy += buffer;
+  }
+  legacy += "7\n";
+  const std::string shortest = WriteCsvToString(ds);
+  EXPECT_LT(shortest.size(), legacy.size());
+
+  CsvReadOptions options;
+  options.task = TaskType::kClassification;
+  auto from_legacy = ReadCsvFromString(legacy, options);
+  auto from_shortest = ReadCsvFromString(shortest, options);
+  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
+  ASSERT_TRUE(from_shortest.ok()) << from_shortest.status().ToString();
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    EXPECT_EQ(Bits(from_legacy->dataset.record(0)[j]), Bits(values[j]));
+    EXPECT_EQ(Bits(from_shortest->dataset.record(0)[j]), Bits(values[j]));
+  }
 }
 
 TEST(CsvWriteTest, NoHeaderWithoutFeatureNames) {

@@ -286,6 +286,30 @@ TEST_F(PipelineTest, SpoolBacklogIsRecoveredByNextRun) {
   EXPECT_EQ((*pipeline)->records_seen(), 32u);
 }
 
+// A spooled subnormal (written by earlier builds in 17-digit form) used
+// to stop spool replay, dropping it and every record after it.
+TEST_F(PipelineTest, SpoolReplayKeepsSubnormalRecords) {
+  StreamPipelineConfig config = Config();
+  ASSERT_TRUE(CreateDirectories(config.checkpoint_dir).ok());
+  {
+    auto spool = AppendFile::Open(config.checkpoint_dir + "/spool.log");
+    ASSERT_TRUE(spool.ok());
+    ASSERT_TRUE(spool->Append("s 4.9406564584124654e-324 1 2 .\n").ok());
+    ASSERT_TRUE(spool->Append("s 5e-324 -2.2250738585072009e-308 3 .\n").ok());
+    ASSERT_TRUE(spool->Append("s 0.25 0.5 0.75 .\n").ok());
+    ASSERT_TRUE(spool->Sync().ok());
+  }
+  auto pipeline = StreamPipeline::Start(config);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  auto stats = (*pipeline)->Finish();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->spool_recovered, 3u);
+  EXPECT_EQ(stats->spool_replayed, 3u);
+  EXPECT_EQ(stats->applied, 3u);
+  EXPECT_TRUE(stats->Balanced());
+  EXPECT_EQ((*pipeline)->records_seen(), 3u);
+}
+
 TEST_F(PipelineTest, WatchdogTripsBreakerOnStalledBatch) {
   StreamPipelineConfig config = Config();
   config.batch_deadline_ms = 30.0;
