@@ -1,7 +1,9 @@
-// P1-P5: google-benchmark microbenchmarks for the computational kernels —
+// P1-P6: google-benchmark microbenchmarks for the computational kernels —
 // the Jacobi eigensolver, static condensation, dynamic ingest, anonymized
-// data generation, nearest-neighbour search — and the text codecs that
-// carry a release in and out (CSV, pools).
+// data generation, nearest-neighbour search — the text codecs that carry
+// a release in and out (CSV, pools), and query engine execution.
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,9 @@
 #include "index/kdtree.h"
 #include "linalg/eigen.h"
 #include "mining/knn.h"
+#include "query/engine.h"
+#include "query/query.h"
+#include "query/snapshot.h"
 
 namespace {
 
@@ -338,6 +343,70 @@ void BM_SerializePools(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_SerializePools)->Unit(benchmark::kMillisecond);
+
+// P6: query engine execution on the query_serve shape — a k = 10
+// condensation of the codec dataset, about 10k groups in 3 labeled
+// pools — one case per kind: classify 32 points against 3 neighbours,
+// aggregate over the half-space below the median centroid on dimension
+// 0, and regenerate one record per group in a window of 1/8% of the
+// groups, with every factorization already cached.
+const condensa::query::QuerySnapshot& QuerySnapshotFixture() {
+  static const condensa::query::QuerySnapshot snapshot = [] {
+    condensa::core::CondensationConfig config;
+    config.group_size = 10;
+    Rng rng(23);
+    auto pools = condensa::core::CondensationEngine(config).Condense(
+        CodecDataset(), rng);
+    CONDENSA_CHECK(pools.ok());
+    return condensa::query::SnapshotFromPools(*pools);
+  }();
+  return snapshot;
+}
+
+void BM_QueryExecute(benchmark::State& state) {
+  using condensa::query::QueryKind;
+  const condensa::query::QuerySnapshot& snapshot = QuerySnapshotFixture();
+  std::vector<double> centers;
+  for (const condensa::query::LabeledGroups& pool : snapshot.pools) {
+    for (const auto& group : pool.groups.groups()) {
+      centers.push_back(group.Centroid()[0]);
+    }
+  }
+  std::sort(centers.begin(), centers.end());
+
+  condensa::query::Query query;
+  query.kind = static_cast<QueryKind>(state.range(0));
+  switch (query.kind) {
+    case QueryKind::kClassify:
+      query.classify.points = MakeCloud(32, kCodecDim, 24);
+      query.classify.neighbors = 3;
+      break;
+    case QueryKind::kAggregate:
+      query.aggregate.range.bounds.push_back(
+          {0, centers.front(), centers[centers.size() / 2]});
+      break;
+    case QueryKind::kRegenerate: {
+      const std::size_t width = std::max<std::size_t>(1, centers.size() / 800);
+      const std::size_t lo = centers.size() / 3;
+      query.regenerate.range.bounds.push_back(
+          {0, centers[lo], centers[lo + width - 1]});
+      query.regenerate.records_per_group = 1;
+      query.regenerate.seed = 5;
+      break;
+    }
+  }
+  condensa::query::QueryEngineOptions options;
+  options.eigen_cache_capacity = snapshot.TotalGroups();
+  condensa::query::QueryEngine engine(options);
+  CONDENSA_CHECK(engine.Execute(snapshot, query).ok());  // warm the cache
+  for (auto _ : state) {
+    auto result = engine.Execute(snapshot, query);
+    CONDENSA_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->snapshot_version);
+  }
+  state.SetLabel(condensa::query::QueryKindName(query.kind));
+}
+BENCHMARK(BM_QueryExecute)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

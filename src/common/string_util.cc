@@ -33,12 +33,12 @@ std::string_view NextToken(std::string_view* text) {
   return token;
 }
 
-std::string_view NextLine(std::string_view* text) {
-  const std::size_t newline = text->find('\n');
-  const std::string_view line = text->substr(0, newline);
-  text->remove_prefix(newline == std::string_view::npos ? text->size()
-                                                        : newline + 1);
-  return line;
+std::string_view NextField(std::string_view* text, char separator) {
+  const std::size_t end = text->find(separator);
+  const std::string_view field = text->substr(0, end);
+  text->remove_prefix(end == std::string_view::npos ? text->size()
+                                                    : end + 1);
+  return field;
 }
 
 void AppendDouble(std::string& out, double value) {

@@ -23,9 +23,15 @@ std::string_view StripWhitespace(std::string_view text);
 // `*text` past it; returns an empty view when only whitespace is left.
 std::string_view NextToken(std::string_view* text);
 
+// Returns the text of `*text` before the first `separator` (all of
+// `*text` when it has none) and advances `*text` past the separator.
+std::string_view NextField(std::string_view* text, char separator);
+
 // Returns the first line of `*text` without its '\n' (all of `*text`
 // when it has none) and advances `*text` past the newline.
-std::string_view NextLine(std::string_view* text);
+inline std::string_view NextLine(std::string_view* text) {
+  return NextField(text, '\n');
+}
 
 // Appends the shortest decimal form of `value` that parses back to the
 // same bits (std::to_chars): 0.1 -> "0.1", 1e22 -> "1e+22", -0 -> "-0",

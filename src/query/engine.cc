@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
@@ -10,8 +11,8 @@
 #include "core/anonymizer.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
+#include "query/wire.h"
 #include "simd/distance.h"
-#include "simd/record_block.h"
 
 namespace condensa::query {
 namespace {
@@ -164,38 +165,16 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
         "snapshot holds no labeled pools to classify against");
   }
 
-  // Pack each labeled pool's centroids into blocked-SoA storage once per
-  // call: every query point then scans a pool with one batch-distance
-  // kernel call instead of a per-group virtual stride. The kernel's
-  // per-record sum runs in dimension order over (centroid - point)
-  // differences; GroupStatistics::SquaredDistanceToCentroid sums
-  // (point - centroid) in the same order, and IEEE negation is exact, so
-  // the distances — and hence the votes — are bit-identical to the
-  // scalar path.
-  struct PoolBlock {
-    std::size_t pool = 0;
-    int label = -1;
-    simd::RecordBlock centroids{0};
-    std::vector<std::uint64_t> mass;
-  };
-  std::vector<PoolBlock> pool_blocks;
+  // Every query point scans each labeled pool's packed centroids
+  // (built once with the snapshot) with one batch-distance kernel call.
+  // The kernel's per-record sum runs in dimension order over
+  // (centroid - point) differences; GroupStatistics::
+  // SquaredDistanceToCentroid sums (point - centroid) in the same order,
+  // and IEEE negation is exact, so the distances — and hence the votes —
+  // are bit-identical to the scalar path.
   std::size_t max_groups = 0;
-  for (std::size_t p = 0; p < snapshot.pools.size(); ++p) {
-    const LabeledGroups& pool = snapshot.pools[p];
-    if (pool.label < 0 || pool.groups.num_groups() == 0) continue;
-    PoolBlock block;
-    block.pool = p;
-    block.label = pool.label;
-    block.centroids = simd::RecordBlock(snapshot.dim);
-    block.centroids.Reserve(pool.groups.num_groups());
-    block.mass.reserve(pool.groups.num_groups());
-    for (std::size_t g = 0; g < pool.groups.num_groups(); ++g) {
-      const core::GroupStatistics& group = pool.groups.group(g);
-      block.centroids.Append(group.Centroid());
-      block.mass.push_back(group.count());
-    }
+  for (const LabeledGroups& pool : snapshot.pools) {
     max_groups = std::max(max_groups, pool.groups.num_groups());
-    pool_blocks.push_back(std::move(block));
   }
 
   ClassifyResult result;
@@ -212,9 +191,12 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
           " but the snapshot has " + std::to_string(snapshot.dim));
     }
     nearest.clear();
-    for (const PoolBlock& block : pool_blocks) {
-      simd::SquaredDistanceBatch(block.centroids, point.data(), dist.data());
-      for (std::size_t g = 0; g < block.centroids.size(); ++g) {
+    for (std::size_t p = 0; p < snapshot.pools.size(); ++p) {
+      const LabeledGroups& pool = snapshot.pools[p];
+      if (pool.label < 0 || pool.groups.empty()) continue;
+      const PackedCentroids& packed = pool.packed();
+      simd::SquaredDistanceBatch(packed.centroids, point.data(), dist.data());
+      for (std::size_t g = 0; g < packed.centroids.size(); ++g) {
         const double d2 = dist[g];
         // Once the heap is full a strictly-greater distance can never
         // win — only an equal one can, via the (pool, group) tie-break —
@@ -223,7 +205,7 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
             d2 > nearest.front().distance_squared) {
           continue;
         }
-        Neighbor candidate{d2, block.pool, g, block.label, block.mass[g]};
+        Neighbor candidate{d2, p, g, pool.label, packed.mass[g]};
         if (nearest.size() < query.neighbors) {
           nearest.push_back(candidate);
           std::push_heap(nearest.begin(), nearest.end());
@@ -265,16 +247,17 @@ StatusOr<AggregateResult> QueryEngine::ExecuteAggregate(
   // order.
   core::GroupStatistics folded(snapshot.dim);
   AggregateResult result;
+  std::vector<std::size_t> selected;
   for (const LabeledGroups& pool : snapshot.pools) {
     if (context.Expired()) {
       return DeadlineExpired("aggregate");
     }
-    for (std::size_t g = 0; g < pool.groups.num_groups(); ++g) {
-      const core::GroupStatistics& group = pool.groups.group(g);
-      if (!query.range.Matches(group.Centroid())) continue;
-      folded.Merge(group);
-      ++result.groups_matched;
+    selected.clear();
+    query.range.Select(pool.packed().centroids, &selected);
+    for (std::size_t g : selected) {
+      folded.Merge(pool.groups.group(g));
     }
+    result.groups_matched += selected.size();
   }
   result.records = folded.count();
   if (!folded.empty()) {
@@ -290,43 +273,74 @@ StatusOr<RegenerateResult> QueryEngine::ExecuteRegenerate(
     const ExecutionContext& context) {
   CONDENSA_RETURN_IF_ERROR(query.range.Validate(snapshot.dim));
 
+  // Select from the packed centroids first: the answer's size is known
+  // before any record is sampled, so the caps refuse it up front.
+  std::vector<const core::GroupStatistics*> selected;
+  std::vector<std::size_t> rows;
+  for (const LabeledGroups& pool : snapshot.pools) {
+    rows.clear();
+    query.range.Select(pool.packed().centroids, &rows);
+    for (std::size_t g : rows) {
+      selected.push_back(&pool.groups.group(g));
+    }
+  }
+  auto records_for = [&query](const core::GroupStatistics& group) {
+    return query.records_per_group > 0 ? query.records_per_group
+                                       : group.count();
+  };
+  std::uint64_t total = 0;
+  for (const core::GroupStatistics* group : selected) {
+    const std::uint64_t count = records_for(*group);
+    total = count > UINT64_MAX - total ? UINT64_MAX : total + count;
+  }
+  if (context.max_regenerate_records > 0 &&
+      total > context.max_regenerate_records) {
+    return ResourceExhaustedError(
+        "regenerate answer of " + std::to_string(total) +
+        " records exceeds the cap of " +
+        std::to_string(context.max_regenerate_records));
+  }
+  if (context.max_regenerate_bytes > 0) {
+    const std::uint64_t bytes = RegenerateResultBytes(total, snapshot.dim);
+    if (bytes > context.max_regenerate_bytes) {
+      return ResourceExhaustedError(
+          "regenerate answer of " + std::to_string(bytes) +
+          " bytes exceeds the cap of " +
+          std::to_string(context.max_regenerate_bytes));
+    }
+  }
+
   RegenerateResult result;
   // One substream per selected group, split in selection order — the
   // same discipline as Anonymizer::Generate, so the output is a pure
   // function of (snapshot, query).
   Rng rng(query.seed);
-  for (const LabeledGroups& pool : snapshot.pools) {
-    for (std::size_t g = 0; g < pool.groups.num_groups(); ++g) {
-      const core::GroupStatistics& group = pool.groups.group(g);
-      linalg::Vector centroid = group.Centroid();
-      if (!query.range.Matches(centroid)) continue;
-      // Checked per selected group, BEFORE paying for a factorization:
-      // the eigendecomposition is the expensive unit of regenerate work.
-      if (context.Expired()) {
-        return DeadlineExpired("regenerate");
+  for (const core::GroupStatistics* group : selected) {
+    // Checked per selected group, BEFORE paying for a factorization:
+    // the eigendecomposition is the expensive unit of regenerate work.
+    if (context.Expired()) {
+      return DeadlineExpired("regenerate");
+    }
+    ++result.groups_matched;
+    Rng stream = rng.Split();
+    const std::size_t count = records_for(*group);
+    linalg::Vector centroid = group->Centroid();
+    if (group->count() == 1) {
+      // Zero covariance: the centroid is the exact record; no
+      // factorization exists to cache.
+      for (std::size_t i = 0; i < count; ++i) {
+        result.records.push_back(centroid);
       }
-      ++result.groups_matched;
-      Rng stream = rng.Split();
-      const std::size_t count = query.records_per_group > 0
-                                    ? query.records_per_group
-                                    : group.count();
-      if (group.count() == 1) {
-        // Zero covariance: the centroid is the exact record; no
-        // factorization exists to cache.
-        for (std::size_t i = 0; i < count; ++i) {
-          result.records.push_back(centroid);
-        }
-        continue;
-      }
-      CONDENSA_ASSIGN_OR_RETURN(
-          std::shared_ptr<const linalg::EigenDecomposition> eigen,
-          cache_.Get(group));
-      std::vector<linalg::Vector> sampled = core::SampleFromEigen(
-          centroid, *eigen, count, core::SamplingDistribution::kUniform,
-          stream);
-      for (linalg::Vector& record : sampled) {
-        result.records.push_back(std::move(record));
-      }
+      continue;
+    }
+    CONDENSA_ASSIGN_OR_RETURN(
+        std::shared_ptr<const linalg::EigenDecomposition> eigen,
+        cache_.Get(*group));
+    std::vector<linalg::Vector> sampled = core::SampleFromEigen(
+        centroid, *eigen, count, core::SamplingDistribution::kUniform,
+        stream);
+    for (linalg::Vector& record : sampled) {
+      result.records.push_back(std::move(record));
     }
   }
   return result;

@@ -17,12 +17,18 @@
 // paying for an eigendecomposition) — and abandons the request with
 // kUnavailable the moment it expires, so a pile of slow regenerations
 // cannot hold a session slot past the time the client stopped waiting.
+//
+// Selection reads only each pool's packed centroids (snapshot.h):
+// classify scans them with the batch-distance kernels, aggregate and
+// regenerate test the range against them, and regenerate builds a
+// centroid Vector only for the groups it selected.
 
 #ifndef CONDENSA_QUERY_ENGINE_H_
 #define CONDENSA_QUERY_ENGINE_H_
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "common/status.h"
@@ -41,6 +47,14 @@ struct QueryEngineOptions {
 struct ExecutionContext {
   // Absolute deadline on the engine's own steady clock; nullopt = none.
   std::optional<std::chrono::steady_clock::time_point> deadline;
+  // Caps on a regenerate answer: its record count, and its encoded size
+  // (RegenerateResultBytes). Checked once the groups are selected, before
+  // any record is sampled; an answer above either is refused with
+  // kResourceExhausted. 0 = uncapped, as for in-process callers; the
+  // query server sets the wire's limits, so it never builds an answer it
+  // could not frame.
+  std::uint64_t max_regenerate_records = 0;
+  std::uint64_t max_regenerate_bytes = 0;
 
   bool Expired() const {
     return deadline.has_value() && std::chrono::steady_clock::now() >= *deadline;
@@ -60,8 +74,10 @@ class QueryEngine {
   // Answers `query` against `snapshot`. kInvalidArgument for malformed
   // queries (dim mismatches, bad ranges, neighbors == 0);
   // kFailedPrecondition for queries the snapshot cannot answer (empty,
-  // or classify without labeled pools); kUnavailable when the context
-  // deadline expires mid-execution (the partial answer is discarded).
+  // or classify without labeled pools); kResourceExhausted for a
+  // regenerate answer above the context's caps; kUnavailable when the
+  // context deadline expires mid-execution (the partial answer is
+  // discarded).
   StatusOr<QueryResult> Execute(const QuerySnapshot& snapshot,
                                 const Query& query,
                                 const ExecutionContext& context = {});

@@ -1,8 +1,8 @@
 #include "query/query.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
+
+#include "common/string_util.h"
 
 namespace condensa::query {
 
@@ -15,14 +15,27 @@ const char* QueryKindName(QueryKind kind) {
   return "unknown";
 }
 
-bool RangePredicate::Matches(const linalg::Vector& centroid) const {
-  for (const Bound& bound : bounds) {
-    const double value = centroid[bound.dim];
-    if (value < bound.lo || value > bound.hi) {
-      return false;
+void RangePredicate::Select(const simd::RecordBlock& centroids,
+                            std::vector<std::size_t>* selected) const {
+  constexpr std::size_t kLane = simd::RecordBlock::kLane;
+  for (std::size_t b = 0; b < centroids.num_blocks(); ++b) {
+    // Dimension-major within a block: coordinate d of lane l sits at
+    // block[d * kLane + l].
+    const double* block = centroids.BlockData(b);
+    const std::size_t first = b * kLane;
+    const std::size_t lanes = std::min(kLane, centroids.size() - first);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      bool inside = true;
+      for (const Bound& bound : bounds) {
+        const double value = block[bound.dim * kLane + lane];
+        if (value < bound.lo || value > bound.hi) {
+          inside = false;
+          break;
+        }
+      }
+      if (inside) selected->push_back(first + lane);
     }
   }
-  return true;
 }
 
 Status RangePredicate::Validate(std::size_t dim) const {
@@ -43,53 +56,46 @@ Status RangePredicate::Validate(std::size_t dim) const {
 
 namespace {
 
-Status ParseBound(const std::string& part, RangePredicate::Bound* bound) {
-  std::istringstream in(part);
-  std::string dim_text, lo_text, hi_text;
-  if (!std::getline(in, dim_text, ':') || !std::getline(in, lo_text, ':') ||
-      !std::getline(in, hi_text) || dim_text.empty() || lo_text.empty() ||
-      hi_text.empty()) {
-    return InvalidArgumentError("bad range bound '" + part +
+Status ParseBound(std::string_view part, RangePredicate::Bound* bound) {
+  std::string_view rest = part;
+  const std::string_view dim_text = NextField(&rest, ':');
+  const std::string_view lo_text = NextField(&rest, ':');
+  const std::string_view hi_text = rest;
+  if (dim_text.empty() || lo_text.empty() || hi_text.empty()) {
+    return InvalidArgumentError("bad range bound '" + std::string(part) +
                                 "' (want dim:lo:hi)");
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long dim = std::strtoull(dim_text.c_str(), &end, 10);
-  if (errno != 0 || end == dim_text.c_str() || *end != '\0') {
-    return InvalidArgumentError("bad range dimension '" + dim_text + "'");
+  if (!ParseSize(dim_text, &bound->dim)) {
+    return InvalidArgumentError("bad range dimension '" +
+                                std::string(dim_text) + "'");
   }
-  const double lo = std::strtod(lo_text.c_str(), &end);
-  if (end == lo_text.c_str() || *end != '\0') {
-    return InvalidArgumentError("bad range lower bound '" + lo_text + "'");
+  if (!ParseDouble(lo_text, &bound->lo)) {
+    return InvalidArgumentError("bad range lower bound '" +
+                                std::string(lo_text) + "'");
   }
-  const double hi = std::strtod(hi_text.c_str(), &end);
-  if (end == hi_text.c_str() || *end != '\0') {
-    return InvalidArgumentError("bad range upper bound '" + hi_text + "'");
+  if (!ParseDouble(hi_text, &bound->hi)) {
+    return InvalidArgumentError("bad range upper bound '" +
+                                std::string(hi_text) + "'");
   }
-  bound->dim = static_cast<std::size_t>(dim);
-  bound->lo = lo;
-  bound->hi = hi;
   return OkStatus();
 }
 
 }  // namespace
 
-StatusOr<RangePredicate> ParseRangeSpec(const std::string& spec) {
+StatusOr<RangePredicate> ParseRangeSpec(std::string_view spec) {
   RangePredicate range;
   if (spec.empty()) {
     return range;
   }
-  // getline never yields the empty segment after a trailing comma, so
-  // catch it here instead of silently accepting "0:1:2,".
+  // NextField leaves nothing to parse after a trailing comma, so catch it
+  // here instead of silently accepting "0:1:2,".
   if (spec.back() == ',') {
-    return InvalidArgumentError("trailing ',' in range spec '" + spec +
-                                "'");
+    return InvalidArgumentError("trailing ',' in range spec '" +
+                                std::string(spec) + "'");
   }
-  std::istringstream in(spec);
-  std::string part;
-  while (std::getline(in, part, ',')) {
+  while (!spec.empty()) {
     RangePredicate::Bound bound;
-    CONDENSA_RETURN_IF_ERROR(ParseBound(part, &bound));
+    CONDENSA_RETURN_IF_ERROR(ParseBound(NextField(&spec, ','), &bound));
     range.bounds.push_back(bound);
   }
   return range;

@@ -25,11 +25,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "simd/record_block.h"
 
 namespace condensa::query {
 
@@ -50,14 +52,21 @@ struct RangePredicate {
   };
   std::vector<Bound> bounds;
 
-  bool Matches(const linalg::Vector& centroid) const;
+  // Appends to `selected`, in ascending order, the index of every row of
+  // `centroids` (a pool's packed group centroids) that lies inside the
+  // box. The predicate must have passed Validate(centroids.dim()).
+  void Select(const simd::RecordBlock& centroids,
+              std::vector<std::size_t>* selected) const;
   // Bounds must name dims < `dim` and satisfy lo <= hi.
   Status Validate(std::size_t dim) const;
 };
 
 // Parses the CLI range syntax "dim:lo:hi[,dim:lo:hi...]" ("" = match
-// all). kInvalidArgument on malformed specs.
-StatusOr<RangePredicate> ParseRangeSpec(const std::string& spec);
+// all). The numbers follow the grammar of every other numeric text
+// field (ParseSize for dim, ParseDouble for the endpoints): decimal
+// only, so a sign on dim, hex and out-of-range values are rejected.
+// kInvalidArgument on malformed specs.
+StatusOr<RangePredicate> ParseRangeSpec(std::string_view spec);
 
 struct ClassifyQuery {
   // Points to classify; every point must have the snapshot's dim.

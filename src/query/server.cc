@@ -6,6 +6,7 @@
 
 #include "common/failpoint.h"
 #include "net/frame.h"
+#include "net/wire.h"
 #include "obs/metrics.h"
 #include "query/wire.h"
 
@@ -151,6 +152,10 @@ Status QueryServer::HandleQuery(net::TcpConnection& conn,
     budget_ms = config_.default_deadline_ms;
   }
   ExecutionContext context;
+  // A regenerate answer must fit one reply frame: refuse a bigger one
+  // before it is sampled rather than fail to frame it afterwards.
+  context.max_regenerate_records = net::kMaxRecordsPerSubmit;
+  context.max_regenerate_bytes = net::kMaxFramePayload;
   if (budget_ms > 0.0) {
     context.deadline =
         received + std::chrono::duration_cast<
@@ -208,9 +213,20 @@ Status QueryServer::HandleQuery(net::TcpConnection& conn,
             .GetCounter("condensa_query_stale_served_total")
             .Increment();
       }
-      send = conn.SendFrame(net::FrameType::kQueryResult,
-                            EncodeQueryResult(*result),
-                            config_.io_timeout_ms);
+      const std::string reply = EncodeQueryResult(*result);
+      if (reply.size() > net::kMaxFramePayload) {
+        // Only an answer the caps above do not bound (an aggregate's
+        // d x d covariance at a very large d) can get here.
+        net::SendErrorFrame(
+            conn,
+            ResourceExhaustedError("answer of " +
+                                   std::to_string(reply.size()) +
+                                   " bytes exceeds the frame cap"),
+            config_.io_timeout_ms);
+      } else {
+        send = conn.SendFrame(net::FrameType::kQueryResult, reply,
+                              config_.io_timeout_ms);
+      }
     }
   }
   ticket.reset();

@@ -6,6 +6,22 @@
 
 namespace condensa::query {
 
+PackedCentroids::PackedCentroids(const core::CondensedGroupSet& groups)
+    : centroids(groups.dim()) {
+  centroids.Reserve(groups.num_groups());
+  mass.reserve(groups.num_groups());
+  for (const core::GroupStatistics& group : groups.groups()) {
+    centroids.AppendQuotient(group.first_order().data(),
+                             static_cast<double>(group.count()));
+    mass.push_back(group.count());
+  }
+}
+
+LabeledGroups::LabeledGroups(int label, core::CondensedGroupSet groups)
+    : label(label),
+      groups(std::move(groups)),
+      packed_(std::make_shared<const PackedCentroids>(this->groups)) {}
+
 std::size_t QuerySnapshot::TotalGroups() const {
   std::size_t total = 0;
   for (const LabeledGroups& pool : pools) {
@@ -35,7 +51,7 @@ QuerySnapshot SnapshotFromGroupSet(const core::CondensedGroupSet& groups) {
   QuerySnapshot snapshot;
   snapshot.dim = groups.dim();
   snapshot.records_seen = groups.TotalRecords();
-  snapshot.pools.push_back(LabeledGroups{-1, groups});
+  snapshot.pools.emplace_back(-1, groups);
   return snapshot;
 }
 
@@ -45,7 +61,7 @@ QuerySnapshot SnapshotFromPools(const core::CondensedPools& pools) {
   snapshot.pools.reserve(pools.pools.size());
   for (const core::CondensedPools::Pool& pool : pools.pools) {
     snapshot.records_seen += pool.groups.TotalRecords();
-    snapshot.pools.push_back(LabeledGroups{pool.label, pool.groups});
+    snapshot.pools.emplace_back(pool.label, pool.groups);
   }
   return snapshot;
 }

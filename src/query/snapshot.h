@@ -10,7 +10,9 @@
 // stable group-set version end to end while ingest keeps moving
 // underneath — and the version stamps inside the copied groups keep the
 // eigendecomposition cache exact across snapshots (copying preserves
-// stamps; only real mutations mint new ones).
+// stamps; only real mutations mint new ones). Each pool also carries its
+// centroids packed once at construction (PackedCentroids), so no query
+// rebuilds them.
 
 #ifndef CONDENSA_QUERY_SNAPSHOT_H_
 #define CONDENSA_QUERY_SNAPSHOT_H_
@@ -24,15 +26,40 @@
 
 #include "core/condensed_group_set.h"
 #include "core/engine.h"
+#include "simd/record_block.h"
 
 namespace condensa::query {
+
+// A pool's group centroids packed once, when the pool is built, into
+// the blocked layout the batch-distance kernels scan. Row g is group g's
+// Fs / n, divided element by element exactly as
+// GroupStatistics::Centroid() divides, so every coordinate carries the
+// same bits; mass[g] is n(G). 8·(d+1) bytes per group.
+struct PackedCentroids {
+  explicit PackedCentroids(const core::CondensedGroupSet& groups);
+
+  simd::RecordBlock centroids;
+  std::vector<std::uint64_t> mass;
+};
 
 // One labeled pool of condensed groups. label -1 means unlabeled (a bare
 // group set, or a regression pool) — classify queries require at least
 // one pool with a real label.
-struct LabeledGroups {
-  int label = -1;
-  core::CondensedGroupSet groups;
+//
+// The pool and its packed centroids are read-only after construction, so
+// the view can never drift from the groups. Copies share the view: a
+// snapshot copied (or published) once is never repacked.
+class LabeledGroups {
+ public:
+  LabeledGroups(int label, core::CondensedGroupSet groups);
+
+  const int label;
+  const core::CondensedGroupSet groups;
+
+  const PackedCentroids& packed() const { return *packed_; }
+
+ private:
+  std::shared_ptr<const PackedCentroids> packed_;
 };
 
 struct QuerySnapshot {

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "net/wire.h"
 
 namespace condensa::query {
@@ -19,8 +20,21 @@ constexpr std::uint64_t kMaxPoints = net::kMaxRecordsPerSubmit;
 constexpr std::uint64_t kMaxDim = net::kMaxWireDim;
 constexpr std::uint32_t kMaxBounds = static_cast<std::uint32_t>(kMaxDim);
 
+// Fixed bytes of a regenerate result ahead of its packed records:
+// snapshot_version u64 + staleness f64 + kind u8 + groups_matched u64 +
+// dim u64 + count u32.
+constexpr std::uint64_t kRegenerateResultOverheadBytes = 8 + 8 + 1 + 8 + 8 + 4;
+
+// Writes an element count as the u32 the decoders read. A count past a
+// decoder's cap is refused by the peer; one past 2^32 would need
+// gigabytes of elements no frame can carry, so wrapping is a bug.
+void PutCount(WireWriter& writer, std::size_t count) {
+  CONDENSA_CHECK_LE(count, std::numeric_limits<std::uint32_t>::max());
+  writer.PutU32(static_cast<std::uint32_t>(count));
+}
+
 void EncodeBounds(WireWriter& writer, const RangePredicate& range) {
-  writer.PutU32(static_cast<std::uint32_t>(range.bounds.size()));
+  PutCount(writer, range.bounds.size());
   for (const RangePredicate::Bound& bound : range.bounds) {
     writer.PutU64(static_cast<std::uint64_t>(bound.dim));
     writer.PutDouble(bound.lo);
@@ -55,7 +69,7 @@ Status DecodeBounds(WireReader& reader, RangePredicate* range) {
 void EncodePoints(WireWriter& writer, std::uint64_t dim,
                   const std::vector<linalg::Vector>& points) {
   writer.PutU64(dim);
-  writer.PutU32(static_cast<std::uint32_t>(points.size()));
+  PutCount(writer, points.size());
   for (const linalg::Vector& point : points) {
     for (std::size_t i = 0; i < point.dim(); ++i) {
       writer.PutDouble(point[i]);
@@ -154,6 +168,12 @@ StatusOr<Query> DecodeQuery(std::string_view payload) {
       CONDENSA_RETURN_IF_ERROR(reader.ReadU64(&query.regenerate.seed));
       std::uint64_t per_group = 0;
       CONDENSA_RETURN_IF_ERROR(reader.ReadU64(&per_group));
+      // No answer with more records than this could come back in one
+      // frame, so refuse the request before it reaches the engine.
+      if (per_group > kMaxPoints) {
+        return DataLossError("records_per_group " + std::to_string(per_group) +
+                             " exceeds the cap");
+      }
       query.regenerate.records_per_group =
           static_cast<std::size_t>(per_group);
       break;
@@ -170,7 +190,7 @@ std::string EncodeQueryResult(const QueryResult& result) {
   writer.PutU8(static_cast<std::uint8_t>(result.kind));
   switch (result.kind) {
     case QueryKind::kClassify:
-      writer.PutU32(static_cast<std::uint32_t>(result.classify.labels.size()));
+      PutCount(writer, result.classify.labels.size());
       for (int label : result.classify.labels) {
         writer.PutU64(
             static_cast<std::uint64_t>(static_cast<std::int64_t>(label)));
@@ -205,6 +225,15 @@ std::string EncodeQueryResult(const QueryResult& result) {
     }
   }
   return writer.Take();
+}
+
+std::uint64_t RegenerateResultBytes(std::uint64_t records,
+                                    std::uint64_t dim) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kRoom = kMax - kRegenerateResultOverheadBytes;
+  if (records == 0 || dim == 0) return kRegenerateResultOverheadBytes;
+  if (records > kRoom / 8 / dim) return kMax;
+  return kRegenerateResultOverheadBytes + records * dim * 8;
 }
 
 StatusOr<QueryResult> DecodeQueryResult(std::string_view payload) {

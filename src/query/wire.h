@@ -10,6 +10,7 @@
 #ifndef CONDENSA_QUERY_WIRE_H_
 #define CONDENSA_QUERY_WIRE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -21,7 +22,16 @@ namespace condensa::query {
 std::string EncodeQuery(const Query& query);
 StatusOr<Query> DecodeQuery(std::string_view payload);
 
+// Every count the encoders write as a u32 is bounded by the cap its
+// decoder enforces (net::kMaxRecordsPerSubmit points, labels and
+// records; net::kMaxWireDim bounds), far below 2^32, so the casts never
+// wrap for a message the decoder would accept.
 std::string EncodeQueryResult(const QueryResult& result);
+
+// The exact size EncodeQueryResult gives a regenerate answer of
+// `records` records of `dim` coordinates, saturating at UINT64_MAX.
+std::uint64_t RegenerateResultBytes(std::uint64_t records,
+                                    std::uint64_t dim);
 StatusOr<QueryResult> DecodeQueryResult(std::string_view payload);
 
 }  // namespace condensa::query

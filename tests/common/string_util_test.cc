@@ -193,6 +193,19 @@ TEST(NextLineTest, SplitsOffOneLineAtATime) {
   EXPECT_TRUE(text.empty());
 }
 
+TEST(NextFieldTest, SplitsOnTheSeparatorOnly) {
+  std::string_view text = "0:-1.5: 2,";
+  EXPECT_EQ(NextField(&text, ':'), "0");
+  EXPECT_EQ(NextField(&text, ':'), "-1.5");
+  EXPECT_EQ(NextField(&text, ':'), " 2,");
+  EXPECT_TRUE(text.empty());
+  text = "a,,b";
+  EXPECT_EQ(NextField(&text, ','), "a");
+  EXPECT_EQ(NextField(&text, ','), "");
+  EXPECT_EQ(NextField(&text, ','), "b");
+  EXPECT_EQ(NextField(&text, ','), "");
+}
+
 TEST(ParseIntTest, ParsesValidIntegers) {
   int v = 0;
   EXPECT_TRUE(ParseInt("42", &v));

@@ -15,6 +15,7 @@
 #include "linalg/vector.h"
 #include "query/query.h"
 #include "query/snapshot.h"
+#include "query/wire.h"
 
 namespace condensa::query {
 namespace {
@@ -335,6 +336,38 @@ TEST(QueryEngineTest, ParseRangeSpecRoundTrips) {
   EXPECT_FALSE(ParseRangeSpec("0:1").ok());
   EXPECT_FALSE(ParseRangeSpec(":1:2").ok());
   EXPECT_FALSE(ParseRangeSpec("0:1:2,").ok());
+}
+
+TEST(QueryEngineTest, RegenerateCapsRefuseTheAnswerBeforeSampling) {
+  QuerySnapshot snapshot = TwoClassSnapshot();  // 6 groups, d = 2
+  QueryEngine engine;
+  Query query;
+  query.kind = QueryKind::kRegenerate;
+  query.regenerate.records_per_group = 100;  // 600 records
+
+  ExecutionContext records_cap;
+  records_cap.max_regenerate_records = 599;
+  auto refused = engine.Execute(snapshot, query, records_cap);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+
+  ExecutionContext bytes_cap;
+  bytes_cap.max_regenerate_bytes = RegenerateResultBytes(600, 2) - 1;
+  refused = engine.Execute(snapshot, query, bytes_cap);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  // Refused before any factorization was looked up.
+  EXPECT_EQ(engine.eigen_cache().stats().misses, 0u);
+  EXPECT_EQ(engine.eigen_cache().stats().hits, 0u);
+
+  // At the caps, and uncapped (the in-process default), it is answered.
+  ExecutionContext at_caps;
+  at_caps.max_regenerate_records = 600;
+  at_caps.max_regenerate_bytes = RegenerateResultBytes(600, 2);
+  auto capped = engine.Execute(snapshot, query, at_caps);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped->regenerate.records.size(), 600u);
+  auto uncapped = engine.Execute(snapshot, query);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+  EXPECT_EQ(uncapped->regenerate.records.size(), 600u);
 }
 
 }  // namespace

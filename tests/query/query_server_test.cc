@@ -500,5 +500,60 @@ TEST_F(QueryServerTest, NonRetryableInBandErrorsAreNotRetried) {
   EXPECT_EQ(stats.attempts, 1u);  // deterministic error: one attempt only
 }
 
+TEST_F(QueryServerTest, OversizedRegenerateGetsAnErrorAndTheServerSurvives) {
+  // One d = 10 group: 900,000 records of it encode to ~72 MB, past the
+  // 64 MiB frame cap, and 2^20 + 1 is past the wire's record cap.
+  constexpr std::size_t kDim = 10;
+  Rng rng(15);
+  GroupStatistics group(kDim);
+  for (std::size_t r = 0; r < 4; ++r) {
+    Vector record(kDim);
+    for (std::size_t d = 0; d < kDim; ++d) record[d] = rng.Gaussian();
+    group.Add(record);
+  }
+  CondensedGroupSet groups(kDim, 4);
+  groups.AddGroup(std::move(group));
+  auto store = std::make_shared<SnapshotStore>();
+  QuerySnapshot snapshot;
+  snapshot.dim = kDim;
+  snapshot.pools.push_back({-1, std::move(groups)});
+  store->Publish(std::move(snapshot));
+  StartServer(store);
+
+  Query query;
+  query.kind = QueryKind::kRegenerate;
+  query.regenerate.records_per_group = 900000;
+  {
+    auto client = QueryClient::Connect("127.0.0.1", server_->port(), 2000.0);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto result = client->Execute(query, 5000.0);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status().ToString();
+
+    // Past the record cap the request itself is malformed.
+    query.regenerate.records_per_group = net::kMaxRecordsPerSubmit + 1;
+    result = client->Execute(query, 5000.0);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << result.status().ToString();
+  }
+
+  // The server is still up: a fresh connection gets answers, and the
+  // largest answer that fits a frame is served in full.
+  auto client = QueryClient::Connect("127.0.0.1", server_->port(), 2000.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Query aggregate;
+  aggregate.kind = QueryKind::kAggregate;
+  auto answer = client->Execute(aggregate, 5000.0);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->aggregate.records, 4u);
+
+  query.regenerate.records_per_group = 1000;
+  auto records = client->Execute(query, 5000.0);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records->regenerate.records.size(), 1000u);
+}
+
 }  // namespace
 }  // namespace condensa::query

@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "net/wire.h"
 #include "query/query.h"
 
 namespace condensa::query {
@@ -283,6 +289,328 @@ TEST_F(QueryWireFuzzTest, ResultDecoderSurvivesCorruption) {
       (void)DecodeQueryResult(saturated);
     }
   }
+}
+
+// Randomized round trips over the bit patterns the codecs must carry
+// untouched: NaN payloads of both signs, ±0, subnormals, infinities and
+// raw random bits; labels at INT_MIN/INT_MAX; full-width counters.
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double FromBits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+double RandomDouble(Rng& rng) {
+  switch (rng.UniformIndex(8)) {
+    case 0: return FromBits(0x7ff0000000000000ull | (rng.NextUint64() >> 12) |
+                            1);  // NaN with a random payload
+    case 1: return FromBits(0xfff8000000000000ull | (rng.NextUint64() >> 13));
+    case 2: return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    case 3: return FromBits(rng.NextUint64() & 0x800fffffffffffffull);  // subnormal
+    case 4: return rng.Bernoulli(0.5) ? std::numeric_limits<double>::infinity()
+                                      : -std::numeric_limits<double>::infinity();
+    default: return FromBits(rng.NextUint64());
+  }
+}
+
+// Deadline and staleness must be >= 0 and not NaN; -0 passes that test.
+double RandomBudget(Rng& rng) {
+  switch (rng.UniformIndex(4)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return FromBits(rng.NextUint64() & 0x000fffffffffffffull);
+    default: return std::abs(rng.Gaussian(0.0, 1e6));
+  }
+}
+
+Vector RandomPoint(std::size_t dim, Rng& rng) {
+  Vector point(dim);
+  for (std::size_t d = 0; d < dim; ++d) point[d] = RandomDouble(rng);
+  return point;
+}
+
+int RandomLabel(Rng& rng) {
+  switch (rng.UniformIndex(4)) {
+    case 0: return INT_MIN;
+    case 1: return INT_MAX;
+    case 2: return -1;
+    default: return static_cast<int>(static_cast<std::uint32_t>(rng.NextUint64()));
+  }
+}
+
+void ExpectSameBits(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.dim(), want.dim());
+  for (std::size_t d = 0; d < want.dim(); ++d) {
+    EXPECT_EQ(Bits(got[d]), Bits(want[d]));
+  }
+}
+
+void ExpectSameBounds(const RangePredicate& got, const RangePredicate& want) {
+  ASSERT_EQ(got.bounds.size(), want.bounds.size());
+  for (std::size_t b = 0; b < want.bounds.size(); ++b) {
+    EXPECT_EQ(got.bounds[b].dim, want.bounds[b].dim);
+    EXPECT_EQ(Bits(got.bounds[b].lo), Bits(want.bounds[b].lo));
+    EXPECT_EQ(Bits(got.bounds[b].hi), Bits(want.bounds[b].hi));
+  }
+}
+
+RangePredicate RandomRange(Rng& rng) {
+  RangePredicate range;
+  const std::size_t count = rng.UniformIndex(5);
+  for (std::size_t b = 0; b < count; ++b) {
+    range.bounds.push_back(
+        {static_cast<std::size_t>(rng.NextUint64()), RandomDouble(rng),
+         RandomDouble(rng)});
+  }
+  return range;
+}
+
+TEST(QueryWireRandomTest, QueriesRoundTripBitExactly) {
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    Query query;
+    query.kind = static_cast<QueryKind>(rng.UniformIndex(3));
+    query.deadline_ms = RandomBudget(rng);
+    const std::size_t dim = rng.UniformIndex(6);
+    switch (query.kind) {
+      case QueryKind::kClassify: {
+        query.classify.neighbors = rng.NextUint64();
+        const std::size_t points = dim == 0 ? 0 : rng.UniformIndex(6);
+        for (std::size_t p = 0; p < points; ++p) {
+          query.classify.points.push_back(RandomPoint(dim, rng));
+        }
+        break;
+      }
+      case QueryKind::kAggregate:
+        query.aggregate.range = RandomRange(rng);
+        break;
+      case QueryKind::kRegenerate:
+        query.regenerate.range = RandomRange(rng);
+        query.regenerate.seed = rng.NextUint64();
+        query.regenerate.records_per_group =
+            rng.UniformIndex(net::kMaxRecordsPerSubmit + 1);
+        break;
+    }
+    auto decoded = DecodeQuery(EncodeQuery(query));
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded->kind, query.kind);
+    EXPECT_EQ(Bits(decoded->deadline_ms), Bits(query.deadline_ms));
+    EXPECT_EQ(decoded->classify.neighbors, query.classify.neighbors);
+    ASSERT_EQ(decoded->classify.points.size(), query.classify.points.size());
+    for (std::size_t p = 0; p < query.classify.points.size(); ++p) {
+      ExpectSameBits(decoded->classify.points[p], query.classify.points[p]);
+    }
+    ExpectSameBounds(decoded->aggregate.range, query.aggregate.range);
+    ExpectSameBounds(decoded->regenerate.range, query.regenerate.range);
+    EXPECT_EQ(decoded->regenerate.seed, query.regenerate.seed);
+    EXPECT_EQ(decoded->regenerate.records_per_group,
+              query.regenerate.records_per_group);
+  }
+}
+
+TEST(QueryWireRandomTest, ResultsRoundTripBitExactly) {
+  Rng rng(18);
+  for (int trial = 0; trial < 300; ++trial) {
+    QueryResult result;
+    result.kind = static_cast<QueryKind>(rng.UniformIndex(3));
+    result.snapshot_version = rng.NextUint64();
+    result.staleness_ms = RandomBudget(rng);
+    const std::size_t dim = rng.UniformIndex(6);
+    switch (result.kind) {
+      case QueryKind::kClassify:
+        for (std::size_t i = rng.UniformIndex(8); i > 0; --i) {
+          result.classify.labels.push_back(RandomLabel(rng));
+        }
+        break;
+      case QueryKind::kAggregate:
+        result.aggregate.groups_matched = rng.NextUint64();
+        result.aggregate.records = rng.NextUint64();
+        result.aggregate.has_moments = rng.Bernoulli(0.75);
+        if (result.aggregate.has_moments) {
+          result.aggregate.mean = RandomPoint(dim, rng);
+          result.aggregate.covariance = Matrix(dim, dim);
+          for (std::size_t i = 0; i < dim; ++i) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              result.aggregate.covariance(i, j) = RandomDouble(rng);
+            }
+          }
+        }
+        break;
+      case QueryKind::kRegenerate: {
+        result.regenerate.groups_matched = rng.NextUint64();
+        const std::size_t records = dim == 0 ? 0 : rng.UniformIndex(6);
+        for (std::size_t r = 0; r < records; ++r) {
+          result.regenerate.records.push_back(RandomPoint(dim, rng));
+        }
+        break;
+      }
+    }
+    const std::string payload = EncodeQueryResult(result);
+    if (result.kind == QueryKind::kRegenerate) {
+      EXPECT_EQ(payload.size(),
+                RegenerateResultBytes(result.regenerate.records.size(), dim));
+    }
+    auto decoded = DecodeQueryResult(payload);
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded->kind, result.kind);
+    EXPECT_EQ(decoded->snapshot_version, result.snapshot_version);
+    EXPECT_EQ(Bits(decoded->staleness_ms), Bits(result.staleness_ms));
+    EXPECT_EQ(decoded->classify.labels, result.classify.labels);
+    const AggregateResult& agg = decoded->aggregate;
+    EXPECT_EQ(agg.groups_matched, result.aggregate.groups_matched);
+    EXPECT_EQ(agg.records, result.aggregate.records);
+    ASSERT_EQ(agg.has_moments, result.aggregate.has_moments);
+    if (agg.has_moments) {
+      ExpectSameBits(agg.mean, result.aggregate.mean);
+      for (std::size_t i = 0; i < dim; ++i) {
+        for (std::size_t j = 0; j < dim; ++j) {
+          EXPECT_EQ(Bits(agg.covariance(i, j)),
+                    Bits(result.aggregate.covariance(i, j)));
+        }
+      }
+    }
+    EXPECT_EQ(decoded->regenerate.groups_matched,
+              result.regenerate.groups_matched);
+    ASSERT_EQ(decoded->regenerate.records.size(),
+              result.regenerate.records.size());
+    for (std::size_t r = 0; r < result.regenerate.records.size(); ++r) {
+      ExpectSameBits(decoded->regenerate.records[r],
+                     result.regenerate.records[r]);
+    }
+  }
+}
+
+// Each cap round-trips at its value and is refused one above it.
+bool RefusedOverCap(const Status& status) {
+  return status.code() == StatusCode::kDataLoss &&
+         status.message().find("exceeds the cap") != std::string::npos;
+}
+
+TEST(QueryWireCapTest, ClassifyPointCountCap) {
+  Query query;
+  query.kind = QueryKind::kClassify;
+  // Zero-dimensional points keep a cap-sized payload small.
+  query.classify.points.resize(net::kMaxRecordsPerSubmit);
+  auto at_cap = DecodeQuery(EncodeQuery(query));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->classify.points.size(), net::kMaxRecordsPerSubmit);
+
+  query.classify.points.emplace_back();
+  EXPECT_TRUE(RefusedOverCap(DecodeQuery(EncodeQuery(query)).status()));
+}
+
+TEST(QueryWireCapTest, ClassifyPointDimensionCap) {
+  Query query;
+  query.kind = QueryKind::kClassify;
+  query.classify.points.push_back(Vector(net::kMaxWireDim));
+  auto at_cap = DecodeQuery(EncodeQuery(query));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->classify.points[0].dim(), net::kMaxWireDim);
+
+  query.classify.points[0] = Vector(net::kMaxWireDim + 1);
+  EXPECT_TRUE(RefusedOverCap(DecodeQuery(EncodeQuery(query)).status()));
+}
+
+TEST(QueryWireCapTest, RangeBoundCountCap) {
+  Query query;
+  query.kind = QueryKind::kAggregate;
+  query.aggregate.range.bounds.resize(net::kMaxWireDim);
+  auto at_cap = DecodeQuery(EncodeQuery(query));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->aggregate.range.bounds.size(), net::kMaxWireDim);
+
+  query.aggregate.range.bounds.emplace_back();
+  EXPECT_TRUE(RefusedOverCap(DecodeQuery(EncodeQuery(query)).status()));
+}
+
+TEST(QueryWireCapTest, RecordsPerGroupCap) {
+  Query query;
+  query.kind = QueryKind::kRegenerate;
+  query.regenerate.records_per_group = net::kMaxRecordsPerSubmit;
+  auto at_cap = DecodeQuery(EncodeQuery(query));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->regenerate.records_per_group, net::kMaxRecordsPerSubmit);
+
+  query.regenerate.records_per_group = net::kMaxRecordsPerSubmit + 1;
+  EXPECT_TRUE(RefusedOverCap(DecodeQuery(EncodeQuery(query)).status()));
+}
+
+TEST(QueryWireCapTest, ClassifyLabelCountCap) {
+  QueryResult result;
+  result.kind = QueryKind::kClassify;
+  result.classify.labels.assign(net::kMaxRecordsPerSubmit, INT_MIN);
+  auto at_cap = DecodeQueryResult(EncodeQueryResult(result));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->classify.labels, result.classify.labels);
+
+  result.classify.labels.push_back(INT_MAX);
+  EXPECT_TRUE(
+      RefusedOverCap(DecodeQueryResult(EncodeQueryResult(result)).status()));
+}
+
+TEST(QueryWireCapTest, RegenerateRecordCountCap) {
+  QueryResult result;
+  result.kind = QueryKind::kRegenerate;
+  result.regenerate.records.resize(net::kMaxRecordsPerSubmit);
+  auto at_cap = DecodeQueryResult(EncodeQueryResult(result));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->regenerate.records.size(), net::kMaxRecordsPerSubmit);
+
+  result.regenerate.records.emplace_back();
+  EXPECT_TRUE(
+      RefusedOverCap(DecodeQueryResult(EncodeQueryResult(result)).status()));
+}
+
+TEST(QueryWireCapTest, AggregateDimensionCap) {
+  // A cap-sized d x d covariance is 32 GiB, so patch the dimension field
+  // of a small answer instead: at the cap the decoder passes the cap check
+  // and stops at the missing bytes; one above, the cap refuses it.
+  QueryResult result;
+  result.kind = QueryKind::kAggregate;
+  result.aggregate.has_moments = true;
+  result.aggregate.mean = Vector(1);
+  result.aggregate.covariance = Matrix(1, 1);
+  const std::string payload = EncodeQueryResult(result);
+  // version u64, staleness f64, kind u8, groups u64, records u64,
+  // has_moments u8, then the dimension u64.
+  constexpr std::size_t kDimOffset = 8 + 8 + 1 + 8 + 8 + 1;
+  auto with_dim = [&](std::uint64_t dim) {
+    std::string patched = payload;
+    for (int byte = 0; byte < 8; ++byte) {
+      patched[kDimOffset + byte] = static_cast<char>((dim >> (8 * byte)) & 0xff);
+    }
+    return DecodeQueryResult(patched).status();
+  };
+  EXPECT_TRUE(with_dim(1).ok());
+  const Status at_cap = with_dim(net::kMaxWireDim);
+  EXPECT_EQ(at_cap.code(), StatusCode::kDataLoss);
+  EXPECT_NE(at_cap.message().find("truncated"), std::string::npos)
+      << at_cap.ToString();
+  EXPECT_TRUE(RefusedOverCap(with_dim(net::kMaxWireDim + 1)));
+}
+
+TEST(QueryWireCapTest, RegenerateResultBytesIsExactAndSaturates) {
+  for (std::size_t dim : {1u, 2u, 10u}) {
+    for (std::size_t records : {0u, 1u, 7u}) {
+      QueryResult result;
+      result.kind = QueryKind::kRegenerate;
+      result.regenerate.records.assign(records, Vector(dim));
+      EXPECT_EQ(EncodeQueryResult(result).size(),
+                RegenerateResultBytes(records, dim));
+    }
+  }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(RegenerateResultBytes(kMax, 10), kMax);
+  EXPECT_EQ(RegenerateResultBytes(kMax / 8, 2), kMax);
+  EXPECT_EQ(RegenerateResultBytes(kMax, 0), RegenerateResultBytes(0, 10));
 }
 
 }  // namespace

@@ -93,6 +93,13 @@ expect_code 2 "query bad op" "$CLI" query --groups=/tmp/x --op=frobnicate
 expect_code 2 "query classify without points" \
   "$CLI" query --groups=/tmp/x --op=classify
 expect_code 2 "query bad range" "$CLI" query --groups=/tmp/x --range=0:hi:lo
+# --range numbers follow the shared decimal grammar (ParseSize for the
+# dimension, ParseDouble for the endpoints): no hex, no overflow, no sign
+# on the dimension.
+for spec in 0:0x10:1 0x1:0:1 0:1e400:1 -1:0:1 +1:0:1 0:1:2, 0:1:2:3; do
+  expect_code 2 "query --range=$spec" \
+    "$CLI" query --groups=/tmp/x --range="$spec"
+done
 expect_code 2 "query bad connect" "$CLI" query --connect=nocolon
 expect_code 2 "query-server no snapshot source" "$CLI" query-server
 expect_code 2 "query-server bad port" \
@@ -137,6 +144,19 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     echo "ok: mdav snapshot carries its backend stamp"
   else
     echo "FAIL: mdav snapshot missing 'backend mdav 1' stamp" >&2
+    failures=$((failures + 1))
+  fi
+  # Regenerated records print in the CSV writer's number form, so stdout
+  # and --output carry the same bytes.
+  "$CLI" query --groups="$workdir/groups.bin" --op=regenerate --seed=3 \
+      --range=0:-inf:inf > "$workdir/regen-stdout.csv" 2> /dev/null
+  "$CLI" query --groups="$workdir/groups.bin" --op=regenerate --seed=3 \
+      --range=0:-inf:inf --output="$workdir/regen-file.csv" > /dev/null 2>&1
+  if [ -s "$workdir/regen-stdout.csv" ] &&
+      cmp -s "$workdir/regen-stdout.csv" "$workdir/regen-file.csv"; then
+    echo "ok: regenerate stdout matches --output byte for byte"
+  else
+    echo "FAIL: regenerate stdout differs from --output" >&2
     failures=$((failures + 1))
   fi
   "$CLI" query-server --groups="$workdir/groups.bin" --port=0 \

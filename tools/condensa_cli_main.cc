@@ -49,6 +49,7 @@
 
 namespace {
 
+using condensa::AppendDouble;
 using condensa::ParseDouble;
 using condensa::ParseInt;
 using condensa::StartsWith;
@@ -920,11 +921,16 @@ int PrintQueryResult(const condensa::query::Query& query,
           return 1;
         }
       } else {
+        // The CSV writer's number form: shortest round-trip digits.
+        std::string line;
         for (const auto& record : regen.records) {
+          line.clear();
           for (std::size_t d = 0; d < record.dim(); ++d) {
-            std::printf(d == 0 ? "%.17g" : ",%.17g", record[d]);
+            if (d > 0) line.push_back(',');
+            AppendDouble(line, record[d]);
           }
-          std::printf("\n");
+          line.push_back('\n');
+          std::fwrite(line.data(), 1, line.size(), stdout);
         }
       }
       break;
