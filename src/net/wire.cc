@@ -1,6 +1,10 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <limits>
+
+#include "common/check.h"
+#include "net/frame.h"
 
 namespace condensa::net {
 namespace {
@@ -104,8 +108,13 @@ void WireWriter::PutDouble(double value) {
   PutU64(bits);
 }
 
+void WireWriter::PutCount(std::size_t count) {
+  CONDENSA_CHECK_LE(count, std::numeric_limits<std::uint32_t>::max());
+  PutU32(static_cast<std::uint32_t>(count));
+}
+
 void WireWriter::PutString(std::string_view value) {
-  PutU32(static_cast<std::uint32_t>(value.size()));
+  PutCount(value.size());
   buffer_.append(value.data(), value.size());
 }
 
@@ -248,7 +257,7 @@ std::string EncodeSubmit(const SubmitMessage& msg) {
   WireWriter writer;
   writer.PutU64(msg.base_sequence);
   writer.PutU64(msg.dim);
-  writer.PutU32(static_cast<std::uint32_t>(msg.records.size()));
+  writer.PutCount(msg.records.size());
   for (const linalg::Vector& record : msg.records) {
     for (std::size_t i = 0; i < record.dim(); ++i) {
       writer.PutDouble(record[i]);
@@ -338,10 +347,16 @@ StatusOr<HeartbeatAckMessage> DecodeHeartbeatAck(std::string_view payload) {
   return msg;
 }
 
-std::string EncodeFinishResult(const FinishResultMessage& msg) {
+StatusOr<std::string> EncodeFinishResult(const FinishResultMessage& msg) {
   WireWriter writer;
   EncodeStats(writer, msg.stats);
   writer.PutString(msg.groups_text);
+  if (writer.buffer().size() > kMaxFramePayload) {
+    return ResourceExhaustedError(
+        "FinishResult payload of " + std::to_string(writer.buffer().size()) +
+        " bytes exceeds the frame cap of " +
+        std::to_string(kMaxFramePayload) + " bytes");
+  }
   return writer.Take();
 }
 

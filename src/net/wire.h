@@ -37,7 +37,11 @@ class WireWriter {
   void PutU64(std::uint64_t value);
   // The double's IEEE-754 bit pattern as a u64 (bit-exact round-trip).
   void PutDouble(double value);
-  // u32 length prefix + raw bytes.
+  // An element count or length as the u32 the decoders read. A count
+  // past 2^32 - 1 would need gigabytes of elements no frame can carry, so
+  // it CHECK-fails instead of wrapping.
+  void PutCount(std::size_t count);
+  // PutCount length prefix + raw bytes.
   void PutString(std::string_view value);
 
   const std::string& buffer() const { return buffer_; }
@@ -88,8 +92,8 @@ struct HelloMessage {
   std::uint8_t sync_every_append = 0;
   std::uint64_t queue_capacity = 1024;
   std::uint64_t batch_size = 32;
-  // This shard's pipeline seed, derived by the coordinator from
-  // Router::SplitStreams so the fabric matches the in-process service.
+  // This shard's pipeline seed, from Router::ShardSeeds so the fabric
+  // matches the in-process service.
   std::uint64_t seed = 0;
   // Anonymization backend id (docs/backends.md). Travels in the hello so
   // every fabric worker maintains (and stamps its checkpoints with) the
@@ -173,7 +177,11 @@ StatusOr<HeartbeatMessage> DecodeHeartbeat(std::string_view payload);
 std::string EncodeHeartbeatAck(const HeartbeatAckMessage& msg);
 StatusOr<HeartbeatAckMessage> DecodeHeartbeatAck(std::string_view payload);
 
-std::string EncodeFinishResult(const FinishResultMessage& msg);
+// The one encoder whose payload no config bounds: a shard's group set
+// grows with its records. Fails kResourceExhausted when the payload would
+// not fit in one frame (EncodeFrame CHECK-fails past kMaxFramePayload), so
+// a worker reports an oversized shard in-band instead of aborting.
+StatusOr<std::string> EncodeFinishResult(const FinishResultMessage& msg);
 StatusOr<FinishResultMessage> DecodeFinishResult(std::string_view payload);
 
 std::string EncodeError(const ErrorMessage& msg);

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "net/wire.h"
 
 namespace condensa::query {
@@ -25,16 +24,8 @@ constexpr std::uint32_t kMaxBounds = static_cast<std::uint32_t>(kMaxDim);
 // dim u64 + count u32.
 constexpr std::uint64_t kRegenerateResultOverheadBytes = 8 + 8 + 1 + 8 + 8 + 4;
 
-// Writes an element count as the u32 the decoders read. A count past a
-// decoder's cap is refused by the peer; one past 2^32 would need
-// gigabytes of elements no frame can carry, so wrapping is a bug.
-void PutCount(WireWriter& writer, std::size_t count) {
-  CONDENSA_CHECK_LE(count, std::numeric_limits<std::uint32_t>::max());
-  writer.PutU32(static_cast<std::uint32_t>(count));
-}
-
 void EncodeBounds(WireWriter& writer, const RangePredicate& range) {
-  PutCount(writer, range.bounds.size());
+  writer.PutCount(range.bounds.size());
   for (const RangePredicate::Bound& bound : range.bounds) {
     writer.PutU64(static_cast<std::uint64_t>(bound.dim));
     writer.PutDouble(bound.lo);
@@ -69,7 +60,7 @@ Status DecodeBounds(WireReader& reader, RangePredicate* range) {
 void EncodePoints(WireWriter& writer, std::uint64_t dim,
                   const std::vector<linalg::Vector>& points) {
   writer.PutU64(dim);
-  PutCount(writer, points.size());
+  writer.PutCount(points.size());
   for (const linalg::Vector& point : points) {
     for (std::size_t i = 0; i < point.dim(); ++i) {
       writer.PutDouble(point[i]);
@@ -190,7 +181,7 @@ std::string EncodeQueryResult(const QueryResult& result) {
   writer.PutU8(static_cast<std::uint8_t>(result.kind));
   switch (result.kind) {
     case QueryKind::kClassify:
-      PutCount(writer, result.classify.labels.size());
+      writer.PutCount(result.classify.labels.size());
       for (int label : result.classify.labels) {
         writer.PutU64(
             static_cast<std::uint64_t>(static_cast<std::int64_t>(label)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "backend/registry.h"
 #include "common/check.h"
@@ -11,6 +10,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/worker_server.h"
 
 namespace condensa::shard {
 namespace {
@@ -126,36 +126,15 @@ Status FabricConfig::Validate() const {
 }
 
 std::string FabricReport::ToString() const {
-  std::ostringstream os;
-  os << "connects=" << connects << " reconnects=" << reconnects
-     << " heartbeats=" << heartbeats << " misses=" << heartbeat_misses
-     << " handoffs=" << handoffs << " rerouted=" << rerouted_records
-     << " duplicates=" << duplicates_detected << " rejoins=" << rejoins
-     << " local_takeovers=" << local_takeovers;
-  return os.str();
-}
-
-bool FabricResult::Balanced() const {
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    if (!stats.Balanced()) return false;
-  }
-  return true;
-}
-
-std::size_t FabricResult::TotalAccepted() const {
-  std::size_t total = 0;
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    total += stats.accepted;
-  }
-  return total;
-}
-
-std::size_t FabricResult::TotalApplied() const {
-  std::size_t total = 0;
-  for (const runtime::StreamPipelineStats& stats : shard_stats) {
-    total += stats.applied;
-  }
-  return total;
+  return "connects=" + std::to_string(connects) +
+         " reconnects=" + std::to_string(reconnects) +
+         " heartbeats=" + std::to_string(heartbeats) +
+         " misses=" + std::to_string(heartbeat_misses) +
+         " handoffs=" + std::to_string(handoffs) +
+         " rerouted=" + std::to_string(rerouted_records) +
+         " duplicates=" + std::to_string(duplicates_detected) +
+         " rejoins=" + std::to_string(rejoins) +
+         " local_takeovers=" + std::to_string(local_takeovers);
 }
 
 FabricService::FabricService(FabricConfig config)
@@ -173,14 +152,9 @@ StatusOr<std::unique_ptr<FabricService>> FabricService::Start(
   const FabricConfig& cfg = service->config_;
   const std::size_t shards = cfg.workers.size();
 
-  // Identical seed derivation to ShardedStreamService::Start — the first
-  // half of the bit-identity contract (the second is gather order).
-  Rng root(cfg.seed);
-  service->streams_ = Router::SplitStreams(root, shards);
-  service->shard_seeds_.reserve(shards);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    service->shard_seeds_.push_back(service->streams_[shard].NextUint64());
-  }
+  // The seeds ShardedStreamService uses — the first half of the
+  // bit-identity contract (the second is gather order).
+  service->shard_seeds_ = Router::ShardSeeds(cfg.seed, shards);
 
   service->peers_.reserve(shards);
   std::size_t reachable = 0;
@@ -228,14 +202,7 @@ FabricService::~FabricService() {
   }
 }
 
-Status FabricService::HandshakeLocked(std::size_t shard, Peer& peer) {
-  obs::TraceSpan span("fabric.handshake");
-  const FabricEndpoint& endpoint = config_.workers[shard];
-  peer.conn.Close();
-  CONDENSA_ASSIGN_OR_RETURN(
-      net::TcpConnection conn,
-      net::TcpConnection::Connect(endpoint.host, endpoint.port,
-                                  config_.connect_timeout_ms));
+net::HelloMessage FabricService::HelloFor(std::size_t shard) const {
   net::HelloMessage hello;
   hello.shard_id = shard;
   hello.dim = config_.dim;
@@ -247,8 +214,19 @@ Status FabricService::HandshakeLocked(std::size_t shard, Peer& peer) {
   hello.batch_size = config_.batch_size;
   hello.seed = shard_seeds_[shard];
   hello.backend = config_.backend;
+  return hello;
+}
+
+Status FabricService::HandshakeLocked(std::size_t shard, Peer& peer) {
+  obs::TraceSpan span("fabric.handshake");
+  const FabricEndpoint& endpoint = config_.workers[shard];
+  peer.conn.Close();
+  CONDENSA_ASSIGN_OR_RETURN(
+      net::TcpConnection conn,
+      net::TcpConnection::Connect(endpoint.host, endpoint.port,
+                                  config_.connect_timeout_ms));
   CONDENSA_RETURN_IF_ERROR(conn.SendFrame(net::FrameType::kHello,
-                                          net::EncodeHello(hello),
+                                          net::EncodeHello(HelloFor(shard)),
                                           config_.io_timeout_ms));
   CONDENSA_ASSIGN_OR_RETURN(net::Frame frame,
                             conn.RecvFrame(config_.io_timeout_ms));
@@ -367,6 +345,14 @@ Status FabricService::FlushOutboxLocked(std::size_t shard, Peer& peer,
   return OkStatus();
 }
 
+void FabricService::CountReconnect(std::size_t shard, bool rejoin) {
+  if (rejoin) {
+    rejoins_.fetch_add(1, std::memory_order_relaxed);
+  }
+  reconnects_.fetch_add(1, std::memory_order_relaxed);
+  ReconnectsCounter(shard).Increment();
+}
+
 void FabricService::ReviveOrDeclareDeadLocked(std::size_t shard,
                                               Peer& peer) {
   peer.conn.Close();
@@ -376,8 +362,7 @@ void FabricService::ReviveOrDeclareDeadLocked(std::size_t shard,
         runtime::BackoffDelayMs(config_.reconnect, attempt,
                                 backoff_rng_)));
     if (HandshakeLocked(shard, peer).ok()) {
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
-      ReconnectsCounter(shard).Increment();
+      CountReconnect(shard, /*rejoin=*/false);
       return;
     }
   }
@@ -428,26 +413,12 @@ Status FabricService::LocalTakeoverLocked(std::size_t shard, Peer& peer) {
         "shard " + std::to_string(shard) +
         " is unreachable and no local_fallback_root is configured");
   }
-  WorkerOptions options;
-  options.mode = WorkerMode::kDurableStream;
-  options.group_size = config_.group_size;
-  options.split_rule = config_.split_rule;
-  // Validate() pinned the id to a registered backend, so the lookup
-  // cannot fail here.
-  if (StatusOr<const backend::AnonymizationBackend*> resolved =
-          backend::Registry::Global().Get(config_.backend);
-      resolved.ok()) {
-    options.backend = (*resolved)->info().id;
-    options.backend_version = (*resolved)->info().version;
-    options.construction = (*resolved)->ConstructionHook();
-  }
-  options.checkpoint_root = config_.local_fallback_root;
-  options.snapshot_interval = config_.snapshot_interval;
-  options.sync_every_append = config_.sync_every_append;
-  options.queue_capacity = config_.queue_capacity;
-  options.batch_size = config_.batch_size;
-  options.seed = shard_seeds_[shard];
-  options.worker_id = peer.worker_id;
+  // Built from the Hello a remote worker would get, so the takeover runs
+  // exactly what that worker ran.
+  CONDENSA_ASSIGN_OR_RETURN(
+      WorkerOptions options,
+      WorkerOptionsFromHello(HelloFor(shard), config_.local_fallback_root,
+                             peer.worker_id));
   CONDENSA_ASSIGN_OR_RETURN(peer.local,
                             Worker::Start(shard, config_.dim, options));
   // Recovering over the worker's own checkpoint dir restores its acked
@@ -715,8 +686,7 @@ void FabricService::HeartbeatLoop() {
           // One immediate redial; past the liveness window the peer is
           // declared dead and its backlog handed off.
           if (HandshakeLocked(shard, peer).ok()) {
-            reconnects_.fetch_add(1, std::memory_order_relaxed);
-            ReconnectsCounter(shard).Increment();
+            CountReconnect(shard, /*rejoin=*/false);
           } else if (SteadyNowMs() - peer.last_ok_ms >
                      config_.heartbeat_timeout_ms) {
             DeclareDeadLocked(shard, peer);
@@ -727,9 +697,7 @@ void FabricService::HeartbeatLoop() {
           continue;
         }
         if (HandshakeLocked(shard, peer).ok()) {
-          rejoins_.fetch_add(1, std::memory_order_relaxed);
-          reconnects_.fetch_add(1, std::memory_order_relaxed);
-          ReconnectsCounter(shard).Increment();
+          CountReconnect(shard, /*rejoin=*/true);
         } else {
           ++peer.redial_failures;
           peer.next_redial_ms =
@@ -775,8 +743,7 @@ StatusOr<FabricResult> FabricService::Finish() {
     if (peer.state == PeerState::kDead) {
       // Last chance over the wire before degrading.
       if (HandshakeLocked(shard, peer).ok()) {
-        rejoins_.fetch_add(1, std::memory_order_relaxed);
-        reconnects_.fetch_add(1, std::memory_order_relaxed);
+        CountReconnect(shard, /*rejoin=*/true);
       } else if (!peer.baselined ||
                  (peer.base_durable == 0 && peer.acked == 0 &&
                   peer.outbox.empty())) {
@@ -831,10 +798,9 @@ StatusOr<FabricResult> FabricService::Finish() {
 
     if (peer.state == PeerState::kLocal) {
       CONDENSA_ASSIGN_OR_RETURN(core::CondensedGroupSet set,
-                                peer.local->Finish(streams_[shard]));
-      CONDENSA_CHECK(peer.local->stream_stats().has_value());
+                                peer.local->Finish());
       shard_sets.push_back(std::move(set));
-      result.shard_stats.push_back(*peer.local->stream_stats());
+      result.shard_stats.push_back(peer.local->stats());
     }
   }
 

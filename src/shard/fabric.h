@@ -1,12 +1,13 @@
 // The coordinator side of the networked shard fabric.
 //
-// FabricService is the multi-process sibling of ShardedStreamService:
-// the same scatter (Router), the same per-shard seed derivation, the
-// same gather (Coordinator) — but each shard's Worker lives in its own
-// process behind the wire protocol (shard/worker_server.h). Because the
-// routing, seeds, per-shard ingest order, and gather fold are all
-// byte-identical to the in-process service, a clean fabric run releases
-// a BIT-IDENTICAL group set for the same (seed, shard count, policy).
+// FabricService runs ShardedStreamService's shards in worker processes:
+// the same scatter (Router), the same per-shard seeds
+// (Router::ShardSeeds), the same gather (Coordinator) — but each shard's
+// Worker lives in its own process behind the wire protocol
+// (shard/worker_server.h). Because the routing, seeds, per-shard ingest
+// order, and gather fold all match the in-process service, a clean
+// fabric run releases a BIT-IDENTICAL group set for the same (seed,
+// shard count, policy).
 //
 // Membership and failure handling (the point of the fabric):
 //
@@ -76,6 +77,7 @@
 #include "runtime/retry.h"
 #include "shard/coordinator.h"
 #include "shard/router.h"
+#include "shard/stream_service.h"
 #include "shard/worker.h"
 
 namespace condensa::shard {
@@ -157,17 +159,11 @@ struct FabricReport {
   std::string ToString() const;
 };
 
-struct FabricResult {
-  core::CondensedGroupSet groups{0, 0};
-  GatherReport gather;
-  // Per-shard final ledgers, in shard order.
-  std::vector<runtime::StreamPipelineStats> shard_stats;
+// What the in-process service returns — the global release, the gather
+// report and the per-shard final ledgers, in shard order — plus the
+// fabric's own counters.
+struct FabricResult : ShardedStreamResult {
   FabricReport report;
-
-  // Zero-silent-loss across the fabric: every shard ledger balances.
-  bool Balanced() const;
-  std::size_t TotalAccepted() const;
-  std::size_t TotalApplied() const;
 };
 
 class FabricService {
@@ -185,8 +181,6 @@ class FabricService {
   // Joins the heartbeat thread; closes connections (without Finish the
   // workers keep their durable state for the next run).
   ~FabricService();
-
-  std::size_t num_shards() const { return config_.workers.size(); }
 
   // Routes and (batched) delivers one record; single producer.
   Status Submit(const linalg::Vector& record);
@@ -229,8 +223,14 @@ class FabricService {
 
   explicit FabricService(FabricConfig config);
 
+  // The Hello that opens shard `shard`'s session.
+  net::HelloMessage HelloFor(std::size_t shard) const;
+
   // --- connection management (peer->mu held) ---
   Status HandshakeLocked(std::size_t shard, Peer& peer);
+  // Books a successful redial (a rejoin if the peer was dead) in the
+  // report and condensa_fabric_reconnects_total together.
+  void CountReconnect(std::size_t shard, bool rejoin);
   // Reconnect with backoff; declares the peer dead on exhaustion.
   void ReviveOrDeclareDeadLocked(std::size_t shard, Peer& peer);
   void DeclareDeadLocked(std::size_t shard, Peer& peer);
@@ -259,7 +259,7 @@ class FabricService {
 
   FabricConfig config_;
   Router router_;
-  std::vector<Rng> streams_;
+  // Router::ShardSeeds(seed, shard count), carried in every Hello.
   std::vector<std::uint64_t> shard_seeds_;
   std::vector<std::unique_ptr<Peer>> peers_;
 

@@ -94,4 +94,15 @@ std::vector<Rng> Router::SplitStreams(Rng& rng, std::size_t num_shards) {
   return streams;
 }
 
+std::vector<std::uint64_t> Router::ShardSeeds(std::uint64_t seed,
+                                              std::size_t num_shards) {
+  Rng root(seed);
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(num_shards);
+  for (Rng& stream : SplitStreams(root, num_shards)) {
+    seeds.push_back(stream.NextUint64());
+  }
+  return seeds;
+}
+
 }  // namespace condensa::shard

@@ -85,6 +85,13 @@ class Router {
   // seed and the shard count, never on thread scheduling.
   static std::vector<Rng> SplitStreams(Rng& rng, std::size_t num_shards);
 
+  // The per-shard pipeline seeds of sharded streaming: the first draw of
+  // each SplitStreams substream of Rng(seed). Every service that runs
+  // durable shards (ShardedStreamService, FabricService) derives its
+  // seeds here, which is half of their bit-identity contract.
+  static std::vector<std::uint64_t> ShardSeeds(std::uint64_t seed,
+                                               std::size_t num_shards);
+
   // Stable 64-bit content hash of a record's IEEE-754 bit patterns
   // (exposed for tests and for deduplication tooling).
   static std::uint64_t HashRecord(const linalg::Vector& record);

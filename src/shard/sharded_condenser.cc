@@ -1,14 +1,42 @@
 #include "shard/sharded_condenser.h"
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "backend/registry.h"
 #include "common/thread_pool.h"
+#include "core/group_statistics.h"
 #include "obs/trace.h"
+#include "shard/worker.h"
 
 namespace condensa::shard {
+
+namespace {
+
+// Condenses one scattered partition with the backend's group
+// construction. A partition below the k-floor becomes one sub-k group
+// for the coordinator to fold globally — dropping it would break record
+// conservation.
+StatusOr<core::CondensedGroupSet> CondensePartition(
+    const std::vector<linalg::Vector>& partition, std::size_t dim,
+    std::size_t group_size, const backend::AnonymizationBackend& backend,
+    Rng& rng) {
+  if (partition.size() >= group_size) {
+    return backend.ConstructionHook()(partition, group_size, rng);
+  }
+  core::CondensedGroupSet groups(dim, group_size);
+  groups.SetBackend(backend.info().id, backend.info().version);
+  if (!partition.empty()) {
+    core::GroupStatistics remainder(dim);
+    for (const linalg::Vector& record : partition) {
+      remainder.Add(record);
+    }
+    groups.AddGroup(std::move(remainder));
+  }
+  return groups;
+}
+
+}  // namespace
 
 Status ShardedCondenserConfig::Validate() const {
   if (num_shards == 0) {
@@ -16,16 +44,6 @@ Status ShardedCondenserConfig::Validate() const {
   }
   if (group_size == 0) {
     return InvalidArgumentError("group_size must be >= 1");
-  }
-  if (mode == WorkerMode::kDurableStream) {
-    if (group_size < 2) {
-      return InvalidArgumentError(
-          "kDurableStream requires group_size >= 2 (streaming runtime "
-          "floor)");
-    }
-    if (checkpoint_root.empty()) {
-      return InvalidArgumentError("kDurableStream requires a checkpoint_root");
-    }
   }
   if (backend.empty()) {
     return InvalidArgumentError("backend id must be non-empty");
@@ -63,70 +81,54 @@ StatusOr<ShardedCondenseResult> ShardedCondenser::Condense(
       const backend::AnonymizationBackend* anonymization_backend,
       backend::Registry::Global().Get(config_.backend));
 
-  WorkerOptions worker_options;
-  worker_options.mode = config_.mode;
-  worker_options.group_size = config_.group_size;
-  worker_options.split_rule = config_.split_rule;
-  worker_options.checkpoint_root = config_.checkpoint_root;
-  worker_options.snapshot_interval = config_.snapshot_interval;
-  worker_options.sync_every_append = config_.sync_every_append;
-  worker_options.backend = anonymization_backend->info().id;
-  worker_options.backend_version = anonymization_backend->info().version;
-  worker_options.construction = anonymization_backend->ConstructionHook();
-
-  // Substreams and seeds are derived in shard order on this thread, so
-  // the per-shard randomness is fixed before any worker runs.
+  // Substreams are derived in shard order on this thread, so the
+  // per-shard randomness is fixed before any partition is condensed.
   std::vector<Rng> streams = Router::SplitStreams(rng, n);
 
   // One task per shard, each writing into its pre-allocated slot; the
   // fan-out is bit-identical at any thread count.
   std::vector<StatusOr<core::CondensedGroupSet>> shard_groups(
       n, StatusOr<core::CondensedGroupSet>(core::CondensedGroupSet(0, 0)));
-  std::vector<ShardReport> reports(n);
   {
     obs::TraceSpan condense_span("shard.condense.workers");
     std::vector<std::function<void()>> tasks;
     tasks.reserve(n);
     for (std::size_t shard = 0; shard < n; ++shard) {
       tasks.push_back([&, shard]() {
-        WorkerOptions options = worker_options;
-        options.seed = streams[shard].NextUint64();
-        StatusOr<std::unique_ptr<Worker>> worker =
-            Worker::Start(shard, dim, options);
-        if (!worker.ok()) {
-          shard_groups[shard] = worker.status();
-          return;
-        }
-        for (const linalg::Vector& record : partitions[shard]) {
-          Status submitted = (*worker)->Submit(record);
-          if (!submitted.ok()) {
-            shard_groups[shard] = std::move(submitted);
-            return;
-          }
-        }
-        shard_groups[shard] = (*worker)->Finish(streams[shard]);
-        reports[shard] = ShardReport{
-            .shard_id = shard,
-            .records = (*worker)->records_submitted(),
-        };
+        // Each substream's first draw once seeded a per-shard pipeline;
+        // skipping it keeps every static release what it has always been.
+        (void)streams[shard].NextUint64();
+        shard_groups[shard] =
+            CondensePartition(partitions[shard], dim, config_.group_size,
+                              *anonymization_backend, streams[shard]);
       });
     }
     ParallelRun(ThreadPool::ResolveThreadCount(config_.num_threads), tasks);
   }
 
+  ShardedCondenseResult result;
   std::vector<core::CondensedGroupSet> shard_sets;
   shard_sets.reserve(n);
   for (std::size_t shard = 0; shard < n; ++shard) {
     CONDENSA_ASSIGN_OR_RETURN(core::CondensedGroupSet set,
                               std::move(shard_groups[shard]));
+    const std::size_t records = partitions[shard].size();
     const core::PrivacySummary summary = set.Summary();
-    reports[shard].groups = summary.num_groups;
-    reports[shard].min_group_size = summary.min_group_size;
+    // An empty partition never touched its records series.
+    if (records > 0) {
+      ShardRecordsCounter(shard, DefaultWorkerId(shard)).Increment(records);
+    }
+    ShardGroupsGauge(shard, DefaultWorkerId(shard))
+        .Set(static_cast<double>(summary.num_groups));
+    result.shards.push_back(ShardReport{
+        .shard_id = shard,
+        .records = records,
+        .groups = summary.num_groups,
+        .min_group_size = summary.min_group_size,
+    });
     shard_sets.push_back(std::move(set));
   }
 
-  ShardedCondenseResult result;
-  result.shards = std::move(reports);
   Coordinator coordinator(
       {.group_size = config_.group_size, .split_rule = config_.split_rule});
   CONDENSA_ASSIGN_OR_RETURN(

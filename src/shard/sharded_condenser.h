@@ -1,16 +1,19 @@
-// Scatter/gather condensation facade: Router + N Workers + Coordinator.
+// Static scatter/gather condensation: Router + per-partition static
+// condensation + Coordinator.
 //
 // Condenses a point set by deterministically partitioning it across N
-// shards, condensing each shard independently (optionally in parallel,
-// optionally durable), and exact-merging the shard-local aggregates into
-// one global release structure.
+// shards, condensing each partition independently with the backend's
+// group construction (paper Fig. 1; optionally in parallel), and
+// exact-merging the shard-local aggregates into one global release
+// structure. Durable sharded streaming is ShardedStreamService
+// (shard/stream_service.h).
 //
 // Determinism contract (tested; see docs/scaling.md): for a fixed
-// (rng seed, num_shards, policy, mode) the output group set is
-// bit-identical across runs and across num_threads values — the router
-// is a pure function of (record, index), the per-shard Rng substreams
-// are split in shard order on the calling thread, workers write into
-// pre-allocated slots, and the gather is a deterministic fold.
+// (rng seed, num_shards, policy) the output group set is bit-identical
+// across runs and across num_threads values — the router is a pure
+// function of (record, index), the per-shard Rng substreams are split in
+// shard order on the calling thread, each partition writes into a
+// pre-allocated slot, and the gather is a deterministic fold.
 // Changing num_shards changes the partition and therefore the grouping;
 // the *moment statistics* each group carries remain exact either way.
 
@@ -18,7 +21,6 @@
 #define CONDENSA_SHARD_SHARDED_CONDENSER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,7 +31,6 @@
 #include "linalg/vector.h"
 #include "shard/coordinator.h"
 #include "shard/router.h"
-#include "shard/worker.h"
 
 namespace condensa::shard {
 
@@ -37,20 +38,13 @@ struct ShardedCondenserConfig {
   // Shard count N. Must be >= 1.
   std::size_t num_shards = 1;
   ShardPolicy policy = ShardPolicy::kHash;
-  WorkerMode mode = WorkerMode::kStaticBatch;
-  // The indistinguishability level k. Must be >= 1 (>= 2 for
-  // kDurableStream, matching the streaming runtime's floor).
+  // The indistinguishability level k. Must be >= 1.
   std::size_t group_size = 10;
+  // Split rule of the gather's fold.
   core::SplitRule split_rule = core::SplitRule::kMomentConsistent;
-  // kDurableStream: parent of the per-shard checkpoint directories.
-  std::string checkpoint_root;
-  std::size_t snapshot_interval = 1024;
-  bool sync_every_append = true;
-  // Worker threads for the per-shard condense fan-out; 0 = one per
-  // hardware thread. Output is identical at any thread count.
+  // Threads for the per-shard condense fan-out; 0 = one per hardware
+  // thread. Output is identical at any thread count.
   std::size_t num_threads = 0;
-  // Base seed for per-shard pipeline jitter (kDurableStream).
-  std::uint64_t seed = 42;
 
   // Anonymization backend id, resolved through backend::Registry at
   // Condense time; every shard condenses under it and the gathered
@@ -80,8 +74,6 @@ class ShardedCondenser {
   // Stores the config as-is; validation happens on Condense so a bad
   // config yields a Status, never an abort.
   explicit ShardedCondenser(ShardedCondenserConfig config);
-
-  const ShardedCondenserConfig& config() const { return config_; }
 
   // Scatter -> condense-per-shard -> gather. Fails on invalid config,
   // empty input, or mixed record dimensions; propagates worker and

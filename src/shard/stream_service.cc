@@ -67,16 +67,13 @@ StatusOr<std::unique_ptr<ShardedStreamService>> ShardedStreamService::Start(
       const backend::AnonymizationBackend* anonymization_backend,
       backend::Registry::Global().Get(cfg.backend));
 
-  Rng root(cfg.seed);
-  service->streams_ = Router::SplitStreams(root, cfg.num_shards);
-
+  const std::vector<std::uint64_t> seeds =
+      Router::ShardSeeds(cfg.seed, cfg.num_shards);
   service->workers_.reserve(cfg.num_shards);
   for (std::size_t shard = 0; shard < cfg.num_shards; ++shard) {
     WorkerOptions options;
     options.backend = anonymization_backend->info().id;
     options.backend_version = anonymization_backend->info().version;
-    options.construction = anonymization_backend->ConstructionHook();
-    options.mode = WorkerMode::kDurableStream;
     options.group_size = cfg.group_size;
     options.split_rule = cfg.split_rule;
     options.checkpoint_root = cfg.checkpoint_root;
@@ -84,7 +81,7 @@ StatusOr<std::unique_ptr<ShardedStreamService>> ShardedStreamService::Start(
     options.sync_every_append = cfg.sync_every_append;
     options.queue_capacity = cfg.queue_capacity;
     options.batch_size = cfg.batch_size;
-    options.seed = service->streams_[shard].NextUint64();
+    options.seed = seeds[shard];
     CONDENSA_ASSIGN_OR_RETURN(std::unique_ptr<Worker> worker,
                               Worker::Start(shard, cfg.dim, options));
     service->workers_.push_back(std::move(worker));
@@ -112,10 +109,7 @@ std::vector<runtime::StreamPipelineStats> ShardedStreamService::stats() const {
   std::vector<runtime::StreamPipelineStats> all;
   all.reserve(workers_.size());
   for (const std::unique_ptr<Worker>& worker : workers_) {
-    std::optional<runtime::StreamPipelineStats> stats =
-        worker->live_stream_stats();
-    CONDENSA_CHECK(stats.has_value());
-    all.push_back(*stats);
+    all.push_back(worker->stats());
   }
   return all;
 }
@@ -132,11 +126,8 @@ StatusOr<ShardedStreamResult> ShardedStreamService::Finish() {
   shard_sets.reserve(workers_.size());
   for (std::size_t shard = 0; shard < workers_.size(); ++shard) {
     CONDENSA_ASSIGN_OR_RETURN(core::CondensedGroupSet set,
-                              workers_[shard]->Finish(streams_[shard]));
-    const std::optional<runtime::StreamPipelineStats>& stats =
-        workers_[shard]->stream_stats();
-    CONDENSA_CHECK(stats.has_value());
-    result.shard_stats.push_back(*stats);
+                              workers_[shard]->Finish());
+    result.shard_stats.push_back(workers_[shard]->stats());
     shard_sets.push_back(std::move(set));
   }
 

@@ -1,16 +1,17 @@
 // Sharded durable streaming ingest: N independent StreamPipelines behind
-// one Submit surface.
+// one Submit surface — the paper's dynamic condensation, sharded.
 //
-// ShardedStreamService is the streaming twin of ShardedCondenser: a
-// Router assigns every arriving record to one of N shard Workers, each of
-// which runs the full supervised runtime (bounded queue, quarantine,
+// A Router assigns every arriving record to one of N shard Workers, each
+// of which runs the full supervised runtime (bounded queue, quarantine,
 // retry, circuit breaker) over its own crash-safe checkpoint directory
 // <checkpoint_root>/shard-<i>. A crashed shard recovers alone on the next
 // Start — the other shards' snapshots, journals, and spools are never
-// touched. Finish drains every shard, verifies nothing, and gathers the
-// shard-local aggregates into one global release structure through the
+// touched. Finish drains every shard and gathers the shard-local
+// aggregates into one global release structure through the
 // Coordinator's exact-merge fold; the per-shard ledgers ride along so the
-// caller can assert zero silent loss shard by shard.
+// caller can assert zero silent loss shard by shard. Static sharding
+// (paper Fig. 1) is ShardedCondenser; the same shards spread over worker
+// processes are FabricService.
 //
 // Throughput note (docs/scaling.md): dynamic condensation's per-record
 // cost grows with the number of live groups G, so splitting one stream
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
@@ -56,8 +56,8 @@ struct ShardedStreamConfig {
   std::size_t queue_capacity = 1024;
   std::size_t batch_size = 32;
 
-  // Root seed; per-shard pipeline seeds are derived via Rng::Split in
-  // shard order, so a fixed (seed, num_shards) replays exactly.
+  // Root seed; per-shard pipeline seeds come from Router::ShardSeeds, so
+  // a fixed (seed, num_shards) replays exactly.
   std::uint64_t seed = 42;
 
   // Anonymization backend id, resolved through backend::Registry at
@@ -90,9 +90,6 @@ class ShardedStreamService {
   ShardedStreamService(const ShardedStreamService&) = delete;
   ShardedStreamService& operator=(const ShardedStreamService&) = delete;
 
-  const ShardedStreamConfig& config() const { return config_; }
-  std::size_t num_shards() const { return config_.num_shards; }
-
   // Shard i's checkpoint directory.
   const std::string& checkpoint_dir(std::size_t shard) const;
 
@@ -115,9 +112,6 @@ class ShardedStreamService {
   ShardedStreamConfig config_;
   Router router_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  // Per-shard substreams, split in shard order at Start (stream-mode
-  // Finish consumes no randomness; kept so batch-mode reuse stays easy).
-  std::vector<Rng> streams_;
   std::size_t submitted_ = 0;
   bool finished_ = false;
 };

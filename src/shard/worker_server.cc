@@ -32,6 +32,29 @@ Status ValidateSplitRule(std::uint16_t raw) {
 
 }  // namespace
 
+StatusOr<WorkerOptions> WorkerOptionsFromHello(
+    const net::HelloMessage& hello, const std::string& checkpoint_root,
+    const std::string& worker_id) {
+  CONDENSA_RETURN_IF_ERROR(ValidateSplitRule(hello.split_rule));
+  // An id this build cannot resolve rejects the session up front instead
+  // of condensing under the wrong strategy.
+  CONDENSA_ASSIGN_OR_RETURN(const backend::AnonymizationBackend* resolved,
+                            backend::Registry::Global().Get(hello.backend));
+  WorkerOptions options;
+  options.backend = resolved->info().id;
+  options.backend_version = resolved->info().version;
+  options.group_size = static_cast<std::size_t>(hello.group_size);
+  options.split_rule = static_cast<core::SplitRule>(hello.split_rule);
+  options.checkpoint_root = checkpoint_root;
+  options.snapshot_interval = static_cast<std::size_t>(hello.snapshot_interval);
+  options.sync_every_append = hello.sync_every_append != 0;
+  options.queue_capacity = static_cast<std::size_t>(hello.queue_capacity);
+  options.batch_size = static_cast<std::size_t>(hello.batch_size);
+  options.seed = hello.seed;
+  options.worker_id = worker_id;
+  return options;
+}
+
 Status WorkerServerConfig::Validate() const {
   if (checkpoint_root.empty()) {
     return InvalidArgumentError("worker server requires a checkpoint_root");
@@ -128,38 +151,15 @@ Status WorkerServer::HandleHello(net::TcpConnection& conn,
     return OkStatus();
   }
   if (worker_ == nullptr) {
-    Status rule = ValidateSplitRule(hello->split_rule);
-    if (!rule.ok()) {
-      SendError(conn, rule);
+    StatusOr<WorkerOptions> options = WorkerOptionsFromHello(
+        *hello, config_.checkpoint_root, config_.worker_id);
+    if (!options.ok()) {
+      SendError(conn, options.status());
       return OkStatus();
     }
-    // The coordinator names the anonymization backend in the hello; an
-    // id this build cannot resolve rejects the session up front instead
-    // of condensing under the wrong strategy.
-    StatusOr<const backend::AnonymizationBackend*> resolved =
-        backend::Registry::Global().Get(hello->backend);
-    if (!resolved.ok()) {
-      SendError(conn, resolved.status());
-      return OkStatus();
-    }
-    WorkerOptions options;
-    options.backend = (*resolved)->info().id;
-    options.backend_version = (*resolved)->info().version;
-    options.construction = (*resolved)->ConstructionHook();
-    options.mode = WorkerMode::kDurableStream;
-    options.group_size = static_cast<std::size_t>(hello->group_size);
-    options.split_rule = static_cast<core::SplitRule>(hello->split_rule);
-    options.checkpoint_root = config_.checkpoint_root;
-    options.snapshot_interval =
-        static_cast<std::size_t>(hello->snapshot_interval);
-    options.sync_every_append = hello->sync_every_append != 0;
-    options.queue_capacity = static_cast<std::size_t>(hello->queue_capacity);
-    options.batch_size = static_cast<std::size_t>(hello->batch_size);
-    options.seed = hello->seed;
-    options.worker_id = config_.worker_id;
     StatusOr<std::unique_ptr<Worker>> worker = Worker::Start(
         static_cast<std::size_t>(hello->shard_id),
-        static_cast<std::size_t>(hello->dim), options);
+        static_cast<std::size_t>(hello->dim), *options);
     if (!worker.ok()) {
       SendError(conn, worker.status());
       return OkStatus();
@@ -247,21 +247,26 @@ Status WorkerServer::HandleFinish(net::TcpConnection& conn) {
     return OkStatus();
   }
   obs::TraceSpan span("fabric.worker.finish");
-  // Pure streaming consumes no randomness; the seed only feeds retry
-  // jitter inside the pipeline.
-  Rng rng(hello_.seed);
-  StatusOr<core::CondensedGroupSet> groups = worker_->Finish(rng);
+  StatusOr<core::CondensedGroupSet> groups = worker_->Finish();
   if (!groups.ok()) {
     SendError(conn, groups.status());
     return OkStatus();
   }
   net::FinishResultMessage result;
-  CONDENSA_CHECK(worker_->stream_stats().has_value());
-  result.stats = *worker_->stream_stats();
+  result.stats = worker_->stats();
   result.groups_text = core::SerializeGroupSet(*groups);
-  Status sent =
-      conn.SendFrame(net::FrameType::kFinishResult,
-                     net::EncodeFinishResult(result), config_.io_timeout_ms);
+  StatusOr<std::string> payload = net::EncodeFinishResult(result);
+  if (!payload.ok()) {
+    // The shard is drained and checkpointed; only its reply outgrew one
+    // frame. Report that in-band and stop serving: the coordinator takes
+    // the shard over from the checkpoint, or fails cleanly without a
+    // local fallback root.
+    SendError(conn, payload.status());
+    finished_.store(true, std::memory_order_relaxed);
+    return OkStatus();
+  }
+  Status sent = conn.SendFrame(net::FrameType::kFinishResult, *payload,
+                               config_.io_timeout_ms);
   if (sent.ok()) {
     finished_.store(true, std::memory_order_relaxed);
   }

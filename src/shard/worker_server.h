@@ -19,9 +19,12 @@
 //   Heartbeat    -> HeartbeatAck echoing the nonce (liveness). The
 //                   failpoint "fabric.heartbeat" is probed here so chaos
 //                   tests can inject missed/slow beats.
-//   Finish       -> drains the pipeline, condenses, and replies
+//   Finish       -> drains and checkpoints the pipeline and replies
 //                   FinishResult (final ledger + serialized group set);
-//                   the server then exits its Run loop.
+//                   the server then exits its Run loop. A set too large
+//                   for one frame is reported as an Error frame instead,
+//                   and the coordinator takes the shard over from its
+//                   checkpoint.
 //
 // A connection error of any kind drops the session and returns to
 // accept — the coordinator redials and re-handshakes, so no stale
@@ -43,6 +46,13 @@
 #include "shard/worker.h"
 
 namespace condensa::shard {
+
+// The Worker a Hello describes; rejects a split rule or backend this
+// build does not know. Local takeover uses it too, so a taken-over shard
+// runs exactly what its remote worker ran.
+StatusOr<WorkerOptions> WorkerOptionsFromHello(
+    const net::HelloMessage& hello, const std::string& checkpoint_root,
+    const std::string& worker_id);
 
 struct WorkerServerConfig {
   std::string host = "127.0.0.1";

@@ -12,7 +12,11 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "core/condensed_group_set.h"
+#include "core/group_statistics.h"
+#include "core/serialization.h"
 #include "linalg/vector.h"
+#include "net/frame.h"
 
 namespace condensa::net {
 namespace {
@@ -48,6 +52,19 @@ TEST(WireReaderTest, ScalarRoundTrip) {
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_TRUE(std::signbit(d));  // -0.0 survives bit-exactly
   EXPECT_EQ(s, "blob");
+}
+
+TEST(WireWriterTest, CountIsCheckedAgainstTheU32Cap) {
+  constexpr std::size_t kCap = std::numeric_limits<std::uint32_t>::max();
+  WireWriter writer;
+  writer.PutCount(kCap);
+  WireReader reader(writer.buffer());
+  std::uint32_t count = 0;
+  ASSERT_TRUE(reader.ReadU32(&count).ok());
+  EXPECT_EQ(count, kCap);
+  EXPECT_TRUE(reader.ExpectDone().ok());
+  // One past the cap would wrap to 0 on the wire; it aborts instead.
+  EXPECT_DEATH(writer.PutCount(kCap + 1), "");
 }
 
 TEST(WireReaderTest, ReadsPastTheEndAreDataLoss) {
@@ -237,8 +254,9 @@ TEST(WireMessageTest, FinishResultRoundTripsTheLedger) {
   msg.stats.retries = 17;
   msg.stats.breaker_trips = 2;
   msg.groups_text = "condensa-groups v1\nnot actually parsed here";
-  StatusOr<FinishResultMessage> decoded =
-      DecodeFinishResult(EncodeFinishResult(msg));
+  StatusOr<std::string> payload = EncodeFinishResult(msg);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  StatusOr<FinishResultMessage> decoded = DecodeFinishResult(*payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->stats.submitted, 100u);
   EXPECT_EQ(decoded->stats.accepted, 99u);
@@ -248,6 +266,48 @@ TEST(WireMessageTest, FinishResultRoundTripsTheLedger) {
   EXPECT_EQ(decoded->stats.retries, 17u);
   EXPECT_EQ(decoded->stats.breaker_trips, 2u);
   EXPECT_EQ(decoded->groups_text, msg.groups_text);
+}
+
+TEST(WireMessageTest, FinishResultPastTheFrameCapIsResourceExhausted) {
+  // A shard set too large for one frame must come back as a Status the
+  // worker can report, not reach EncodeFrame's CHECK. The set is built
+  // directly: at d = 34 one group serializes to about 11.5 KB, so a few
+  // thousand copies pass the 64 MiB cap without any condensation.
+  constexpr std::size_t kDim = 34;
+  FinishResultMessage msg;
+  {
+    Rng rng(41);
+    Vector record(kDim);
+    for (std::size_t j = 0; j < kDim; ++j) {
+      record[j] = rng.Gaussian(0.0, 1e3);
+    }
+    core::GroupStatistics group(kDim);
+    group.Add(record);
+    core::CondensedGroupSet set(kDim, 10);
+    set.AddGroup(group);
+    const std::size_t one = core::SerializeGroupSet(set).size();
+    set.AddGroup(group);
+    const std::size_t per_group = core::SerializeGroupSet(set).size() - one;
+    while (set.num_groups() <= kMaxFramePayload / per_group) {
+      set.AddGroup(group);
+    }
+    msg.groups_text = core::SerializeGroupSet(set);
+  }
+  ASSERT_GT(msg.groups_text.size(), kMaxFramePayload);
+  StatusOr<std::string> oversized = EncodeFinishResult(msg);
+  EXPECT_EQ(oversized.status().code(), StatusCode::kResourceExhausted);
+
+  // The boundary: a payload of exactly kMaxFramePayload bytes still fits.
+  // The ledger and the text's length prefix take the first 184 bytes.
+  msg.groups_text.assign(kMaxFramePayload - 184, 'x');
+  {
+    StatusOr<std::string> at_cap = EncodeFinishResult(msg);
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+    EXPECT_EQ(at_cap->size(), kMaxFramePayload);
+  }
+  msg.groups_text.push_back('x');
+  EXPECT_EQ(EncodeFinishResult(msg).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(WireMessageTest, ErrorRoundTripsEveryStatusCode) {
@@ -290,7 +350,7 @@ TEST(WireMessageTest, MangledPayloadsFailCleanly) {
       EncodeHello(HelloMessage{.dim = 4, .group_size = 10}),
       EncodeHelloAck(HelloAckMessage{.worker_id = "w0"}),
       EncodeSubmit(submit),
-      EncodeFinishResult(FinishResultMessage{.groups_text = "body"}),
+      *EncodeFinishResult(FinishResultMessage{.groups_text = "body"}),
   };
   for (const std::string& payload : payloads) {
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 
 #include "common/random.h"
 #include "core/serialization.h"
+#include "net/socket.h"
 #include "obs/metrics.h"
 #include "shard/stream_service.h"
 #include "shard/worker.h"
@@ -58,9 +61,11 @@ struct ServerHandle {
   }
 };
 
-std::unique_ptr<ServerHandle> StartServer(const std::string& root) {
+std::unique_ptr<ServerHandle> StartServer(const std::string& root,
+                                          std::uint16_t port = 0) {
   WorkerServerConfig config;
   config.checkpoint_root = root;
+  config.port = port;
   config.poll_ms = 20.0;
   auto handle = std::make_unique<ServerHandle>();
   auto server = WorkerServer::Create(std::move(config));
@@ -463,22 +468,81 @@ TEST_F(FabricTest, SubmitAfterFinishFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(FabricTest, RejoinAtFinishIsCountedInTheReconnectSeries) {
+  // Shard 1 is down until Finish, whose last-chance handshake rejoins
+  // it. That reconnect must reach condensa_fabric_reconnects_total just
+  // as the heartbeat thread's rejoins do, so the summed series moves by
+  // exactly FabricReport::reconnects.
+  auto server0 = StartServer(Dir("w0"));
+  std::uint16_t late_port = 0;
+  {
+    auto reserved = net::TcpListener::Listen("127.0.0.1", 0);
+    ASSERT_TRUE(reserved.ok()) << reserved.status().ToString();
+    late_port = reserved->port();
+  }  // Closed again: nothing listens there until the late server starts.
+  auto reconnects_total = [] {
+    std::uint64_t total = 0;
+    for (const char* shard : {"0", "1"}) {
+      total += obs::DefaultRegistry()
+                   .GetCounter("condensa_fabric_reconnects_total",
+                               {{"shard", shard}})
+                   .value();
+    }
+    return total;
+  };
+  const std::uint64_t before = reconnects_total();
+
+  FabricConfig config = BaseConfig(4);
+  config.workers = {{"127.0.0.1", server0->server->port()},
+                    {"127.0.0.1", late_port}};
+  // After its first failed redial the heartbeat thread waits a minute,
+  // which leaves the rejoin to Finish.
+  config.reconnect.initial_backoff_ms = 60000.0;
+  config.reconnect.max_backoff_ms = 60000.0;
+  auto fabric = FabricService::Start(config);
+  ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
+  const std::vector<Vector> stream = MakeStream(200, 4, 13);
+  for (const Vector& record : stream) {
+    ASSERT_TRUE((*fabric)->Submit(record).ok());
+  }
+  // Give the heartbeat thread time to spend its early redial on the
+  // closed port.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto server1 = StartServer(Dir("w1"), late_port);
+
+  auto result = (*fabric)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  server0->Join();
+  server1->Join();
+  EXPECT_EQ(result->report.rejoins, 1u);
+  EXPECT_GE(result->report.reconnects, 1u);
+  EXPECT_EQ(reconnects_total() - before, result->report.reconnects);
+  EXPECT_TRUE(result->Balanced());
+  EXPECT_EQ(result->TotalAccepted(), stream.size());
+}
+
 TEST_F(FabricTest, WorkerIdentityLabelsBothShardSeries) {
   // Satellite contract: per-shard series carry {shard, worker} so a
   // restarted worker with a stable id keeps its series.
   WorkerOptions options;
-  options.mode = WorkerMode::kStaticBatch;
   options.group_size = 4;
+  options.checkpoint_root = Dir("identity");
+  options.sync_every_append = false;
   options.worker_id = "stable-w9";
   auto worker = Worker::Start(9, 2, options);
-  ASSERT_TRUE(worker.ok());
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
   Vector record(2);
   ASSERT_TRUE((*worker)->Submit(record).ok());
+  ASSERT_TRUE((*worker)->Finish().ok());
   const std::string dump =
       obs::DefaultRegistry().DumpPrometheusText();
   EXPECT_NE(
       dump.find(
           "condensa_shard_records_total{shard=\"9\",worker=\"stable-w9\"}"),
+      std::string::npos)
+      << dump;
+  EXPECT_NE(
+      dump.find("condensa_shard_groups{shard=\"9\",worker=\"stable-w9\"}"),
       std::string::npos)
       << dump;
 }

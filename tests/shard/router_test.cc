@@ -200,5 +200,18 @@ TEST(RouterTest, SplitStreamsAreDeterministicAndDistinct) {
   EXPECT_NE(streams_c[0].NextUint64(), streams_c[1].NextUint64());
 }
 
+TEST(RouterTest, ShardSeedsAreTheFirstDrawOfEachSplitStream) {
+  // The seed derivation every durable sharded service shares; it must
+  // stay exactly this for fixed-seed releases to replay.
+  Rng parent(91);
+  std::vector<Rng> streams = Router::SplitStreams(parent, 3);
+  const std::vector<std::uint64_t> seeds = Router::ShardSeeds(91, 3);
+  ASSERT_EQ(seeds.size(), 3u);
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(seeds[shard], streams[shard].NextUint64());
+  }
+  EXPECT_TRUE(Router::ShardSeeds(91, 0).empty());
+}
+
 }  // namespace
 }  // namespace condensa::shard

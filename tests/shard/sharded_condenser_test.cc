@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "common/io.h"
 #include "common/random.h"
 #include "core/serialization.h"
 #include "linalg/vector.h"
+#include "obs/metrics.h"
 
 namespace condensa::shard {
 namespace {
@@ -134,36 +134,42 @@ TEST(ShardedCondenserTest, ShardSmallerThanKIsFoldedNotDropped) {
   EXPECT_GE(result->groups.Summary().min_group_size, 10u);
 }
 
-TEST(ShardedCondenserTest, DurableStreamModeCondensesAndCheckpoints) {
-  const std::string root =
-      ::testing::TempDir() + "/condensa_sharded_condenser_stream";
-  // Durable shards recover whatever a previous run checkpointed, so the
-  // root must start empty for the record count to be this run's.
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    const std::string dir = root + "/shard-" + std::to_string(shard);
-    if (auto entries = ListDirectory(dir); entries.ok()) {
-      for (const std::string& name : *entries) RemoveFile(dir + "/" + name);
-    }
-  }
-  CreateDirectories(root);
-  std::vector<Vector> records = GaussianRecords(200, 3, 16);
+TEST(ShardedCondenserTest, EmitsPerShardSeriesUnderDefaultWorkerLabels) {
+  // Static sharding reports the same {shard, worker="w<i>"} series the
+  // streaming workers do: records routed to each shard, and the groups
+  // each shard released before the gather.
+  std::vector<Vector> records = GaussianRecords(35, 2, 18);
   ShardedCondenserConfig config;
-  config.num_shards = 2;
-  config.mode = WorkerMode::kDurableStream;
-  config.group_size = 5;
-  config.checkpoint_root = root;
-  config.sync_every_append = false;
+  config.num_shards = 3;
+  config.policy = ShardPolicy::kRoundRobin;
+  config.group_size = 10;
   config.num_threads = 1;
-  Rng rng(9);
+  obs::MetricsRegistry& registry = obs::DefaultRegistry();
+  auto records_series = [&](std::size_t shard) -> obs::Counter& {
+    return registry.GetCounter(
+        "condensa_shard_records_total",
+        {{"shard", std::to_string(shard)},
+         {"worker", "w" + std::to_string(shard)}});
+  };
+  std::vector<std::uint64_t> before;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    before.push_back(records_series(shard).value());
+  }
+  Rng rng(4);
   auto result = ShardedCondenser(config).Condense(records, rng);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->groups.TotalRecords(), 200u);
-  EXPECT_GE(result->groups.Summary().min_group_size, 5u);
-  // Each shard checkpointed into its own directory.
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    auto entries = ListDirectory(root + "/shard-" + std::to_string(shard));
-    ASSERT_TRUE(entries.ok()) << entries.status();
-    EXPECT_FALSE(entries->empty());
+  ASSERT_EQ(result->shards.size(), 3u);
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    // Round-robin over 35 records: 12, 12, 11 — each above k = 10.
+    EXPECT_EQ(result->shards[shard].records, shard < 2 ? 12u : 11u);
+    EXPECT_EQ(records_series(shard).value() - before[shard],
+              result->shards[shard].records);
+    EXPECT_EQ(registry
+                  .GetGauge("condensa_shard_groups",
+                            {{"shard", std::to_string(shard)},
+                             {"worker", "w" + std::to_string(shard)}})
+                  .value(),
+              static_cast<double>(result->shards[shard].groups));
   }
 }
 
@@ -209,11 +215,6 @@ TEST(ShardedCondenserTest, RejectsBadConfigsAndInputs) {
   zero_shards.num_shards = 0;
   EXPECT_TRUE(IsInvalidArgument(
       ShardedCondenser(zero_shards).Condense(records, rng).status()));
-
-  ShardedCondenserConfig stream_without_root;
-  stream_without_root.mode = WorkerMode::kDurableStream;
-  EXPECT_TRUE(IsInvalidArgument(
-      ShardedCondenser(stream_without_root).Condense(records, rng).status()));
 
   ShardedCondenserConfig ok;
   EXPECT_TRUE(IsInvalidArgument(

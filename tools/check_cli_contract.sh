@@ -202,6 +202,26 @@ for shards in 1 2; do
   done
 done
 
+# shard --mode=stream runs the durable sharded service: its checkpoint
+# root and the streaming floor k >= 2 are checked before any work, and a
+# live run over the fixture writes its gathered groups.
+expect_code 2 "shard --mode=stream without --checkpoint-root" \
+  "$CLI" shard --mode=stream --records=50
+expect_code 2 "shard --mode=stream --k=1" \
+  "$CLI" shard --mode=stream --k=1 --records=50 --no-sync \
+  --checkpoint-root="$workdir/shard-k1"
+rm -f "$workdir/shard-groups.txt"
+expect_code 0 "shard --mode=stream live run" \
+  "$CLI" shard --mode=stream --input="$workdir/data.csv" --k=2 --shards=2 \
+  --no-sync --checkpoint-root="$workdir/shard-stream" \
+  --save-groups="$workdir/shard-groups.txt"
+if [ -s "$workdir/shard-groups.txt" ]; then
+  echo "ok: shard --mode=stream wrote --save-groups"
+else
+  echo "FAIL: shard --mode=stream did not write --save-groups" >&2
+  failures=$((failures + 1))
+fi
+
 # A regenerate whose --output cannot be written is a runtime failure.
 expect_code 1 "query regenerate unwritable output" \
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate \

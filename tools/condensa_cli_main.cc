@@ -507,37 +507,35 @@ int RunRecover(const Args& args) {
   return SaveGroups(durable->groups(), args.save_groups);
 }
 
-// serve-stream --shards=N: N independent durable pipelines, each
-// checkpointing under <dir>/shard-<i>, gathered into one release by exact
-// moment merge (docs/scaling.md). Backpressure/retry/deadline tuning
-// flags apply to single-pipeline mode; shards use defaults.
-int ServeSharded(const Args& args,
-                 const condensa::backend::AnonymizationBackend& backend,
-                 const std::vector<condensa::linalg::Vector>& stream) {
-  condensa::shard::ShardedStreamConfig config;
-  config.num_shards = static_cast<std::size_t>(args.shards);
-  config.policy = PolicyFromFlag(args.policy);
-  config.dim = StreamDim(args, stream);
-  config.group_size = static_cast<std::size_t>(args.k);
-  config.checkpoint_root = args.checkpoint_dir;
-  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
-  config.sync_every_append = !args.no_sync;
-  config.queue_capacity = static_cast<std::size_t>(args.queue_capacity);
-  config.batch_size = static_cast<std::size_t>(args.batch_size);
-  config.seed = static_cast<std::uint64_t>(args.seed);
-  config.backend = backend.info().id;
-
-  auto service = condensa::shard::ShardedStreamService::Start(config);
-  if (!service.ok()) {
-    std::fprintf(stderr, "error starting sharded service in %s: %s\n",
-                 args.checkpoint_dir.c_str(),
-                 service.status().ToString().c_str());
-    return StartupExitCode(service.status());
+// How every sharded command ends: --save-groups, an --output release
+// regenerated with `rng`, the --format registry dump, and then exit 1 if
+// a shard ledger does not balance. Returns the exit code.
+int ReleaseSharded(const Args& args,
+                   const condensa::shard::ShardedStreamResult& result,
+                   const condensa::backend::AnonymizationBackend& backend,
+                   condensa::Rng& rng) {
+  if (int code = SaveGroups(result.groups, args.save_groups)) return code;
+  if (int code = WriteRelease(result.groups, backend, rng, args.output)) {
+    return code;
   }
+  DumpRegistry(args.format);
+  if (result.Balanced()) return 0;
+  std::fprintf(stderr,
+               "error: a shard ledger does not balance — records lost\n");
+  return 1;
+}
 
+// Submits `stream` to a started sharded service (ShardedStreamService or
+// FabricService) with --chaos armed during ingest, finishes it and prints
+// each shard's ledger, the gather and the group summary. Returns the exit
+// code; on 0 `*result` is the run.
+template <typename Service, typename Result>
+int IngestSharded(const Args& args, Service& service,
+                  const std::vector<condensa::linalg::Vector>& stream,
+                  Result* result) {
   if (args.chaos > 0.0) ArmChaos(args);
   for (const condensa::linalg::Vector& record : stream) {
-    condensa::Status status = (*service)->Submit(record);
+    condensa::Status status = service.Submit(record);
     if (!status.ok()) {
       std::fprintf(stderr, "submit failed: %s\n", status.ToString().c_str());
       return 1;
@@ -545,25 +543,47 @@ int ServeSharded(const Args& args,
   }
   if (args.chaos > 0.0) condensa::FailPoint::Reset();
 
-  auto result = (*service)->Finish();
-  if (!result.ok()) {
+  auto finished = service.Finish();
+  if (!finished.ok()) {
     std::fprintf(stderr, "finish failed: %s\n",
-                 result.status().ToString().c_str());
+                 finished.status().ToString().c_str());
     return 1;
   }
+  *result = *std::move(finished);
   for (std::size_t shard = 0; shard < result->shard_stats.size(); ++shard) {
     std::printf("shard %zu ledger: %s\n", shard,
                 result->shard_stats[shard].ToString().c_str());
   }
   std::printf("gather: %s\n", result->gather.ToString().c_str());
   PrintGroupSummary(result->groups, "");
-  DumpRegistry(args.format);
-  if (!result->Balanced()) {
-    std::fprintf(stderr,
-                 "error: a shard ledger does not balance — records lost\n");
-    return 1;
-  }
   return 0;
+}
+
+// Runs `stream` through N durable shard pipelines gathered into one
+// release (serve-stream --shards, shard --mode=stream; docs/scaling.md).
+// `config` brings the checkpoint root and any queue tuning; the rest comes
+// from the flags both commands share.
+int StreamSharded(const Args& args,
+                  const condensa::backend::AnonymizationBackend& backend,
+                  condensa::shard::ShardedStreamConfig config,
+                  const std::vector<condensa::linalg::Vector>& stream,
+                  condensa::shard::ShardedStreamResult* result) {
+  config.num_shards = static_cast<std::size_t>(args.shards);
+  config.policy = PolicyFromFlag(args.policy);
+  config.dim = StreamDim(args, stream);
+  config.group_size = static_cast<std::size_t>(args.k);
+  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
+  config.sync_every_append = !args.no_sync;
+  config.seed = static_cast<std::uint64_t>(args.seed);
+  config.backend = backend.info().id;
+  auto service = condensa::shard::ShardedStreamService::Start(config);
+  if (!service.ok()) {
+    std::fprintf(stderr, "error starting sharded service in %s: %s\n",
+                 config.checkpoint_root.c_str(),
+                 service.status().ToString().c_str());
+    return StartupExitCode(service.status());
+  }
+  return IngestSharded(args, **service, stream, result);
 }
 
 // Runs the supervised streaming runtime (docs/resilience.md): records flow
@@ -584,7 +604,19 @@ int RunServeStream(const Args& args) {
       LoadStream(args);
   if (!stream) return 1;
   if (args.shards > 1) {
-    return ServeSharded(args, *anonymization_backend, *stream);
+    // Backpressure/retry/deadline tuning flags apply to single-pipeline
+    // mode; shards use defaults.
+    condensa::shard::ShardedStreamConfig sharded;
+    sharded.checkpoint_root = args.checkpoint_dir;
+    sharded.queue_capacity = static_cast<std::size_t>(args.queue_capacity);
+    sharded.batch_size = static_cast<std::size_t>(args.batch_size);
+    condensa::shard::ShardedStreamResult result;
+    if (int code = StreamSharded(args, *anonymization_backend, sharded,
+                                 *stream, &result)) {
+      return code;
+    }
+    condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
+    return ReleaseSharded(args, result, *anonymization_backend, rng);
   }
 
   condensa::runtime::StreamPipelineConfig config;
@@ -652,9 +684,11 @@ int RunServeStream(const Args& args) {
   return 0;
 }
 
-// Batch scatter/gather condensation (docs/scaling.md): route the records
-// across N shard workers, condense each partition independently, then
-// exact-merge the shard-local aggregates into one global structure.
+// Scatter/gather condensation (docs/scaling.md): route the records across
+// N shards, condense each partition independently — in memory
+// (--mode=batch) or through durable streaming pipelines (--mode=stream,
+// the serve-stream --shards service) — then exact-merge the shard-local
+// aggregates into one global structure.
 int RunShard(const Args& args) {
   const bool stream_mode = args.mode == "stream";
   if (stream_mode && args.checkpoint_root.empty()) {
@@ -669,43 +703,45 @@ int RunShard(const Args& args) {
       LoadStream(args);
   if (!data) return 1;
 
-  condensa::shard::ShardedCondenserConfig config;
-  config.num_shards = static_cast<std::size_t>(args.shards);
-  config.policy = PolicyFromFlag(args.policy);
-  config.mode = stream_mode ? condensa::shard::WorkerMode::kDurableStream
-                            : condensa::shard::WorkerMode::kStaticBatch;
-  config.group_size = static_cast<std::size_t>(args.k);
-  config.checkpoint_root = args.checkpoint_root;
-  config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
-  config.sync_every_append = !args.no_sync;
-  config.num_threads = static_cast<std::size_t>(args.threads);
-  config.seed = static_cast<std::uint64_t>(args.seed);
-  config.backend = anonymization_backend->info().id;
-
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  auto result =
-      condensa::shard::ShardedCondenser(config).Condense(*data, rng);
-  if (!result.ok()) {
-    std::fprintf(stderr, "sharded condensation failed: %s\n",
-                 result.status().ToString().c_str());
-    return StartupExitCode(result.status());
+  condensa::shard::ShardedStreamResult result;
+  if (stream_mode) {
+    condensa::shard::ShardedStreamConfig config;
+    config.checkpoint_root = args.checkpoint_root;
+    if (int code = StreamSharded(args, *anonymization_backend, config, *data,
+                                 &result)) {
+      return code;
+    }
+    // The service derived its shard seeds from N splits of --seed; take
+    // the same splits here so the release draws what it always has.
+    (void)condensa::shard::Router::SplitStreams(
+        rng, static_cast<std::size_t>(args.shards));
+  } else {
+    condensa::shard::ShardedCondenserConfig config;
+    config.num_shards = static_cast<std::size_t>(args.shards);
+    config.policy = PolicyFromFlag(args.policy);
+    config.group_size = static_cast<std::size_t>(args.k);
+    config.num_threads = static_cast<std::size_t>(args.threads);
+    config.backend = anonymization_backend->info().id;
+    auto condensed =
+        condensa::shard::ShardedCondenser(config).Condense(*data, rng);
+    if (!condensed.ok()) {
+      std::fprintf(stderr, "sharded condensation failed: %s\n",
+                   condensed.status().ToString().c_str());
+      return StartupExitCode(condensed.status());
+    }
+    for (const condensa::shard::ShardReport& report : condensed->shards) {
+      std::printf("shard %zu: records=%zu groups=%zu min_group_size=%zu\n",
+                  report.shard_id, report.records, report.groups,
+                  report.min_group_size);
+    }
+    std::printf("gather: %s\n", condensed->gather.ToString().c_str());
+    PrintGroupSummary(condensed->groups, "");
+    result.groups = std::move(condensed->groups);
   }
 
-  for (const condensa::shard::ShardReport& report : result->shards) {
-    std::printf("shard %zu: records=%zu groups=%zu min_group_size=%zu\n",
-                report.shard_id, report.records, report.groups,
-                report.min_group_size);
-  }
-  std::printf("gather: %s\n", result->gather.ToString().c_str());
-  PrintGroupSummary(result->groups, "");
-
-  if (int code = SaveGroups(result->groups, args.save_groups)) return code;
-  if (int code = WriteRelease(result->groups, *anonymization_backend, rng,
-                              args.output)) {
-    return code;
-  }
-  DumpRegistry(args.format);
-  return 0;
+  // Batch mode keeps no ledgers, so only a stream run can fail the check.
+  return ReleaseSharded(args, result, *anonymization_backend, rng);
 }
 
 // Runs one standalone fabric worker until a coordinator finishes it.
@@ -797,41 +833,13 @@ int RunFabric(const Args& args) {
                  service.status().ToString().c_str());
     return StartupExitCode(service.status());
   }
-  for (const condensa::linalg::Vector& record : *stream) {
-    condensa::Status status = (*service)->Submit(record);
-    if (!status.ok()) {
-      std::fprintf(stderr, "submit failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  auto result = (*service)->Finish();
-  if (!result.ok()) {
-    std::fprintf(stderr, "finish failed: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-
-  for (std::size_t shard = 0; shard < result->shard_stats.size(); ++shard) {
-    std::printf("shard %zu ledger: %s\n", shard,
-                result->shard_stats[shard].ToString().c_str());
-  }
-  std::printf("fabric: %s\n", result->report.ToString().c_str());
-  std::printf("gather: %s\n", result->gather.ToString().c_str());
-  PrintGroupSummary(result->groups, "");
-
-  if (int code = SaveGroups(result->groups, args.save_groups)) return code;
-  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  if (int code = WriteRelease(result->groups, *anonymization_backend, rng,
-                              args.output)) {
+  condensa::shard::FabricResult result;
+  if (int code = IngestSharded(args, **service, *stream, &result)) {
     return code;
   }
-  DumpRegistry(args.format);
-  if (!result->Balanced()) {
-    std::fprintf(stderr,
-                 "error: a shard ledger does not balance — records lost\n");
-    return 1;
-  }
-  return 0;
+  std::printf("fabric: %s\n", result.report.ToString().c_str());
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
+  return ReleaseSharded(args, result, *anonymization_backend, rng);
 }
 
 // Loads the snapshot `query` and `query-server` answer from: --groups (a
@@ -1378,11 +1386,13 @@ const std::vector<Command> kCommands = {
        &Args::seed},
       {"format", kFormats, "", "also dump the metrics registry",
        &Args::format}}},
-    {"shard", "batch scatter/gather condensation",
+    {"shard", "scatter/gather condensation",
      "Routes records across N shard condensers (each condensing its "
      "partition independently), then exact-merges the shard-local "
      "aggregates into one global k-indistinguishable structure "
-     "(docs/scaling.md). Fixed --seed and --shards reproduce a "
+     "(docs/scaling.md). --mode=stream runs the shards as durable "
+     "pipelines, as serve-stream --shards does, and exits 1 when a shard "
+     "ledger does not balance. Fixed --seed and --shards reproduce a "
      "bit-identical release.",
      RunShard,
      {{"input", "FILE", "",
@@ -1400,8 +1410,8 @@ const std::vector<Command> kCommands = {
        "both follow it",
        &Args::backend},
       {"mode", "batch|stream", "batch",
-       "in-memory batch workers, or durable streaming workers with "
-       "per-shard checkpoints",
+       "in-memory static condensation per shard, or durable streaming "
+       "pipelines with per-shard checkpoints (k >= 2)",
        &Args::mode},
       {"checkpoint-root", "DIR", "",
        "per-shard checkpoint parent directory; required with --mode=stream",
@@ -1411,8 +1421,8 @@ const std::vector<Command> kCommands = {
       {"no-sync", "", "false", "skip fsync per journal append",
        &Args::no_sync},
       {"threads", "N", "0",
-       "worker threads; 0 = hardware concurrency; output is identical at "
-       "any thread count",
+       "batch mode only: condense threads; 0 = hardware concurrency; "
+       "output is identical at any thread count",
        &Args::threads, AtLeast(0)},
       {"save-groups", "FILE", "", "save the gathered group statistics",
        &Args::save_groups},
