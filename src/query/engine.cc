@@ -1,8 +1,9 @@
 #include "query/engine.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,29 +13,9 @@
 #include "obs/metrics.h"
 #include "obs/timing.h"
 #include "query/wire.h"
-#include "simd/distance.h"
 
 namespace condensa::query {
 namespace {
-
-// One candidate neighbour for the classify vote. Ordering is (distance,
-// pool, group) lexicographic so ties are deterministic across runs and
-// platforms.
-struct Neighbor {
-  double distance_squared = 0.0;
-  std::size_t pool = 0;
-  std::size_t group = 0;
-  int label = -1;
-  std::uint64_t mass = 0;
-
-  bool operator<(const Neighbor& other) const {
-    if (distance_squared != other.distance_squared) {
-      return distance_squared < other.distance_squared;
-    }
-    if (pool != other.pool) return pool < other.pool;
-    return group < other.group;
-  }
-};
 
 Status DeadlineExpired(const char* where) {
   return UnavailableError(std::string("deadline expired during ") + where);
@@ -165,22 +146,15 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
         "snapshot holds no labeled pools to classify against");
   }
 
-  // Every query point scans each labeled pool's packed centroids
-  // (built once with the snapshot) with one batch-distance kernel call.
-  // The kernel's per-record sum runs in dimension order over
-  // (centroid - point) differences; GroupStatistics::
-  // SquaredDistanceToCentroid sums (point - centroid) in the same order,
-  // and IEEE negation is exact, so the distances — and hence the votes —
-  // are bit-identical to the scalar path.
-  std::size_t max_groups = 0;
-  for (const LabeledGroups& pool : snapshot.pools) {
-    max_groups = std::max(max_groups, pool.groups.num_groups());
-  }
+  // One kd-tree over every labeled centroid, built once per snapshot;
+  // it ranks neighbours by (distance, pool, group) exactly as a scan of
+  // every group would (query/snapshot.h).
+  const std::shared_ptr<const ClassifyIndex> index =
+      snapshot.GetClassifyIndex();
+  CONDENSA_RETURN_IF_ERROR(index->status());
 
   ClassifyResult result;
   result.labels.reserve(query.points.size());
-  std::vector<double> dist(max_groups);
-  std::vector<Neighbor> nearest;  // max-heap of size <= neighbors
   for (const linalg::Vector& point : query.points) {
     if (context.Expired()) {
       return DeadlineExpired("classify");
@@ -190,38 +164,21 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
           "classify point has dimension " + std::to_string(point.dim()) +
           " but the snapshot has " + std::to_string(snapshot.dim));
     }
-    nearest.clear();
-    for (std::size_t p = 0; p < snapshot.pools.size(); ++p) {
-      const LabeledGroups& pool = snapshot.pools[p];
-      if (pool.label < 0 || pool.groups.empty()) continue;
-      const PackedCentroids& packed = pool.packed();
-      simd::SquaredDistanceBatch(packed.centroids, point.data(), dist.data());
-      for (std::size_t g = 0; g < packed.centroids.size(); ++g) {
-        const double d2 = dist[g];
-        // Once the heap is full a strictly-greater distance can never
-        // win — only an equal one can, via the (pool, group) tie-break —
-        // so most groups drop here before the Neighbor is even built.
-        if (nearest.size() == query.neighbors &&
-            d2 > nearest.front().distance_squared) {
-          continue;
-        }
-        Neighbor candidate{d2, p, g, pool.label, packed.mass[g]};
-        if (nearest.size() < query.neighbors) {
-          nearest.push_back(candidate);
-          std::push_heap(nearest.begin(), nearest.end());
-        } else if (candidate < nearest.front()) {
-          std::pop_heap(nearest.begin(), nearest.end());
-          nearest.back() = candidate;
-          std::push_heap(nearest.begin(), nearest.end());
-        }
+    for (std::size_t d = 0; d < point.dim(); ++d) {
+      if (!std::isfinite(point[d])) {
+        return InvalidArgumentError(
+            "classify point has a non-finite coordinate " +
+            std::to_string(d));
       }
     }
     // Mass-weighted vote: each neighbouring group speaks for all n(G)
     // records it condenses. std::map iterates labels ascending, so a
     // strict > comparison breaks weight ties toward the smaller label.
     std::map<int, std::uint64_t> votes;
-    for (const Neighbor& neighbor : nearest) {
-      votes[neighbor.label] += neighbor.mass;
+    for (const ClassifyIndex::Neighbor& neighbor :
+         index->Nearest(point, query.neighbors)) {
+      const LabeledGroups& pool = snapshot.pools[neighbor.pool];
+      votes[pool.label] += pool.packed().mass[neighbor.group];
     }
     int best_label = -1;
     std::uint64_t best_weight = 0;

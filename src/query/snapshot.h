@@ -11,8 +11,9 @@
 // underneath — and the version stamps inside the copied groups keep the
 // eigendecomposition cache exact across snapshots (copying preserves
 // stamps; only real mutations mint new ones). Each pool also carries its
-// centroids packed once at construction (PackedCentroids), so no query
-// rebuilds them.
+// centroids packed once at construction (PackedCentroids), and the
+// snapshot builds one kd-tree over the labeled centroids the first time
+// it classifies (ClassifyIndex), so no query rebuilds either.
 
 #ifndef CONDENSA_QUERY_SNAPSHOT_H_
 #define CONDENSA_QUERY_SNAPSHOT_H_
@@ -22,10 +23,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
+#include "common/status.h"
 #include "core/condensed_group_set.h"
 #include "core/engine.h"
+#include "index/kdtree.h"
+#include "linalg/vector.h"
 #include "simd/record_block.h"
 
 namespace condensa::query {
@@ -59,7 +64,79 @@ class LabeledGroups {
   const PackedCentroids& packed() const { return *packed_; }
 
  private:
+  friend class ClassifyIndex;
+
   std::shared_ptr<const PackedCentroids> packed_;
+};
+
+// One kd-tree over the centroids of every labeled, non-empty pool of a
+// snapshot: the classify search structure. Each centroid's key is its
+// global (pool, group) ordinal (the groups of the indexed pools laid end
+// to end in pool order), so ranking by (distance, key) is ranking by
+// (distance, pool, group), and index::KdTree::KNearestKeyed returns
+// exactly the neighbours a scan of every group would, boundary ties
+// included. Distances come from the tree's batch kernel over the packed
+// centroid values, bit-identical to SquaredDistanceToCentroid.
+//
+// Immutable once built. It holds the packed views of the pools it
+// indexed, which also identify them: a LabeledGroups copy shares its
+// view, a different pool never does, and no view can be freed and its
+// address reused while the index lives.
+class ClassifyIndex {
+ public:
+  // Indexes the labeled, non-empty pools of `pools`. A labeled pool with
+  // a non-finite centroid coordinate or a dimension other than `dim`
+  // leaves the index empty with a FailedPrecondition status().
+  ClassifyIndex(std::size_t dim, const std::vector<LabeledGroups>& pools);
+  ClassifyIndex(const ClassifyIndex&) = delete;
+  ClassifyIndex& operator=(const ClassifyIndex&) = delete;
+
+  const Status& status() const { return status_; }
+  // Whether this index was built from exactly `pools` at `dim`.
+  bool Indexes(std::size_t dim, const std::vector<LabeledGroups>& pools) const;
+
+  struct Neighbor {
+    double distance_squared = 0.0;
+    std::size_t pool = 0;
+    std::size_t group = 0;
+  };
+  // The min(k, indexed groups) labeled centroids nearest to `point`,
+  // ascending by (distance, pool, group). `point` has dim() coordinates.
+  std::vector<Neighbor> Nearest(const linalg::Vector& point,
+                                std::size_t k) const;
+
+ private:
+  std::size_t dim_;
+  // One entry per pool of the source snapshot, labeled or not.
+  std::vector<std::shared_ptr<const PackedCentroids>> sources_;
+  // offsets_[p] is the key of pool p's group 0; offsets_.back() is the
+  // number of indexed centroids. Unindexed pools span no keys.
+  std::vector<std::size_t> offsets_;
+  // The tree's points, in key order (the tree references this vector).
+  std::vector<linalg::Vector> centroids_;
+  std::optional<index::KdTree> tree_;
+  Status status_;
+};
+
+// Holds a snapshot's ClassifyIndex, built on first use. Copies share the
+// built index; a holder whose snapshot's pools have changed since builds
+// a fresh one, so a stale index is never served.
+class ClassifyIndexHolder {
+ public:
+  ClassifyIndexHolder() = default;
+  ClassifyIndexHolder(const ClassifyIndexHolder& other);
+  ClassifyIndexHolder& operator=(const ClassifyIndexHolder& other);
+
+  // The index over `pools`: the held one if it still matches, else a new
+  // one built under the lock (concurrent callers wait for it).
+  std::shared_ptr<const ClassifyIndex> Get(
+      std::size_t dim, const std::vector<LabeledGroups>& pools) const;
+
+ private:
+  std::shared_ptr<const ClassifyIndex> Load() const;
+
+  mutable std::mutex mu_;
+  mutable std::shared_ptr<const ClassifyIndex> index_;
 };
 
 struct QuerySnapshot {
@@ -75,10 +152,17 @@ struct QuerySnapshot {
   // default epoch and report age 0 — they are as fresh as their source.
   std::chrono::steady_clock::time_point published_at{};
 
+  // Holds the index GetClassifyIndex builds; copies of the snapshot
+  // share it.
+  ClassifyIndexHolder classify_index_holder;
+
   std::size_t TotalGroups() const;
   std::size_t TotalRecords() const;
   // Milliseconds since publication as of `now`; 0 for never-published.
   double AgeMs(std::chrono::steady_clock::time_point now) const;
+  // Classify's search structure over the current `pools`, built on the
+  // first call and again only after `pools` or `dim` change.
+  std::shared_ptr<const ClassifyIndex> GetClassifyIndex() const;
 };
 
 // Builds an unversioned snapshot (version assigned at Publish) from

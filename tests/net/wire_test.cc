@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -17,6 +19,7 @@
 #include "core/serialization.h"
 #include "linalg/vector.h"
 #include "net/frame.h"
+#include "runtime/pipeline.h"
 
 namespace condensa::net {
 namespace {
@@ -368,6 +371,249 @@ TEST(WireMessageTest, MangledPayloadsFailCleanly) {
       (void)DecodeSubmit(mangled);
     }
   }
+}
+
+// Randomized round trips over the bit patterns the codecs must carry
+// untouched: NaN payloads of both signs, ±0, subnormals, infinities and
+// raw random bits in records; full-width u64 fields; strings of
+// arbitrary bytes, NUL included.
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double FromBits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+double RandomDouble(Rng& rng) {
+  switch (rng.UniformIndex(8)) {
+    case 0: return FromBits(0x7ff0000000000000ull | (rng.NextUint64() >> 12) |
+                            1);  // NaN with a random payload
+    case 1: return FromBits(0xfff8000000000000ull | (rng.NextUint64() >> 13));
+    case 2: return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    case 3: return FromBits(rng.NextUint64() & 0x800fffffffffffffull);  // subnormal
+    case 4: return rng.Bernoulli(0.5) ? std::numeric_limits<double>::infinity()
+                                      : -std::numeric_limits<double>::infinity();
+    default: return FromBits(rng.NextUint64());
+  }
+}
+
+std::string RandomBytes(Rng& rng, std::size_t max_size) {
+  std::string bytes(rng.UniformIndex(max_size + 1), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformIndex(256));
+  return bytes;
+}
+
+runtime::StreamPipelineStats RandomStats(Rng& rng) {
+  runtime::StreamPipelineStats stats;
+  for (std::size_t* field :
+       {&stats.submitted, &stats.accepted, &stats.rejected, &stats.dropped,
+        &stats.applied, &stats.quarantined, &stats.quarantined_dimension,
+        &stats.quarantined_non_finite, &stats.quarantined_failure,
+        &stats.spooled, &stats.spool_replayed, &stats.spool_remaining,
+        &stats.spool_recovered, &stats.retries, &stats.breaker_trips,
+        &stats.watchdog_stalls, &stats.condenser_reopens,
+        &stats.queue_high_water, &stats.quarantine_write_failures,
+        &stats.spool_write_failures}) {
+    *field = rng.NextUint64();
+  }
+  return stats;
+}
+
+void ExpectSameStats(const runtime::StreamPipelineStats& got,
+                     const runtime::StreamPipelineStats& want) {
+  EXPECT_EQ(got.submitted, want.submitted);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.applied, want.applied);
+  EXPECT_EQ(got.quarantined, want.quarantined);
+  EXPECT_EQ(got.quarantined_dimension, want.quarantined_dimension);
+  EXPECT_EQ(got.quarantined_non_finite, want.quarantined_non_finite);
+  EXPECT_EQ(got.quarantined_failure, want.quarantined_failure);
+  EXPECT_EQ(got.spooled, want.spooled);
+  EXPECT_EQ(got.spool_replayed, want.spool_replayed);
+  EXPECT_EQ(got.spool_remaining, want.spool_remaining);
+  EXPECT_EQ(got.spool_recovered, want.spool_recovered);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.breaker_trips, want.breaker_trips);
+  EXPECT_EQ(got.watchdog_stalls, want.watchdog_stalls);
+  EXPECT_EQ(got.condenser_reopens, want.condenser_reopens);
+  EXPECT_EQ(got.queue_high_water, want.queue_high_water);
+  EXPECT_EQ(got.quarantine_write_failures, want.quarantine_write_failures);
+  EXPECT_EQ(got.spool_write_failures, want.spool_write_failures);
+}
+
+TEST(NetWireRandomTest, HelloRoundTripsEveryField) {
+  Rng rng(31);
+  for (int trial = 0; trial < 300; ++trial) {
+    HelloMessage msg;
+    msg.shard_id = rng.NextUint64();
+    msg.dim = 1 + rng.UniformIndex(kMaxWireDim);
+    msg.group_size = rng.NextUint64();
+    msg.split_rule = static_cast<std::uint16_t>(rng.NextUint64());
+    msg.snapshot_interval = rng.NextUint64();
+    msg.sync_every_append = static_cast<std::uint8_t>(rng.NextUint64());
+    msg.queue_capacity = rng.NextUint64();
+    msg.batch_size = rng.NextUint64();
+    msg.seed = rng.NextUint64();
+    msg.backend = RandomBytes(rng, 24);
+    // An empty id is refused (HelloRejectsEmptyBackend); a lone NUL is not.
+    if (msg.backend.empty()) msg.backend.assign(1, '\0');
+    auto decoded = DecodeHello(EncodeHello(msg));
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded->shard_id, msg.shard_id);
+    EXPECT_EQ(decoded->dim, msg.dim);
+    EXPECT_EQ(decoded->group_size, msg.group_size);
+    EXPECT_EQ(decoded->split_rule, msg.split_rule);
+    EXPECT_EQ(decoded->snapshot_interval, msg.snapshot_interval);
+    EXPECT_EQ(decoded->sync_every_append, msg.sync_every_append);
+    EXPECT_EQ(decoded->queue_capacity, msg.queue_capacity);
+    EXPECT_EQ(decoded->batch_size, msg.batch_size);
+    EXPECT_EQ(decoded->seed, msg.seed);
+    EXPECT_EQ(decoded->backend, msg.backend);
+  }
+}
+
+TEST(NetWireRandomTest, SubmitRoundTripsRecordsBitExactly) {
+  Rng rng(32);
+  for (int trial = 0; trial < 300; ++trial) {
+    SubmitMessage msg;
+    msg.base_sequence = rng.NextUint64();
+    msg.dim = 1 + rng.UniformIndex(6);
+    for (std::size_t r = rng.UniformIndex(8); r > 0; --r) {
+      Vector record(msg.dim);
+      for (std::size_t d = 0; d < msg.dim; ++d) record[d] = RandomDouble(rng);
+      msg.records.push_back(std::move(record));
+    }
+    auto decoded = DecodeSubmit(EncodeSubmit(msg));
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded->base_sequence, msg.base_sequence);
+    EXPECT_EQ(decoded->dim, msg.dim);
+    ASSERT_EQ(decoded->records.size(), msg.records.size());
+    for (std::size_t r = 0; r < msg.records.size(); ++r) {
+      ASSERT_EQ(decoded->records[r].dim(), msg.dim);
+      for (std::size_t d = 0; d < msg.dim; ++d) {
+        EXPECT_EQ(Bits(decoded->records[r][d]), Bits(msg.records[r][d]))
+            << "trial " << trial << " record " << r << " coordinate " << d;
+      }
+    }
+  }
+}
+
+TEST(NetWireRandomTest, AcksHeartbeatsAndErrorsRoundTrip) {
+  Rng rng(33);
+  for (int trial = 0; trial < 300; ++trial) {
+    HelloAckMessage hello_ack;
+    hello_ack.worker_id = RandomBytes(rng, 24);
+    hello_ack.durable_total = rng.NextUint64();
+    auto ha = DecodeHelloAck(EncodeHelloAck(hello_ack));
+    ASSERT_TRUE(ha.ok()) << ha.status().ToString();
+    EXPECT_EQ(ha->worker_id, hello_ack.worker_id);
+    EXPECT_EQ(ha->durable_total, hello_ack.durable_total);
+
+    const SubmitAckMessage submit_ack{rng.NextUint64()};
+    auto sa = DecodeSubmitAck(EncodeSubmitAck(submit_ack));
+    ASSERT_TRUE(sa.ok()) << sa.status().ToString();
+    EXPECT_EQ(sa->durable_total, submit_ack.durable_total);
+
+    const HeartbeatMessage beat{rng.NextUint64()};
+    auto hb = DecodeHeartbeat(EncodeHeartbeat(beat));
+    ASSERT_TRUE(hb.ok()) << hb.status().ToString();
+    EXPECT_EQ(hb->nonce, beat.nonce);
+
+    const HeartbeatAckMessage beat_ack{rng.NextUint64(), rng.NextUint64()};
+    auto hba = DecodeHeartbeatAck(EncodeHeartbeatAck(beat_ack));
+    ASSERT_TRUE(hba.ok()) << hba.status().ToString();
+    EXPECT_EQ(hba->nonce, beat_ack.nonce);
+    EXPECT_EQ(hba->durable_total, beat_ack.durable_total);
+
+    ErrorMessage error;
+    error.code = static_cast<std::uint32_t>(rng.NextUint64());
+    error.message = RandomBytes(rng, 64);
+    auto e = DecodeError(EncodeError(error));
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    EXPECT_EQ(e->code, error.code);
+    EXPECT_EQ(e->message, error.message);
+  }
+}
+
+TEST(NetWireRandomTest, FinishResultRoundTripsEveryLedgerCounter) {
+  Rng rng(34);
+  for (int trial = 0; trial < 300; ++trial) {
+    FinishResultMessage msg;
+    msg.stats = RandomStats(rng);
+    msg.groups_text = RandomBytes(rng, 256);
+    auto payload = EncodeFinishResult(msg);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    auto decoded = DecodeFinishResult(*payload);
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                              << decoded.status().ToString();
+    ExpectSameStats(decoded->stats, msg.stats);
+    EXPECT_EQ(decoded->groups_text, msg.groups_text);
+  }
+}
+
+// Each cap round-trips at its value and is refused one above it (and
+// each floor one below it).
+TEST(NetWireCapTest, HelloDimensionCap) {
+  HelloMessage msg;
+  msg.group_size = 10;
+  msg.dim = kMaxWireDim;
+  auto at_cap = DecodeHello(EncodeHello(msg));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->dim, kMaxWireDim);
+  msg.dim = 1;
+  EXPECT_TRUE(DecodeHello(EncodeHello(msg)).ok());
+
+  msg.dim = kMaxWireDim + 1;
+  EXPECT_EQ(DecodeHello(EncodeHello(msg)).status().code(),
+            StatusCode::kDataLoss);
+  msg.dim = 0;
+  EXPECT_EQ(DecodeHello(EncodeHello(msg)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(NetWireCapTest, SubmitDimensionCap) {
+  SubmitMessage msg;
+  msg.dim = kMaxWireDim;
+  msg.records.push_back(Vector(kMaxWireDim));
+  auto at_cap = DecodeSubmit(EncodeSubmit(msg));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  ASSERT_EQ(at_cap->records.size(), 1u);
+  EXPECT_EQ(at_cap->records[0].dim(), kMaxWireDim);
+
+  msg.dim = kMaxWireDim + 1;
+  msg.records[0] = Vector(kMaxWireDim + 1);
+  EXPECT_EQ(DecodeSubmit(EncodeSubmit(msg)).status().code(),
+            StatusCode::kDataLoss);
+  msg.dim = 0;
+  msg.records.clear();
+  EXPECT_EQ(DecodeSubmit(EncodeSubmit(msg)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(NetWireCapTest, SubmitRecordCountCap) {
+  // One-dimensional records keep a cap-sized payload at 8 MiB.
+  SubmitMessage msg;
+  msg.dim = 1;
+  msg.records.assign(kMaxRecordsPerSubmit, Vector(1));
+  auto at_cap = DecodeSubmit(EncodeSubmit(msg));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->records.size(), kMaxRecordsPerSubmit);
+
+  msg.records.emplace_back(1);
+  const Status over = DecodeSubmit(EncodeSubmit(msg)).status();
+  EXPECT_EQ(over.code(), StatusCode::kDataLoss);
+  EXPECT_NE(over.message().find("exceeds the per-batch cap"),
+            std::string::npos)
+      << over.ToString();
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -219,6 +222,92 @@ TEST(QueryEngineTest, ClassifyRejectsBadInputs) {
   query.classify.neighbors = 1;
   result = engine.Execute(unlabeled, query);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(QueryEngineTest, ClassifyRejectsNonFinitePoints) {
+  QuerySnapshot snapshot = TwoClassSnapshot();
+  QueryEngine engine;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t d = 0; d < 2; ++d) {
+      Query query;
+      query.kind = QueryKind::kClassify;
+      query.classify.points.push_back(MakePoint({5.0, 1.0}));
+      Vector point = MakePoint({-5.0, 1.0});
+      point[d] = bad;
+      query.classify.points.push_back(point);
+      auto result = engine.Execute(snapshot, query);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << "coordinate " << d << " = " << bad;
+    }
+  }
+  // The snapshot still answers finite points.
+  Query query;
+  query.kind = QueryKind::kClassify;
+  query.classify.points.push_back(MakePoint({-5.0, 1.0}));
+  auto result = engine.Execute(snapshot, query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->classify.labels[0], 0);
+}
+
+TEST(QueryEngineTest, ClassifyRefusesNonFiniteLabeledCentroids) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    QuerySnapshot snapshot = TwoClassSnapshot();
+    CondensedGroupSet poisoned(2, 5);
+    GroupStatistics group(2);
+    group.Add(MakePoint({bad, 0.0}));
+    poisoned.AddGroup(group);
+    snapshot.pools.push_back({2, std::move(poisoned)});
+
+    QueryEngine engine;
+    Query query;
+    query.kind = QueryKind::kClassify;
+    query.classify.points.push_back(MakePoint({5.0, 1.0}));
+    auto result = engine.Execute(snapshot, query);
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+        << "centroid coordinate " << bad;
+
+    // An unlabeled pool is never searched, so its centroids do not block
+    // classification.
+    snapshot.pools.pop_back();
+    CondensedGroupSet unlabeled(2, 5);
+    unlabeled.AddGroup(group);
+    snapshot.pools.push_back({-1, std::move(unlabeled)});
+    result = engine.Execute(snapshot, query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->classify.labels[0], 1);
+  }
+}
+
+TEST(QueryEngineTest, ConcurrentFirstClassifiesShareOneIndex) {
+  // Readers of a freshly published snapshot race to its first classify:
+  // one builds the index, the rest wait for it, and all answer alike.
+  SnapshotStore store;
+  store.Publish(TwoClassSnapshot(40));
+  const std::shared_ptr<const QuerySnapshot> snapshot = store.Current();
+  Query query;
+  query.kind = QueryKind::kClassify;
+  query.classify.points.push_back(MakePoint({-5.0, 7.0}));
+  query.classify.points.push_back(MakePoint({5.0, 30.0}));
+  std::vector<std::vector<int>> labels(4);
+  std::vector<std::shared_ptr<const ClassifyIndex>> indexes(4);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < labels.size(); ++t) {
+    readers.emplace_back([&, t] {
+      QueryEngine engine;
+      auto result = engine.Execute(*snapshot, query);
+      if (result.ok()) labels[t] = result->classify.labels;
+      indexes[t] = snapshot->GetClassifyIndex();
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t t = 0; t < labels.size(); ++t) {
+    EXPECT_EQ(labels[t], (std::vector<int>{0, 1})) << "reader " << t;
+    EXPECT_EQ(indexes[t], indexes[0]) << "reader " << t;
+  }
 }
 
 TEST(QueryEngineTest, RegenerateIsDeterministicInTheSeed) {

@@ -1,14 +1,18 @@
 // Randomized parity between the query engine and a per-group reference.
 //
-// The engine selects and ranks groups through each pool's packed
-// centroids (query/snapshot.h). The reference here never touches that
-// view: it walks the groups one by one with
+// The engine selects groups through each pool's packed centroids and
+// ranks classify neighbours through one kd-tree over every labeled
+// centroid (query/snapshot.h). The reference here never touches either:
+// it walks the groups one by one with
 // GroupStatistics::SquaredDistanceToCentroid, Centroid() and Merge, the
 // way the engine worked before the view existed. Random snapshots mix
 // 1–4 pools, unlabeled pools, single-record groups, duplicated groups
 // (exact distance ties, within and across pools) and range endpoints
 // equal to centroid coordinates; every classify label and every bit of
-// every aggregate and regenerate answer must agree.
+// every aggregate and regenerate answer must agree. Classify is also
+// checked on deep trees (thousands of grid-snapped groups, so ties cross
+// leaves) and at the index's edges: one group, fewer groups than
+// neighbours, and one centroid repeated across every pool.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -355,6 +360,193 @@ TEST(QueryParityTest, CopiedSnapshotSharesThePackedView) {
   for (std::size_t p = 0; p < snapshot.pools.size(); ++p) {
     EXPECT_EQ(&current->pools[p].packed(), &snapshot.pools[p].packed());
   }
+}
+
+// Classify answers for `points` from the engine must equal the
+// reference's, point by point.
+void ExpectClassifyMatchesReference(const QuerySnapshot& snapshot,
+                                    const std::vector<Vector>& points,
+                                    std::size_t neighbors,
+                                    const std::string& what) {
+  QueryEngine engine;
+  Query query;
+  query.kind = QueryKind::kClassify;
+  query.classify.neighbors = neighbors;
+  query.classify.points = points;
+  auto result = engine.Execute(snapshot, query);
+  ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+  ASSERT_EQ(result->classify.labels.size(), points.size()) << what;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(result->classify.labels[i],
+              ReferenceClassify(snapshot, points[i], neighbors))
+        << what << " point " << i << " neighbors " << neighbors;
+  }
+}
+
+std::vector<Vector> RandomPoints(std::size_t dim, std::size_t count,
+                                 Rng& rng) {
+  std::vector<Vector> points;
+  for (std::size_t i = 0; i < count; ++i) {
+    Vector point(dim);
+    for (std::size_t d = 0; d < dim; ++d) point[d] = Coordinate(rng);
+    points.push_back(std::move(point));
+  }
+  return points;
+}
+
+TEST(QueryParityTest, ClassifyMatchesPerGroupReferenceOnDeepTrees) {
+  Rng rng(6);
+  for (int trial = 0; trial < 6; ++trial) {
+    QuerySnapshot snapshot;
+    snapshot.dim = 1 + rng.UniformIndex(5);
+    std::vector<GroupStatistics> made;
+    for (std::size_t p = 0; p < 3; ++p) {
+      CondensedGroupSet groups(snapshot.dim, 3);
+      for (std::size_t g = 300 + rng.UniformIndex(900); g > 0; --g) {
+        if (!made.empty() && rng.Bernoulli(0.1)) {
+          groups.AddGroup(made[rng.UniformIndex(made.size())]);
+        } else {
+          made.push_back(RandomGroup(snapshot.dim, rng));
+          groups.AddGroup(made.back());
+        }
+      }
+      snapshot.pools.push_back(
+          {p == 1 && trial % 2 == 1 ? -1 : static_cast<int>(p),
+           std::move(groups)});
+    }
+    std::vector<Vector> points = RandomPoints(snapshot.dim, 24, rng);
+    for (int i = 0; i < 8; ++i) {
+      points.push_back(made[rng.UniformIndex(made.size())].Centroid());
+    }
+    for (std::size_t neighbors : {1u, 3u, 10u, 64u}) {
+      ExpectClassifyMatchesReference(snapshot, points, neighbors,
+                                     "trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(QueryParityTest, ClassifyOnASingleGroup) {
+  Rng rng(7);
+  QuerySnapshot snapshot;
+  snapshot.dim = 3;
+  CondensedGroupSet groups(snapshot.dim, 3);
+  groups.AddGroup(RandomGroup(snapshot.dim, rng));
+  snapshot.pools.push_back({4, std::move(groups)});
+  std::vector<Vector> points = RandomPoints(snapshot.dim, 8, rng);
+  points.push_back(snapshot.pools[0].groups.group(0).Centroid());
+  for (std::size_t neighbors : {1u, 2u, 100u}) {
+    ExpectClassifyMatchesReference(snapshot, points, neighbors, "one group");
+  }
+}
+
+TEST(QueryParityTest, ClassifyWithFewerGroupsThanNeighbors) {
+  Rng rng(8);
+  for (int trial = 0; trial < 20; ++trial) {
+    QuerySnapshot snapshot;
+    snapshot.dim = 1 + rng.UniformIndex(3);
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < 3; ++p) {
+      CondensedGroupSet groups(snapshot.dim, 3);
+      for (std::size_t g = 1 + rng.UniformIndex(3); g > 0; --g) {
+        groups.AddGroup(RandomGroup(snapshot.dim, rng));
+        ++total;
+      }
+      snapshot.pools.push_back({static_cast<int>(p), std::move(groups)});
+    }
+    // Every group votes once neighbors reaches the group count.
+    ExpectClassifyMatchesReference(snapshot,
+                                   RandomPoints(snapshot.dim, 8, rng),
+                                   total + 1 + rng.UniformIndex(20),
+                                   "trial " + std::to_string(trial));
+  }
+}
+
+TEST(QueryParityTest, ClassifyOnOneCentroidRepeatedAcrossPools) {
+  // Every group of every pool has the same centroid, so every distance
+  // ties and only the (pool, group) order decides. Pool 0 (label 2) holds
+  // 40 copies, pool 1 is unlabeled, pools 2 and 3 (labels 0 and 1) hold
+  // 40 each.
+  Rng rng(9);
+  const std::size_t dim = 2;
+  GroupStatistics group = RandomGroup(dim, rng);
+  QuerySnapshot snapshot;
+  snapshot.dim = dim;
+  for (int label : {2, -1, 0, 1}) {
+    CondensedGroupSet groups(dim, 3);
+    for (int g = 0; g < 40; ++g) groups.AddGroup(group);
+    snapshot.pools.push_back({label, std::move(groups)});
+  }
+  std::vector<Vector> points = RandomPoints(dim, 8, rng);
+  points.push_back(group.Centroid());
+  for (std::size_t neighbors : {1u, 40u, 41u, 79u, 80u, 81u, 120u, 500u}) {
+    ExpectClassifyMatchesReference(snapshot, points, neighbors,
+                                   "repeated centroid");
+  }
+  // Up to 80 neighbours pool 0 holds the majority (or ties pool 2 at 80
+  // and loses to the smaller label); past that all three labels tie and
+  // the smallest label wins.
+  QueryEngine engine;
+  for (const auto& [neighbors, label] :
+       std::vector<std::pair<std::size_t, int>>{
+           {1, 2}, {79, 2}, {80, 0}, {120, 0}, {500, 0}}) {
+    Query query;
+    query.kind = QueryKind::kClassify;
+    query.classify.neighbors = neighbors;
+    query.classify.points = points;
+    auto result = engine.Execute(snapshot, query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->classify.labels, std::vector<int>(points.size(), label))
+        << "neighbors " << neighbors;
+  }
+}
+
+TEST(QueryParityTest, ClassifyIndexIsBuiltOnceAndRebuiltWhenPoolsChange) {
+  Rng rng(10);
+  QuerySnapshot snapshot = RandomSnapshot(rng);
+  const std::shared_ptr<const ClassifyIndex> index =
+      snapshot.GetClassifyIndex();
+  ASSERT_TRUE(index->status().ok()) << index->status().ToString();
+  EXPECT_EQ(snapshot.GetClassifyIndex(), index);
+
+  // Copies and published snapshots share the built index.
+  QuerySnapshot copy = snapshot;
+  EXPECT_EQ(copy.GetClassifyIndex(), index);
+  SnapshotStore store;
+  store.Publish(QuerySnapshot(snapshot));
+  EXPECT_EQ(store.Current()->GetClassifyIndex(), index);
+
+  // A copy whose pools change gets a fresh index that sees the new pool;
+  // the original keeps its own.
+  Vector far(copy.dim);
+  for (std::size_t d = 0; d < copy.dim; ++d) far[d] = 100.0;
+  GroupStatistics far_group(copy.dim);
+  far_group.Add(far);
+  CondensedGroupSet extra(copy.dim, 3);
+  extra.AddGroup(far_group);
+  copy.pools.push_back({7, extra});
+  const std::shared_ptr<const ClassifyIndex> fresh = copy.GetClassifyIndex();
+  EXPECT_NE(fresh, index);
+  EXPECT_EQ(snapshot.GetClassifyIndex(), index);
+  ExpectClassifyMatchesReference(copy, {far}, 1, "with the far pool");
+  ExpectClassifyMatchesReference(snapshot, {far}, 1, "original");
+
+  // Same pool count, different pool: still fresh, never the stale one.
+  copy.pools.pop_back();
+  copy.pools.push_back({8, extra});
+  EXPECT_NE(copy.GetClassifyIndex(), fresh);
+  EXPECT_NE(copy.GetClassifyIndex(), index);
+  ExpectClassifyMatchesReference(copy, {far}, 1, "with the relabeled pool");
+
+  // Back to the original pools: the holder keeps only its newest index,
+  // so this is another fresh one, answering as the original does.
+  copy.pools.pop_back();
+  EXPECT_NE(copy.GetClassifyIndex(), index);
+  ExpectClassifyMatchesReference(copy, {far}, 1, "pool removed");
+
+  // A changed dimension invalidates too.
+  QuerySnapshot other_dim = snapshot;
+  other_dim.dim = snapshot.dim + 1;
+  EXPECT_NE(other_dim.GetClassifyIndex(), index);
 }
 
 }  // namespace

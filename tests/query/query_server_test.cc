@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -158,6 +159,40 @@ TEST_F(QueryServerTest, UnanswerableQueriesComeBackInBand) {
   auto good = client->Execute(aggregate, 2000.0);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(good->aggregate.records, 12u);
+}
+
+TEST_F(QueryServerTest, NonFiniteClassifyPointIsAnInBandError) {
+  auto store = std::make_shared<SnapshotStore>();
+  QuerySnapshot snapshot;
+  snapshot.dim = 2;
+  snapshot.pools.push_back({0, MakeGroups(-3.0, 1)});
+  snapshot.pools.push_back({1, MakeGroups(3.0, 2)});
+  store->Publish(std::move(snapshot));
+  StartServer(store);
+
+  auto client =
+      QueryClient::Connect("127.0.0.1", server_->port(), 2000.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // NaN and ±inf travel bit-exactly and come back as InvalidArgument;
+  // the session keeps answering.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Query classify;
+    classify.kind = QueryKind::kClassify;
+    classify.classify.points.push_back(MakePoint({bad, 1.0}));
+    auto refused = client->Execute(classify, 2000.0);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+  Query classify;
+  classify.kind = QueryKind::kClassify;
+  classify.classify.points.push_back(MakePoint({3.0, 1.0}));
+  auto labels = client->Execute(classify, 2000.0);
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  ASSERT_EQ(labels->classify.labels.size(), 1u);
+  EXPECT_EQ(labels->classify.labels[0], 1);
 }
 
 TEST_F(QueryServerTest, NoSnapshotYetIsFailedPrecondition) {

@@ -222,6 +222,30 @@ else
   failures=$((failures + 1))
 fi
 
+# One seed, one release: shard --mode=stream and serve-stream --shards=2
+# run the same durable sharded service over the same records and both
+# regenerate from Rng(--seed), so their group sets and releases are
+# byte-equal.
+expect_code 0 "shard --mode=stream seeded release" \
+  "$CLI" shard --mode=stream --input="$workdir/data.csv" --k=2 --shards=2 \
+  --seed=5 --no-sync --checkpoint-root="$workdir/seeded-shard" \
+  --save-groups="$workdir/seeded-shard-groups.txt" \
+  --output="$workdir/seeded-shard-release.csv"
+expect_code 0 "serve-stream --shards=2 seeded release" \
+  "$CLI" serve-stream --input="$workdir/data.csv" --k=2 --shards=2 \
+  --seed=5 --no-sync --checkpoint-dir="$workdir/seeded-serve" \
+  --save-groups="$workdir/seeded-serve-groups.txt" \
+  --output="$workdir/seeded-serve-release.csv"
+for pin in groups.txt release.csv; do
+  if [ -s "$workdir/seeded-shard-$pin" ] &&
+      cmp -s "$workdir/seeded-shard-$pin" "$workdir/seeded-serve-$pin"; then
+    echo "ok: shard --mode=stream and serve-stream --shards=2 write equal $pin"
+  else
+    echo "FAIL: shard --mode=stream and serve-stream --shards=2 $pin differ" >&2
+    failures=$((failures + 1))
+  fi
+done
+
 # A regenerate whose --output cannot be written is a runtime failure.
 expect_code 1 "query regenerate unwritable output" \
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate \

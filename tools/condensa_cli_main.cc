@@ -237,8 +237,8 @@ int SaveGroups(const condensa::core::CondensedGroupSet& groups,
   return 0;
 }
 
-// --output for shard and fabric: regenerates a release from the gathered
-// groups with the backend's sampler and writes it as CSV, unless `output`
+// --output for serve-stream, shard and fabric: regenerates a release
+// from the gathered groups with the backend's sampler and writes it as CSV, unless `output`
 // is empty. Returns the exit code.
 int WriteRelease(const condensa::core::CondensedGroupSet& groups,
                  const condensa::backend::AnonymizationBackend& backend,
@@ -676,6 +676,14 @@ int RunServeStream(const Args& args) {
 
   std::printf("ledger: %s\n", stats->ToString().c_str());
   PrintGroupSummary((*pipeline)->groups(), "");
+  if (int code = SaveGroups((*pipeline)->groups(), args.save_groups)) {
+    return code;
+  }
+  condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
+  if (int code = WriteRelease((*pipeline)->groups(), *anonymization_backend,
+                              rng, args.output)) {
+    return code;
+  }
   DumpRegistry(args.format);
   if (!stats->Balanced()) {
     std::fprintf(stderr, "error: ledger does not balance — records lost\n");
@@ -703,6 +711,9 @@ int RunShard(const Args& args) {
       LoadStream(args);
   if (!data) return 1;
 
+  // Stream mode releases from a fresh Rng(--seed), as serve-stream
+  // --shards and fabric do, so one seed gives one release of one group
+  // set; batch mode's condenser draws its shard streams from it first.
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   condensa::shard::ShardedStreamResult result;
   if (stream_mode) {
@@ -712,10 +723,6 @@ int RunShard(const Args& args) {
                                  &result)) {
       return code;
     }
-    // The service derived its shard seeds from N splits of --seed; take
-    // the same splits here so the release draws what it always has.
-    (void)condensa::shard::Router::SplitStreams(
-        rng, static_cast<std::size_t>(args.shards));
   } else {
     condensa::shard::ShardedCondenserConfig config;
     config.num_shards = static_cast<std::size_t>(args.shards);
@@ -1381,6 +1388,12 @@ const std::vector<Command> kCommands = {
        "arm failpoints at probability P during ingest, healed before "
        "Finish",
        &Args::chaos, Range{0, 1, false, true}},
+      {"save-groups", "FILE", "", "save the final group statistics",
+       &Args::save_groups},
+      {"output", "FILE", "",
+       "also anonymize and write a release CSV, regenerated from "
+       "Rng(--seed)",
+       &Args::output},
       {"header", "", "false", "first CSV row is a header", &Args::header},
       {"seed", "N", "42", "RNG seed; per-shard seeds are derived",
        &Args::seed},
