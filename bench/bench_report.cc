@@ -64,15 +64,19 @@ StatusOr<std::string> WriteBenchReport(const BenchReport& report) {
   out += "  \"scalars\": {";
   for (std::size_t i = 0; i < report.scalars.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(report.scalars[i].first) +
-           "\": " + FormatDouble(report.scalars[i].second);
+    out += '"';
+    out += JsonEscape(report.scalars[i].first);
+    out += "\": ";
+    out += FormatDouble(report.scalars[i].second);
   }
   out += "},\n";
 
   out += "  \"rows\": {\"schema\": [";
   for (std::size_t i = 0; i < report.row_schema.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(report.row_schema[i]) + "\"";
+    out += '"';
+    out += JsonEscape(report.row_schema[i]);
+    out += '"';
   }
   out += "], \"data\": [";
   for (std::size_t r = 0; r < report.rows.size(); ++r) {

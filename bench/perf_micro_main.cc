@@ -124,6 +124,27 @@ BENCHMARK(BM_StaticCondenseBrute)
     ->Range(256, 16384)
     ->Complexity();
 
+// P2e: one class pool the size of condense_csv's largest (50k x 10,
+// k = 10) on the index path, single-threaded: the neighbour-index upkeep
+// (build, tombstone rebuilds, keyed leaf scans) at the scale where it
+// dominates static condensation.
+void BM_StaticCondensePool50k(benchmark::State& state) {
+  constexpr std::size_t kRecords = 50000;
+  std::vector<Vector> points = MakeCloud(kRecords, 10, 23);
+  condensa::core::StaticCondenser condenser(
+      {.group_size = 10,
+       .neighbour_search = condensa::core::NeighbourSearch::kKdTree});
+  Rng rng(24);
+  for (auto _ : state) {
+    auto groups = condenser.Condense(points, rng);
+    CONDENSA_CHECK(groups.ok());
+    benchmark::DoNotOptimize(groups->num_groups());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kRecords));
+}
+BENCHMARK(BM_StaticCondensePool50k)->Unit(benchmark::kMillisecond);
+
 // P4c: whole-set generation at 1 thread vs all hardware threads.
 void BM_GenerateParallel(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));

@@ -49,7 +49,7 @@ struct AnonymizerOptions {
   // unchanged). Null = the paper's condensation regeneration,
   // byte-for-byte. Resolve through backend::Registry rather than setting
   // it by hand.
-  GroupSamplerFn group_sampler;
+  GroupSamplerFn group_sampler = nullptr;
 };
 
 // Draws `count` anonymized points from an already-computed factorization

@@ -46,7 +46,7 @@ struct DynamicCondenserOptions {
   // Bootstrap construction hook (core/backend_hooks.h): when set,
   // Bootstrap builds the initial group structure with it instead of the
   // built-in StaticCondenser. Null = paper-verbatim static condensation.
-  GroupConstructionFn bootstrap_construction;
+  GroupConstructionFn bootstrap_construction = nullptr;
 };
 
 class DynamicCondenser {

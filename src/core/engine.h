@@ -87,8 +87,8 @@ struct CondensationConfig {
   // `backend` whose construction hook is missing.
   std::string backend = CondensedGroupSet::kDefaultBackendId;
   int backend_version = 1;
-  GroupConstructionFn group_construction;
-  GroupSamplerFn group_sampler;
+  GroupConstructionFn group_construction = nullptr;
+  GroupSamplerFn group_sampler = nullptr;
 
   // Checks every field (group_size >= 1, bootstrap_fraction in [0, 1],
   // snapshot_interval >= 1). The engine refuses to condense with an

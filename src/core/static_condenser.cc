@@ -1,6 +1,7 @@
 #include "core/static_condenser.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -63,6 +64,13 @@ StatusOr<CondensedGroupSet> StaticCondenser::Condense(
   for (const linalg::Vector& p : points) {
     if (p.dim() != dim) {
       return InvalidArgumentError("points have inconsistent dimensions");
+    }
+    // A NaN has no place in the (distance, index) order both search
+    // paths select by, so they would pick different groups.
+    for (std::size_t d = 0; d < dim; ++d) {
+      if (!std::isfinite(p[d])) {
+        return InvalidArgumentError("cannot condense a non-finite coordinate");
+      }
     }
   }
 

@@ -55,8 +55,9 @@ class StaticCondenser {
   const StaticCondenserOptions& options() const { return options_; }
 
   // Condenses `points` into groups of at least k records. All points must
-  // share one dimension. Fails when points is empty, contains fewer than k
-  // records, or k == 0.
+  // share one dimension and be finite. Fails with InvalidArgument when
+  // points is empty, contains fewer than k records or a non-finite
+  // coordinate, or k == 0.
   StatusOr<CondensedGroupSet> Condense(
       const std::vector<linalg::Vector>& points, Rng& rng) const;
 

@@ -1,6 +1,7 @@
 #include "index/deletion_aware.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -29,37 +30,27 @@ struct DeletionAwareMetrics {
 
 StatusOr<DeletionAwareKdTree> DeletionAwareKdTree::Build(
     const std::vector<linalg::Vector>& points) {
-  DeletionAwareKdTree wrapper;
-  wrapper.indexed_points_ =
-      std::make_unique<std::vector<linalg::Vector>>(points);
-  wrapper.to_original_.resize(points.size());
-  wrapper.tree_pos_.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    wrapper.to_original_[i] = i;
-    wrapper.tree_pos_[i] = i;
-  }
-  wrapper.keys_ = wrapper.to_original_;
-  CONDENSA_ASSIGN_OR_RETURN(KdTree tree,
-                            KdTree::Build(*wrapper.indexed_points_));
-  wrapper.tree_ = std::make_unique<KdTree>(std::move(tree));
-  wrapper.alive_.assign(points.size(), 1);
+  CONDENSA_ASSIGN_OR_RETURN(KdTree tree, KdTree::Build(points));
+  DeletionAwareKdTree wrapper(std::move(tree));
+  wrapper.keys_.resize(points.size());
+  std::iota(wrapper.keys_.begin(), wrapper.keys_.end(), 0);
+  wrapper.tree_pos_ = wrapper.keys_;
   wrapper.alive_count_ = points.size();
   DeletionAwareMetrics::Get().builds.Increment();
   return wrapper;
 }
 
 void DeletionAwareKdTree::Erase(std::size_t original_index) {
-  CONDENSA_DCHECK(alive_[original_index] != 0);
-  alive_[original_index] = 0;
+  CONDENSA_DCHECK(alive(original_index));
   keys_[tree_pos_[original_index]] = KdTree::kSkipPoint;
   --alive_count_;
   ++dead_in_tree_;
-  // Rebuild once a quarter of the indexed points are tombstones: dead
-  // points dilute every leaf scan and widen the k-th-alive ball, and
-  // rebuilds are cheap enough (geometric shrink keeps the total at
-  // O(n log n) over a full condensation run) that a tight threshold is
-  // a net win on the query side.
-  if (alive_count_ > 0 && dead_in_tree_ * 4 > indexed_points_->size()) {
+  // Rebuild once half of the indexed points are tombstones: dead points
+  // dilute every leaf scan and widen the k-th-alive ball, but each
+  // rebuild is a full build, and at a quarter the extra builds cost more
+  // than the thinner leaves saved (docs/performance.md). Geometric
+  // shrink keeps the total at O(n log n) over a full condensation run.
+  if (alive_count_ > 0 && dead_in_tree_ * 2 > keys_.size()) {
     Rebuild();
   }
 }
@@ -67,26 +58,26 @@ void DeletionAwareKdTree::Erase(std::size_t original_index) {
 void DeletionAwareKdTree::Rebuild() {
   DeletionAwareMetrics& metrics = DeletionAwareMetrics::Get();
   obs::ScopedTimer rebuild_timer(metrics.rebuild_seconds);
-  auto survivors = std::make_unique<std::vector<linalg::Vector>>();
-  survivors->reserve(alive_count_);
-  std::vector<std::size_t> to_original;
-  to_original.reserve(alive_count_);
-  for (std::size_t i = 0; i < indexed_points_->size(); ++i) {
-    std::size_t original = to_original_[i];
-    if (!alive_[original]) continue;
-    tree_pos_[original] = to_original.size();
-    survivors->push_back(std::move((*indexed_points_)[i]));
-    to_original.push_back(original);
+  // Survivors come back in the old tree's leaf order, so the new build
+  // starts from spatially coherent rows.
+  std::vector<double> rows;
+  rows.reserve(alive_count_ * tree_.dim());
+  std::vector<std::size_t> keys;
+  keys.reserve(alive_count_);
+  for (std::size_t pos = 0; pos < tree_.size(); ++pos) {
+    const std::size_t original = keys_[tree_.PointAt(pos)];
+    if (original == KdTree::kSkipPoint) continue;
+    tree_pos_[original] = keys.size();
+    keys.push_back(original);
+    tree_.AppendRow(pos, rows);
   }
-  indexed_points_ = std::move(survivors);
-  to_original_ = std::move(to_original);
-  keys_ = to_original_;
-  dead_in_tree_ = 0;
-  // Survivor points are verbatim copies of points the previous tree
-  // indexed, so the invariants Build checked still hold.
-  StatusOr<KdTree> tree = KdTree::Build(*indexed_points_);
+  // The rows are the previous tree's own finite coordinates, so the
+  // invariants Build checks still hold.
+  StatusOr<KdTree> tree = KdTree::Build(rows, tree_.dim());
   CONDENSA_CHECK(tree.ok());
-  *tree_ = std::move(*tree);
+  tree_ = *std::move(tree);
+  keys_ = std::move(keys);
+  dead_in_tree_ = 0;
   metrics.rebuilds.Increment();
 }
 
@@ -101,7 +92,7 @@ DeletionAwareKdTree::KNearestAlive(const linalg::Vector& query,
   // brute-force scan sorts by, so both paths pick identical neighbour
   // sets even on duplicate-heavy data where distances tie.
   const std::size_t* keys = keys_.data();
-  return tree_->KNearestKeyed(query, need,
+  return tree_.KNearestKeyed(query, need,
                               [keys](std::size_t i) { return keys[i]; });
 }
 

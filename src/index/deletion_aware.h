@@ -2,11 +2,12 @@
 //
 // Static condensation (paper Fig. 1) repeatedly removes a seed record and
 // its k-1 nearest survivors from the database. A plain KdTree cannot
-// delete, so this wrapper keeps a tombstone bitmap over the tree's index
-// array: Erase marks a point dead, queries filter tombstones out during
-// the traversal itself (KdTree::KNearestKeyed), and once more than a
-// quarter of the indexed points are dead the tree is rebuilt over the
-// survivors (amortized O(n log n) across a whole condensation run).
+// delete, so this wrapper keeps one key per indexed point: Erase turns a
+// point's key into a tombstone, queries filter tombstones out during
+// the traversal itself (KdTree::KNearestKeyed), and once more than half
+// of the indexed points are dead the tree is rebuilt over the survivors,
+// read back from the tree's own storage in leaf order (amortized
+// O(n log n) across a whole condensation run).
 //
 // Result parity with the brute-force scan is exact, not approximate:
 // the filtered traversal ranks candidates by (squared distance, original
@@ -19,8 +20,6 @@
 #define CONDENSA_INDEX_DELETION_AWARE_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,20 +31,22 @@ namespace condensa::index {
 
 class DeletionAwareKdTree {
  public:
-  // Indexes `points`. The caller must keep the vector alive and
-  // unmodified while the wrapper exists (rebuilds copy the survivors
-  // into owned storage, so the original array is only read).
+  // Indexes `points`, copying them into the tree: the caller's vector
+  // may change or go away once Build returns.
   static StatusOr<DeletionAwareKdTree> Build(
       const std::vector<linalg::Vector>& points);
 
   std::size_t alive_count() const { return alive_count_; }
+  // A stale tree_pos_ entry (a point dropped by a rebuild) can point
+  // past keys_ or at another point's slot, never at its own key.
   bool alive(std::size_t original_index) const {
-    return alive_[original_index] != 0;
+    const std::size_t i = tree_pos_[original_index];
+    return i < keys_.size() && keys_[i] == original_index;
   }
 
   // Tombstones one point (must currently be alive). Triggers a rebuild
-  // over the survivors once more than a quarter of the indexed points
-  // are dead.
+  // over the survivors once more than half of the indexed points are
+  // dead.
   void Erase(std::size_t original_index);
 
   // The k nearest alive points to `query`, as (squared distance,
@@ -56,28 +57,19 @@ class DeletionAwareKdTree {
       const linalg::Vector& query, std::size_t k) const;
 
  private:
-  DeletionAwareKdTree() = default;
+  explicit DeletionAwareKdTree(KdTree tree) : tree_(std::move(tree)) {}
 
   void Rebuild();
 
-  // Points the tree currently indexes. Heap-allocated so the KdTree's
-  // internal pointer survives moves of the wrapper; starts as a copy of
-  // the caller's array and shrinks to the survivors on rebuild.
-  std::unique_ptr<std::vector<linalg::Vector>> indexed_points_;
-  // indexed_points_[i] is original point to_original_[i].
-  std::vector<std::size_t> to_original_;
-  std::unique_ptr<KdTree> tree_;
-  // By original index. Bytes, not vector<bool>: read once per leaf
-  // point in the query filter, where the bit extraction shows up.
-  std::vector<std::uint8_t> alive_;
-  // keys_[i] is the query filter's answer for indexed point i — the
+  KdTree tree_;
+  // keys_[i] is the query filter's answer for the tree's point i — its
   // original index while alive, KdTree::kSkipPoint once tombstoned — so
   // the hot filter is a single load. tree_pos_[original] locates an
-  // alive original in the current index so Erase can update keys_.
+  // alive original in the current tree so Erase can update keys_.
   std::vector<std::size_t> keys_;
   std::vector<std::size_t> tree_pos_;
   std::size_t alive_count_ = 0;
-  std::size_t dead_in_tree_ = 0;  // tombstones among indexed_points_
+  std::size_t dead_in_tree_ = 0;  // tombstones among the tree's points
 };
 
 }  // namespace condensa::index

@@ -34,49 +34,75 @@ struct KdTreeMetrics {
 
 namespace internal {
 
-std::vector<double>& KdLeafScratch() {
-  thread_local std::vector<double> scratch;
+LeafScratch& KdLeafScratch() {
+  thread_local LeafScratch scratch;
   return scratch;
 }
 
 }  // namespace internal
+
+StatusOr<KdTree> KdTree::Build(std::span<const double> rows,
+                               std::size_t dim) {
+  if (dim == 0) {
+    return InvalidArgumentError("cannot index zero-dimensional points");
+  }
+  if (rows.empty()) {
+    return InvalidArgumentError("cannot index an empty point set");
+  }
+  if (rows.size() % dim != 0) {
+    return InvalidArgumentError("points have inconsistent dimensions");
+  }
+  for (const double value : rows) {
+    if (!std::isfinite(value)) {
+      return InvalidArgumentError("cannot index a non-finite coordinate");
+    }
+  }
+
+  KdTreeMetrics& metrics = KdTreeMetrics::Get();
+  obs::ScopedTimer build_timer(metrics.build_seconds);
+  const std::size_t n = rows.size() / dim;
+  KdTree tree;
+  tree.dim_ = dim;
+  tree.order_.resize(n);
+  std::iota(tree.order_.begin(), tree.order_.end(), 0);
+  tree.nodes_.reserve(2 * n / kLeafSize + 4);
+  tree.root_ = tree.BuildRecursive(rows.data(), 0, n);
+  // Copy the points into blocked SoA storage in final order_ order so
+  // leaf scans are one vectorized batch-kernel call per leaf.
+  tree.coords_ = simd::RecordBlock(dim);
+  tree.coords_.Reserve(n);
+  for (const std::size_t row : tree.order_) {
+    tree.coords_.Append(rows.data() + row * dim);
+  }
+  metrics.builds.Increment();
+  metrics.indexed_points.Increment(n);
+  return tree;
+}
 
 StatusOr<KdTree> KdTree::Build(const std::vector<linalg::Vector>& points) {
   if (points.empty()) {
     return InvalidArgumentError("cannot index an empty point set");
   }
   const std::size_t dim = points.front().dim();
-  if (dim == 0) {
-    return InvalidArgumentError("cannot index zero-dimensional points");
-  }
+  std::vector<double> rows;
+  rows.reserve(points.size() * dim);
   for (const linalg::Vector& p : points) {
     if (p.dim() != dim) {
       return InvalidArgumentError("points have inconsistent dimensions");
     }
+    rows.insert(rows.end(), p.data(), p.data() + dim);
   }
-
-  KdTreeMetrics& metrics = KdTreeMetrics::Get();
-  obs::ScopedTimer build_timer(metrics.build_seconds);
-  KdTree tree;
-  tree.points_ = &points;
-  tree.dim_ = dim;
-  tree.order_.resize(points.size());
-  std::iota(tree.order_.begin(), tree.order_.end(), 0);
-  tree.nodes_.reserve(2 * points.size() / kLeafSize + 4);
-  tree.root_ = tree.BuildRecursive(0, points.size());
-  // Flatten the points into blocked SoA storage in final order_ order so
-  // leaf scans are one vectorized batch-kernel call per leaf.
-  tree.coords_ = simd::RecordBlock(dim);
-  tree.coords_.Reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    tree.coords_.Append(points[tree.order_[i]].data());
-  }
-  metrics.builds.Increment();
-  metrics.indexed_points.Increment(points.size());
-  return tree;
+  return Build(rows, dim);
 }
 
-std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
+void KdTree::AppendRow(std::size_t pos, std::vector<double>& rows) const {
+  for (std::size_t d = 0; d < dim_; ++d) {
+    rows.push_back(coords_.At(pos, d));
+  }
+}
+
+std::size_t KdTree::BuildRecursive(const double* rows, std::size_t begin,
+                                   std::size_t end) {
   CONDENSA_DCHECK_LT(begin, end);
   const std::size_t node_id = nodes_.size();
   nodes_.emplace_back();
@@ -89,23 +115,23 @@ std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
 
   // Split on the dimension with the widest value spread in this cell.
   // One pass over the points, tracking per-dimension min/max as we go:
-  // each point's coordinates are contiguous, so this touches every
-  // record once instead of chasing the same pointers once per dimension.
-  const std::vector<linalg::Vector>& points = *points_;
+  // each point's coordinates are one contiguous row, so this touches
+  // every record once instead of once per dimension.
+  const std::size_t dim = dim_;
   std::vector<double>& lo = build_lo_;
   std::vector<double>& hi = build_hi_;
-  lo.assign(dim_, std::numeric_limits<double>::infinity());
-  hi.assign(dim_, -std::numeric_limits<double>::infinity());
+  lo.assign(dim, std::numeric_limits<double>::infinity());
+  hi.assign(dim, -std::numeric_limits<double>::infinity());
   for (std::size_t i = begin; i < end; ++i) {
-    const double* p = points[order_[i]].data();
-    for (std::size_t d = 0; d < dim_; ++d) {
+    const double* p = rows + order_[i] * dim;
+    for (std::size_t d = 0; d < dim; ++d) {
       lo[d] = std::min(lo[d], p[d]);
       hi[d] = std::max(hi[d], p[d]);
     }
   }
   std::size_t best_dim = 0;
   double best_spread = -1.0;
-  for (std::size_t d = 0; d < dim_; ++d) {
+  for (std::size_t d = 0; d < dim; ++d) {
     if (hi[d] - lo[d] > best_spread) {
       best_spread = hi[d] - lo[d];
       best_dim = d;
@@ -128,16 +154,17 @@ std::size_t KdTree::BuildRecursive(std::size_t begin, std::size_t end) {
   // end - begin > kLeafSize >= 2 * kLane keeps the rounded mid interior.
   std::size_t mid = begin + (end - begin) / 2;
   mid -= (mid - begin) % simd::RecordBlock::kLane;
+  const double* column = rows + best_dim;
   std::nth_element(order_.begin() + begin, order_.begin() + mid,
                    order_.begin() + end,
-                   [&points, best_dim](std::size_t a, std::size_t b) {
-                     return points[a][best_dim] < points[b][best_dim];
+                   [column, dim](std::size_t a, std::size_t b) {
+                     return column[a * dim] < column[b * dim];
                    });
-  const double split_value = points[order_[mid]][best_dim];
+  const double split_value = column[order_[mid] * dim];
 
   // Fill fields after recursion: BuildRecursive may reallocate nodes_.
-  std::size_t left = BuildRecursive(begin, mid);
-  std::size_t right = BuildRecursive(mid, end);
+  std::size_t left = BuildRecursive(rows, begin, mid);
+  std::size_t right = BuildRecursive(rows, mid, end);
   Node& node = nodes_[node_id];
   node.split_dim = best_dim;
   node.split_value = split_value;
@@ -160,7 +187,7 @@ void KdTree::SearchKNearest(std::size_t node_id, const linalg::Vector& query,
     const double bound = heap.size() == k
                              ? heap.front().distance_sq
                              : std::numeric_limits<double>::infinity();
-    std::vector<double>& dist = internal::KdLeafScratch();
+    std::vector<double>& dist = internal::KdLeafScratch().dist;
     const std::size_t count = node.end - node.begin;
     if (dist.size() < count) dist.resize(count);
     simd::SquaredDistanceBatchRange(coords_, query.data(), node.begin,
@@ -235,7 +262,7 @@ void KdTree::SearchRadius(std::size_t node_id, const linalg::Vector& query,
     // Bounded batch kernel with the radius as the bound: abandoned
     // records are strictly outside the radius, finite values exact, so
     // the <= comparison matches the scalar loop on boundary ties.
-    std::vector<double>& dist = internal::KdLeafScratch();
+    std::vector<double>& dist = internal::KdLeafScratch().dist;
     const std::size_t count = node.end - node.begin;
     if (dist.size() < count) dist.resize(count);
     simd::SquaredDistanceBatchRange(coords_, query.data(), node.begin,

@@ -12,8 +12,10 @@
 // workloads, and degrades gracefully (never worse than a full scan) in
 // high dimensions.
 //
-// The tree stores point indices into a caller-owned point array; points
-// are not copied. Build is median-split on the widest-spread dimension.
+// The tree owns its points: Build copies the input rows into one blocked
+// store in leaf order, and the caller's array may change or go away once
+// Build returns. Queries report a point by its row in the build input.
+// Build is median-split on the widest-spread dimension.
 
 #ifndef CONDENSA_INDEX_KDTREE_H_
 #define CONDENSA_INDEX_KDTREE_H_
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,21 +36,37 @@
 namespace condensa::index {
 
 namespace internal {
-// Reusable per-thread distance buffer for leaf scans, so queries never
-// heap-allocate per leaf (or per query). Safe because a search never
-// re-enters another search on the same thread while a leaf is mid-scan.
-std::vector<double>& KdLeafScratch();
+// Reusable per-thread leaf-scan buffers, so queries never heap-allocate
+// per leaf (or per query). Safe because a search never re-enters another
+// search on the same thread while a leaf is mid-scan.
+struct LeafScratch {
+  std::vector<double> dist;        // kernel distance per leaf record
+  std::vector<std::size_t> hits;   // leaf offsets that pass the bound
+};
+LeafScratch& KdLeafScratch();
 }  // namespace internal
 
 class KdTree {
  public:
-  // Builds an index over `points` (all the same dimension, non-empty).
-  // The returned tree references `points`; the caller must keep the
-  // vector alive and unmodified for the tree's lifetime.
+  // Builds an index over `rows`: rows.size() / dim points of `dim`
+  // doubles each, row-major. Fails unless dim > 0, rows is a non-empty
+  // multiple of dim and every coordinate is finite (a NaN would break
+  // the median split's ordering). Point i is row i.
+  static StatusOr<KdTree> Build(std::span<const double> rows,
+                                std::size_t dim);
+  // Same over `points` (one dimension, non-empty): packs them into rows
+  // and builds from those.
   static StatusOr<KdTree> Build(const std::vector<linalg::Vector>& points);
 
-  std::size_t size() const { return points_->size(); }
+  std::size_t size() const { return coords_.size(); }
   std::size_t dim() const { return dim_; }
+
+  // Tree positions 0..size() list the points in leaf order, so nearby
+  // positions hold nearby points. PointAt(pos) is the build-input row of
+  // the point at `pos`; AppendRow appends that point's coordinates to
+  // `rows`. Together they rebuild a tree from this one's own storage.
+  std::size_t PointAt(std::size_t pos) const { return order_[pos]; }
+  void AppendRow(std::size_t pos, std::vector<double>& rows) const;
 
   // Index of the point nearest to `query` (Euclidean).
   std::size_t Nearest(const linalg::Vector& query) const;
@@ -105,7 +124,9 @@ class KdTree {
 
   KdTree() = default;
 
-  std::size_t BuildRecursive(std::size_t begin, std::size_t end);
+  // Splits order_[begin, end) over the row-major build input `rows`.
+  std::size_t BuildRecursive(const double* rows, std::size_t begin,
+                             std::size_t end);
   // All searches prune with an incremental region bound (Arya & Mount):
   // `bound_sq` is a lower bound on the squared distance from the query
   // to the node's region, maintained as the sum over dimensions of the
@@ -141,14 +162,14 @@ class KdTree {
   // scan), so this is purely a speed knob.
   static constexpr std::size_t kLeafSize = 32;
 
-  const std::vector<linalg::Vector>* points_ = nullptr;
   std::size_t dim_ = 0;
-  std::vector<std::size_t> order_;  // permutation of point indices
-  // Blocked SoA copy of the points in order_ order, built once at build
-  // time: leaf scans run the vectorized batch kernel over position
-  // ranges. Same double values as the caller's array and the kernels
-  // accumulate per record in dimension order, so distances computed from
-  // either representation are bit-identical (src/simd/distance.h).
+  std::vector<std::size_t> order_;  // build-input row at each position
+  // The points, blocked SoA in order_ order and written once at build
+  // time: the tree's only copy of them. Leaf scans run the vectorized
+  // batch kernel over position ranges. The values are the input's bits
+  // and the kernels accumulate per record in dimension order, so
+  // distances match linalg::SquaredDistance on the input bit for bit
+  // (src/simd/distance.h).
   simd::RecordBlock coords_{0};
   std::vector<Node> nodes_;
   std::size_t root_ = 0;
@@ -192,19 +213,34 @@ void KdTree::SearchKNearestKeyed(
     const double bound = heap.size() == k
                              ? heap.front().first
                              : std::numeric_limits<double>::infinity();
-    std::vector<double>& dist = internal::KdLeafScratch();
+    internal::LeafScratch& scratch = internal::KdLeafScratch();
+    // Coincident-cell leaves can hold more than kLeafSize records, and
+    // the other searches grow `dist` alone.
     const std::size_t count = node.end - node.begin;
-    if (dist.size() < count) dist.resize(count);
+    if (scratch.dist.size() < count) scratch.dist.resize(count);
+    if (scratch.hits.size() < count) scratch.hits.resize(count);
+    double* dist = scratch.dist.data();
     simd::SquaredDistanceBatchRange(coords_, query.data(), node.begin,
-                                    node.end, bound, dist.data());
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      const double d2 = dist[i - node.begin];
-      // Distance-only pre-reject (covers the +inf abandoned lanes too):
-      // once the heap is full, a strictly-greater distance can never win
-      // — only an equal one can, via the key tie-break — so most records
-      // drop here without paying for the order_/key loads.
+                                    node.end, bound, dist);
+    // Pass 1, branch-free: keep the leaf offsets within the entry bound.
+    // The heap front only tightens during the scan, so a record past it
+    // here (the +inf abandoned lanes too) could never be accepted below.
+    std::size_t* hits = scratch.hits.data();
+    std::size_t num_hits = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      hits[num_hits] = j;
+      num_hits += dist[j] <= bound ? 1 : 0;
+    }
+    // Pass 2: the heap filter over those few candidates only.
+    for (std::size_t h = 0; h < num_hits; ++h) {
+      const std::size_t j = hits[h];
+      const double d2 = dist[j];
+      // Distance-only pre-reject against the tightened front: once the
+      // heap is full, a strictly-greater distance can never win — only
+      // an equal one can, via the key tie-break — so it drops here
+      // without paying for the order_/key loads.
       if (heap.size() == k && d2 > heap.front().first) continue;
-      const std::size_t key = key_of(order_[i]);
+      const std::size_t key = key_of(order_[node.begin + j]);
       if (key == kSkipPoint) continue;
       const std::pair<double, std::size_t> candidate{d2, key};
       if (heap.size() < k) {

@@ -31,6 +31,10 @@ ClassifyIndex::ClassifyIndex(std::size_t dim,
   sources_.reserve(pools.size());
   offsets_.reserve(pools.size() + 1);
   offsets_.push_back(0);
+  // The indexed centroids in key order, row-major: the tree copies them
+  // into its own storage, so this buffer dies with the constructor.
+  std::vector<double> rows;
+  std::size_t indexed = 0;
   for (std::size_t p = 0; p < pools.size(); ++p) {
     const LabeledGroups& pool = pools[p];
     sources_.push_back(pool.packed_);
@@ -43,24 +47,23 @@ ClassifyIndex::ClassifyIndex(std::size_t dim,
             std::to_string(dim));
       }
       for (std::size_t g = 0; g < block.size() && status_.ok(); ++g) {
-        linalg::Vector centroid(dim);
         for (std::size_t d = 0; d < dim; ++d) {
-          centroid[d] = block.At(g, d);
-          if (!std::isfinite(centroid[d])) {
+          rows.push_back(block.At(g, d));
+          if (!std::isfinite(rows.back())) {
             status_ = FailedPreconditionError(
                 "labeled pool " + std::to_string(p) + " group " +
                 std::to_string(g) + " has a non-finite centroid");
           }
         }
-        centroids_.push_back(std::move(centroid));
+        ++indexed;
       }
     }
-    offsets_.push_back(centroids_.size());
+    offsets_.push_back(indexed);
   }
   // On error no tree is built, so nothing is ever served from a partial
   // or NaN-ordered index.
-  if (!status_.ok() || centroids_.empty()) return;
-  StatusOr<index::KdTree> tree = index::KdTree::Build(centroids_);
+  if (!status_.ok() || indexed == 0) return;
+  StatusOr<index::KdTree> tree = index::KdTree::Build(rows, dim);
   if (!tree.ok()) {
     status_ = FailedPreconditionError(tree.status().message());
     return;
@@ -81,7 +84,7 @@ std::vector<ClassifyIndex::Neighbor> ClassifyIndex::Nearest(
     const linalg::Vector& point, std::size_t k) const {
   std::vector<Neighbor> out;
   if (!tree_) return out;
-  // Keys are positions in centroids_, which is already key order.
+  // Keys are the tree's build rows, which were laid out in key order.
   const std::vector<std::pair<double, std::size_t>> nearest =
       tree_->KNearestKeyed(point, k, [](std::size_t i) { return i; });
   out.reserve(nearest.size());

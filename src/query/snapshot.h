@@ -112,8 +112,6 @@ class ClassifyIndex {
   // offsets_[p] is the key of pool p's group 0; offsets_.back() is the
   // number of indexed centroids. Unindexed pools span no keys.
   std::vector<std::size_t> offsets_;
-  // The tree's points, in key order (the tree references this vector).
-  std::vector<linalg::Vector> centroids_;
   std::optional<index::KdTree> tree_;
   Status status_;
 };

@@ -224,11 +224,13 @@ TEST(CodecRoundTripTest, CsvDocumentsAreBitExact) {
       linalg::Vector record(dim);
       for (std::size_t j = 0; j < dim; ++j) {
         record[j] = RandomValue(rng);
-        legacy += (j > 0 ? "," : "") + Render17g(record[j]);
+        if (j > 0) legacy += ',';
+        legacy += Render17g(record[j]);
       }
       if (regression) {
         const double target = RandomValue(rng);
-        legacy += "," + Render17g(target);
+        legacy += ',';
+        legacy += Render17g(target);
         dataset.Add(std::move(record), target);
       } else {
         dataset.Add(std::move(record));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "linalg/stats.h"
 
@@ -37,6 +40,27 @@ TEST(StaticCondenserTest, RejectsInconsistentDimensions) {
   Rng rng(2);
   std::vector<Vector> points = {Vector{1.0, 2.0}, Vector{1.0}};
   EXPECT_FALSE(condenser.Condense(points, rng).ok());
+}
+
+TEST(StaticCondenserTest, RejectsNonFiniteCoordinatesOnBothPaths) {
+  // A NaN has no place in the (distance, index) order, so the scan and
+  // the index would group it differently; both refuse it up front.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Rng data_rng(4);
+    std::vector<Vector> points = RandomCloud(3000, 3, data_rng);
+    for (std::size_t i = 0; i < points.size(); i += 3) points[i][1] = bad;
+    for (NeighbourSearch search :
+         {NeighbourSearch::kBruteForce, NeighbourSearch::kKdTree,
+          NeighbourSearch::kAuto}) {
+      StaticCondenser condenser({.group_size = 5, .neighbour_search = search});
+      Rng rng(5);
+      StatusOr<CondensedGroupSet> groups = condenser.Condense(points, rng);
+      ASSERT_FALSE(groups.ok());
+      EXPECT_EQ(groups.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(StaticCondenserTest, AllRecordsLandInGroups) {
@@ -187,6 +211,30 @@ TEST(StaticCondenserTest, IndexAndScanPathsAreBitIdentical) {
     StaticCondenser indexed({.group_size = k,
                              .neighbour_search = NeighbourSearch::kKdTree});
     Rng rng_a(21), rng_b(21);
+    auto a = brute.Condense(points, rng_a);
+    auto b = indexed.Condense(points, rng_b);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ExpectBitIdentical(*a, *b);
+  }
+}
+
+TEST(StaticCondenserTest, IndexAndScanPathsAreBitIdenticalAtScale) {
+  // Large enough that the index rebuilds many times over a run, and
+  // quantized to a 1/8 grid so distance ties are common at every size.
+  Rng data_rng(30);
+  std::vector<Vector> points = RandomCloud(20000, 3, data_rng);
+  for (Vector& p : points) {
+    for (std::size_t d = 0; d < p.dim(); ++d) {
+      p[d] = std::round(p[d] * 8.0) / 8.0;
+    }
+  }
+  for (std::size_t k : {2u, 10u}) {
+    StaticCondenser brute({.group_size = k,
+                           .neighbour_search = NeighbourSearch::kBruteForce});
+    StaticCondenser indexed({.group_size = k,
+                             .neighbour_search = NeighbourSearch::kKdTree});
+    Rng rng_a(31), rng_b(31);
     auto a = brute.Condense(points, rng_a);
     auto b = indexed.Condense(points, rng_b);
     ASSERT_TRUE(a.ok());

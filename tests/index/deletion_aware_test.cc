@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "linalg/vector.h"
+#include "obs/metrics.h"
 
 namespace condensa::index {
 namespace {
@@ -61,8 +62,9 @@ TEST(DeletionAwareKdTreeTest, MatchesBruteForceWithoutDeletions) {
 }
 
 TEST(DeletionAwareKdTreeTest, MatchesBruteForceUnderInterleavedDeletions) {
-  // Erase points between queries, past the 50% rebuild threshold, and
-  // check every answer against the alive-only scan.
+  // Erase points between queries, past the 50% rebuild threshold (and
+  // through the rebuilds after it), and check every answer against the
+  // alive-only scan.
   Rng rng(2);
   std::vector<Vector> points = RandomCloud(300, 4, rng);
   auto tree = DeletionAwareKdTree::Build(points);
@@ -153,9 +155,53 @@ TEST(DeletionAwareKdTreeTest, SurvivesErasingAllButOne) {
   EXPECT_EQ(hits[0].second, points.size() - 1);
 }
 
+TEST(DeletionAwareKdTreeTest, DuplicateHeavyDataMatchesBruteAcrossRebuilds) {
+  // Points on a 5x5x3 grid, ~27 copies each: every query sits on a grid
+  // point, so the k-th distance ties across many alive points and the
+  // original index alone decides the boundary. Each rebuild reads the
+  // survivors back from the previous tree's storage, so a wrong row or
+  // key after any of them shows up as a mismatch here.
+  Rng rng(7);
+  std::vector<Vector> points;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    points.push_back(Vector{static_cast<double>(rng.UniformIndex(5)),
+                            static_cast<double>(rng.UniformIndex(5)),
+                            static_cast<double>(rng.UniformIndex(3))});
+  }
+  obs::Counter& rebuilds = obs::DefaultRegistry().GetCounter(
+      "condensa_static_index_rebuilds_total");
+  const std::uint64_t rebuilds_before = rebuilds.value();
+  auto tree = DeletionAwareKdTree::Build(points);
+  ASSERT_TRUE(tree.ok());
+  std::vector<bool> alive(points.size(), true);
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.Shuffle(order);
+
+  for (std::size_t erased = 0; erased + 10 < points.size();) {
+    for (std::size_t j = 0; j < 25 && erased + 10 < points.size(); ++j) {
+      const std::size_t victim = order[erased++];
+      tree->Erase(victim);
+      alive[victim] = false;
+      EXPECT_FALSE(tree->alive(victim));
+    }
+    const Vector& query = points[order[erased]];
+    for (std::size_t k : {1u, 9u, 40u}) {
+      ASSERT_EQ(tree->KNearestAlive(query, k),
+                BruteKNearest(points, alive, query, k))
+          << "k=" << k << " after erasing " << erased << " points";
+    }
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(tree->alive(i), alive[i]) << "point " << i;
+  }
+  // 2000 -> 10 survivors halves the tree about seven times.
+  EXPECT_GE(rebuilds.value() - rebuilds_before, 5u);
+}
+
 TEST(DeletionAwareKdTreeTest, WrapperSurvivesMove) {
-  // The condenser moves the wrapper out of StatusOr; the tree's internal
-  // pointers must stay valid afterwards.
+  // The condenser moves the wrapper out of StatusOr; the tree it owns
+  // must answer the same afterwards.
   Rng rng(6);
   std::vector<Vector> points = RandomCloud(64, 2, rng);
   auto built = DeletionAwareKdTree::Build(points);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "mining/knn.h"
@@ -45,6 +50,120 @@ TEST(KdTreeTest, BuildValidatesInput) {
   EXPECT_FALSE(KdTree::Build({}).ok());
   std::vector<Vector> ragged = {Vector{1.0}, Vector{1.0, 2.0}};
   EXPECT_FALSE(KdTree::Build(ragged).ok());
+}
+
+TEST(KdTreeTest, BuildRejectsNonFiniteCoordinates) {
+  // A NaN breaks the median split's strict weak ordering, so no tree is
+  // built over one; infinities are refused with it.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<Vector> points = {Vector{0.0, 1.0}, Vector{bad, 2.0},
+                                  Vector{3.0, 4.0}};
+    StatusOr<KdTree> from_points = KdTree::Build(points);
+    ASSERT_FALSE(from_points.ok());
+    EXPECT_EQ(from_points.status().code(), StatusCode::kInvalidArgument);
+    const std::vector<double> rows = {0.0, 1.0, 2.0, bad};
+    StatusOr<KdTree> from_rows = KdTree::Build(rows, 2);
+    ASSERT_FALSE(from_rows.ok());
+    EXPECT_EQ(from_rows.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(KdTreeTest, BuildFromRowsValidatesShape) {
+  const std::vector<double> rows = {0.0, 1.0, 2.0};
+  EXPECT_FALSE(KdTree::Build(rows, 0).ok());
+  EXPECT_FALSE(KdTree::Build(rows, 2).ok());  // not a whole row
+  EXPECT_FALSE(KdTree::Build(std::vector<double>{}, 2).ok());
+  StatusOr<KdTree> tree = KdTree::Build(rows, 3);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->size(), 1u);
+  EXPECT_EQ(tree->dim(), 3u);
+}
+
+TEST(KdTreeTest, OwnsItsPointsOnceBuilt) {
+  // The tree keeps its own copy: overwriting and then freeing the input
+  // must not change a single answer (run under ASan, a read of the
+  // freed input is a use-after-free report).
+  Rng rng(7);
+  const std::vector<Vector> reference = RandomCloud(700, 4, rng);
+  auto input = std::make_unique<std::vector<Vector>>(reference);
+  StatusOr<KdTree> tree = KdTree::Build(*input);
+  ASSERT_TRUE(tree.ok());
+  for (Vector& p : *input) {
+    for (std::size_t d = 0; d < p.dim(); ++d) p[d] = 1e9;
+  }
+  input.reset();
+
+  EXPECT_EQ(tree->size(), reference.size());
+  for (int q = 0; q < 20; ++q) {
+    Vector query(4);
+    for (std::size_t d = 0; d < 4; ++d) query[d] = rng.Gaussian();
+    EXPECT_EQ(tree->KNearest(query, 9), BruteKNearest(reference, query, 9));
+    std::vector<std::pair<double, std::size_t>> expected;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      expected.emplace_back(linalg::SquaredDistance(reference[i], query), i);
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.resize(9);
+    EXPECT_EQ(tree->KNearestKeyed(query, 9, [](std::size_t i) { return i; }),
+              expected);
+    std::vector<std::size_t> within = tree->RadiusSearchSquared(query, 1.0);
+    std::sort(within.begin(), within.end());
+    std::vector<std::size_t> brute_within;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      if (linalg::SquaredDistance(reference[i], query) <= 1.0) {
+        brute_within.push_back(i);
+      }
+    }
+    EXPECT_EQ(within, brute_within);
+  }
+}
+
+TEST(KdTreeTest, PositionsListEveryPointWithItsOwnRow) {
+  // PointAt/AppendRow read the tree's storage back: every input row
+  // appears exactly once, with its exact coordinates.
+  Rng rng(8);
+  const std::vector<Vector> points = RandomCloud(300, 3, rng);
+  StatusOr<KdTree> tree = KdTree::Build(points);
+  ASSERT_TRUE(tree.ok());
+  std::vector<bool> seen(points.size(), false);
+  for (std::size_t pos = 0; pos < tree->size(); ++pos) {
+    const std::size_t row = tree->PointAt(pos);
+    ASSERT_LT(row, points.size());
+    EXPECT_FALSE(seen[row]);
+    seen[row] = true;
+    std::vector<double> coords;
+    tree->AppendRow(pos, coords);
+    EXPECT_EQ(coords, std::vector<double>(points[row].data(),
+                                          points[row].data() + 3));
+  }
+}
+
+TEST(KdTreeTest, KeyedSearchFiltersOversizedCoincidentLeaves) {
+  // A cell of coincident points becomes one leaf however large, so the
+  // keyed search's candidate list must grow past kLeafSize. The plain
+  // search runs first and grows only the distance buffer.
+  std::vector<Vector> points(150, Vector{1.0, -1.0});
+  Rng rng(9);
+  for (const Vector& p : RandomCloud(200, 2, rng)) points.push_back(p);
+  for (int i = 0; i < 90; ++i) points.push_back(Vector{-2.0, 2.0});
+  StatusOr<KdTree> tree = KdTree::Build(points);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->KNearest(Vector{1.0, -1.0}, 150).size(), 150u);
+
+  // Odd keys only, ranked in reverse: ties at distance 0 resolve by key.
+  const auto odd_reversed = [n = points.size()](std::size_t i) {
+    return i % 2 == 1 ? n - i : KdTree::kSkipPoint;
+  };
+  const std::vector<std::pair<double, std::size_t>> hits =
+      tree->KNearestKeyed(Vector{-2.0, 2.0}, 40, odd_reversed);
+  ASSERT_EQ(hits.size(), 40u);
+  // Coincident rows 350..439; the odd ones from the top key down.
+  for (std::size_t j = 0; j < hits.size(); ++j) {
+    EXPECT_EQ(hits[j].first, 0.0);
+    EXPECT_EQ(hits[j].second, points.size() - (439 - 2 * j));
+  }
 }
 
 TEST(KdTreeTest, NearestOnTinySet) {

@@ -96,22 +96,29 @@ std::vector<Variant> Variants() {
                          .torn_bytes = bytes};
   };
   const std::size_t half = static_cast<std::size_t>(-1);
-  return {
-      {"checkpoint.snapshot", {}, "snapshot/error"},
-      {"checkpoint.journal_append", {}, "journal_append/error"},
-      {"io.atomic_write", {}, "atomic_write/error"},
-      {"io.atomic_write", torn(half), "atomic_write/torn-half"},
-      {"io.atomic_write", torn(3), "atomic_write/torn-3"},
-      {"io.atomic_rename", {}, "atomic_rename/error"},
-      {"io.append", {}, "append/error"},
-      {"io.append", torn(half), "append/torn-half"},
-      {"io.append", torn(2), "append/torn-2"},
-      {"io.sync", {}, "sync/error"},
-      {"eigen.jacobi",
-       {.code = StatusCode::kInternal, .message = "eigensolver diverged"},
-       "eigen/non-convergence"},
-      {"dynamic.insert", {}, "apply/error"},
+  const FailPointSpec error;
+  // One push per variant: a braced list of these aggregates trips a
+  // -Wmaybe-uninitialized false positive on FailPointSpec::message.
+  std::vector<Variant> variants;
+  const auto add = [&variants](const char* probe, FailPointSpec spec,
+                               const char* label) {
+    variants.push_back({probe, std::move(spec), label});
   };
+  add("checkpoint.snapshot", error, "snapshot/error");
+  add("checkpoint.journal_append", error, "journal_append/error");
+  add("io.atomic_write", error, "atomic_write/error");
+  add("io.atomic_write", torn(half), "atomic_write/torn-half");
+  add("io.atomic_write", torn(3), "atomic_write/torn-3");
+  add("io.atomic_rename", error, "atomic_rename/error");
+  add("io.append", error, "append/error");
+  add("io.append", torn(half), "append/torn-half");
+  add("io.append", torn(2), "append/torn-2");
+  add("io.sync", error, "sync/error");
+  add("eigen.jacobi",
+      {.code = StatusCode::kInternal, .message = "eigensolver diverged"},
+      "eigen/non-convergence");
+  add("dynamic.insert", error, "apply/error");
+  return variants;
 }
 
 TEST(CrashRecoveryTest, EveryWriteBoundarySurvivesInjectedCrash) {

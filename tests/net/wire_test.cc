@@ -353,7 +353,8 @@ TEST(WireMessageTest, MangledPayloadsFailCleanly) {
       EncodeHello(HelloMessage{.dim = 4, .group_size = 10}),
       EncodeHelloAck(HelloAckMessage{.worker_id = "w0"}),
       EncodeSubmit(submit),
-      *EncodeFinishResult(FinishResultMessage{.groups_text = "body"}),
+      *EncodeFinishResult(
+          FinishResultMessage{.stats = {}, .groups_text = "body"}),
   };
   for (const std::string& payload : payloads) {
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {

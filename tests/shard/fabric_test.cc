@@ -373,7 +373,9 @@ TEST_F(FabricTest, WorkerDeathAtFinishReroutesPendingRecordsBeforeGather) {
   config.io_timeout_ms = 500.0;
   config.ack_timeout_ms = 1000.0;
   for (std::size_t i = 0; i < kShards; ++i) {
-    servers.push_back(StartServer(Dir("w" + std::to_string(i))));
+    std::string leaf = "w";
+    leaf += std::to_string(i);
+    servers.push_back(StartServer(Dir(leaf)));
     config.workers.push_back(
         {"127.0.0.1", servers.back()->server->port()});
   }
