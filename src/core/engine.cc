@@ -8,7 +8,6 @@
 #include <functional>
 
 #include "common/thread_pool.h"
-#include "core/checkpointing.h"
 #include "core/dynamic_condenser.h"
 #include "core/static_condenser.h"
 #include "obs/timing.h"
@@ -41,13 +40,10 @@ Status ValidateFinite(const data::Dataset& input) {
   return OkStatus();
 }
 
-// Condenses one point pool with an explicit k, honouring the mode. A
-// non-empty `checkpoint_dir` makes the dynamic stream crash-safe by
-// routing it through a DurableCondenser rooted there.
+// Condenses one point pool with an explicit k, honouring the mode.
 StatusOr<CondensedGroupSet> CondensePool(
     const std::vector<linalg::Vector>& points, std::size_t k,
-    const CondensationConfig& config, const std::string& checkpoint_dir,
-    Rng& rng, std::size_t* splits_out) {
+    const CondensationConfig& config, Rng& rng, std::size_t* splits_out) {
   obs::TraceSpan span("engine.condense_pool");
   if (splits_out != nullptr) *splits_out = 0;
   if (config.mode == CondensationMode::kStatic) {
@@ -84,29 +80,6 @@ StatusOr<CondensedGroupSet> CondensePool(
       .backend_version = config.backend_version,
       .bootstrap_construction = config.group_construction};
 
-  if (!checkpoint_dir.empty()) {
-    CONDENSA_ASSIGN_OR_RETURN(
-        DurableCondenser durable,
-        DurableCondenser::Create(
-            ordered.front().dim(), condenser_options,
-            DurabilityOptions{.snapshot_interval = config.snapshot_interval},
-            checkpoint_dir));
-    if (bootstrap_count > 0) {
-      std::vector<linalg::Vector> prefix(ordered.begin(),
-                                         ordered.begin() + bootstrap_count);
-      CONDENSA_RETURN_IF_ERROR(durable.Bootstrap(prefix, rng));
-    }
-    for (std::size_t i = bootstrap_count; i < ordered.size(); ++i) {
-      CONDENSA_RETURN_IF_ERROR(durable.Insert(ordered[i]));
-    }
-    // Leave the final structure durable before finalizing the stream.
-    CONDENSA_RETURN_IF_ERROR(durable.Checkpoint());
-    if (splits_out != nullptr) {
-      *splits_out = durable.condenser().split_count();
-    }
-    return durable.TakeGroups();
-  }
-
   DynamicCondenser condenser(ordered.front().dim(), condenser_options);
   if (bootstrap_count > 0) {
     std::vector<linalg::Vector> prefix(ordered.begin(),
@@ -128,15 +101,9 @@ StatusOr<CondensedPools::Pool> MakePool(
   std::size_t effective_k =
       std::min<std::size_t>(config.group_size, points.size());
   std::size_t splits = 0;
-  // Each pool checkpoints in its own subdirectory, keyed by label.
-  const std::string checkpoint_dir =
-      config.checkpoint_dir.empty()
-          ? std::string()
-          : config.checkpoint_dir + "/pool-" + std::to_string(label);
   CONDENSA_ASSIGN_OR_RETURN(
       CondensedGroupSet groups,
-      CondensePool(points, effective_k, config, checkpoint_dir, rng,
-                   &splits));
+      CondensePool(points, effective_k, config, rng, &splits));
   return CondensedPools::Pool{label, splits, std::move(groups)};
 }
 
@@ -186,9 +153,6 @@ Status CondensationConfig::Validate() const {
   if (!(bootstrap_fraction >= 0.0) || !(bootstrap_fraction <= 1.0)) {
     return InvalidArgumentError("bootstrap_fraction must be in [0, 1]");
   }
-  if (snapshot_interval < 1) {
-    return InvalidArgumentError("snapshot_interval must be >= 1");
-  }
   if (backend.empty()) {
     return InvalidArgumentError("backend id must be non-empty");
   }
@@ -211,12 +175,7 @@ CondensationEngine::CondensationEngine(CondensationConfig config)
 StatusOr<CondensedGroupSet> CondensationEngine::CondensePoints(
     const std::vector<linalg::Vector>& points, Rng& rng) const {
   CONDENSA_RETURN_IF_ERROR(config_.Validate());
-  const std::string checkpoint_dir =
-      config_.checkpoint_dir.empty()
-          ? std::string()
-          : config_.checkpoint_dir + "/pool-points";
-  return CondensePool(points, config_.group_size, config_, checkpoint_dir,
-                      rng, nullptr);
+  return CondensePool(points, config_.group_size, config_, rng, nullptr);
 }
 
 StatusOr<CondensedPools> CondensationEngine::Condense(

@@ -55,15 +55,6 @@ struct CondensationConfig {
   // Dynamic mode: split formula (see core/split.h). kPaperVerbatim exists
   // only for ablation A10.
   SplitRule split_rule = SplitRule::kMomentConsistent;
-  // Dynamic mode: when non-empty, streaming condensation is crash-safe —
-  // every pool keeps an atomic snapshot plus a fsync'd record journal
-  // under <checkpoint_dir>/pool-<label>, recoverable with
-  // DurableCondenser::Recover or `condensa recover` (see
-  // core/checkpointing.h and docs/durability.md). The directory must not
-  // already hold checkpoint state. Ignored in static mode.
-  std::string checkpoint_dir = {};
-  // Durable streaming: journal appends between snapshots (>= 1).
-  std::size_t snapshot_interval = 1024;
   // Worker threads for per-pool condensation fan-out (classification
   // condenses one pool per class label); 0 means one per hardware
   // thread. Results are bit-identical for a fixed seed at any thread
@@ -73,9 +64,9 @@ struct CondensationConfig {
   // Registry receiving the engine's run metrics (timings, record/pool/
   // group/split totals, last-run gauges — see docs/observability.md).
   // nullptr records into obs::DefaultRegistry(). Note the subsystem
-  // instruments (condensers, kd-tree, eigensolver, checkpointing) always
-  // record into the default registry; pointing this at a private registry
-  // isolates only the engine-level series.
+  // instruments (condensers, kd-tree, eigensolver) always record into
+  // the default registry; pointing this at a private registry isolates
+  // only the engine-level series.
   obs::MetricsRegistry* metrics = nullptr;
   // Anonymization backend identity and hooks (docs/backends.md). The id
   // is stamped into every produced group set (and so into serialized
@@ -91,11 +82,12 @@ struct CondensationConfig {
   GroupSamplerFn group_sampler = nullptr;
 
   // Checks every field (group_size >= 1, bootstrap_fraction in [0, 1],
-  // snapshot_interval >= 1). The engine refuses to condense with an
-  // invalid config, returning this Status from Condense/CondensePoints —
-  // constructing the engine itself never aborts. (k = 1 is permitted
-  // here for identity-condensation ablations; the streaming runtime's
-  // StreamPipelineConfig requires k >= 2.)
+  // a non-default backend has its hooks). The engine refuses to condense
+  // with an invalid config, returning this Status from
+  // Condense/CondensePoints — constructing the engine itself never
+  // aborts. (k = 1 is permitted here for identity-condensation
+  // ablations; the streaming runtime's StreamPipelineConfig requires
+  // k >= 2.)
   Status Validate() const;
 };
 

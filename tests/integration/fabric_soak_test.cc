@@ -1,8 +1,9 @@
 // Fabric chaos soak: worker PROCESSES (fork + SIGKILL), not threads.
 // These tests pin the tentpole guarantees end-to-end:
 //
-//   * a clean multi-process run releases the exact bytes of the
-//     in-process sharded service (bit-identity over the wire);
+//   * a clean multi-process run, with 1 or 2 workers, releases the exact
+//     bytes of the in-process sharded service (bit-identity over the
+//     wire);
 //   * kill -9 of a worker mid-ingest loses zero acked records — every
 //     submitted record appears in the release, and the only multiplicity
 //     is the explicitly counted duplicates from re-routed batches whose
@@ -105,50 +106,53 @@ void ExpectLedgerExact(const FabricResult& result, std::size_t submitted) {
 }
 
 TEST_F(FabricSoakTest, ForkedWorkersReleaseBitIdenticalToInProcess) {
-  const std::size_t kShards = 2;
   const std::vector<Vector> stream = MakeStream(900, 3, 11);
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(std::to_string(shards) + " worker(s)");
+    const std::string cell = std::to_string(shards) + "-";
 
-  ShardedStreamConfig reference;
-  reference.num_shards = kShards;
-  reference.dim = 3;
-  reference.group_size = 10;
-  reference.checkpoint_root = Dir("inproc");
-  reference.seed = 77;
-  auto in_process = ShardedStreamService::Start(reference);
-  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
-  for (const Vector& record : stream) {
-    ASSERT_TRUE((*in_process)->Submit(record).ok());
-  }
-  auto expected = (*in_process)->Finish();
-  ASSERT_TRUE(expected.ok());
+    ShardedStreamConfig reference;
+    reference.num_shards = shards;
+    reference.dim = 3;
+    reference.group_size = 10;
+    reference.checkpoint_root = Dir(cell + "inproc");
+    reference.seed = 77;
+    auto in_process = ShardedStreamService::Start(reference);
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    for (const Vector& record : stream) {
+      ASSERT_TRUE((*in_process)->Submit(record).ok());
+    }
+    auto expected = (*in_process)->Finish();
+    ASSERT_TRUE(expected.ok());
 
-  std::vector<WorkerProcess> workers;
-  FabricConfig config = SoakConfig(3);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    WorkerServerConfig server;
-    server.checkpoint_root = Dir("worker-" + std::to_string(i));
-    auto spawned = WorkerProcess::Spawn(std::move(server));
-    ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
-    workers.push_back(*std::move(spawned));
-    config.workers.push_back({"127.0.0.1", workers.back().port()});
-  }
+    std::vector<WorkerProcess> workers;
+    FabricConfig config = SoakConfig(3);
+    for (std::size_t i = 0; i < shards; ++i) {
+      WorkerServerConfig server;
+      server.checkpoint_root = Dir(cell + "worker-" + std::to_string(i));
+      auto spawned = WorkerProcess::Spawn(std::move(server));
+      ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
+      workers.push_back(*std::move(spawned));
+      config.workers.push_back({"127.0.0.1", workers.back().port()});
+    }
 
-  auto fabric = FabricService::Start(config);
-  ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
-  for (const Vector& record : stream) {
-    ASSERT_TRUE((*fabric)->Submit(record).ok());
-  }
-  auto result = (*fabric)->Finish();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto fabric = FabricService::Start(config);
+    ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
+    for (const Vector& record : stream) {
+      ASSERT_TRUE((*fabric)->Submit(record).ok());
+    }
+    auto result = (*fabric)->Finish();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(core::SerializeGroupSet(result->groups),
-            core::SerializeGroupSet(expected->groups));
-  ExpectLedgerExact(*result, stream.size());
-  EXPECT_EQ(result->report.duplicates_detected, 0u);
-  for (WorkerProcess& worker : workers) {
-    StatusOr<int> status = worker.Wait();
-    ASSERT_TRUE(status.ok()) << status.status().ToString();
-    EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0);
+    EXPECT_EQ(core::SerializeGroupSet(result->groups),
+              core::SerializeGroupSet(expected->groups));
+    ExpectLedgerExact(*result, stream.size());
+    EXPECT_EQ(result->report.duplicates_detected, 0u);
+    for (WorkerProcess& worker : workers) {
+      StatusOr<int> status = worker.Wait();
+      ASSERT_TRUE(status.ok()) << status.status().ToString();
+      EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0);
+    }
   }
 }
 

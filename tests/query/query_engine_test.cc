@@ -459,5 +459,48 @@ TEST(QueryEngineTest, RegenerateCapsRefuseTheAnswerBeforeSampling) {
   EXPECT_EQ(uncapped->regenerate.records.size(), 600u);
 }
 
+// A cache sized to the group count holds the regenerate working set.
+// Nothing mutates the snapshot, so the first round faults every group's
+// factorization in and every later lookup must hit: any further miss
+// means version stamps churn on groups that did not change.
+TEST(QueryEngineTest, RepeatedRegenerateHitsTheEigenCacheInSteadyState) {
+  const std::size_t dim = 10;
+  const std::size_t rounds = 25;
+  for (std::size_t groups : {std::size_t{64}, std::size_t{512}}) {
+    Rng rng(9'000 + groups);
+    QuerySnapshot snapshot;
+    snapshot.dim = dim;
+    for (int label : {0, 1}) {
+      const std::size_t pool_groups = label == 0 ? groups / 2
+                                                 : groups - groups / 2;
+      CondensedGroupSet pool(dim, 10);
+      for (std::size_t g = 0; g < pool_groups; ++g) {
+        Vector center(dim);
+        for (std::size_t d = 0; d < dim; ++d) {
+          center[d] = (label == 0 ? -4.0 : 4.0) + rng.Gaussian(0.0, 3.0);
+        }
+        pool.AddGroup(MakeGroupAround(center, 10, rng.NextUint64()));
+      }
+      snapshot.pools.push_back({label, std::move(pool)});
+    }
+
+    QueryEngine engine({.eigen_cache_capacity = groups});
+    Query query;
+    query.kind = QueryKind::kRegenerate;
+    query.regenerate.seed = 4242;
+    query.regenerate.records_per_group = 1;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      auto result = engine.Execute(snapshot, query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->regenerate.groups_matched, groups);
+    }
+
+    const EigenCacheStats stats = engine.eigen_cache().stats();
+    EXPECT_EQ(stats.misses, groups) << groups << " groups";
+    EXPECT_EQ(stats.hits, (rounds - 1) * groups) << groups << " groups";
+    EXPECT_GT(stats.HitRatio(), 0.9) << groups << " groups";
+  }
+}
+
 }  // namespace
 }  // namespace condensa::query

@@ -77,10 +77,13 @@ class QueryServerTest : public ::testing::Test {
     });
   }
 
-  void TearDown() override {
+  void TearDown() override { StopServer(); }
+
+  void StopServer() {
     if (server_ != nullptr) {
       server_->Stop();
       serving_.join();
+      server_.reset();
     }
   }
 
@@ -442,6 +445,67 @@ TEST_F(QueryServerTest, InflightCapShedsWithOverloadReason) {
             std::string::npos)
       << text;
   obs::DefaultRegistry().Reset();
+}
+
+// Every execution stalls 5 ms (the "query.execute" latency fail point),
+// standing in for the per-query work of a loaded server. One session is
+// then latency-bound; eight sessions overlap their waits in the session
+// pool, so they must get at least 3x the throughput. The gain is latency
+// hiding, so it holds on one core.
+TEST_F(QueryServerTest, EightSessionsServeThreeTimesTheThroughputOfOne) {
+  auto store = std::make_shared<SnapshotStore>();
+  QuerySnapshot snapshot;
+  snapshot.dim = 2;
+  snapshot.pools.push_back({0, MakeGroups(-3.0, 12)});
+  snapshot.pools.push_back({1, MakeGroups(3.0, 13)});
+  store->Publish(std::move(snapshot));
+  FailPoint::Arm("query.execute",
+                 {.repeat = static_cast<std::size_t>(-1),
+                  .mode = FailPointMode::kLatency, .latency_ms = 5.0});
+
+  // Aggregates answered per second when `sessions` clients run closed
+  // loops for one second against a server sized to them.
+  auto ops_per_second = [&](std::size_t sessions) {
+    QueryServerConfig config;
+    config.poll_ms = 10.0;
+    config.max_sessions = sessions;
+    config.max_inflight = 16;
+    StartServerWithConfig(std::move(config), store);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t c = 0; c < sessions; ++c) {
+      clients.emplace_back([this, until, &answered] {
+        auto client =
+            QueryClient::Connect("127.0.0.1", server_->port(), 5000.0);
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        Query aggregate;
+        aggregate.kind = QueryKind::kAggregate;
+        while (std::chrono::steady_clock::now() < until) {
+          auto result = client->Execute(aggregate, 5000.0);
+          if (result.ok()) {
+            answered.fetch_add(1);
+          } else {
+            // Shed by the in-flight cap: counted as not served.
+            ASSERT_EQ(result.status().code(), StatusCode::kUnavailable)
+                << result.status().ToString();
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    StopServer();
+    return answered.load() / elapsed.count();
+  };
+  const double one = ops_per_second(1);
+  const double eight = ops_per_second(8);
+  FailPoint::Reset();
+  EXPECT_GE(eight, 3.0 * one)
+      << "1 session: " << one << " ops/s, 8 sessions: " << eight << " ops/s";
 }
 
 TEST_F(QueryServerTest, RetryingClientSurvivesSessionCapRejection) {

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/io.h"
 #include "common/random.h"
+#include "core/anonymizer.h"
 #include "core/serialization.h"
+#include "data/dataset.h"
 #include "linalg/vector.h"
+#include "metrics/compatibility.h"
+#include "mining/knn.h"
 
 namespace condensa::shard {
 namespace {
@@ -169,6 +174,95 @@ TEST_F(StreamServiceTest, LiveStatsCoverEveryShard) {
   }
   EXPECT_EQ(submitted, 60u);
   ASSERT_TRUE((*service)->Finish().ok());
+}
+
+// The gather merges moments exactly, so sharding a stream must not cost
+// release quality: covariance compatibility (mu) and 1-NN accuracy at 4
+// shards stay within 0.02 of the 1-shard run. The workload is the
+// paper's two-class setting: 10k records from two Gaussian blobs at
+// d = 10, one stream per class so the release keeps its labels, every
+// fifth record held out for testing.
+TEST_F(StreamServiceTest, ShardingKeepsReleaseQualityOfOneShard) {
+  const std::size_t dim = 10;
+  Rng rng(2026);
+  std::vector<Vector> train[2];
+  data::Dataset train_raw(dim, data::TaskType::kClassification);
+  data::Dataset test(dim, data::TaskType::kClassification);
+  for (std::size_t i = 0; i < 10'000; ++i) {
+    const int label = static_cast<int>(i % 2);
+    Vector record(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      record[j] = rng.Gaussian(label == 0 ? -3.0 : 3.0, 1.0);
+    }
+    if (i % 5 == 4) {
+      test.Add(std::move(record), label);
+    } else {
+      train_raw.Add(record, label);
+      train[label].push_back(std::move(record));
+    }
+  }
+
+  struct Quality {
+    double mu = 0.0;
+    double accuracy = 0.0;
+  };
+  auto release_quality = [&](std::size_t shards) {
+    data::Dataset release(dim, data::TaskType::kClassification);
+    for (int label = 0; label < 2; ++label) {
+      const std::string class_root = root_ + "/shards-" +
+                                     std::to_string(shards) + "-class-" +
+                                     std::to_string(label);
+      std::filesystem::remove_all(class_root);
+      ShardedStreamConfig config;
+      config.num_shards = shards;
+      config.dim = dim;
+      config.group_size = 10;
+      config.checkpoint_root = class_root;
+      config.sync_every_append = false;
+      config.snapshot_interval = 1u << 30;
+      config.queue_capacity = 4096;
+      config.batch_size = 64;
+      config.seed = 42 + static_cast<std::uint64_t>(label);
+      auto service = ShardedStreamService::Start(config);
+      EXPECT_TRUE(service.ok()) << service.status();
+      if (!service.ok()) return Quality{};
+      for (const Vector& record : train[label]) {
+        EXPECT_TRUE((*service)->Submit(record).ok());
+      }
+      auto result = (*service)->Finish();
+      EXPECT_TRUE(result.ok()) << result.status();
+      if (!result.ok()) return Quality{};
+      EXPECT_TRUE(result->Balanced());
+      EXPECT_EQ(result->groups.TotalRecords(), train[label].size());
+      std::filesystem::remove_all(class_root);
+
+      Rng release_rng(1000 + static_cast<std::uint64_t>(label));
+      auto points = core::Anonymizer().Generate(result->groups, release_rng);
+      EXPECT_TRUE(points.ok()) << points.status();
+      if (!points.ok()) return Quality{};
+      for (Vector& point : *points) release.Add(std::move(point), label);
+    }
+
+    Quality quality;
+    auto mu = metrics::CovarianceCompatibility(train_raw, release);
+    EXPECT_TRUE(mu.ok()) << mu.status();
+    if (mu.ok()) quality.mu = *mu;
+    mining::KnnClassifier knn({.k = 1});
+    EXPECT_TRUE(knn.Fit(release).ok());
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      if (knn.Predict(test.record(i)) == test.label(i)) ++correct;
+    }
+    quality.accuracy =
+        static_cast<double>(correct) / static_cast<double>(test.size());
+    return quality;
+  };
+
+  const Quality one = release_quality(1);
+  const Quality four = release_quality(4);
+  EXPECT_GE(four.mu, one.mu - 0.02) << "1-shard mu " << one.mu;
+  EXPECT_GE(four.accuracy, one.accuracy - 0.02)
+      << "1-shard accuracy " << one.accuracy;
 }
 
 }  // namespace
