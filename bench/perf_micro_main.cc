@@ -367,10 +367,13 @@ BENCHMARK(BM_SerializePools)->Unit(benchmark::kMillisecond);
 
 // P6: query engine execution on the query_serve shape — a k = 10
 // condensation of the codec dataset, about 10k groups in 3 labeled
-// pools — one case per kind: classify 32 points against 3 neighbours,
-// aggregate over the half-space below the median centroid on dimension
-// 0, and regenerate one record per group in a window of 1/8% of the
-// groups, with every factorization already cached.
+// pools. Cases 0–2, one per kind: classify 32 points against 3
+// neighbours, aggregate over the half-space below the median centroid on
+// dimension 0 (the moment-tree fold), and regenerate one record per
+// group in a window of 1/8% of the groups, with every factorization
+// already cached. Cases 3 and 4 are aggregates too: the quarter below
+// the medians of dimensions 0 and 1 (the candidate walk and its (pool,
+// group)-order fold), and match-all (one root read).
 const condensa::query::QuerySnapshot& QuerySnapshotFixture() {
   static const condensa::query::QuerySnapshot snapshot = [] {
     condensa::core::CondensationConfig config;
@@ -387,30 +390,48 @@ const condensa::query::QuerySnapshot& QuerySnapshotFixture() {
 void BM_QueryExecute(benchmark::State& state) {
   using condensa::query::QueryKind;
   const condensa::query::QuerySnapshot& snapshot = QuerySnapshotFixture();
-  std::vector<double> centers;
-  for (const condensa::query::LabeledGroups& pool : snapshot.pools) {
-    for (const auto& group : pool.groups.groups()) {
-      centers.push_back(group.Centroid()[0]);
+  // Sorted centroid coordinates on dimensions 0 and 1.
+  std::vector<double> centers[2];
+  for (std::size_t d = 0; d < 2; ++d) {
+    for (const condensa::query::LabeledGroups& pool : snapshot.pools) {
+      for (const auto& group : pool.groups.groups()) {
+        centers[d].push_back(group.Centroid()[d]);
+      }
     }
+    std::sort(centers[d].begin(), centers[d].end());
   }
-  std::sort(centers.begin(), centers.end());
+  auto below_median = [&centers](std::size_t d) {
+    return condensa::query::RangePredicate::Bound{
+        d, centers[d].front(), centers[d][centers[d].size() / 2]};
+  };
 
   condensa::query::Query query;
-  query.kind = static_cast<QueryKind>(state.range(0));
+  const std::int64_t variant = state.range(0);
+  query.kind = variant <= 2 ? static_cast<QueryKind>(variant)
+                            : QueryKind::kAggregate;
+  std::string label = condensa::query::QueryKindName(query.kind);
   switch (query.kind) {
     case QueryKind::kClassify:
       query.classify.points = MakeCloud(32, kCodecDim, 24);
       query.classify.neighbors = 3;
       break;
     case QueryKind::kAggregate:
-      query.aggregate.range.bounds.push_back(
-          {0, centers.front(), centers[centers.size() / 2]});
+      if (variant == 1) {
+        query.aggregate.range.bounds.push_back(below_median(0));
+      } else if (variant == 3) {
+        query.aggregate.range.bounds.push_back(below_median(0));
+        query.aggregate.range.bounds.push_back(below_median(1));
+        label += "-two-bounds";
+      } else {
+        label += "-all";
+      }
       break;
     case QueryKind::kRegenerate: {
-      const std::size_t width = std::max<std::size_t>(1, centers.size() / 800);
-      const std::size_t lo = centers.size() / 3;
+      const std::vector<double>& sorted = centers[0];
+      const std::size_t width = std::max<std::size_t>(1, sorted.size() / 800);
+      const std::size_t lo = sorted.size() / 3;
       query.regenerate.range.bounds.push_back(
-          {0, centers[lo], centers[lo + width - 1]});
+          {0, sorted[lo], sorted[lo + width - 1]});
       query.regenerate.records_per_group = 1;
       query.regenerate.seed = 5;
       break;
@@ -425,9 +446,9 @@ void BM_QueryExecute(benchmark::State& state) {
     CONDENSA_CHECK(result.ok());
     benchmark::DoNotOptimize(result->snapshot_version);
   }
-  state.SetLabel(condensa::query::QueryKindName(query.kind));
+  state.SetLabel(label);
 }
-BENCHMARK(BM_QueryExecute)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_QueryExecute)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "core/serialization.h"
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -134,6 +135,12 @@ StatusOr<CondensedGroupSet> DeserializeGroupSet(std::string_view text) {
         return DataLossError("truncated fs values in group " +
                              std::to_string(g));
       }
+      // A non-finite sum leaves the group without a mean or covariance
+      // (and a NaN centroid would fall inside every query range).
+      if (!std::isfinite(fs[j])) {
+        return DataLossError("non-finite fs value in group " +
+                             std::to_string(g));
+      }
     }
 
     linalg::Matrix sc(dim, dim);
@@ -146,6 +153,10 @@ StatusOr<CondensedGroupSet> DeserializeGroupSet(std::string_view text) {
         double value = 0.0;
         if (!NextDouble(&rest, &value)) {
           return DataLossError("truncated sc values in group " +
+                               std::to_string(g));
+        }
+        if (!std::isfinite(value)) {
+          return DataLossError("non-finite sc value in group " +
                                std::to_string(g));
         }
         sc(i, j) = value;

@@ -149,9 +149,8 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
   // One kd-tree over every labeled centroid, built once per snapshot;
   // it ranks neighbours by (distance, pool, group) exactly as a scan of
   // every group would (query/snapshot.h).
-  const std::shared_ptr<const ClassifyIndex> index =
-      snapshot.GetClassifyIndex();
-  CONDENSA_RETURN_IF_ERROR(index->status());
+  const std::shared_ptr<const SnapshotIndex> index = snapshot.GetIndex();
+  CONDENSA_RETURN_IF_ERROR(index->classify_status());
 
   ClassifyResult result;
   result.labels.reserve(query.points.size());
@@ -175,10 +174,9 @@ StatusOr<ClassifyResult> QueryEngine::ExecuteClassify(
     // records it condenses. std::map iterates labels ascending, so a
     // strict > comparison breaks weight ties toward the smaller label.
     std::map<int, std::uint64_t> votes;
-    for (const ClassifyIndex::Neighbor& neighbor :
+    for (const SnapshotIndex::Neighbor& neighbor :
          index->Nearest(point, query.neighbors)) {
-      const LabeledGroups& pool = snapshot.pools[neighbor.pool];
-      votes[pool.label] += pool.packed().mass[neighbor.group];
+      votes[snapshot.pools[neighbor.pool].label] += neighbor.mass;
     }
     int best_label = -1;
     std::uint64_t best_weight = 0;
@@ -198,24 +196,18 @@ StatusOr<AggregateResult> QueryEngine::ExecuteAggregate(
     const ExecutionContext& context) const {
   CONDENSA_RETURN_IF_ERROR(query.range.Validate(snapshot.dim));
 
-  // The whole answer is one fold of the additive moments — the result is
-  // bit-identical to GroupStatistics::Merge over the selection because
-  // it IS GroupStatistics::Merge over the selection, in (pool, group)
-  // order.
+  const std::shared_ptr<const SnapshotIndex> index = snapshot.GetIndex();
+  CONDENSA_RETURN_IF_ERROR(index->range_status());
+  // Checked after the index, whose first build is the costly part.
+  if (context.Expired()) {
+    return DeadlineExpired("aggregate");
+  }
+
+  // The whole answer is one fold of the additive moments, read mostly
+  // from the index's precomputed node folds (query/snapshot.h).
   core::GroupStatistics folded(snapshot.dim);
   AggregateResult result;
-  std::vector<std::size_t> selected;
-  for (const LabeledGroups& pool : snapshot.pools) {
-    if (context.Expired()) {
-      return DeadlineExpired("aggregate");
-    }
-    selected.clear();
-    query.range.Select(pool.packed().centroids, &selected);
-    for (std::size_t g : selected) {
-      folded.Merge(pool.groups.group(g));
-    }
-    result.groups_matched += selected.size();
-  }
+  result.groups_matched = index->Fold(query.range, &folded);
   result.records = folded.count();
   if (!folded.empty()) {
     result.has_moments = true;
@@ -230,16 +222,14 @@ StatusOr<RegenerateResult> QueryEngine::ExecuteRegenerate(
     const ExecutionContext& context) {
   CONDENSA_RETURN_IF_ERROR(query.range.Validate(snapshot.dim));
 
-  // Select from the packed centroids first: the answer's size is known
+  const std::shared_ptr<const SnapshotIndex> index = snapshot.GetIndex();
+  CONDENSA_RETURN_IF_ERROR(index->range_status());
+
+  // Select first, in (pool, group) order: the answer's size is known
   // before any record is sampled, so the caps refuse it up front.
   std::vector<const core::GroupStatistics*> selected;
-  std::vector<std::size_t> rows;
-  for (const LabeledGroups& pool : snapshot.pools) {
-    rows.clear();
-    query.range.Select(pool.packed().centroids, &rows);
-    for (std::size_t g : rows) {
-      selected.push_back(&pool.groups.group(g));
-    }
+  for (std::size_t ordinal : index->Select(query.range)) {
+    selected.push_back(&index->group(ordinal));
   }
   auto records_for = [&query](const core::GroupStatistics& group) {
     return query.records_per_group > 0 ? query.records_per_group

@@ -13,15 +13,16 @@
 //
 // Deadlines: Execute takes an optional ExecutionContext carrying an
 // absolute local deadline. The engine checks it between units of work —
-// per classify point, per aggregate pool, per regenerate group (before
-// paying for an eigendecomposition) — and abandons the request with
-// kUnavailable the moment it expires, so a pile of slow regenerations
-// cannot hold a session slot past the time the client stopped waiting.
+// per classify point, once an aggregate's index is at hand, per
+// regenerate group (before paying for an eigendecomposition) — and
+// abandons the request with kUnavailable the moment it expires, so a
+// pile of slow regenerations cannot hold a session slot past the time
+// the client stopped waiting.
 //
-// Selection reads only each pool's packed centroids (snapshot.h):
-// classify scans them with the batch-distance kernels, aggregate and
-// regenerate test the range against them, and regenerate builds a
-// centroid Vector only for the groups it selected.
+// Every kind searches the snapshot's SnapshotIndex (snapshot.h), built
+// on the snapshot's first query: classify its kd-tree, aggregate its
+// per-dimension moment trees, regenerate its sorted orders. Regenerate
+// builds a centroid Vector only for the groups it selected.
 
 #ifndef CONDENSA_QUERY_ENGINE_H_
 #define CONDENSA_QUERY_ENGINE_H_

@@ -1,7 +1,5 @@
 #include "query/query.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace condensa::query {
@@ -13,29 +11,6 @@ const char* QueryKindName(QueryKind kind) {
     case QueryKind::kRegenerate: return "regenerate";
   }
   return "unknown";
-}
-
-void RangePredicate::Select(const simd::RecordBlock& centroids,
-                            std::vector<std::size_t>* selected) const {
-  constexpr std::size_t kLane = simd::RecordBlock::kLane;
-  for (std::size_t b = 0; b < centroids.num_blocks(); ++b) {
-    // Dimension-major within a block: coordinate d of lane l sits at
-    // block[d * kLane + l].
-    const double* block = centroids.BlockData(b);
-    const std::size_t first = b * kLane;
-    const std::size_t lanes = std::min(kLane, centroids.size() - first);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      bool inside = true;
-      for (const Bound& bound : bounds) {
-        const double value = block[bound.dim * kLane + lane];
-        if (value < bound.lo || value > bound.hi) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) selected->push_back(first + lane);
-    }
-  }
 }
 
 Status RangePredicate::Validate(std::size_t dim) const {

@@ -6,10 +6,14 @@
 //               mass n(G) — the paper's point that centroids + counts
 //               are sufficient for nearest-neighbour classification.
 //   aggregate   count / mean / variance / covariance over the groups
-//               selected by a range predicate, computed EXACTLY from the
-//               additive (n, Fs, Sc) moments — bit-identical to folding
-//               GroupStatistics::Merge over the selection, because that
-//               is literally how it is computed.
+//               selected by a range predicate, computed from the additive
+//               (n, Fs, Sc) moments with GroupStatistics::Merge. A range
+//               of one bound (or none) folds a few precomputed node
+//               folds of the snapshot's per-dimension moment trees plus
+//               at most 62 edge groups, in the order SnapshotIndex
+//               defines (query/snapshot.h): counts are exact, moments
+//               agree with a (pool, group)-order fold to round-off. A box
+//               of several bounds folds its groups in (pool, group) order.
 //   regenerate  anonymized records for the selected groups, sampled from
 //               the cached eigendecomposition (core::SampleFromEigen) —
 //               deterministic in the request seed.
@@ -31,7 +35,6 @@
 #include "common/status.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
-#include "simd/record_block.h"
 
 namespace condensa::query {
 
@@ -52,11 +55,6 @@ struct RangePredicate {
   };
   std::vector<Bound> bounds;
 
-  // Appends to `selected`, in ascending order, the index of every row of
-  // `centroids` (a pool's packed group centroids) that lies inside the
-  // box. The predicate must have passed Validate(centroids.dim()).
-  void Select(const simd::RecordBlock& centroids,
-              std::vector<std::size_t>* selected) const;
   // Bounds must name dims < `dim` and satisfy lo <= hi.
   Status Validate(std::size_t dim) const;
 };
@@ -113,8 +111,8 @@ struct AggregateResult {
   std::uint64_t records = 0;
   // False when the selection is empty (mean/covariance undefined).
   bool has_moments = false;
-  // Mean and covariance of the selected records, exactly as
-  // GroupStatistics::Merge over the selection would report them.
+  // Mean and covariance of the selected records, read from the fold of
+  // the selection's moments (see aggregate above for the fold order).
   // Variance is the covariance diagonal; any covariance projection
   // vᵀCv is computable from the matrix.
   linalg::Vector mean;

@@ -10,10 +10,9 @@
 // stable group-set version end to end while ingest keeps moving
 // underneath — and the version stamps inside the copied groups keep the
 // eigendecomposition cache exact across snapshots (copying preserves
-// stamps; only real mutations mint new ones). Each pool also carries its
-// centroids packed once at construction (PackedCentroids), and the
-// snapshot builds one kd-tree over the labeled centroids the first time
-// it classifies (ClassifyIndex), so no query rebuilds either.
+// stamps; only real mutations mint new ones). Copies share the pools'
+// groups, and the snapshot builds its search structures (SnapshotIndex)
+// the first time it is queried, so no query rebuilds them.
 
 #ifndef CONDENSA_QUERY_SNAPSHOT_H_
 #define CONDENSA_QUERY_SNAPSHOT_H_
@@ -24,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -31,110 +31,190 @@
 #include "core/engine.h"
 #include "index/kdtree.h"
 #include "linalg/vector.h"
-#include "simd/record_block.h"
+#include "query/query.h"
 
 namespace condensa::query {
-
-// A pool's group centroids packed once, when the pool is built, into
-// the blocked layout the batch-distance kernels scan. Row g is group g's
-// Fs / n, divided element by element exactly as
-// GroupStatistics::Centroid() divides, so every coordinate carries the
-// same bits; mass[g] is n(G). 8·(d+1) bytes per group.
-struct PackedCentroids {
-  explicit PackedCentroids(const core::CondensedGroupSet& groups);
-
-  simd::RecordBlock centroids;
-  std::vector<std::uint64_t> mass;
-};
 
 // One labeled pool of condensed groups. label -1 means unlabeled (a bare
 // group set, or a regression pool) — classify queries require at least
 // one pool with a real label.
 //
-// The pool and its packed centroids are read-only after construction, so
-// the view can never drift from the groups. Copies share the view: a
-// snapshot copied (or published) once is never repacked.
+// The pool is read-only after construction, and copies share its groups
+// (`groups` refers to one shared, immutable set), so copying or
+// publishing a snapshot never copies a group. The shared set also
+// identifies the pool to the SnapshotIndex built over it.
 class LabeledGroups {
  public:
   LabeledGroups(int label, core::CondensedGroupSet groups);
 
   const int label;
-  const core::CondensedGroupSet groups;
-
-  const PackedCentroids& packed() const { return *packed_; }
 
  private:
-  friend class ClassifyIndex;
+  friend class SnapshotIndex;
 
-  std::shared_ptr<const PackedCentroids> packed_;
+  // Declared before `groups`, which is initialised from it. A copy's
+  // `groups` binds to the source's set, which this pointer shares.
+  std::shared_ptr<const core::CondensedGroupSet> shared_;
+
+ public:
+  const core::CondensedGroupSet& groups;
 };
 
-// One kd-tree over the centroids of every labeled, non-empty pool of a
-// snapshot: the classify search structure. Each centroid's key is its
-// global (pool, group) ordinal (the groups of the indexed pools laid end
-// to end in pool order), so ranking by (distance, key) is ranking by
-// (distance, pool, group), and index::KdTree::KNearestKeyed returns
-// exactly the neighbours a scan of every group would, boundary ties
-// included. Distances come from the tree's batch kernel over the packed
-// centroid values, bit-identical to SquaredDistanceToCentroid.
+// Everything a snapshot's queries search, built once per snapshot from
+// the groups of every pool, labeled or not. Groups are numbered by their
+// global (pool, group) ordinal: the groups of all pools laid end to end
+// in pool order. The index holds
+//   - each group's centroid (Fs / n, divided element by element as
+//     GroupStatistics::Centroid() divides, so every coordinate has the
+//     same bits) in one row-major array, and each group's mass n(G);
+//   - the classify kd-tree over the centroids of the labeled pools,
+//     keyed by ordinal, so index::KdTree::KNearestKeyed ranks by
+//     (distance, pool, group) exactly as a scan of every group would,
+//     boundary ties included;
+//   - per dimension, the groups sorted by (centroid coordinate,
+//     ordinal), the sorted coordinates, and a segment tree whose leaves
+//     fold kBlock consecutive sorted groups and whose inner nodes fold
+//     their two children (left, then right) through
+//     GroupStatistics::Merge. The paper's moments are additive
+//     (Section 2), so a range on one dimension folds from at most
+//     2·(kBlock − 1) edge groups and O(log blocks) nodes — the cached
+//     sufficient statistics of a multiresolution kd-tree (Moore, NIPS
+//     1998), kept per dimension.
 //
-// Immutable once built. It holds the packed views of the pools it
+// A single-bound range folds, in ascending sorted position, its left
+// edge groups, its maximal covering nodes from left to right, then its
+// right edge groups; a match-all range reads the root of dimension 0.
+// Either regroups the sums, so its bits differ from a (pool, group)-order
+// fold in the last places (about 1e-13 relative at 10k groups). A box of
+// several bounds walks the sorted range of its most selective bound,
+// tests the others per candidate and folds the matches in (pool, group)
+// order, bit for bit as the per-group fold.
+//
+// Immutable once built. It shares the group sets of the pools it
 // indexed, which also identify them: a LabeledGroups copy shares its
-// view, a different pool never does, and no view can be freed and its
-// address reused while the index lives.
-class ClassifyIndex {
+// set, a different pool never does, and no set can be freed and its
+// address reused while the index lives. At d = 10 it holds about
+// 1 KB per group (the segment-tree folds are most of it).
+class SnapshotIndex {
  public:
-  // Indexes the labeled, non-empty pools of `pools`. A labeled pool with
-  // a non-finite centroid coordinate or a dimension other than `dim`
-  // leaves the index empty with a FailedPrecondition status().
-  ClassifyIndex(std::size_t dim, const std::vector<LabeledGroups>& pools);
-  ClassifyIndex(const ClassifyIndex&) = delete;
-  ClassifyIndex& operator=(const ClassifyIndex&) = delete;
+  // Groups per segment-tree leaf.
+  static constexpr std::size_t kBlock = 32;
 
-  const Status& status() const { return status_; }
+  SnapshotIndex(std::size_t dim, const std::vector<LabeledGroups>& pools);
+  SnapshotIndex(const SnapshotIndex&) = delete;
+  SnapshotIndex& operator=(const SnapshotIndex&) = delete;
+
+  // FailedPrecondition when a labeled, non-empty pool has a dimension
+  // other than `dim` or a non-finite centroid coordinate: classify cannot
+  // rank by distance. No kd-tree is built then.
+  const Status& classify_status() const { return classify_status_; }
+  // The same check over every pool (no NaN key can be sorted), plus a
+  // zero-dimensional snapshot holding groups. Range queries (aggregate,
+  // regenerate) need it OK; the per-dimension trees exist only then.
+  const Status& range_status() const { return range_status_; }
+
   // Whether this index was built from exactly `pools` at `dim`.
   bool Indexes(std::size_t dim, const std::vector<LabeledGroups>& pools) const;
+  // Heap bytes held, by size count (the kd-tree's coordinates and order
+  // only).
+  std::size_t bytes() const;
+
+  // Groups indexed, and per global ordinal: a centroid coordinate, the
+  // mass n(G) and the group itself.
+  std::size_t size() const { return groups_.size(); }
+  double coordinate(std::size_t ordinal, std::size_t d) const {
+    return centroids_[ordinal * dim_ + d];
+  }
+  std::uint64_t mass(std::size_t ordinal) const { return mass_[ordinal]; }
+  const core::GroupStatistics& group(std::size_t ordinal) const {
+    return *groups_[ordinal];
+  }
 
   struct Neighbor {
     double distance_squared = 0.0;
     std::size_t pool = 0;
-    std::size_t group = 0;
+    std::uint64_t mass = 0;
   };
-  // The min(k, indexed groups) labeled centroids nearest to `point`,
-  // ascending by (distance, pool, group). `point` has dim() coordinates.
+  // The min(k, labeled groups) labeled centroids nearest to `point`,
+  // ascending by (distance, pool, group). `point` has dim coordinates.
   std::vector<Neighbor> Nearest(const linalg::Vector& point,
                                 std::size_t k) const;
 
+  // The ordinals of the groups whose centroid lies inside `range`,
+  // ascending. Requires range_status().ok() and a range validated
+  // against dim.
+  std::vector<std::size_t> Select(const RangePredicate& range) const;
+  // Merges the groups whose centroid lies inside `range` into `folded`
+  // in the order described above and returns how many there were. Same
+  // requirements as Select.
+  std::uint64_t Fold(const RangePredicate& range,
+                     core::GroupStatistics* folded) const;
+
  private:
+  // One dimension's sorted order and moment tree.
+  struct Axis {
+    // Ordinals sorted by (centroid coordinate, ordinal).
+    std::vector<std::uint32_t> order;
+    // keys[i] is the coordinate of group order[i].
+    std::vector<double> keys;
+    // The segment tree over the blocks, in preorder: the node over
+    // blocks [lo, hi) has its left child (over [lo, mid), mid =
+    // (lo + hi) / 2) next to it and its right child 2·(mid − lo) slots
+    // on. 2·blocks − 1 nodes.
+    std::vector<core::GroupStatistics> nodes;
+  };
+
+  void BuildNodes(Axis& axis, std::size_t node, std::size_t lo,
+                  std::size_t hi);
+  // Sorted positions [first, last) of the groups inside `bound`.
+  std::pair<std::size_t, std::size_t> Positions(
+      const RangePredicate::Bound& bound) const;
+  // Folds sorted positions [first, last) of `axis`: edge groups, nodes
+  // over the blocks [first_block, last_block) inside, edge groups.
+  void FoldPositions(const Axis& axis, std::size_t first, std::size_t last,
+                     core::GroupStatistics* folded) const;
+  void FoldNodes(const Axis& axis, std::size_t node, std::size_t lo,
+                 std::size_t hi, std::size_t first_block,
+                 std::size_t last_block, core::GroupStatistics* folded) const;
+
   std::size_t dim_;
-  // One entry per pool of the source snapshot, labeled or not.
-  std::vector<std::shared_ptr<const PackedCentroids>> sources_;
-  // offsets_[p] is the key of pool p's group 0; offsets_.back() is the
-  // number of indexed centroids. Unindexed pools span no keys.
+  // One entry per pool of the source snapshot.
+  std::vector<std::shared_ptr<const core::CondensedGroupSet>> sources_;
+  // offsets_[p] is the ordinal of pool p's group 0; offsets_.back() is
+  // the number of groups.
   std::vector<std::size_t> offsets_;
+  std::vector<const core::GroupStatistics*> groups_;
+  std::vector<double> centroids_;
+  std::vector<std::uint64_t> mass_;
+  // The ordinal of each kd-tree row (the labeled groups, ascending).
+  std::vector<std::size_t> labeled_;
   std::optional<index::KdTree> tree_;
-  Status status_;
+  std::vector<Axis> axes_;
+  Status classify_status_;
+  Status range_status_;
 };
 
-// Holds a snapshot's ClassifyIndex, built on first use. Copies share the
+// Holds a snapshot's SnapshotIndex, built on first use. Copies share the
 // built index; a holder whose snapshot's pools have changed since builds
 // a fresh one, so a stale index is never served.
-class ClassifyIndexHolder {
+class SnapshotIndexHolder {
  public:
-  ClassifyIndexHolder() = default;
-  ClassifyIndexHolder(const ClassifyIndexHolder& other);
-  ClassifyIndexHolder& operator=(const ClassifyIndexHolder& other);
+  SnapshotIndexHolder() = default;
+  SnapshotIndexHolder(const SnapshotIndexHolder& other);
+  SnapshotIndexHolder& operator=(const SnapshotIndexHolder& other);
 
   // The index over `pools`: the held one if it still matches, else a new
-  // one built under the lock (concurrent callers wait for it).
-  std::shared_ptr<const ClassifyIndex> Get(
+  // one built under the lock (concurrent callers wait for it). A build
+  // is observed in the condensa_query_snapshot_index_build_seconds
+  // histogram and sets the condensa_query_snapshot_index_bytes gauge.
+  std::shared_ptr<const SnapshotIndex> Get(
       std::size_t dim, const std::vector<LabeledGroups>& pools) const;
 
  private:
-  std::shared_ptr<const ClassifyIndex> Load() const;
+  std::shared_ptr<const SnapshotIndex> Load() const;
 
   mutable std::mutex mu_;
-  mutable std::shared_ptr<const ClassifyIndex> index_;
+  mutable std::shared_ptr<const SnapshotIndex> index_;
 };
 
 struct QuerySnapshot {
@@ -150,17 +230,17 @@ struct QuerySnapshot {
   // default epoch and report age 0 — they are as fresh as their source.
   std::chrono::steady_clock::time_point published_at{};
 
-  // Holds the index GetClassifyIndex builds; copies of the snapshot
-  // share it.
-  ClassifyIndexHolder classify_index_holder;
+  // Holds the index GetIndex builds; copies of the snapshot share it.
+  SnapshotIndexHolder index_holder;
 
   std::size_t TotalGroups() const;
   std::size_t TotalRecords() const;
   // Milliseconds since publication as of `now`; 0 for never-published.
   double AgeMs(std::chrono::steady_clock::time_point now) const;
-  // Classify's search structure over the current `pools`, built on the
-  // first call and again only after `pools` or `dim` change.
-  std::shared_ptr<const ClassifyIndex> GetClassifyIndex() const;
+  // The search structure of every query kind over the current `pools`,
+  // built on the first call and again only after `pools` or `dim`
+  // change.
+  std::shared_ptr<const SnapshotIndex> GetIndex() const;
 };
 
 // Builds an unversioned snapshot (version assigned at Publish) from

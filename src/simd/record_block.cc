@@ -46,15 +46,6 @@ void RecordBlock::Append(const double* values) {
   ++size_;
 }
 
-void RecordBlock::AppendQuotient(const double* values, double divisor) {
-  Reserve(size_ + 1);
-  double* base = data_.get() + (size_ / kLane) * dim_ * kLane + size_ % kLane;
-  for (std::size_t d = 0; d < dim_; ++d) {
-    base[d * kLane] = values[d] / divisor;
-  }
-  ++size_;
-}
-
 void RecordBlock::CopyRecord(std::size_t src, std::size_t dst) {
   CONDENSA_DCHECK_LT(src, size_);
   CONDENSA_DCHECK_LT(dst, size_);

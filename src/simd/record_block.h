@@ -68,10 +68,6 @@ class RecordBlock {
   // Same, from a raw pointer to dim() doubles (boundary checked by the
   // caller — this is the batch-ingest path).
   void Append(const double* values);
-  // Appends the record values[d] / divisor, dividing element by element
-  // as linalg::Vector's operator/ does, so a group's Fs / n lands with
-  // the bits GroupStatistics::Centroid() returns and no Vector is built.
-  void AppendQuotient(const double* values, double divisor);
 
   // Grows the backing buffer to hold at least `records` records,
   // zero-filling new storage so fresh padding lanes hold benign values.

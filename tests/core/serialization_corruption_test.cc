@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -277,6 +278,42 @@ TEST(SerializationCorruptionTest, InflatedCountsAreRejected) {
     mangled.replace(digit, 1, "999999");
     ExpectCleanOutcome(target, target.parse(mangled), "inflated count");
   }
+}
+
+TEST(SerializationCorruptionTest, NonFiniteSumsAreDataLoss) {
+  // from_chars reads "nan" and "inf" as doubles, so the number grammar
+  // alone lets them through; the group parser must refuse them and name
+  // the group. Replaces the first value of the last group's fs or sc
+  // section in every document kind (group set, pools, checkpoint state).
+  for (const Target& target : Targets()) {
+    for (const char* section : {"\nfs ", "\nsc "}) {
+      for (const char* bad : {"nan", "-nan", "inf", "-inf", "NaN"}) {
+        std::string mangled = target.valid;
+        const std::size_t start = mangled.rfind(section);
+        ASSERT_NE(start, std::string::npos) << target.name;
+        const std::size_t value = start + std::strlen(section);
+        const std::size_t end = mangled.find_first_of(" \n", value);
+        ASSERT_NE(end, std::string::npos) << target.name;
+        mangled.replace(value, end - value, bad);
+        const Status status = target.parse(mangled);
+        EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+            << target.name << " " << section + 1 << " " << bad << ": "
+            << status.ToString();
+        EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+            << status.ToString();
+        EXPECT_NE(status.message().find("in group "), std::string::npos)
+            << status.ToString();
+      }
+    }
+  }
+  // The group set's last group is group 2.
+  std::string text = SerializeGroupSet(MakeGroups(9));
+  const std::size_t fs = text.rfind("\nfs ") + 4;
+  text.replace(fs, text.find(' ', fs) - fs, "nan");
+  const Status status = DeserializeGroupSet(text).status();
+  EXPECT_NE(status.message().find("non-finite fs value in group 2"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

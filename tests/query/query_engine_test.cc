@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -76,13 +77,22 @@ TEST(QueryEngineTest, AggregateIsBitIdenticalToMomentFold) {
   auto result = engine.Execute(snapshot, query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Reference: the same fold over the same groups in the same order.
-  GroupStatistics folded(snapshot.dim);
+  // Reference: the same fold over the same groups in the same order. Six
+  // groups fill one leaf of the snapshot index's moment trees, so a
+  // match-all range folds them in ascending order of their dimension-0
+  // centroid coordinate (query/snapshot.h).
+  std::vector<const GroupStatistics*> order;
   for (const LabeledGroups& pool : snapshot.pools) {
     for (const GroupStatistics& group : pool.groups.groups()) {
-      folded.Merge(group);
+      order.push_back(&group);
     }
   }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const GroupStatistics* a, const GroupStatistics* b) {
+                     return a->Centroid()[0] < b->Centroid()[0];
+                   });
+  GroupStatistics folded(snapshot.dim);
+  for (const GroupStatistics* group : order) folded.Merge(*group);
   EXPECT_EQ(result->aggregate.groups_matched, 6u);
   EXPECT_EQ(result->aggregate.records, folded.count());
   ASSERT_TRUE(result->aggregate.has_moments);
@@ -282,6 +292,56 @@ TEST(QueryEngineTest, ClassifyRefusesNonFiniteLabeledCentroids) {
   }
 }
 
+TEST(QueryEngineTest, RangeQueriesRefuseNonFiniteCentroidsInAnyPool) {
+  // A NaN key cannot be sorted, and a NaN centroid used to fall inside
+  // every range (no comparison with NaN is true).
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (int label : {2, -1}) {
+      QuerySnapshot snapshot = TwoClassSnapshot();
+      CondensedGroupSet poisoned(2, 5);
+      GroupStatistics group(2);
+      group.Add(MakePoint({0.0, bad}));
+      poisoned.AddGroup(group);
+      snapshot.pools.push_back({label, std::move(poisoned)});
+
+      QueryEngine engine;
+      Query aggregate;
+      aggregate.kind = QueryKind::kAggregate;
+      Query bounded = aggregate;
+      bounded.aggregate.range.bounds.push_back({0, 4.0, 6.0});
+      Query regenerate;
+      regenerate.kind = QueryKind::kRegenerate;
+      for (const Query& query : {aggregate, bounded, regenerate}) {
+        auto result = engine.Execute(snapshot, query);
+        EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+            << QueryKindName(query.kind) << " with centroid " << bad
+            << " in a pool labeled " << label;
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, RangeQueriesRefuseAPoolOfAnotherDimension) {
+  QuerySnapshot snapshot = TwoClassSnapshot();
+  CondensedGroupSet wide(3, 5);
+  wide.AddGroup(MakeGroupAround(MakePoint({0.0, 0.0, 0.0}), 5, 9));
+  snapshot.pools.push_back({-1, std::move(wide)});
+  QueryEngine engine;
+  Query aggregate;
+  aggregate.kind = QueryKind::kAggregate;
+  EXPECT_EQ(engine.Execute(snapshot, aggregate).status().code(),
+            StatusCode::kFailedPrecondition);
+  // Classify never searches the unlabeled pool.
+  Query classify;
+  classify.kind = QueryKind::kClassify;
+  classify.classify.points.push_back(MakePoint({5.0, 1.0}));
+  auto result = engine.Execute(snapshot, classify);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->classify.labels, std::vector<int>{1});
+}
+
 TEST(QueryEngineTest, ConcurrentFirstClassifiesShareOneIndex) {
   // Readers of a freshly published snapshot race to its first classify:
   // one builds the index, the rest wait for it, and all answer alike.
@@ -293,14 +353,14 @@ TEST(QueryEngineTest, ConcurrentFirstClassifiesShareOneIndex) {
   query.classify.points.push_back(MakePoint({-5.0, 7.0}));
   query.classify.points.push_back(MakePoint({5.0, 30.0}));
   std::vector<std::vector<int>> labels(4);
-  std::vector<std::shared_ptr<const ClassifyIndex>> indexes(4);
+  std::vector<std::shared_ptr<const SnapshotIndex>> indexes(4);
   std::vector<std::thread> readers;
   for (std::size_t t = 0; t < labels.size(); ++t) {
     readers.emplace_back([&, t] {
       QueryEngine engine;
       auto result = engine.Execute(*snapshot, query);
       if (result.ok()) labels[t] = result->classify.labels;
-      indexes[t] = snapshot->GetClassifyIndex();
+      indexes[t] = snapshot->GetIndex();
     });
   }
   for (std::thread& reader : readers) reader.join();

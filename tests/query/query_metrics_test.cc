@@ -1,7 +1,8 @@
 // Satellite guarantee: the query plane's metrics land in the default
 // obs registry and show up in the Prometheus exposition — request
 // counters and latency histograms per query kind, the eigen-cache
-// hit/miss/size/ratio series, and the published snapshot version.
+// hit/miss/size/ratio series, the published snapshot version, and the
+// snapshot index's build time and size.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,19 @@ TEST(QueryMetricsTest, ExpositionCarriesQuerySeries) {
             std::string::npos);
   // Published snapshot version gauge.
   EXPECT_NE(text.find("condensa_query_snapshot_version 1"),
+            std::string::npos);
+  // The snapshot index: built once, by the first aggregate (the failed
+  // classify stopped before it), and its size.
+  EXPECT_NE(
+      text.find("condensa_query_snapshot_index_build_seconds_count 1\n"),
+      std::string::npos);
+  const double index_bytes =
+      obs::DefaultRegistry()
+          .GetGauge("condensa_query_snapshot_index_bytes")
+          .value();
+  EXPECT_GT(index_bytes, 0.0);
+  EXPECT_EQ(index_bytes, static_cast<double>(snapshot.GetIndex()->bytes()));
+  EXPECT_NE(text.find("condensa_query_snapshot_index_bytes "),
             std::string::npos);
 
   obs::DefaultRegistry().Reset();

@@ -251,6 +251,56 @@ expect_code 1 "query regenerate unwritable output" \
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate \
   --output=/nonexistent-condensa-dir/x.csv
 
+# Aggregate over a fixed 4-group file: the selection's counts are exact,
+# whatever order the moments are folded in.
+cat > "$workdir/four-groups.txt" <<'GROUPS'
+condensa-pools v1
+task 0 feature_dim 2 pools 1
+pool label -1 splits 0
+condensa-groups v1
+dim 2 k 2 groups 4
+group n 2
+fs 0.22 0.38
+sc 0.0244 0.0416 0.0724
+group n 2
+fs 0.35 0.35
+sc 0.0625 0.0575 0.07250000000000001
+group n 2
+fs 1.78 1.7200000000000002
+sc 1.5844 1.5296 1.4864000000000002
+group n 2
+fs 1.65 1.85
+sc 1.3625 1.5275 1.7125
+GROUPS
+for pin in "0:0.7:0.9|2|4" "|4|8" "1:0.1:0.2|2|4" "0:0.1:0.2,1:0.1:0.2|2|4"; do
+  range="${pin%%|*}"; rest="${pin#*|}"
+  want_groups="${rest%%|*}"; want_records="${rest#*|}"
+  out="$("$CLI" query --groups="$workdir/four-groups.txt" --op=aggregate \
+      --range="$range" 2>&1)"
+  if printf '%s\n' "$out" | grep -qx "groups matched *: $want_groups" &&
+      printf '%s\n' "$out" | grep -qx "records *: $want_records"; then
+    echo "ok: aggregate --range=$range matches $want_groups groups, $want_records records"
+  else
+    echo "FAIL: aggregate --range=$range: want $want_groups groups and $want_records records, got: $out" >&2
+    failures=$((failures + 1))
+  fi
+done
+# A group file with a NaN first-order sum is corrupt: loading it fails
+# (exit 1) before any answer, instead of the NaN centroid falling inside
+# every range.
+sed 's/^fs 0.35 0.35$/fs nan 0.35/' "$workdir/four-groups.txt" \
+  > "$workdir/nan-groups.txt"
+out="$("$CLI" query --groups="$workdir/nan-groups.txt" --op=aggregate \
+    --range=0:0.7:0.8 2>&1)"
+code=$?
+if [ "$code" -eq 1 ] && ! printf '%s\n' "$out" | grep -q "groups matched" &&
+    printf '%s\n' "$out" | grep -q "non-finite fs value in group 1"; then
+  echo "ok: a NaN fs value is refused (exit 1, no answer, group named)"
+else
+  echo "FAIL: NaN fs group file: exit $code, output: $out" >&2
+  failures=$((failures + 1))
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI contract check(s) failed" >&2
   exit 1

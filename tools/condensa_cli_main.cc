@@ -849,6 +849,16 @@ int RunFabric(const Args& args) {
   return ReleaseSharded(args, result, *anonymization_backend, rng);
 }
 
+// A statistics file that parses neither way: both reasons, since only
+// the format the file was written in names the real fault.
+void PrintLoadError(const std::string& path, const condensa::Status& as_pools,
+                    const condensa::Status& as_groups) {
+  std::fprintf(stderr,
+               "error reading %s: as a pools file: %s; as a group set: %s\n",
+               path.c_str(), as_pools.ToString().c_str(),
+               as_groups.ToString().c_str());
+}
+
 // Loads the snapshot `query` and `query-server` answer from: --groups (a
 // saved pools or group-set file) or --checkpoint-dir (durable state,
 // recovered with group size --k). Returns the exit code.
@@ -863,8 +873,7 @@ int LoadSnapshot(const Args& args, condensa::query::QuerySnapshot* snapshot) {
     }
     auto groups = condensa::core::LoadGroupSet(args.groups);
     if (!groups.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", args.groups.c_str(),
-                   groups.status().ToString().c_str());
+      PrintLoadError(args.groups, pools.status(), groups.status());
       return 1;
     }
     *snapshot = condensa::query::SnapshotFromGroupSet(*groups);
@@ -1136,8 +1145,7 @@ int RunInspect(const Args& args) {
 
   auto groups = condensa::core::LoadGroupSet(path);
   if (!groups.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", path.c_str(),
-                 groups.status().ToString().c_str());
+    PrintLoadError(path, pools.status(), groups.status());
     return 1;
   }
   std::printf("group statistics file : %s\n", path.c_str());
