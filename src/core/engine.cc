@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/dynamic_condenser.h"
 #include "core/static_condenser.h"
+#include "obs/metrics.h"
 #include "obs/timing.h"
 #include "obs/trace.h"
 
@@ -188,8 +189,7 @@ StatusOr<CondensedPools> CondensationEngine::Condense(
 
   // Engine-level accounting: wall time per run (labeled by mode), input
   // totals, and last-run gauges — the engine's final stats report.
-  obs::MetricsRegistry& registry =
-      config_.metrics != nullptr ? *config_.metrics : obs::DefaultRegistry();
+  obs::MetricsRegistry& registry = obs::DefaultRegistry();
   const obs::Labels mode_labels = {{"mode", ModeName(config_.mode)}};
   obs::TraceSpan span("engine.condense");
   obs::ScopedTimer run_timer(

@@ -27,7 +27,6 @@
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "data/dataset.h"
-#include "obs/metrics.h"
 
 namespace condensa::core {
 
@@ -61,13 +60,6 @@ struct CondensationConfig {
   // count: the run Rng is split into one substream per pool, in label
   // order, before any pool is condensed.
   std::size_t num_threads = 0;
-  // Registry receiving the engine's run metrics (timings, record/pool/
-  // group/split totals, last-run gauges — see docs/observability.md).
-  // nullptr records into obs::DefaultRegistry(). Note the subsystem
-  // instruments (condensers, kd-tree, eigensolver) always record into
-  // the default registry; pointing this at a private registry isolates
-  // only the engine-level series.
-  obs::MetricsRegistry* metrics = nullptr;
   // Anonymization backend identity and hooks (docs/backends.md). The id
   // is stamped into every produced group set (and so into serialized
   // pools and checkpoints); the hooks redirect the two pluggable halves

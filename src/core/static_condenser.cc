@@ -83,7 +83,7 @@ StatusOr<CondensedGroupSet> StaticCondenser::Condense(
   const bool want_index =
       options_.neighbour_search == NeighbourSearch::kKdTree ||
       (options_.neighbour_search == NeighbourSearch::kAuto &&
-       points.size() >= options_.index_threshold);
+       points.size() >= kAutoIndexThreshold);
   std::optional<index::DeletionAwareKdTree> nn_index;
   if (want_index) {
     StatusOr<index::DeletionAwareKdTree> built =

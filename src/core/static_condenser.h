@@ -9,16 +9,17 @@
 //
 // The neighbour gathering in step 2 is the hot path and runs either as a
 // brute-force scan over the survivors or through a deletion-aware k-d
-// tree (index::DeletionAwareKdTree); kAuto picks the index for large
-// inputs and the scan below `index_threshold`, where tree upkeep costs
-// more than it saves. Both paths select neighbours by (squared distance,
-// original record index) — ties broken by the stable original index, not
-// by survivor-array position — so for a fixed seed they produce
-// bit-identical group sets.
+// tree (index::DeletionAwareKdTree); kAuto picks the index for inputs of
+// at least kAutoIndexThreshold records and the scan below it, where tree
+// upkeep costs more than it saves. Both paths select neighbours by
+// (squared distance, original record index) — ties broken by the stable
+// original index, not by survivor-array position — so for a fixed seed
+// they produce bit-identical group sets.
 
 #ifndef CONDENSA_CORE_STATIC_CONDENSER_H_
 #define CONDENSA_CORE_STATIC_CONDENSER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/random.h"
@@ -28,9 +29,12 @@
 
 namespace condensa::core {
 
+// kAuto's cutover: inputs of at least this many records use the index.
+inline constexpr std::size_t kAutoIndexThreshold = 2048;
+
 // How step 2 finds the (k-1) records nearest the sampled seed.
 enum class NeighbourSearch {
-  // Index for inputs of at least index_threshold points, scan below.
+  // Index for inputs of at least kAutoIndexThreshold points, scan below.
   kAuto = 0,
   // Always the O(n) scan (the reference implementation).
   kBruteForce = 1,
@@ -43,8 +47,6 @@ struct StaticCondenserOptions {
   std::size_t group_size = 10;
   // Neighbour-gathering strategy (results are identical either way).
   NeighbourSearch neighbour_search = NeighbourSearch::kAuto;
-  // kAuto cutover: point counts below this use the brute-force scan.
-  std::size_t index_threshold = 2048;
 };
 
 class StaticCondenser {

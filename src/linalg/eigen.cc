@@ -11,6 +11,12 @@
 namespace condensa::linalg {
 namespace {
 
+// Stop when the off-diagonal norm is <= kRelativeTolerance * max(1, |A|_max).
+constexpr double kRelativeTolerance = 1e-12;
+// Safety bound on full sweeps; Jacobi converges quadratically, so this is
+// generous for any realistic input.
+constexpr int kMaxSweeps = 64;
+
 struct EigenMetrics {
   obs::Counter& decompositions = obs::DefaultRegistry().GetCounter(
       "condensa_eigen_decompositions_total");
@@ -76,8 +82,7 @@ Matrix EigenDecomposition::Reconstruct() const {
   return MatMul(MatMul(eigenvectors, lambda), eigenvectors.Transposed());
 }
 
-StatusOr<EigenDecomposition> JacobiEigenDecomposition(
-    const Matrix& a, const JacobiOptions& options) {
+StatusOr<EigenDecomposition> JacobiEigenDecomposition(const Matrix& a) {
   if (a.empty()) {
     return InvalidArgumentError("eigendecomposition of empty matrix");
   }
@@ -107,10 +112,10 @@ StatusOr<EigenDecomposition> JacobiEigenDecomposition(
     return forced;
   }
 
-  const double tolerance = options.relative_tolerance * scale;
+  const double tolerance = kRelativeTolerance * scale;
   int sweep = 0;
   while (OffDiagonalNorm(work) > tolerance) {
-    if (++sweep > options.max_sweeps) {
+    if (++sweep > kMaxSweeps) {
       EigenMetrics::Get().failures.Increment();
       return InternalError("Jacobi eigendecomposition failed to converge");
     }
@@ -181,9 +186,9 @@ StatusOr<EigenDecomposition> JacobiEigenDecomposition(
 }
 
 StatusOr<EigenDecomposition> CovarianceEigenDecomposition(
-    const Matrix& covariance, const JacobiOptions& options) {
+    const Matrix& covariance) {
   CONDENSA_ASSIGN_OR_RETURN(EigenDecomposition decomposition,
-                            JacobiEigenDecomposition(covariance, options));
+                            JacobiEigenDecomposition(covariance));
   for (std::size_t i = 0; i < decomposition.eigenvalues.dim(); ++i) {
     if (decomposition.eigenvalues[i] < 0.0) {
       decomposition.eigenvalues[i] = 0.0;

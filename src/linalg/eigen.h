@@ -8,7 +8,9 @@
 // Algorithm: cyclic Jacobi rotations with an off-diagonal threshold. For the
 // symmetric PSD matrices and modest dimensions (d <= ~50) of the paper's
 // workloads this is simple, numerically robust, and produces an orthonormal
-// eigenvector set directly.
+// eigenvector set directly. The stopping tolerance and the sweep limit are
+// fixed constants (eigen.cc), so a matrix always yields the same
+// decomposition.
 
 #ifndef CONDENSA_LINALG_EIGEN_H_
 #define CONDENSA_LINALG_EIGEN_H_
@@ -34,24 +36,15 @@ struct EigenDecomposition {
   Matrix Reconstruct() const;
 };
 
-struct JacobiOptions {
-  // Stop when every off-diagonal entry is <= tolerance * max(1, |A|_max).
-  double relative_tolerance = 1e-12;
-  // Safety bound on full sweeps; Jacobi converges quadratically, so this is
-  // generous for any realistic input.
-  int max_sweeps = 64;
-};
-
 // Decomposes the symmetric matrix `a`. Fails with InvalidArgument when `a`
 // is empty, non-square or not symmetric (to 1e-8 relative), and with
 // Internal when the sweep limit is exhausted (pathological input).
-StatusOr<EigenDecomposition> JacobiEigenDecomposition(
-    const Matrix& a, const JacobiOptions& options = {});
+StatusOr<EigenDecomposition> JacobiEigenDecomposition(const Matrix& a);
 
 // Convenience: eigendecomposition with eigenvalues clamped at >= 0, for
 // covariance matrices whose tiny negative eigenvalues are round-off.
 StatusOr<EigenDecomposition> CovarianceEigenDecomposition(
-    const Matrix& covariance, const JacobiOptions& options = {});
+    const Matrix& covariance);
 
 }  // namespace condensa::linalg
 

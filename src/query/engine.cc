@@ -50,15 +50,24 @@ struct QueryKindMetrics {
 
 }  // namespace
 
-ExecutionContext ExecutionContext::WithBudgetMs(double budget_ms) {
+ExecutionContext ExecutionContext::WithBudgetMs(
+    double budget_ms, std::chrono::steady_clock::time_point start) {
+  using Clock = std::chrono::steady_clock;
   ExecutionContext context;
-  if (budget_ms > 0.0) {
-    context.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               budget_ms));
+  if (!(budget_ms > 0.0)) return context;
+  // Convert in floating point and saturate before the integer cast: a
+  // budget whose tick count overflows the clock's rep, or that would put
+  // the deadline past time_point::max(), has no deadline.
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(budget_ms))
+          .count();
+  if (!(ticks < static_cast<double>(Clock::duration::max().count()))) {
+    return context;
   }
+  const Clock::duration budget(static_cast<Clock::rep>(ticks));
+  if (budget >= Clock::time_point::max() - start) return context;
+  context.deadline = start + budget;
   return context;
 }
 

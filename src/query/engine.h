@@ -60,9 +60,14 @@ struct ExecutionContext {
   bool Expired() const {
     return deadline.has_value() && std::chrono::steady_clock::now() >= *deadline;
   }
-  // Builds a context whose deadline is `budget_ms` from now; a budget of
-  // 0 means no deadline (the wire encoding of "none").
-  static ExecutionContext WithBudgetMs(double budget_ms);
+  // Builds a context whose deadline is `budget_ms` after `start`. A
+  // budget of 0 (the wire encoding of "none"), NaN, or one past the
+  // steady clock's range (about 292 years of nanoseconds, +inf included)
+  // means no deadline.
+  static ExecutionContext WithBudgetMs(
+      double budget_ms,
+      std::chrono::steady_clock::time_point start =
+          std::chrono::steady_clock::now());
 };
 
 class QueryEngine {

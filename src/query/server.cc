@@ -151,17 +151,12 @@ Status QueryServer::HandleQuery(net::TcpConnection& conn,
   if (budget_ms == 0.0 && config_.default_deadline_ms > 0.0) {
     budget_ms = config_.default_deadline_ms;
   }
-  ExecutionContext context;
+  ExecutionContext context =
+      ExecutionContext::WithBudgetMs(budget_ms, received);
   // A regenerate answer must fit one reply frame: refuse a bigger one
   // before it is sampled rather than fail to frame it afterwards.
   context.max_regenerate_records = net::kMaxRecordsPerSubmit;
   context.max_regenerate_bytes = net::kMaxFramePayload;
-  if (budget_ms > 0.0) {
-    context.deadline =
-        received + std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(budget_ms));
-  }
   if (context.Expired()) {
     Shed(conn, "deadline", "deadline expired before execution started");
     return OkStatus();

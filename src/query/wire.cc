@@ -1,5 +1,6 @@
 #include "query/wire.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -136,7 +137,7 @@ StatusOr<Query> DecodeQuery(std::string_view payload) {
   Query query;
   query.kind = static_cast<QueryKind>(raw_kind);
   CONDENSA_RETURN_IF_ERROR(reader.ReadDouble(&query.deadline_ms));
-  if (!(query.deadline_ms >= 0.0)) {  // rejects negatives and NaN
+  if (!std::isfinite(query.deadline_ms) || query.deadline_ms < 0.0) {
     return DataLossError("negative or non-finite deadline");
   }
   switch (query.kind) {

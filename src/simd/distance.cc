@@ -6,26 +6,12 @@
 
 #include "simd/distance.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
+#include "simd/distance_internal.h"
 
 namespace condensa::simd {
-
-// Implemented in distance_avx2.cc (no-ops on non-x86 builds).
-namespace internal {
-bool CpuHasAvx2();
-bool CpuHasFma();
-void RangeAvx2(const RecordBlock& records, const double* query,
-               std::size_t begin, std::size_t end, double bound,
-               double* out);
-void RangeAvx2Fused(const RecordBlock& records, const double* query,
-                    std::size_t begin, std::size_t end, double bound,
-                    double* out);
-}  // namespace internal
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -89,6 +75,15 @@ void BlockPortableBounded(const double* block, const double* query,
   }
 }
 
+// The range entry point is hot enough (one call per kd-tree leaf) that
+// re-deciding the kernel per call shows up, so the CPU check runs once.
+const internal::RangeFn g_range =
+    internal::CpuHasAvx2() ? internal::RangeAvx2 : internal::RangePortable;
+
+}  // namespace
+
+namespace internal {
+
 void RangePortable(const RecordBlock& records, const double* query,
                    std::size_t begin, std::size_t end, double bound,
                    double* out) {
@@ -139,78 +134,9 @@ void RangeScalar(const RecordBlock& records, const double* query,
   }
 }
 
-KernelKind DetectKernel() {
-  if (const char* env = std::getenv("CONDENSA_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) return KernelKind::kScalar;
-    if (std::strcmp(env, "portable") == 0) return KernelKind::kPortable;
-    if (std::strcmp(env, "avx2") == 0 && internal::CpuHasAvx2()) {
-      return KernelKind::kAvx2;
-    }
-  }
-  return internal::CpuHasAvx2() ? KernelKind::kAvx2 : KernelKind::kPortable;
-}
+RangeFn ResolvedRange() { return g_range; }
 
-KernelKind g_kernel = DetectKernel();
-bool g_fused = [] {
-  const char* env = std::getenv("CONDENSA_SIMD_FUSED");
-  return env != nullptr && std::strcmp(env, "1") == 0;
-}();
-
-// The range entry point is hot enough (one call per kd-tree leaf) that
-// re-deciding kernel and fused-ness per call shows up; resolve them to a
-// single function pointer whenever either knob changes.
-using RangeFn = void (*)(const RecordBlock&, const double*, std::size_t,
-                         std::size_t, double, double*);
-
-RangeFn ResolveRange() {
-  switch (g_kernel) {
-    case KernelKind::kAvx2:
-      return g_fused && internal::CpuHasFma() ? internal::RangeAvx2Fused
-                                              : internal::RangeAvx2;
-    case KernelKind::kPortable:
-      return RangePortable;
-    case KernelKind::kScalar:
-      return RangeScalar;
-  }
-  return RangeScalar;
-}
-
-RangeFn g_range = ResolveRange();
-
-}  // namespace
-
-const char* KernelName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kPortable:
-      return "portable";
-    case KernelKind::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-KernelKind ActiveKernel() { return g_kernel; }
-
-bool ForceKernel(KernelKind kind) {
-  if (kind == KernelKind::kAvx2 && !internal::CpuHasAvx2()) return false;
-  g_kernel = kind;
-  g_range = ResolveRange();
-  return true;
-}
-
-void ResetKernel() {
-  g_kernel = DetectKernel();
-  g_range = ResolveRange();
-}
-
-void SetFusedEnabled(bool enabled) {
-  g_fused = enabled;
-  g_range = ResolveRange();
-}
-
-bool FusedEnabled() { return g_fused && internal::CpuHasFma(); }
+}  // namespace internal
 
 void SquaredDistanceBatchRange(const RecordBlock& records,
                                const double* query, std::size_t begin,
@@ -226,15 +152,9 @@ void SquaredDistanceBatch(const RecordBlock& records, const double* query,
   SquaredDistanceBatchRange(records, query, 0, records.size(), kInf, out);
 }
 
-void SquaredDistanceBatchBounded(const RecordBlock& records,
-                                 const double* query, double bound,
-                                 double* out) {
-  SquaredDistanceBatchRange(records, query, 0, records.size(), bound, out);
-}
-
 void SquaredDistanceBatchScalar(const RecordBlock& records,
                                 const double* query, double* out) {
-  RangeScalar(records, query, 0, records.size(), kInf, out);
+  internal::RangeScalar(records, query, 0, records.size(), kInf, out);
 }
 
 void Axpy(std::size_t n, double a, const double* x, double* y) {

@@ -3,23 +3,22 @@
 // Every kernel computes squared Euclidean distances from one query to
 // many stored records. Lanes map to records and each record's sum
 // accumulates in dimension order — the same order as
-// linalg::SquaredDistance — so the default kernels are bit-identical to
-// the scalar reference on every input, including NaN/Inf propagation.
+// linalg::SquaredDistance — so every kernel is bit-identical to the
+// scalar reference on every input, including NaN/Inf propagation.
 // This is the repo's bit-identity contract: releases must not depend on
-// which kernel the dispatcher picked (docs/performance.md, "Kernel
-// dispatch and the bit-identity contract").
+// which kernel the CPU selects (docs/performance.md, "Kernel dispatch"
+// and "The bit-identity contract boundary").
 //
-// Three implementations sit behind one dispatcher:
-//   kScalar    plain per-record loops; the reference oracle.
-//   kPortable  auto-vectorization-friendly blocked loops
-//              (#pragma omp simd), compiled with -ffp-contract=off.
-//   kAvx2      explicit AVX2 intrinsics (mul + add, no FMA), selected at
-//              runtime when the CPU supports AVX2.
-// An opt-in *fused* AVX2+FMA variant exists behind SetFusedEnabled; it
-// contracts diff*diff + acc into fmadd and is therefore NOT bit-identical
-// (error within a few ulps — tolerance-pinned in tests). It never runs
-// unless explicitly enabled (or CONDENSA_SIMD_FUSED=1 in the
-// environment).
+// Three implementations exist; the CPU alone picks one at start-up:
+//   scalar    plain per-record loops; the reference oracle, never
+//             dispatched to.
+//   portable  auto-vectorization-friendly blocked loops
+//             (#pragma omp simd), compiled with -ffp-contract=off; runs
+//             on CPUs without AVX2.
+//   avx2      explicit AVX2 intrinsics (mul + add, no FMA); runs when
+//             the CPU supports AVX2.
+// No environment variable, flag or setter changes the choice, and no
+// kernel contracts multiplies into adds, so a seed fixes every release.
 //
 // The bounded variants abandon a whole block once every lane's partial
 // sum exceeds `bound`, writing +infinity for the abandoned records.
@@ -37,38 +36,10 @@
 
 namespace condensa::simd {
 
-enum class KernelKind { kScalar = 0, kPortable = 1, kAvx2 = 2 };
-
-const char* KernelName(KernelKind kind);
-
-// The kernel batch calls currently dispatch to. Resolved once from CPU
-// detection (and the CONDENSA_SIMD environment override: "scalar",
-// "portable", or "avx2") on first use.
-KernelKind ActiveKernel();
-
-// Test/bench hook: route all batch calls to `kind`. Returns false (and
-// changes nothing) if the CPU cannot run it. Not thread-safe; call
-// before spawning workers.
-bool ForceKernel(KernelKind kind);
-// Back to runtime detection.
-void ResetKernel();
-
-// Opt-in fused-multiply-add kernels (AVX2+FMA only). Off by default;
-// enabling breaks bit-identity of batch distances (tolerance-pinned, see
-// header comment). Ignored when the CPU lacks FMA.
-void SetFusedEnabled(bool enabled);
-bool FusedEnabled();
-
 // out[i] = squared distance from query (records.dim() doubles) to record
 // i, for all i in [0, records.size()).
 void SquaredDistanceBatch(const RecordBlock& records, const double* query,
                           double* out);
-
-// Same, with block-level early exit: records whose distance is
-// abandoned past `bound` get +infinity (see header comment).
-void SquaredDistanceBatchBounded(const RecordBlock& records,
-                                 const double* query, double bound,
-                                 double* out);
 
 // Bounded batch over the position range [begin, end); out must hold
 // end - begin doubles (out[p - begin] is record p's distance). This is
@@ -77,8 +48,8 @@ void SquaredDistanceBatchRange(const RecordBlock& records,
                                const double* query, std::size_t begin,
                                std::size_t end, double bound, double* out);
 
-// The scalar reference oracle, always available regardless of dispatch.
-// Parity tests compare the dispatched kernels against this.
+// The scalar reference oracle. Parity tests compare every kernel
+// against this.
 void SquaredDistanceBatchScalar(const RecordBlock& records,
                                 const double* query, double* out);
 

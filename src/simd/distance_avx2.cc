@@ -1,21 +1,21 @@
-// AVX2 specializations of the batch distance kernels, selected at
-// runtime by the dispatcher in distance.cc. Compiled as part of the
+// The AVX2 batch distance kernel, which distance.cc selects once at
+// start-up when the CPU supports AVX2. Compiled as part of the
 // ordinary (baseline -march) build: the AVX2 code is gated behind GCC's
 // per-function target attribute and only ever called after
 // __builtin_cpu_supports("avx2") says it is safe, so the binary still
 // runs on pre-AVX2 hardware.
 //
-// The default kernel uses separate multiply and add (no FMA), which
-// keeps lane results bit-identical to the scalar reference: per record
-// the sum accumulates in dimension order and each (diff * diff) rounds
-// exactly as the scalar loop rounds it. The *fused* kernel contracts the
-// pair into _mm256_fmadd_pd — faster, but the skipped intermediate
-// rounding changes low bits; it runs only behind SetFusedEnabled (see
-// distance.h and docs/performance.md for the contract boundary).
+// The kernel uses separate multiply and add (no FMA), which keeps lane
+// results bit-identical to the scalar reference: per record the sum
+// accumulates in dimension order and each (diff * diff) rounds exactly
+// as the scalar loop rounds it. A fused _mm256_fmadd_pd would skip that
+// intermediate rounding and change low bits (docs/performance.md, "The
+// bit-identity contract boundary").
 
 #include <cstddef>
 #include <limits>
 
+#include "simd/distance_internal.h"
 #include "simd/record_block.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -34,18 +34,13 @@ constexpr std::size_t kBoundCheckStride = 8;
 #if defined(CONDENSA_SIMD_X86)
 
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-bool CpuHasFma() {
-  return __builtin_cpu_supports("avx2") != 0 &&
-         __builtin_cpu_supports("fma") != 0;
-}
 
 namespace {
 
 // One block of kLane records in two 4-wide accumulators. Returns true if
 // the block was abandoned (all lanes' partial sums exceeded `bound`), in
 // which case acc holds +inf for every lane.
-template <bool kFused>
-__attribute__((target("avx2,fma"))) inline bool BlockAvx2(
+__attribute__((target("avx2"))) inline bool BlockAvx2(
     const double* block, const double* query, std::size_t dim, double bound,
     bool bounded, double* acc) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -60,13 +55,8 @@ __attribute__((target("avx2,fma"))) inline bool BlockAvx2(
       const double* row = block + d * kLane;
       const __m256d diff0 = _mm256_sub_pd(_mm256_load_pd(row), q);
       const __m256d diff1 = _mm256_sub_pd(_mm256_load_pd(row + 4), q);
-      if constexpr (kFused) {
-        acc0 = _mm256_fmadd_pd(diff0, diff0, acc0);
-        acc1 = _mm256_fmadd_pd(diff1, diff1, acc1);
-      } else {
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(diff0, diff0));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(diff1, diff1));
-      }
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(diff0, diff0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(diff1, diff1));
     }
     if (d == dim) break;
     if (bounded) {
@@ -88,8 +78,9 @@ __attribute__((target("avx2,fma"))) inline bool BlockAvx2(
   return false;
 }
 
-template <bool kFused>
-__attribute__((target("avx2,fma"))) void RangeAvx2Impl(
+}  // namespace
+
+__attribute__((target("avx2"))) void RangeAvx2(
     const RecordBlock& records, const double* query, std::size_t begin,
     std::size_t end, double bound, double* out) {
   const std::size_t dim = records.dim();
@@ -102,40 +93,22 @@ __attribute__((target("avx2,fma"))) void RangeAvx2Impl(
     if (lo == 0 && hi == kLane) {
       // Full in-range block (the common case once the kd-tree
       // lane-aligns its leaf ranges): results land directly in out.
-      BlockAvx2<kFused>(block, query, dim, bound, bounded,
-                        out + (b * kLane - begin));
+      BlockAvx2(block, query, dim, bound, bounded, out + (b * kLane - begin));
       continue;
     }
-    BlockAvx2<kFused>(block, query, dim, bound, bounded, lanes);
+    BlockAvx2(block, query, dim, bound, bounded, lanes);
     for (std::size_t lane = lo; lane < hi; ++lane) {
       out[b * kLane + lane - begin] = lanes[lane];
     }
   }
 }
 
-}  // namespace
-
-void RangeAvx2(const RecordBlock& records, const double* query,
-               std::size_t begin, std::size_t end, double bound,
-               double* out) {
-  RangeAvx2Impl<false>(records, query, begin, end, bound, out);
-}
-
-void RangeAvx2Fused(const RecordBlock& records, const double* query,
-                    std::size_t begin, std::size_t end, double bound,
-                    double* out) {
-  RangeAvx2Impl<true>(records, query, begin, end, bound, out);
-}
-
 #else  // !CONDENSA_SIMD_X86
 
 bool CpuHasAvx2() { return false; }
-bool CpuHasFma() { return false; }
 
 void RangeAvx2(const RecordBlock&, const double*, std::size_t, std::size_t,
                double, double*) {}
-void RangeAvx2Fused(const RecordBlock&, const double*, std::size_t,
-                    std::size_t, double, double*) {}
 
 #endif  // CONDENSA_SIMD_X86
 

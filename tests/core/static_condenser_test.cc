@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/random.h"
 #include "linalg/stats.h"
+#include "obs/metrics.h"
 
 namespace condensa::core {
 namespace {
@@ -244,27 +246,28 @@ TEST(StaticCondenserTest, IndexAndScanPathsAreBitIdenticalAtScale) {
 }
 
 TEST(StaticCondenserTest, AutoModeMatchesBruteForceAcrossTheThreshold) {
-  // kAuto flips to the index at index_threshold; results must not change
-  // at the cutover.
-  Rng data_rng(22);
-  std::vector<Vector> points = RandomCloud(300, 2, data_rng);
+  // kAuto flips to the index at kAutoIndexThreshold records; results must
+  // not change at the cutover. One input sits just below it, one at it.
+  obs::Counter& index_runs =
+      obs::DefaultRegistry().GetCounter("condensa_static_index_runs_total");
   StaticCondenser brute({.group_size = 6,
                          .neighbour_search = NeighbourSearch::kBruteForce});
-  StaticCondenser auto_low({.group_size = 6,
-                            .neighbour_search = NeighbourSearch::kAuto,
-                            .index_threshold = 100});  // index path
-  StaticCondenser auto_high({.group_size = 6,
-                             .neighbour_search = NeighbourSearch::kAuto,
-                             .index_threshold = 1000});  // scan path
-  Rng rng_a(23), rng_b(23), rng_c(23);
-  auto a = brute.Condense(points, rng_a);
-  auto b = auto_low.Condense(points, rng_b);
-  auto c = auto_high.Condense(points, rng_c);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(c.ok());
-  ExpectBitIdentical(*a, *b);
-  ExpectBitIdentical(*a, *c);
+  StaticCondenser automatic({.group_size = 6,
+                             .neighbour_search = NeighbourSearch::kAuto});
+  for (const std::size_t n : {kAutoIndexThreshold - 1, kAutoIndexThreshold}) {
+    Rng data_rng(22);
+    std::vector<Vector> points = RandomCloud(n, 2, data_rng);
+    Rng rng_a(23), rng_b(23);
+    auto a = brute.Condense(points, rng_a);
+    const std::uint64_t runs_before = index_runs.value();
+    auto b = automatic.Condense(points, rng_b);
+    EXPECT_EQ(index_runs.value() - runs_before,
+              n >= kAutoIndexThreshold ? 1u : 0u)
+        << "n=" << n;
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ExpectBitIdentical(*a, *b);
+  }
 }
 
 TEST(StaticCondenserTest, EquidistantNeighboursPickLowestOriginalIndex) {

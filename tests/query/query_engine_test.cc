@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -517,6 +518,35 @@ TEST(QueryEngineTest, RegenerateCapsRefuseTheAnswerBeforeSampling) {
   auto uncapped = engine.Execute(snapshot, query);
   ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
   EXPECT_EQ(uncapped->regenerate.records.size(), 600u);
+}
+
+TEST(QueryEngineTest, BudgetsPastTheClockRangeMeanNoDeadline) {
+  QuerySnapshot snapshot = TwoClassSnapshot();
+  QueryEngine engine;
+  Query query;
+  query.kind = QueryKind::kAggregate;
+  // Each of these overflows the steady clock's nanosecond count; each
+  // must mean "no deadline", not one already expired.
+  for (double budget_ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    ExecutionContext context = ExecutionContext::WithBudgetMs(budget_ms);
+    EXPECT_FALSE(context.deadline.has_value()) << budget_ms;
+    auto answered = engine.Execute(snapshot, query, context);
+    ASSERT_TRUE(answered.ok()) << budget_ms << ": "
+                               << answered.status().ToString();
+    EXPECT_EQ(answered->aggregate.records, 30u);
+  }
+  // Budgets inside the range still set a deadline that far from start.
+  const auto start = std::chrono::steady_clock::now();
+  ExecutionContext hour = ExecutionContext::WithBudgetMs(3.6e6, start);
+  ASSERT_TRUE(hour.deadline.has_value());
+  EXPECT_EQ(*hour.deadline - start, std::chrono::hours(1));
+  ExecutionContext century =
+      ExecutionContext::WithBudgetMs(3.15576e12, start);  // 100 years
+  ASSERT_TRUE(century.deadline.has_value());
+  EXPECT_GT(*century.deadline, start);
+  EXPECT_FALSE(ExecutionContext::WithBudgetMs(0.0).deadline.has_value());
 }
 
 // A cache sized to the group count holds the regenerate working set.

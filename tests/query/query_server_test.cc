@@ -321,6 +321,32 @@ TEST_F(QueryServerTest, ServerDefaultDeadlineAppliesToBudgetlessRequests) {
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
 }
 
+TEST_F(QueryServerTest, BudgetsPastTheClockRangeAreAnswered) {
+  // A budget too large for the steady clock means no deadline, whether
+  // the request carries it or the server's default supplies it.
+  auto store = std::make_shared<SnapshotStore>();
+  QuerySnapshot snapshot;
+  snapshot.dim = 2;
+  snapshot.pools.push_back({-1, MakeGroups(0.0, 10)});
+  store->Publish(std::move(snapshot));
+  QueryServerConfig config;
+  config.poll_ms = 10.0;
+  config.default_deadline_ms = 1e13;
+  StartServerWithConfig(std::move(config), store);
+
+  auto client = QueryClient::Connect("127.0.0.1", server_->port(), 2000.0);
+  ASSERT_TRUE(client.ok());
+  for (double deadline_ms : {1e15, 0.0}) {
+    Query query;
+    query.kind = QueryKind::kAggregate;
+    query.deadline_ms = deadline_ms;
+    auto answered = client->Execute(query, 2000.0);
+    ASSERT_TRUE(answered.ok())
+        << deadline_ms << ": " << answered.status().ToString();
+    EXPECT_EQ(answered->aggregate.records, 12u);
+  }
+}
+
 TEST_F(QueryServerTest, ResultsCarryStalenessAndStaleAnswersAreCounted) {
   obs::DefaultRegistry().Reset();
   auto store = std::make_shared<SnapshotStore>();

@@ -187,6 +187,13 @@ TEST(QueryWireTest, DecodeRejectsHostileDeadlineAndStaleness) {
   EXPECT_FALSE(DecodeQuery(EncodeQuery(query)).ok());
   query.deadline_ms = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(DecodeQuery(EncodeQuery(query)).ok());
+  // "No deadline" is spelled 0 on the wire; +inf is not a budget, while
+  // the largest finite one still decodes.
+  query.deadline_ms = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(DecodeQuery(EncodeQuery(query)).status().code(),
+            StatusCode::kDataLoss);
+  query.deadline_ms = std::numeric_limits<double>::max();
+  EXPECT_TRUE(DecodeQuery(EncodeQuery(query)).ok());
 
   QueryResult result;
   result.kind = QueryKind::kAggregate;

@@ -1,14 +1,13 @@
 // Differential and edge-case coverage for the batch distance kernels.
 //
-// The default kernels carry a bit-identity contract: every finite output
+// Every kernel carries a bit-identity contract: every finite output
 // equals the scalar reference bit for bit, and a +inf output may appear
 // only from a bounded call whose true distance strictly exceeds the
 // bound (see src/simd/distance.h). These tests pin that contract across
 // dimensions (including the partial-block padding tails), record counts,
 // sub-block ranges, NaN/Inf inputs, and a randomized 1000-trial sweep —
-// for every kernel the host can run. The opt-in fused kernel is pinned
-// with a tolerance instead, documenting that it sits outside the
-// contract.
+// for every kernel the host can run, each called directly through its
+// internal declaration, independent of which one the CPU selects.
 
 #include "simd/distance.h"
 
@@ -24,6 +23,7 @@
 
 #include "common/random.h"
 #include "linalg/vector.h"
+#include "simd/distance_internal.h"
 #include "simd/record_block.h"
 
 namespace condensa::simd {
@@ -40,21 +40,25 @@ std::uint64_t Bits(double v) {
   return bits;
 }
 
-// Restores process-global kernel state no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() {
-    SetFusedEnabled(false);
-    ResetKernel();
+struct Kernel {
+  const char* name;
+  internal::RangeFn range;
+
+  // The whole store, as SquaredDistanceBatch would scan it.
+  void Batch(const RecordBlock& records, const double* query, double bound,
+             double* out) const {
+    range(records, query, 0, records.size(), bound, out);
   }
 };
 
-std::vector<KernelKind> AvailableKernels() {
-  KernelGuard guard;
-  std::vector<KernelKind> kinds = {KernelKind::kScalar, KernelKind::kPortable};
-  if (ForceKernel(KernelKind::kAvx2)) {
-    kinds.push_back(KernelKind::kAvx2);
+// Every kernel this host can run, the scalar oracle included.
+std::vector<Kernel> AvailableKernels() {
+  std::vector<Kernel> kernels = {{"scalar", internal::RangeScalar},
+                                 {"portable", internal::RangePortable}};
+  if (internal::CpuHasAvx2()) {
+    kernels.push_back({"avx2", internal::RangeAvx2});
   }
-  return kinds;
+  return kernels;
 }
 
 std::vector<Vector> RandomCloud(std::size_t n, std::size_t dim, Rng& rng) {
@@ -95,18 +99,12 @@ void ExpectContract(double got, double exact, double bound) {
   EXPECT_EQ(Bits(got), Bits(exact));
 }
 
-TEST(DistanceKernelTest, KernelNamesAndForce) {
-  KernelGuard guard;
-  EXPECT_STREQ(KernelName(KernelKind::kScalar), "scalar");
-  EXPECT_STREQ(KernelName(KernelKind::kPortable), "portable");
-  EXPECT_STREQ(KernelName(KernelKind::kAvx2), "avx2");
-  ASSERT_TRUE(ForceKernel(KernelKind::kScalar));
-  EXPECT_EQ(ActiveKernel(), KernelKind::kScalar);
-  ASSERT_TRUE(ForceKernel(KernelKind::kPortable));
-  EXPECT_EQ(ActiveKernel(), KernelKind::kPortable);
-  ResetKernel();
-  // Detection never lands on the reference oracle.
-  EXPECT_NE(ActiveKernel(), KernelKind::kScalar);
+TEST(DistanceKernelTest, DispatchFollowsTheCpu) {
+  // The CPU alone picks the kernel, and never the reference oracle.
+  const internal::RangeFn resolved = internal::ResolvedRange();
+  EXPECT_EQ(resolved, internal::CpuHasAvx2() ? internal::RangeAvx2
+                                             : internal::RangePortable);
+  EXPECT_NE(resolved, internal::RangeScalar);
 }
 
 TEST(DistanceKernelTest, ScalarOracleMatchesLinalg) {
@@ -125,7 +123,6 @@ TEST(DistanceKernelTest, ScalarOracleMatchesLinalg) {
 }
 
 TEST(DistanceKernelTest, AllKernelsBitIdenticalAcrossDims) {
-  KernelGuard guard;
   Rng rng(202);
   // Every dimension through 64 exercises all padding tails of the
   // 8-wide dimension loop; the counts cover single-record, partial,
@@ -137,14 +134,12 @@ TEST(DistanceKernelTest, AllKernelsBitIdenticalAcrossDims) {
       Vector query = RandomQuery(dim, rng);
       std::vector<double> expected(n);
       SquaredDistanceBatchScalar(block, query.data(), expected.data());
-      for (KernelKind kind : AvailableKernels()) {
-        ASSERT_TRUE(ForceKernel(kind));
+      for (const Kernel& kernel : AvailableKernels()) {
         std::vector<double> out(n, -1.0);
-        SquaredDistanceBatch(block, query.data(), out.data());
+        kernel.Batch(block, query.data(), kInf, out.data());
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(Bits(out[i]), Bits(expected[i]))
-              << KernelName(kind) << " dim=" << dim << " n=" << n
-              << " i=" << i;
+              << kernel.name << " dim=" << dim << " n=" << n << " i=" << i;
         }
       }
     }
@@ -152,7 +147,6 @@ TEST(DistanceKernelTest, AllKernelsBitIdenticalAcrossDims) {
 }
 
 TEST(DistanceKernelTest, SubRangesCoverEdgeLanes) {
-  KernelGuard guard;
   Rng rng(303);
   const std::size_t n = 40;
   const std::size_t dim = 6;
@@ -165,22 +159,19 @@ TEST(DistanceKernelTest, SubRangesCoverEdgeLanes) {
   // mid-block, single record, and within one block.
   const std::pair<std::size_t, std::size_t> ranges[] = {
       {0, n}, {0, 8}, {3, 29}, {8, 16}, {5, 6}, {9, 15}, {17, 40}, {12, 12}};
-  for (KernelKind kind : AvailableKernels()) {
-    ASSERT_TRUE(ForceKernel(kind));
+  for (const Kernel& kernel : AvailableKernels()) {
     for (const auto& [begin, end] : ranges) {
       std::vector<double> out(end - begin, -1.0);
-      SquaredDistanceBatchRange(block, query.data(), begin, end, kInf,
-                                out.data());
+      kernel.range(block, query.data(), begin, end, kInf, out.data());
       for (std::size_t i = begin; i < end; ++i) {
         ASSERT_EQ(Bits(out[i - begin]), Bits(full[i]))
-            << KernelName(kind) << " range [" << begin << ", " << end << ")";
+            << kernel.name << " range [" << begin << ", " << end << ")";
       }
     }
   }
 }
 
 TEST(DistanceKernelTest, BoundedOutputsExactOrProvablyBeyondBound) {
-  KernelGuard guard;
   Rng rng(404);
   const std::size_t n = 30;
   const std::size_t dim = 24;  // several bound-check strides deep
@@ -192,10 +183,9 @@ TEST(DistanceKernelTest, BoundedOutputsExactOrProvablyBeyondBound) {
   std::vector<double> sorted = exact;
   std::sort(sorted.begin(), sorted.end());
   for (double bound : {sorted[n / 4], sorted[n / 2], sorted[n - 1], 0.0}) {
-    for (KernelKind kind : AvailableKernels()) {
-      ASSERT_TRUE(ForceKernel(kind));
+    for (const Kernel& kernel : AvailableKernels()) {
       std::vector<double> out(n, -1.0);
-      SquaredDistanceBatchBounded(block, query.data(), bound, out.data());
+      kernel.Batch(block, query.data(), bound, out.data());
       for (std::size_t i = 0; i < n; ++i) {
         ExpectContract(out[i], exact[i], bound);
       }
@@ -204,7 +194,6 @@ TEST(DistanceKernelTest, BoundedOutputsExactOrProvablyBeyondBound) {
 }
 
 TEST(DistanceKernelTest, NaNPropagatesLikeScalar) {
-  KernelGuard guard;
   std::vector<Vector> points = {Vector{1.0, 2.0, 3.0}, Vector{kNaN, 0.0, 1.0},
                                 Vector{4.0, kNaN, 5.0}, Vector{0.5, 0.5, 0.5},
                                 Vector{6.0, 7.0, 8.0}};
@@ -215,27 +204,25 @@ TEST(DistanceKernelTest, NaNPropagatesLikeScalar) {
   SquaredDistanceBatchScalar(block, query.data(), exact.data());
   EXPECT_TRUE(std::isnan(exact[1]));
   EXPECT_TRUE(std::isnan(exact[2]));
-  for (KernelKind kind : AvailableKernels()) {
-    ASSERT_TRUE(ForceKernel(kind));
+  for (const Kernel& kernel : AvailableKernels()) {
     std::vector<double> out(n, -1.0);
-    SquaredDistanceBatch(block, query.data(), out.data());
+    kernel.Batch(block, query.data(), kInf, out.data());
     for (std::size_t i = 0; i < n; ++i) {
       if (std::isnan(exact[i])) {
-        EXPECT_TRUE(std::isnan(out[i])) << KernelName(kind) << " i=" << i;
+        EXPECT_TRUE(std::isnan(out[i])) << kernel.name << " i=" << i;
       } else {
         EXPECT_EQ(Bits(out[i]), Bits(exact[i]));
       }
     }
     // A tiny bound still may not abandon a NaN record: the comparison is
     // false, the block stays live, and the NaN completes like scalar.
-    SquaredDistanceBatchBounded(block, query.data(), 1e-12, out.data());
-    EXPECT_TRUE(std::isnan(out[1])) << KernelName(kind);
-    EXPECT_TRUE(std::isnan(out[2])) << KernelName(kind);
+    kernel.Batch(block, query.data(), 1e-12, out.data());
+    EXPECT_TRUE(std::isnan(out[1])) << kernel.name;
+    EXPECT_TRUE(std::isnan(out[2])) << kernel.name;
   }
 }
 
 TEST(DistanceKernelTest, InfinitePointsProduceInfiniteOrNaNLikeScalar) {
-  KernelGuard guard;
   std::vector<Vector> points = {Vector{kInf, 0.0}, Vector{-kInf, 1.0},
                                 Vector{1.0, 1.0}};
   RecordBlock block = RecordBlock::FromVectors(points);
@@ -247,36 +234,32 @@ TEST(DistanceKernelTest, InfinitePointsProduceInfiniteOrNaNLikeScalar) {
   EXPECT_TRUE(std::isnan(exact[0]));
   EXPECT_EQ(exact[1], kInf);
   EXPECT_EQ(exact[2], kInf);
-  for (KernelKind kind : AvailableKernels()) {
-    ASSERT_TRUE(ForceKernel(kind));
+  for (const Kernel& kernel : AvailableKernels()) {
     std::vector<double> out(3, -1.0);
-    SquaredDistanceBatch(block, query.data(), out.data());
-    EXPECT_TRUE(std::isnan(out[0])) << KernelName(kind);
-    EXPECT_EQ(out[1], kInf) << KernelName(kind);
-    EXPECT_EQ(out[2], kInf) << KernelName(kind);
+    kernel.Batch(block, query.data(), kInf, out.data());
+    EXPECT_TRUE(std::isnan(out[0])) << kernel.name;
+    EXPECT_EQ(out[1], kInf) << kernel.name;
+    EXPECT_EQ(out[2], kInf) << kernel.name;
   }
 }
 
 TEST(DistanceKernelTest, ZeroDimensionalDistancesAreZero) {
-  KernelGuard guard;
   RecordBlock block(0);
   block.Reserve(3);
   Vector empty(0);
   for (int i = 0; i < 3; ++i) block.Append(empty);
-  for (KernelKind kind : AvailableKernels()) {
-    ASSERT_TRUE(ForceKernel(kind));
+  for (const Kernel& kernel : AvailableKernels()) {
     std::vector<double> out(3, -1.0);
-    SquaredDistanceBatch(block, nullptr, out.data());
+    kernel.Batch(block, nullptr, kInf, out.data());
     for (double v : out) {
-      EXPECT_EQ(v, 0.0) << KernelName(kind);
+      EXPECT_EQ(v, 0.0) << kernel.name;
     }
   }
 }
 
 TEST(DistanceKernelTest, RandomizedDifferentialSweep) {
-  KernelGuard guard;
   Rng rng(505);
-  const std::vector<KernelKind> kernels = AvailableKernels();
+  const std::vector<Kernel> kernels = AvailableKernels();
   for (int trial = 0; trial < 1000; ++trial) {
     const std::size_t dim = 1 + rng.UniformIndex(40);
     const std::size_t n = 1 + rng.UniformIndex(70);
@@ -290,41 +273,13 @@ TEST(DistanceKernelTest, RandomizedDifferentialSweep) {
         trial % 3 == 0 ? kInf : rng.Uniform(0.0, 2.0 * dim);
     std::vector<double> exact(n);
     SquaredDistanceBatchScalar(block, query.data(), exact.data());
-    for (KernelKind kind : kernels) {
-      ASSERT_TRUE(ForceKernel(kind));
+    for (const Kernel& kernel : kernels) {
       std::vector<double> out(end - begin, -1.0);
-      SquaredDistanceBatchRange(block, query.data(), begin, end, bound,
-                                out.data());
+      kernel.range(block, query.data(), begin, end, bound, out.data());
       for (std::size_t i = begin; i < end; ++i) {
         ExpectContract(out[i - begin], exact[i], bound);
       }
     }
-  }
-}
-
-TEST(DistanceKernelTest, FusedKernelPinnedByTolerance) {
-  KernelGuard guard;
-  if (!ForceKernel(KernelKind::kAvx2)) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
-  SetFusedEnabled(true);
-  if (!FusedEnabled()) {
-    GTEST_SKIP() << "host has no FMA";
-  }
-  Rng rng(606);
-  const std::size_t n = 24;
-  const std::size_t dim = 17;
-  std::vector<Vector> points = RandomCloud(n, dim, rng);
-  RecordBlock block = RecordBlock::FromVectors(points);
-  Vector query = RandomQuery(dim, rng);
-  std::vector<double> exact(n);
-  SquaredDistanceBatchScalar(block, query.data(), exact.data());
-  std::vector<double> fused(n);
-  SquaredDistanceBatch(block, query.data(), fused.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    // Outside the bit-identity contract, but each fused term skips one
-    // rounding of at most half an ulp: the relative error stays tiny.
-    EXPECT_NEAR(fused[i], exact[i], 1e-9 * (1.0 + exact[i])) << i;
   }
 }
 

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Configures a sanitizer build (AddressSanitizer + UBSan by default) and
+# Configures a sanitizer build (AddressSanitizer + UBSan by default, with
+# float-cast-overflow, which GCC's -fsanitize=undefined leaves out) and
 # runs the full test suite under it. Any sanitizer report fails the run:
 # UBSan is made halt-on-error and ASan aborts on the first bad access.
 #
 # Usage:
-#   tools/run_sanitizers.sh                   # address;undefined
-#   tools/run_sanitizers.sh "thread"          # a different sanitizer list
+#   tools/run_sanitizers.sh             # address;undefined;float-cast-overflow
+#   tools/run_sanitizers.sh "thread"    # a different sanitizer list
 #   BUILD_DIR=build-tsan tools/run_sanitizers.sh "thread"
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SANITIZERS="${1:-address;undefined}"
+SANITIZERS="${1:-address;undefined;float-cast-overflow}"
 BUILD_DIR="${BUILD_DIR:-build-sanitize}"
 
 cmake -B "${BUILD_DIR}" -S . \
