@@ -101,8 +101,8 @@ StatusOr<CellOutcome> RunTrial(const ProfileSpec& profile,
   condensa::core::CondensationConfig config;
   config.group_size = k;
   config.mode = condensa::core::CondensationMode::kStatic;
-  CONDENSA_RETURN_IF_ERROR(
-      condensa::backend::ApplyBackend(backend_id, &config));
+  CONDENSA_ASSIGN_OR_RETURN(
+      config.backend, condensa::backend::Registry::Global().Get(backend_id));
   condensa::core::CondensationEngine engine(config);
   CONDENSA_ASSIGN_OR_RETURN(condensa::core::AnonymizationResult result,
                             engine.Anonymize(train, rng));

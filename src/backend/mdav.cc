@@ -118,33 +118,18 @@ void TakeGroup(const std::vector<linalg::Vector>& points,
   }
 }
 
-class MdavConstruction final : public GroupConstruction {
- public:
-  StatusOr<core::CondensedGroupSet> BuildGroups(
-      const std::vector<linalg::Vector>& points, std::size_t k,
-      Rng& rng) const override {
-    (void)rng;  // MDAV is deterministic; the stream is left untouched.
-    return MdavBuildGroups(points, k);
-  }
-};
+// MDAV is deterministic; the rng stream is left untouched.
+StatusOr<core::CondensedGroupSet> MdavBuild(
+    const std::vector<linalg::Vector>& points, std::size_t k, Rng& /*rng*/) {
+  return MdavBuildGroups(points, k);
+}
 
 // Classical microaggregation release: every member is replaced by its
 // group centroid.
-class CentroidReplacement final : public Regeneration {
- public:
-  StatusOr<std::vector<linalg::Vector>> Sample(
-      const core::GroupStatistics& group, std::size_t count,
-      Rng& rng) const override {
-    (void)rng;
-    const linalg::Vector centroid = group.Centroid();
-    std::vector<linalg::Vector> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(centroid);
-    }
-    return out;
-  }
-};
+StatusOr<std::vector<linalg::Vector>> CentroidReplacement(
+    const core::GroupStatistics& group, std::size_t count, Rng& /*rng*/) {
+  return std::vector<linalg::Vector>(count, group.Centroid());
+}
 
 }  // namespace
 
@@ -215,24 +200,25 @@ StatusOr<core::CondensedGroupSet> MdavBuildGroups(
   return result;
 }
 
-std::unique_ptr<AnonymizationBackend> MakeMdavBackend() {
-  return std::make_unique<AnonymizationBackend>(
-      BackendInfo{.id = "mdav",
-                  .version = 1,
-                  .summary = "MDAV microaggregation: farthest-pair groups, "
-                             "centroid-replacement regeneration"},
-      std::make_unique<MdavConstruction>(),
-      std::make_unique<CentroidReplacement>());
+const core::Backend& MdavBackend() {
+  static const core::Backend* backend = new core::Backend{
+      .id = "mdav",
+      .version = 1,
+      .summary = "MDAV microaggregation: farthest-pair groups, "
+                 "centroid-replacement regeneration",
+      .build = MdavBuild,
+      .sample = CentroidReplacement};
+  return *backend;
 }
 
-std::unique_ptr<AnonymizationBackend> MakeMdavEigenBackend() {
-  return std::make_unique<AnonymizationBackend>(
-      BackendInfo{.id = "mdav-eigen",
-                  .version = 1,
-                  .summary = "MDAV microaggregation with variance-preserving "
-                             "eigendecomposition regeneration"},
-      std::make_unique<MdavConstruction>(),
-      /*regeneration=*/nullptr);
+const core::Backend& MdavEigenBackend() {
+  static const core::Backend* backend = new core::Backend{
+      .id = "mdav-eigen",
+      .version = 1,
+      .summary = "MDAV microaggregation with variance-preserving "
+                 "eigendecomposition regeneration",
+      .build = MdavBuild};
+  return *backend;
 }
 
 }  // namespace condensa::backend

@@ -17,7 +17,7 @@
 // the smaller original index, matching the repo-wide (distance, index)
 // convention, so the partition is a pure function of the input order.
 //
-// Two registered backends share this construction:
+// Two backend records share this construction:
 //   "mdav"        centroid-replacement regeneration (each group emits
 //                 copies of its centroid — classical microaggregation);
 //   "mdav-eigen"  variance-preserving regeneration through the built-in
@@ -27,11 +27,10 @@
 #define CONDENSA_BACKEND_MDAV_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "linalg/vector.h"
 
@@ -47,10 +46,10 @@ StatusOr<core::CondensedGroupSet> MdavBuildGroups(
     std::vector<std::vector<std::size_t>>* assignments = nullptr);
 
 // Backend id "mdav", version 1 (centroid-replacement regeneration).
-std::unique_ptr<AnonymizationBackend> MakeMdavBackend();
+const core::Backend& MdavBackend();
 
 // Backend id "mdav-eigen", version 1 (eigendecomposition regeneration).
-std::unique_ptr<AnonymizationBackend> MakeMdavEigenBackend();
+const core::Backend& MdavEigenBackend();
 
 }  // namespace condensa::backend
 

@@ -1,17 +1,14 @@
 #include "backend/registry.h"
 
-#include <utility>
-
-#include "backend/condensation.h"
 #include "backend/mdav.h"
 #include "common/check.h"
 
 namespace condensa::backend {
 
 Registry::Registry() {
-  Register(MakeCondensationBackend());
-  Register(MakeMdavBackend());
-  Register(MakeMdavEigenBackend());
+  Register(core::CondensationBackend());
+  Register(MdavBackend());
+  Register(MdavEigenBackend());
 }
 
 Registry& Registry::Global() {
@@ -19,23 +16,19 @@ Registry& Registry::Global() {
   return *registry;
 }
 
-void Registry::Register(std::unique_ptr<AnonymizationBackend> backend) {
-  CONDENSA_CHECK(backend != nullptr);
-  const std::string& id = backend->info().id;
-  CONDENSA_CHECK(!id.empty());
-  auto [it, inserted] = backends_.emplace(id, std::move(backend));
+void Registry::Register(const core::Backend& backend) {
+  CONDENSA_CHECK(!backend.id.empty());
+  const bool inserted = backends_.emplace(backend.id, &backend).second;
   CONDENSA_CHECK(inserted);
-  (void)it;
 }
 
-StatusOr<const AnonymizationBackend*> Registry::Get(
-    const std::string& id) const {
+StatusOr<const core::Backend*> Registry::Get(const std::string& id) const {
   auto it = backends_.find(id);
   if (it == backends_.end()) {
     return NotFoundError("unknown backend '" + id + "'; available: " +
                          IdList());
   }
-  return it->second.get();
+  return it->second;
 }
 
 std::vector<std::string> Registry::Ids() const {
@@ -54,18 +47,6 @@ std::string Registry::IdList() const {
     joined += id;
   }
   return joined;
-}
-
-Status ApplyBackend(const std::string& id,
-                    core::CondensationConfig* config) {
-  CONDENSA_CHECK(config != nullptr);
-  CONDENSA_ASSIGN_OR_RETURN(const AnonymizationBackend* backend,
-                            Registry::Global().Get(id));
-  config->backend = backend->info().id;
-  config->backend_version = backend->info().version;
-  config->group_construction = backend->ConstructionHook();
-  config->group_sampler = backend->SamplerHook();
-  return OkStatus();
 }
 
 }  // namespace condensa::backend

@@ -1,8 +1,12 @@
-// String-keyed registry of anonymization backends — what `--backend=`
-// resolves through.
+// String-keyed registry of anonymization backend records (core/backend.h).
+//
+// Ids that reach the program from outside — a --backend flag, the stamp
+// `generate` reads from a pools file, the backend id in a fabric Hello —
+// resolve to records here; code that already holds a record passes its
+// pointer and never looks an id up.
 //
 // The global registry is constructed on first use with the built-in
-// backends ("condensation", "mdav", "mdav-eigen"); additional backends
+// records ("condensation", "mdav", "mdav-eigen"); additional backends
 // may be registered at startup, before any concurrent lookups. Lookups
 // of an unknown id fail with a NotFound Status that lists every
 // registered id, which the CLI surfaces verbatim (exit 2).
@@ -11,13 +15,11 @@
 #define CONDENSA_BACKEND_REGISTRY_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/status.h"
-#include "core/engine.h"
+#include "core/backend.h"
 
 namespace condensa::backend {
 
@@ -28,12 +30,15 @@ class Registry {
   // registration is a startup activity).
   static Registry& Global();
 
-  // Adds a backend. The id must be non-empty and not yet taken (CHECK).
-  void Register(std::unique_ptr<AnonymizationBackend> backend);
+  // Adds `backend`, which must outlive the registry (a function-local
+  // static, like the built-ins). The id must be non-empty and not yet
+  // taken (CHECK).
+  void Register(const core::Backend& backend);
 
-  // The backend registered under `id`, valid for the registry's
-  // lifetime; NotFound naming the available ids otherwise.
-  StatusOr<const AnonymizationBackend*> Get(const std::string& id) const;
+  // The record registered under `id` (for "condensation",
+  // &core::CondensationBackend()); NotFound naming the available ids
+  // otherwise.
+  StatusOr<const core::Backend*> Get(const std::string& id) const;
 
   // Registered ids in sorted order.
   std::vector<std::string> Ids() const;
@@ -44,14 +49,8 @@ class Registry {
  private:
   Registry();
 
-  std::map<std::string, std::unique_ptr<AnonymizationBackend>> backends_;
+  std::map<std::string, const core::Backend*> backends_;
 };
-
-// Resolves `id` against the global registry and binds it into `config`:
-// sets backend/backend_version, the construction hook, and the
-// regeneration hook (null for backends using the built-in sampler).
-// NotFound (listing available ids) on an unknown id.
-Status ApplyBackend(const std::string& id, core::CondensationConfig* config);
 
 }  // namespace condensa::backend
 

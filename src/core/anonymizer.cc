@@ -70,8 +70,8 @@ StatusOr<std::vector<linalg::Vector>> Anonymizer::GenerateFromGroup(
   if (group.empty()) {
     return InvalidArgumentError("cannot anonymize an empty group");
   }
-  if (options_.group_sampler) {
-    return options_.group_sampler(group, count, rng);
+  if (options_.backend->sample) {
+    return options_.backend->sample(group, count, rng);
   }
   linalg::Vector centroid = group.Centroid();
 

@@ -16,7 +16,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "core/backend_hooks.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "linalg/eigen.h"
 #include "linalg/vector.h"
@@ -43,13 +43,11 @@ struct AnonymizerOptions {
   // thread count: the caller's Rng is split into one substream per group
   // on the calling thread, in group order, before any worker runs.
   std::size_t num_threads = 0;
-  // Regeneration hook (core/backend_hooks.h): when set, every group's
-  // records come from this sampler instead of the eigendecomposition
-  // path above (the per-group Rng splitting and parallel fan-out are
-  // unchanged). Null = the paper's condensation regeneration,
-  // byte-for-byte. Resolve through backend::Registry rather than setting
-  // it by hand.
-  GroupSamplerFn group_sampler = nullptr;
+  // Backend whose sampler regenerates every group (core/backend.h); a
+  // backend without one uses the eigendecomposition path above (the
+  // per-group Rng splitting and parallel fan-out are the same either
+  // way). Must not be null.
+  const Backend* backend = &CondensationBackend();
 };
 
 // Draws `count` anonymized points from an already-computed factorization

@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "core/split.h"
-#include "core/static_condenser.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
 
@@ -42,7 +41,8 @@ DynamicCondenser::DynamicCondenser(std::size_t dim,
                                    DynamicCondenserOptions options)
     : options_(std::move(options)), groups_(dim, options_.group_size) {
   CONDENSA_CHECK_GE(options_.group_size, 1u);
-  groups_.SetBackend(options_.backend, options_.backend_version);
+  CONDENSA_CHECK(options_.backend != nullptr);
+  groups_.SetBackend(options_.backend->id, options_.backend->version);
 }
 
 DynamicCondenser::State DynamicCondenser::ExportState() const {
@@ -66,18 +66,18 @@ StatusOr<DynamicCondenser> DynamicCondenser::FromState(
   // A structure built by one backend cannot be maintained under another:
   // the group shapes (and the regeneration they feed) would silently
   // disagree with what the operator asked for.
-  if (state.groups.backend_id() != options.backend) {
+  if (state.groups.backend_id() != options.backend->id) {
     return FailedPreconditionError(
         "state was written by backend '" + state.groups.backend_id() +
-        "' but this condenser is configured for '" + options.backend +
+        "' but this condenser is configured for '" + options.backend->id +
         "'; rerun with the matching --backend");
   }
-  if (state.groups.backend_version() != options.backend_version) {
+  if (state.groups.backend_version() != options.backend->version) {
     return FailedPreconditionError(
         "state was written by backend '" + state.groups.backend_id() +
         "' version " + std::to_string(state.groups.backend_version()) +
         " but this build provides version " +
-        std::to_string(options.backend_version));
+        std::to_string(options.backend->version));
   }
   DynamicCondenser condenser(state.groups.dim(), options);
   condenser.groups_ = std::move(state.groups);
@@ -95,18 +95,8 @@ Status DynamicCondenser::Bootstrap(
     return FailedPreconditionError(
         "Bootstrap must be called once, before any Insert");
   }
-  CondensedGroupSet initial_groups(dim(), options_.group_size);
-  if (options_.bootstrap_construction) {
-    CONDENSA_ASSIGN_OR_RETURN(
-        initial_groups,
-        options_.bootstrap_construction(initial, options_.group_size, rng));
-  } else {
-    StaticCondenser condenser(
-        StaticCondenserOptions{.group_size = options_.group_size});
-    CONDENSA_ASSIGN_OR_RETURN(initial_groups, condenser.Condense(initial, rng));
-  }
-  groups_ = std::move(initial_groups);
-  groups_.SetBackend(options_.backend, options_.backend_version);
+  CONDENSA_ASSIGN_OR_RETURN(
+      groups_, options_.backend->Build(initial, options_.group_size, rng));
   records_seen_ = initial.size();
   bootstrapped_ = true;
   return OkStatus();

@@ -16,12 +16,11 @@
 #define CONDENSA_CORE_DYNAMIC_CONDENSER_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
-#include "core/backend_hooks.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/group_statistics.h"
 #include "core/split.h"
@@ -37,16 +36,12 @@ struct DynamicCondenserOptions {
   // ablation A10.
   SplitRule split_rule = SplitRule::kMomentConsistent;
   // Anonymization backend this structure is built and maintained under
-  // (docs/backends.md). Stamped into the group set — and therefore into
+  // (core/backend.h): Bootstrap builds the initial groups with it, and
+  // its identity is stamped into the group set — and therefore into
   // every checkpoint snapshot — so FromState (and
   // DurableCondenser::Recover) refuses state written by a different
-  // backend instead of silently maintaining it.
-  std::string backend = CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
-  // Bootstrap construction hook (core/backend_hooks.h): when set,
-  // Bootstrap builds the initial group structure with it instead of the
-  // built-in StaticCondenser. Null = paper-verbatim static condensation.
-  GroupConstructionFn bootstrap_construction = nullptr;
+  // backend instead of silently maintaining it. Must not be null.
+  const Backend* backend = &CondensationBackend();
 };
 
 class DynamicCondenser {

@@ -9,7 +9,6 @@
 
 #include "common/thread_pool.h"
 #include "core/dynamic_condenser.h"
-#include "core/static_condenser.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
 #include "obs/trace.h"
@@ -48,14 +47,7 @@ StatusOr<CondensedGroupSet> CondensePool(
   obs::TraceSpan span("engine.condense_pool");
   if (splits_out != nullptr) *splits_out = 0;
   if (config.mode == CondensationMode::kStatic) {
-    if (config.group_construction) {
-      CONDENSA_ASSIGN_OR_RETURN(CondensedGroupSet groups,
-                                config.group_construction(points, k, rng));
-      groups.SetBackend(config.backend, config.backend_version);
-      return groups;
-    }
-    StaticCondenser condenser(StaticCondenserOptions{.group_size = k});
-    return condenser.Condense(points, rng);
+    return config.backend->Build(points, k, rng);
   }
 
   // Dynamic mode: static bootstrap prefix, then stream the remainder.
@@ -77,9 +69,7 @@ StatusOr<CondensedGroupSet> CondensePool(
   const DynamicCondenserOptions condenser_options{
       .group_size = k,
       .split_rule = config.split_rule,
-      .backend = config.backend,
-      .backend_version = config.backend_version,
-      .bootstrap_construction = config.group_construction};
+      .backend = config.backend};
 
   DynamicCondenser condenser(ordered.front().dim(), condenser_options);
   if (bootstrap_count > 0) {
@@ -154,18 +144,8 @@ Status CondensationConfig::Validate() const {
   if (!(bootstrap_fraction >= 0.0) || !(bootstrap_fraction <= 1.0)) {
     return InvalidArgumentError("bootstrap_fraction must be in [0, 1]");
   }
-  if (backend.empty()) {
-    return InvalidArgumentError("backend id must be non-empty");
-  }
-  if (backend_version < 1) {
-    return InvalidArgumentError("backend_version must be >= 1");
-  }
-  if (backend != CondensedGroupSet::kDefaultBackendId &&
-      !group_construction) {
-    return InvalidArgumentError(
-        "backend '" + backend +
-        "' has no construction hook bound; resolve the id through "
-        "backend::Registry instead of setting it directly");
+  if (backend == nullptr) {
+    return InvalidArgumentError("backend must be set");
   }
   return OkStatus();
 }
@@ -355,7 +335,7 @@ StatusOr<AnonymizationResult> CondensationEngine::Anonymize(
   CONDENSA_ASSIGN_OR_RETURN(
       AnonymizationResult result,
       GenerateRelease(pools, rng, {.num_threads = config_.num_threads,
-                                   .group_sampler = config_.group_sampler}));
+                                   .backend = config_.backend}));
   if (!input.feature_names().empty()) {
     CONDENSA_RETURN_IF_ERROR(
         result.anonymized.SetFeatureNames(input.feature_names()));

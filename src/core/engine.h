@@ -17,13 +17,12 @@
 #ifndef CONDENSA_CORE_ENGINE_H_
 #define CONDENSA_CORE_ENGINE_H_
 
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "core/anonymizer.h"
-#include "core/backend_hooks.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "data/dataset.h"
@@ -60,26 +59,18 @@ struct CondensationConfig {
   // count: the run Rng is split into one substream per pool, in label
   // order, before any pool is condensed.
   std::size_t num_threads = 0;
-  // Anonymization backend identity and hooks (docs/backends.md). The id
-  // is stamped into every produced group set (and so into serialized
-  // pools and checkpoints); the hooks redirect the two pluggable halves
-  // of the pipeline. Null hooks = the built-in condensation path,
-  // byte-identical to a config that never mentions backends. Resolve a
-  // non-default id through backend::Registry (src/backend/registry.h)
-  // rather than filling these by hand; Validate() rejects a non-default
-  // `backend` whose construction hook is missing.
-  std::string backend = CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
-  GroupConstructionFn group_construction = nullptr;
-  GroupSamplerFn group_sampler = nullptr;
+  // Anonymization backend (core/backend.h): builds every pool's groups
+  // (the static condense, or the dynamic mode's bootstrap) and stamps its
+  // identity into them, and so into serialized pools and checkpoints.
+  // Anonymize regenerates through its sampler. Must not be null.
+  const Backend* backend = &CondensationBackend();
 
   // Checks every field (group_size >= 1, bootstrap_fraction in [0, 1],
-  // a non-default backend has its hooks). The engine refuses to condense
-  // with an invalid config, returning this Status from
-  // Condense/CondensePoints — constructing the engine itself never
-  // aborts. (k = 1 is permitted here for identity-condensation
-  // ablations; the streaming runtime's StreamPipelineConfig requires
-  // k >= 2.)
+  // a backend is set). The engine refuses to condense with an invalid
+  // config, returning this Status from Condense/CondensePoints —
+  // constructing the engine itself never aborts. (k = 1 is permitted
+  // here for identity-condensation ablations; the streaming runtime's
+  // StreamPipelineConfig requires k >= 2.)
   Status Validate() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -70,7 +71,10 @@ StatusOr<QueryResult> QueryClient::ExecuteWithRetry(
     const Query& query, const QueryRetryOptions& options,
     QueryRetryStats* stats) {
   const auto started = std::chrono::steady_clock::now();
-  const bool bounded = options.deadline_ms > 0.0;
+  // A non-finite budget (the CLI's --deadline-ms accepts inf) means no
+  // deadline, as 0 does.
+  const bool bounded =
+      std::isfinite(options.deadline_ms) && options.deadline_ms > 0.0;
   auto remaining_ms = [&]() -> double {
     if (!bounded) {
       return 0.0;  // "no deadline" in Query::deadline_ms terms
@@ -114,6 +118,8 @@ StatusOr<QueryResult> QueryClient::ExecuteWithRetry(
         // Forward what is left so the server sheds rather than answers
         // into the void.
         attempt_query.deadline_ms = budget;
+      } else if (!std::isfinite(attempt_query.deadline_ms)) {
+        attempt_query.deadline_ms = 0.0;  // the wire's "no deadline"
       }
       const double io_timeout = bounded ? budget : timeout_ms_;
       StatusOr<QueryResult> result = Execute(attempt_query, io_timeout);

@@ -41,7 +41,9 @@ struct QueryRetryOptions {
   // Total attempts, including the first. 1 disables retrying.
   std::size_t max_attempts = 4;
   // Overall budget for the whole call (all attempts + backoff), in ms.
-  // 0 = unbounded. Also forwarded per attempt as Query::deadline_ms.
+  // 0 or a non-finite value = unbounded. Also forwarded per attempt as
+  // Query::deadline_ms; an unbounded call forwards the query's own
+  // deadline, or 0 when that is non-finite.
   double deadline_ms = 0.0;
   // Backoff shape between attempts (runtime's write-path defaults).
   runtime::RetryPolicy backoff;

@@ -99,8 +99,8 @@ Status StreamPipelineConfig::Validate() const {
   if (checkpoint_dir.empty()) {
     return InvalidArgumentError("checkpoint_dir is required");
   }
-  if (backend.empty()) {
-    return InvalidArgumentError("backend id must be non-empty");
+  if (backend == nullptr) {
+    return InvalidArgumentError("backend must be set");
   }
   if (snapshot_interval < 1) {
     return InvalidArgumentError("snapshot_interval must be >= 1");
@@ -194,7 +194,6 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Start(
   options.group_size = cfg.group_size;
   options.split_rule = cfg.split_rule;
   options.backend = cfg.backend;
-  options.backend_version = cfg.backend_version;
   core::DurabilityOptions durability;
   durability.snapshot_interval = cfg.snapshot_interval;
   durability.sync_every_append = cfg.sync_every_append;
@@ -330,7 +329,6 @@ Status StreamPipeline::ReopenDurable() {
   options.group_size = config_.group_size;
   options.split_rule = config_.split_rule;
   options.backend = config_.backend;
-  options.backend_version = config_.backend_version;
   core::DurabilityOptions durability;
   durability.snapshot_interval = config_.snapshot_interval;
   durability.sync_every_append = config_.sync_every_append;

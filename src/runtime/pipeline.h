@@ -55,6 +55,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/checkpointing.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -75,13 +76,12 @@ struct StreamPipelineConfig {
   std::size_t group_size = 10;
   core::SplitRule split_rule = core::SplitRule::kMomentConsistent;
 
-  // Anonymization backend identity the stream maintains its structure
-  // under (docs/backends.md). Stamped into every checkpoint; recovery
-  // refuses checkpoints written under a different backend. The stream
-  // path itself is backend-independent (pure nearest-centroid
-  // maintenance, no bootstrap), so no hook is needed here.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
+  // Anonymization backend the stream maintains its structure under
+  // (core/backend.h). Its identity is stamped into every checkpoint;
+  // recovery refuses checkpoints written under a different backend. The
+  // stream path itself is pure nearest-centroid maintenance with no
+  // bootstrap, so the backend's build is never called here.
+  const core::Backend* backend = &core::CondensationBackend();
 
   // Durability: where snapshots/journals live (required), how often to
   // snapshot (>= 1), whether to fsync every journal append.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -83,18 +84,22 @@ StatusOr<core::CondensedGroupSet> Coordinator::Gather(
     total_groups += set.num_groups();
   }
 
-  // All shards must have condensed under the same backend — folding
-  // groups built by different strategies into one release would void
-  // both backends' guarantees.
+  // All shards must have condensed under the same backend id and
+  // version — folding groups built by different strategies into one
+  // release would void both backends' guarantees.
   const std::size_t k = options_.group_size;
   core::CondensedGroupSet global(have_dim ? dim : 0, k);
   if (!shard_sets.empty()) {
     const core::CondensedGroupSet& first = shard_sets.front();
     for (const core::CondensedGroupSet& set : shard_sets) {
-      if (set.backend_id() != first.backend_id()) {
+      if (set.backend_id() != first.backend_id() ||
+          set.backend_version() != first.backend_version()) {
         return InvalidArgumentError(
             "shards disagree on anonymization backend: '" +
-            first.backend_id() + "' vs '" + set.backend_id() + "'");
+            first.backend_id() + "' version " +
+            std::to_string(first.backend_version()) + " vs '" +
+            set.backend_id() + "' version " +
+            std::to_string(set.backend_version()));
       }
     }
     global.SetBackend(first.backend_id(), first.backend_version());

@@ -69,7 +69,8 @@ class Coordinator {
   // Merges the shard-local sets (consumed) into one global set built for
   // options().group_size. Empty shard sets are skipped; if every set is
   // empty the result is an empty set of dimension 0. Fails on dimension
-  // mismatch between non-empty sets and propagates eigensolver failures
+  // mismatch between non-empty sets or on sets stamped with different
+  // backend ids or versions, and propagates eigensolver failures
   // from oversize splits. On success the output satisfies the global
   // k-floor except in the one unavoidable case: fewer than k records
   // exist in total, which leaves a single undersized group rather than

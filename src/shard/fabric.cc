@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "backend/registry.h"
 #include "common/check.h"
 #include "core/serialization.h"
 #include "net/frame.h"
@@ -84,8 +83,9 @@ Status FabricConfig::Validate() const {
   if (wire_batch == 0) {
     return InvalidArgumentError("wire_batch must be >= 1");
   }
-  // NotFound here lists the registered ids, which the CLI surfaces.
-  CONDENSA_RETURN_IF_ERROR(backend::Registry::Global().Get(backend).status());
+  if (backend == nullptr) {
+    return InvalidArgumentError("backend must be set");
+  }
   if (dim > net::kMaxWireDim) {
     return InvalidArgumentError(
         "dim " + std::to_string(dim) + " exceeds the wire cap of " +
@@ -213,7 +213,7 @@ net::HelloMessage FabricService::HelloFor(std::size_t shard) const {
   hello.queue_capacity = config_.queue_capacity;
   hello.batch_size = config_.batch_size;
   hello.seed = shard_seeds_[shard];
-  hello.backend = config_.backend;
+  hello.backend = config_.backend->id;
   return hello;
 }
 

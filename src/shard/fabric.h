@@ -68,7 +68,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "core/condensed_group_set.h"
+#include "core/backend.h"
 #include "core/split.h"
 #include "linalg/vector.h"
 #include "net/socket.h"
@@ -99,10 +99,10 @@ struct FabricConfig {
   ShardPolicy policy = ShardPolicy::kHash;
   std::uint64_t seed = 42;
 
-  // Anonymization backend id, resolved through backend::Registry at
-  // Start and carried to every worker in the Hello; a worker that
-  // cannot resolve it rejects the session.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
+  // Anonymization backend (core/backend.h). Its id travels to every
+  // worker in the Hello; a worker whose registry (backend/registry.h)
+  // does not know the id rejects the session.
+  const core::Backend* backend = &core::CondensationBackend();
 
   // Worker tuning forwarded in the Hello (same fields as
   // ShardedStreamConfig so the two services stay interchangeable).

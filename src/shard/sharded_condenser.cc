@@ -3,7 +3,6 @@
 #include <functional>
 #include <utility>
 
-#include "backend/registry.h"
 #include "common/thread_pool.h"
 #include "core/group_statistics.h"
 #include "obs/trace.h"
@@ -19,13 +18,12 @@ namespace {
 // conservation.
 StatusOr<core::CondensedGroupSet> CondensePartition(
     const std::vector<linalg::Vector>& partition, std::size_t dim,
-    std::size_t group_size, const backend::AnonymizationBackend& backend,
-    Rng& rng) {
+    std::size_t group_size, const core::Backend& backend, Rng& rng) {
   if (partition.size() >= group_size) {
-    return backend.ConstructionHook()(partition, group_size, rng);
+    return backend.Build(partition, group_size, rng);
   }
   core::CondensedGroupSet groups(dim, group_size);
-  groups.SetBackend(backend.info().id, backend.info().version);
+  groups.SetBackend(backend.id, backend.version);
   if (!partition.empty()) {
     core::GroupStatistics remainder(dim);
     for (const linalg::Vector& record : partition) {
@@ -45,8 +43,8 @@ Status ShardedCondenserConfig::Validate() const {
   if (group_size == 0) {
     return InvalidArgumentError("group_size must be >= 1");
   }
-  if (backend.empty()) {
-    return InvalidArgumentError("backend id must be non-empty");
+  if (backend == nullptr) {
+    return InvalidArgumentError("backend must be set");
   }
   return OkStatus();
 }
@@ -77,10 +75,6 @@ StatusOr<ShardedCondenseResult> ShardedCondenser::Condense(
     partitions = router.Scatter(points);
   }
 
-  CONDENSA_ASSIGN_OR_RETURN(
-      const backend::AnonymizationBackend* anonymization_backend,
-      backend::Registry::Global().Get(config_.backend));
-
   // Substreams are derived in shard order on this thread, so the
   // per-shard randomness is fixed before any partition is condensed.
   std::vector<Rng> streams = Router::SplitStreams(rng, n);
@@ -100,7 +94,7 @@ StatusOr<ShardedCondenseResult> ShardedCondenser::Condense(
         (void)streams[shard].NextUint64();
         shard_groups[shard] =
             CondensePartition(partitions[shard], dim, config_.group_size,
-                              *anonymization_backend, streams[shard]);
+                              *config_.backend, streams[shard]);
       });
     }
     ParallelRun(ThreadPool::ResolveThreadCount(config_.num_threads), tasks);

@@ -21,11 +21,11 @@
 #define CONDENSA_SHARD_SHARDED_CONDENSER_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -46,11 +46,9 @@ struct ShardedCondenserConfig {
   // thread. Output is identical at any thread count.
   std::size_t num_threads = 0;
 
-  // Anonymization backend id, resolved through backend::Registry at
-  // Condense time; every shard condenses under it and the gathered
-  // release carries its stamp. Unknown ids fail with NotFound listing
-  // the available backends.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
+  // Anonymization backend (core/backend.h): every shard condenses under
+  // it and the gathered release carries its stamp.
+  const core::Backend* backend = &core::CondensationBackend();
 
   Status Validate() const;
 };

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "backend/registry.h"
 #include "common/check.h"
 #include "obs/trace.h"
 
@@ -23,8 +22,8 @@ Status ShardedStreamConfig::Validate() const {
   if (checkpoint_root.empty()) {
     return InvalidArgumentError("checkpoint_root is required");
   }
-  if (backend.empty()) {
-    return InvalidArgumentError("backend id must be non-empty");
+  if (backend == nullptr) {
+    return InvalidArgumentError("backend must be set");
   }
   return OkStatus();
 }
@@ -63,17 +62,12 @@ StatusOr<std::unique_ptr<ShardedStreamService>> ShardedStreamService::Start(
       new ShardedStreamService(std::move(config)));
   const ShardedStreamConfig& cfg = service->config_;
 
-  CONDENSA_ASSIGN_OR_RETURN(
-      const backend::AnonymizationBackend* anonymization_backend,
-      backend::Registry::Global().Get(cfg.backend));
-
   const std::vector<std::uint64_t> seeds =
       Router::ShardSeeds(cfg.seed, cfg.num_shards);
   service->workers_.reserve(cfg.num_shards);
   for (std::size_t shard = 0; shard < cfg.num_shards; ++shard) {
     WorkerOptions options;
-    options.backend = anonymization_backend->info().id;
-    options.backend_version = anonymization_backend->info().version;
+    options.backend = cfg.backend;
     options.group_size = cfg.group_size;
     options.split_rule = cfg.split_rule;
     options.checkpoint_root = cfg.checkpoint_root;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -60,9 +61,9 @@ struct ShardedStreamConfig {
   // a fixed (seed, num_shards) replays exactly.
   std::uint64_t seed = 42;
 
-  // Anonymization backend id, resolved through backend::Registry at
-  // Start; stamped into every shard's checkpoints and the gathered set.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
+  // Anonymization backend (core/backend.h), stamped into every shard's
+  // checkpoints and the gathered set.
+  const core::Backend* backend = &core::CondensationBackend();
 
   Status Validate() const;
 };

@@ -48,9 +48,6 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(
   if (options.checkpoint_root.empty()) {
     return InvalidArgumentError("a shard worker requires a checkpoint_root");
   }
-  if (options.backend_version < 1) {
-    return InvalidArgumentError("worker backend version must be >= 1");
-  }
   std::unique_ptr<Worker> worker(new Worker(
       shard_id, options.checkpoint_root + "/shard-" + std::to_string(shard_id),
       options.worker_id.empty() ? DefaultWorkerId(shard_id)
@@ -66,7 +63,6 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(
   config.batch_size = options.batch_size;
   config.seed = options.seed;
   config.backend = options.backend;
-  config.backend_version = options.backend_version;
   CONDENSA_ASSIGN_OR_RETURN(worker->pipeline_,
                             runtime::StreamPipeline::Start(config));
   return worker;

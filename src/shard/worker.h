@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/split.h"
 #include "linalg/vector.h"
@@ -51,11 +52,9 @@ struct WorkerOptions {
   // DefaultWorkerId(shard_id).
   std::string worker_id;
 
-  // Anonymization backend (docs/backends.md) stamped into this shard's
-  // group set and checkpoints. Callers resolve the id through
-  // backend::Registry.
-  std::string backend = core::CondensedGroupSet::kDefaultBackendId;
-  int backend_version = 1;
+  // Anonymization backend (core/backend.h) stamped into this shard's
+  // group set and checkpoints.
+  const core::Backend* backend = &core::CondensationBackend();
 };
 
 // The metric identity of a shard served without an explicit worker id:

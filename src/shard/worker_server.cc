@@ -38,11 +38,9 @@ StatusOr<WorkerOptions> WorkerOptionsFromHello(
   CONDENSA_RETURN_IF_ERROR(ValidateSplitRule(hello.split_rule));
   // An id this build cannot resolve rejects the session up front instead
   // of condensing under the wrong strategy.
-  CONDENSA_ASSIGN_OR_RETURN(const backend::AnonymizationBackend* resolved,
-                            backend::Registry::Global().Get(hello.backend));
   WorkerOptions options;
-  options.backend = resolved->info().id;
-  options.backend_version = resolved->info().version;
+  CONDENSA_ASSIGN_OR_RETURN(options.backend,
+                            backend::Registry::Global().Get(hello.backend));
   options.group_size = static_cast<std::size_t>(hello.group_size);
   options.split_rule = static_cast<core::SplitRule>(hello.split_rule);
   options.checkpoint_root = checkpoint_root;

@@ -12,8 +12,10 @@
 
 #include "backend/registry.h"
 #include "common/random.h"
+#include "core/backend.h"
 #include "core/engine.h"
 #include "core/serialization.h"
+#include "core/static_condenser.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 
@@ -47,7 +49,9 @@ TEST(BackendParityTest, StaticCondenseIsByteIdenticalToHooklessConfig) {
                     core::CondensationMode::kDynamic}) {
     core::CondensationConfig plain = BareConfig(mode);
     core::CondensationConfig resolved = BareConfig(mode);
-    ASSERT_TRUE(ApplyBackend("condensation", &resolved).ok());
+    auto condensation = Registry::Global().Get("condensation");
+    ASSERT_TRUE(condensation.ok());
+    resolved.backend = *condensation;
 
     Rng plain_rng(77);
     Rng resolved_rng(77);
@@ -59,8 +63,8 @@ TEST(BackendParityTest, StaticCondenseIsByteIdenticalToHooklessConfig) {
     ASSERT_TRUE(resolved_pools.ok());
     EXPECT_EQ(core::SerializePools(*plain_pools),
               core::SerializePools(*resolved_pools));
-    // The construction hook must consume the rng stream exactly as the
-    // hookless path does.
+    // The resolved record must consume the rng stream exactly as the
+    // default config does.
     EXPECT_EQ(plain_rng.NextUint64(), resolved_rng.NextUint64());
   }
 }
@@ -70,7 +74,9 @@ TEST(BackendParityTest, ReleaseIsByteIdenticalToHooklessConfig) {
   core::CondensationConfig plain = BareConfig(core::CondensationMode::kStatic);
   core::CondensationConfig resolved =
       BareConfig(core::CondensationMode::kStatic);
-  ASSERT_TRUE(ApplyBackend("condensation", &resolved).ok());
+  auto condensation = Registry::Global().Get("condensation");
+  ASSERT_TRUE(condensation.ok());
+  resolved.backend = *condensation;
 
   Rng plain_rng(31);
   Rng resolved_rng(31);
@@ -92,6 +98,24 @@ TEST(BackendParityTest, ReleaseIsByteIdenticalToHooklessConfig) {
   }
 }
 
+TEST(BackendParityTest, CondensationBuildIsTheStaticCondenser) {
+  std::vector<Vector> points;
+  Rng data_rng(2025);
+  for (std::size_t i = 0; i < 50; ++i) {
+    points.push_back(Vector{data_rng.Gaussian(0.0, 1.0),
+                            data_rng.Gaussian(1.0, 2.0)});
+  }
+  Rng direct_rng(13);
+  Rng record_rng(13);
+  auto direct = core::StaticCondenser({.group_size = 5})
+                    .Condense(points, direct_rng);
+  auto built = core::CondensationBackend().Build(points, 5, record_rng);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(core::SerializeGroupSet(*direct), core::SerializeGroupSet(*built));
+  EXPECT_EQ(direct_rng.NextUint64(), record_rng.NextUint64());
+}
+
 TEST(BackendParityTest, DefaultStampWritesNoBackendLine) {
   const data::Dataset dataset = MakeClassificationDataset(40);
   Rng rng(5);
@@ -108,7 +132,9 @@ TEST(BackendParityTest, MdavEndToEndStampsAndBoundsGroups) {
   const data::Dataset dataset = MakeClassificationDataset(60);
   core::CondensationConfig config =
       BareConfig(core::CondensationMode::kStatic);
-  ASSERT_TRUE(ApplyBackend("mdav", &config).ok());
+  auto mdav = Registry::Global().Get("mdav");
+  ASSERT_TRUE(mdav.ok());
+  config.backend = *mdav;
   Rng rng(9);
   auto pools = core::CondensationEngine(config).Condense(dataset, rng);
   ASSERT_TRUE(pools.ok());

@@ -5,12 +5,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "backend/backend.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/group_statistics.h"
 #include "core/serialization.h"
@@ -157,10 +156,9 @@ TEST(MdavTest, ConstructionHookNeverDrawsFromTheRng) {
   const std::vector<Vector> points = MakePoints(40, 3, 31);
   Rng used(123);
   Rng untouched(123);
-  auto backend = MakeMdavBackend();
-  auto groups = backend->ConstructionHook()(points, 5, used);
+  auto groups = MdavBackend().Build(points, 5, used);
   ASSERT_TRUE(groups.ok());
-  // MDAV is deterministic: the rng passed through the hook must come out
+  // MDAV is deterministic: the rng passed to Build must come out
   // in the same state it went in.
   EXPECT_EQ(used.NextUint64(), untouched.NextUint64());
 }
@@ -176,13 +174,11 @@ TEST(MdavTest, RejectsDegenerateInputs) {
 }
 
 TEST(MdavTest, BackendIdentities) {
-  auto mdav = MakeMdavBackend();
-  EXPECT_EQ(mdav->info().id, "mdav");
-  EXPECT_NE(mdav->regeneration(), nullptr);
-  auto eigen = MakeMdavEigenBackend();
-  EXPECT_EQ(eigen->info().id, "mdav-eigen");
-  // Null regeneration = inherit the built-in eigendecomposition sampler.
-  EXPECT_EQ(eigen->regeneration(), nullptr);
+  EXPECT_EQ(MdavBackend().id, "mdav");
+  EXPECT_TRUE(static_cast<bool>(MdavBackend().sample));
+  EXPECT_EQ(MdavEigenBackend().id, "mdav-eigen");
+  // Null sample = inherit the built-in eigendecomposition sampler.
+  EXPECT_FALSE(static_cast<bool>(MdavEigenBackend().sample));
 }
 
 TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
@@ -192,9 +188,8 @@ TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
   stats.Add(Vector{5.0, 10.0});
   const Vector centroid = stats.Centroid();
   Rng rng(1);
-  auto mdav = MakeMdavBackend();
-  ASSERT_NE(mdav->regeneration(), nullptr);
-  auto sample = mdav->regeneration()->Sample(stats, 3, rng);
+  ASSERT_TRUE(static_cast<bool>(MdavBackend().sample));
+  auto sample = MdavBackend().sample(stats, 3, rng);
   ASSERT_TRUE(sample.ok());
   ASSERT_EQ(sample->size(), 3u);
   for (const Vector& record : *sample) {

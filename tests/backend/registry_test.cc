@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
+#include "backend/mdav.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/engine.h"
+#include "linalg/vector.h"
 
 namespace condensa::backend {
 namespace {
@@ -23,9 +26,10 @@ TEST(RegistryTest, BuiltInsAreRegistered) {
   for (const char* id : {"condensation", "mdav", "mdav-eigen"}) {
     auto backend = Registry::Global().Get(id);
     ASSERT_TRUE(backend.ok()) << id;
-    EXPECT_EQ((*backend)->info().id, id);
-    EXPECT_EQ((*backend)->info().version, 1);
-    EXPECT_FALSE((*backend)->info().summary.empty());
+    EXPECT_EQ((*backend)->id, id);
+    EXPECT_EQ((*backend)->version, 1);
+    EXPECT_FALSE((*backend)->summary.empty());
+    EXPECT_TRUE(static_cast<bool>((*backend)->build));
   }
 }
 
@@ -54,48 +58,58 @@ TEST(RegistryTest, IdListJoinsEveryId) {
   }
 }
 
-TEST(ApplyBackendTest, BindsIdVersionAndHooks) {
-  core::CondensationConfig config;
-  ASSERT_TRUE(ApplyBackend("mdav", &config).ok());
-  EXPECT_EQ(config.backend, "mdav");
-  EXPECT_EQ(config.backend_version, 1);
-  EXPECT_TRUE(static_cast<bool>(config.group_construction));
-  // mdav regenerates by centroid replacement, so a sampler is bound.
-  EXPECT_TRUE(static_cast<bool>(config.group_sampler));
+TEST(RegistryTest, MdavRecordCarriesIdVersionAndSampler) {
+  auto mdav = Registry::Global().Get("mdav");
+  ASSERT_TRUE(mdav.ok());
+  EXPECT_EQ(*mdav, &MdavBackend());
+  EXPECT_EQ((*mdav)->id, "mdav");
+  EXPECT_EQ((*mdav)->version, 1);
+  // mdav regenerates by centroid replacement, so it carries a sampler.
+  EXPECT_TRUE(static_cast<bool>((*mdav)->sample));
 }
 
-TEST(ApplyBackendTest, CondensationUsesBuiltInSampler) {
-  core::CondensationConfig config;
-  ASSERT_TRUE(ApplyBackend("condensation", &config).ok());
-  EXPECT_EQ(config.backend, core::CondensedGroupSet::kDefaultBackendId);
-  EXPECT_TRUE(static_cast<bool>(config.group_construction));
+TEST(RegistryTest, CondensationIsTheDefaultRecord) {
+  auto condensation = Registry::Global().Get("condensation");
+  ASSERT_TRUE(condensation.ok());
+  // The id resolves to the very record every config defaults to.
+  EXPECT_EQ(*condensation, &core::CondensationBackend());
+  EXPECT_EQ(core::CondensationConfig{}.backend, *condensation);
+  EXPECT_EQ((*condensation)->id, core::CondensedGroupSet::kDefaultBackendId);
   // Null sampler = the paper's eigendecomposition regeneration.
-  EXPECT_FALSE(static_cast<bool>(config.group_sampler));
+  EXPECT_FALSE(static_cast<bool>((*condensation)->sample));
 }
 
-TEST(ApplyBackendTest, UnknownIdLeavesConfigUntouched) {
-  core::CondensationConfig config;
-  Status status = ApplyBackend("nope", &config);
-  ASSERT_FALSE(status.ok());
-  EXPECT_TRUE(IsNotFound(status));
-  EXPECT_EQ(config.backend, core::CondensedGroupSet::kDefaultBackendId);
-  EXPECT_FALSE(static_cast<bool>(config.group_construction));
-  EXPECT_FALSE(static_cast<bool>(config.group_sampler));
-}
-
-TEST(ApplyBackendTest, ConstructionHookStampsTheResult) {
-  core::CondensationConfig config;
-  ASSERT_TRUE(ApplyBackend("mdav", &config).ok());
+std::vector<linalg::Vector> GaussianPoints(std::size_t n, Rng& rng) {
   std::vector<linalg::Vector> points;
-  Rng rng(7);
-  for (int i = 0; i < 20; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     points.push_back(linalg::Vector{rng.Gaussian(0.0, 1.0),
                                     rng.Gaussian(0.0, 1.0)});
   }
-  auto groups = config.group_construction(points, 5, rng);
+  return points;
+}
+
+TEST(BackendTest, BuildStampsTheResult) {
+  Rng rng(7);
+  const std::vector<linalg::Vector> points = GaussianPoints(20, rng);
+  auto groups = MdavBackend().Build(points, 5, rng);
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ(groups->backend_id(), "mdav");
   EXPECT_EQ(groups->backend_version(), 1);
+
+  // A record's own (id, version) wins over whatever its build returns.
+  const core::Backend custom{.id = "custom", .version = 3,
+                             .build = core::CondensationBackend().build};
+  auto stamped = custom.Build(points, 5, rng);
+  ASSERT_TRUE(stamped.ok());
+  EXPECT_EQ(stamped->backend_id(), "custom");
+  EXPECT_EQ(stamped->backend_version(), 3);
+}
+
+TEST(BackendTest, BuildPropagatesConstructionErrors) {
+  Rng rng(7);
+  const std::vector<linalg::Vector> points = GaussianPoints(3, rng);
+  auto groups = MdavBackend().Build(points, 5, rng);
+  EXPECT_TRUE(IsInvalidArgument(groups.status()));
 }
 
 }  // namespace

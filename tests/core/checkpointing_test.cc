@@ -183,10 +183,16 @@ TEST_F(CheckpointingTest, RecoveryIsBitIdenticalToInMemoryState) {
 }
 
 TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
+  // Records standing in for another backend at two versions; the stream
+  // never bootstraps, so their construction is never called.
+  const Backend mdav{.id = "mdav", .version = 1,
+                     .build = CondensationBackend().build};
+  const Backend mdav_v2{.id = "mdav", .version = 2,
+                        .build = CondensationBackend().build};
   const std::string dir = FreshDir();
   {
     auto durable = DurableCondenser::Create(
-        3, {.group_size = 4, .backend = "mdav"}, {}, dir);
+        3, {.group_size = 4, .backend = &mdav}, {}, dir);
     ASSERT_TRUE(durable.ok());
     for (const Vector& record : MakeStream(19, 3, 33)) {
       ASSERT_TRUE(durable->Insert(record).ok());
@@ -203,13 +209,13 @@ TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
 
   // Same backend, wrong version: also refused.
   auto wrong_version = DurableCondenser::Recover(
-      dir, {.group_size = 4, .backend = "mdav", .backend_version = 2}, {});
+      dir, {.group_size = 4, .backend = &mdav_v2}, {});
   ASSERT_FALSE(wrong_version.ok());
   EXPECT_EQ(wrong_version.status().code(), StatusCode::kFailedPrecondition);
 
   // The matching backend recovers cleanly and keeps the stamp.
   auto matched = DurableCondenser::Recover(
-      dir, {.group_size = 4, .backend = "mdav"}, {});
+      dir, {.group_size = 4, .backend = &mdav}, {});
   ASSERT_TRUE(matched.ok());
   EXPECT_EQ(matched->condenser().groups().backend_id(), "mdav");
   EXPECT_EQ(matched->records_seen(), 19u);

@@ -347,6 +347,31 @@ TEST_F(QueryServerTest, BudgetsPastTheClockRangeAreAnswered) {
   }
 }
 
+TEST_F(QueryServerTest, InfiniteRetryDeadlineMeansNoDeadline) {
+  // `condensa query --connect --deadline-ms=inf` sets both the call's
+  // budget and the query's deadline to +inf; the wire refuses +inf, so
+  // the client must send "no deadline" instead.
+  auto store = std::make_shared<SnapshotStore>();
+  QuerySnapshot snapshot;
+  snapshot.dim = 2;
+  snapshot.pools.push_back({-1, MakeGroups(0.0, 10)});
+  store->Publish(std::move(snapshot));
+  QueryServerConfig config;
+  config.poll_ms = 10.0;
+  StartServerWithConfig(std::move(config), store);
+
+  auto client = QueryClient::Connect("127.0.0.1", server_->port(), 2000.0);
+  ASSERT_TRUE(client.ok());
+  Query query;
+  query.kind = QueryKind::kAggregate;
+  query.deadline_ms = std::numeric_limits<double>::infinity();
+  QueryRetryOptions retry;
+  retry.deadline_ms = std::numeric_limits<double>::infinity();
+  auto answered = client->ExecuteWithRetry(query, retry);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->aggregate.records, 12u);
+}
+
 TEST_F(QueryServerTest, ResultsCarryStalenessAndStaleAnswersAreCounted) {
   obs::DefaultRegistry().Reset();
   auto store = std::make_shared<SnapshotStore>();

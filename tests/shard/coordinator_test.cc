@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -186,6 +187,36 @@ TEST(CoordinatorTest, RejectsDimensionMismatch) {
   Coordinator coordinator({.group_size = 5});
   auto gathered = coordinator.Gather(std::move(sets), nullptr);
   EXPECT_TRUE(IsInvalidArgument(gathered.status()));
+}
+
+TEST(CoordinatorTest, RejectsShardsThatDisagreeOnBackend) {
+  // Same id at two versions is as much a mismatch as two ids: the
+  // versions' outputs differ for a fixed seed.
+  const std::size_t k = 5;
+  for (const auto& [id, version] :
+       std::vector<std::pair<std::string, int>>{{"mdav", 2},
+                                                {"condensation", 1}}) {
+    Rng rng(3);
+    std::vector<CondensedGroupSet> sets;
+    sets.push_back(MakeShardSet({5, 6}, 2, k, rng));
+    sets.push_back(MakeShardSet({7}, 2, k, rng));
+    sets[0].SetBackend("mdav", 1);
+    sets[1].SetBackend(id, version);
+    auto gathered = Coordinator({.group_size = k}).Gather(std::move(sets));
+    ASSERT_FALSE(gathered.ok()) << id << " " << version;
+    EXPECT_TRUE(IsInvalidArgument(gathered.status()));
+  }
+
+  // Agreement on both keeps the stamp, version included.
+  Rng rng(3);
+  std::vector<CondensedGroupSet> sets;
+  sets.push_back(MakeShardSet({5, 6}, 2, k, rng));
+  sets.push_back(MakeShardSet({7}, 2, k, rng));
+  for (CondensedGroupSet& set : sets) set.SetBackend("mdav", 2);
+  auto gathered = Coordinator({.group_size = k}).Gather(std::move(sets));
+  ASSERT_TRUE(gathered.ok()) << gathered.status();
+  EXPECT_EQ(gathered->backend_id(), "mdav");
+  EXPECT_EQ(gathered->backend_version(), 2);
 }
 
 TEST(CoordinatorTest, GatherIsDeterministic) {

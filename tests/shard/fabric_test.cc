@@ -19,9 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "backend/mdav.h"
 #include "common/random.h"
 #include "core/serialization.h"
+#include "net/frame.h"
 #include "net/socket.h"
+#include "net/wire.h"
 #include "obs/metrics.h"
 #include "shard/stream_service.h"
 #include "shard/worker.h"
@@ -253,7 +256,7 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
   std::vector<std::unique_ptr<ServerHandle>> servers;
   FabricConfig config = BaseConfig(3);
   config.group_size = kGroupSize;
-  config.backend = "mdav";
+  config.backend = &backend::MdavBackend();
   for (std::size_t i = 0; i < kShards; ++i) {
     servers.push_back(StartServer(Dir("mdav-worker-" + std::to_string(i))));
     config.workers.push_back(
@@ -282,13 +285,36 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
             std::string::npos);
 }
 
-TEST_F(FabricTest, ValidateRejectsUnknownBackend) {
-  FabricConfig config = BaseConfig(4);
-  config.workers.push_back({"127.0.0.1", 1});
-  config.backend = "bogus";
-  auto fabric = FabricService::Start(config);
-  ASSERT_FALSE(fabric.ok());
-  EXPECT_TRUE(IsNotFound(fabric.status()));
+TEST_F(FabricTest, HelloWithAnUnregisteredBackendIsRefused) {
+  net::HelloMessage hello;
+  hello.dim = 3;
+  hello.group_size = 10;
+  hello.backend = "bogus";
+  auto options = WorkerOptionsFromHello(hello, Dir("direct"), "w0");
+  ASSERT_FALSE(options.ok());
+  EXPECT_TRUE(IsNotFound(options.status()));
+  EXPECT_NE(std::string(options.status().message()).find("bogus"),
+            std::string::npos);
+
+  // Over the wire the session gets the NotFound back, and the worker
+  // starts no shard pipeline.
+  auto server = StartServer(Dir("worker"));
+  auto conn = net::TcpConnection::Connect("127.0.0.1",
+                                          server->server->port(), 2000.0);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(
+      conn->SendFrame(net::FrameType::kHello, net::EncodeHello(hello), 2000.0)
+          .ok());
+  auto reply = conn->RecvFrame(2000.0);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, net::FrameType::kError);
+  auto error = net::DecodeError(reply->payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_TRUE(IsNotFound(net::ErrorToStatus(*error)));
+  conn->Close();
+  server->server->Stop();
+  server->Join();
+  EXPECT_FALSE(std::filesystem::exists(Dir("worker") + "/shard-0"));
 }
 
 TEST_F(FabricTest, DeadEndpointIsRoutedAroundWithZeroLoss) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/mdav.h"
 #include "common/random.h"
 #include "core/serialization.h"
 #include "linalg/vector.h"
@@ -145,11 +146,13 @@ TEST(ShardedCondenserTest, EmitsPerShardSeriesUnderDefaultWorkerLabels) {
   config.group_size = 10;
   config.num_threads = 1;
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
+  // std::string("w") because GCC 12 at -O3 reports a false -Wrestrict on
+  // `"w" + std::to_string(shard)` here.
   auto records_series = [&](std::size_t shard) -> obs::Counter& {
     return registry.GetCounter(
         "condensa_shard_records_total",
         {{"shard", std::to_string(shard)},
-         {"worker", "w" + std::to_string(shard)}});
+         {"worker", std::string("w") + std::to_string(shard)}});
   };
   std::vector<std::uint64_t> before;
   for (std::size_t shard = 0; shard < 3; ++shard) {
@@ -167,7 +170,7 @@ TEST(ShardedCondenserTest, EmitsPerShardSeriesUnderDefaultWorkerLabels) {
     EXPECT_EQ(registry
                   .GetGauge("condensa_shard_groups",
                             {{"shard", std::to_string(shard)},
-                             {"worker", "w" + std::to_string(shard)}})
+                             {"worker", std::string("w") + std::to_string(shard)}})
                   .value(),
               static_cast<double>(result->shards[shard].groups));
   }
@@ -181,7 +184,7 @@ TEST(ShardedCondenserTest, MdavBackendStampsAndBoundsGroups) {
   config.num_shards = 4;
   config.group_size = k;
   config.num_threads = 2;
-  config.backend = "mdav";
+  config.backend = &backend::MdavBackend();
   Rng rng(7);
   auto result = ShardedCondenser(config).Condense(records, rng);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -193,18 +196,6 @@ TEST(ShardedCondenserTest, MdavBackendStampsAndBoundsGroups) {
   for (const auto& group : result->groups.groups()) {
     EXPECT_GE(group.count(), k);
   }
-}
-
-TEST(ShardedCondenserTest, UnknownBackendIsRejectedBeforeWork) {
-  std::vector<Vector> records = GaussianRecords(40, 2, 29);
-  ShardedCondenserConfig config;
-  config.backend = "bogus";
-  Rng rng(1);
-  auto result = ShardedCondenser(config).Condense(records, rng);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(IsNotFound(result.status()));
-  EXPECT_NE(std::string(result.status().message()).find("available"),
-            std::string::npos);
 }
 
 TEST(ShardedCondenserTest, RejectsBadConfigsAndInputs) {

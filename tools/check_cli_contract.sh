@@ -75,6 +75,15 @@ expect_code 2 "serve-stream unknown backend" \
   "$CLI" serve-stream --backend=bogus
 expect_code 2 "fabric unknown backend" \
   "$CLI" fabric --workers=127.0.0.1:19999 --backend=bogus
+# The input paths do not exist, so a known backend would exit 1: exit 2
+# shows the id is refused before any file is read.
+expect_code 2 "ingest unknown backend" \
+  "$CLI" ingest --backend=bogus --input=/nonexistent.csv \
+  --checkpoint-dir=/nonexistent-condensa-dir
+expect_code 2 "shard unknown backend" \
+  "$CLI" shard --backend=bogus --input=/nonexistent.csv
+expect_code 2 "recover unknown backend" \
+  "$CLI" recover --backend=bogus --checkpoint-dir=/nonexistent-condensa-dir
 if "$CLI" condense --backend=bogus --input=/nonexistent.csv \
     --output=/dev/null 2>&1 | grep -q "available"; then
   echo "ok: unknown backend error lists available ids"
@@ -146,6 +155,40 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     echo "FAIL: mdav snapshot missing 'backend mdav 1' stamp" >&2
     failures=$((failures + 1))
   fi
+  # generate regenerates with the backend its pools file is stamped
+  # with: mdav releases every record as its group's centroid (fs / n), so
+  # each row must equal a saved centroid; the eigen sampler would scatter
+  # rows around them.
+  if "$CLI" generate --groups="$workdir/groups-mdav.bin" --seed=3 \
+      --output="$workdir/generate-mdav.csv" > /dev/null 2>&1 &&
+      awk -F'[ ,]' '
+        FNR == NR {
+          if ($1 == "group") n = $3
+          if ($1 == "fs") {
+            ++groups
+            for (j = 2; j <= NF; ++j) centroid[groups, j - 1] = $j / n
+          }
+          next
+        }
+        {
+          ++rows
+          matched = 0
+          for (g = 1; g <= groups && !matched; ++g) {
+            matched = 1
+            for (j = 1; j <= NF; ++j) {
+              d = $j - centroid[g, j]
+              if (d * d > 1e-24) matched = 0
+            }
+          }
+          if (!matched) ++stray
+        }
+        END { exit (groups == 0 || rows == 0 || stray > 0) }
+      ' "$workdir/groups-mdav.bin" "$workdir/generate-mdav.csv"; then
+    echo "ok: generate from mdav pools writes only saved centroids"
+  else
+    echo "FAIL: generate from mdav pools wrote rows off the centroids" >&2
+    failures=$((failures + 1))
+  fi
   # Regenerated records print in the CSV writer's number form, so stdout
   # and --output carry the same bytes.
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate --seed=3 \
@@ -172,6 +215,10 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     expect_code 0 "query round-trip with retries+deadline" \
       "$CLI" query --connect=127.0.0.1:"$port" --op=aggregate \
       --retries=3 --deadline-ms=5000
+    # An infinite deadline means none, as in process.
+    expect_code 0 "query round-trip with --deadline-ms=inf" \
+      "$CLI" query --connect=127.0.0.1:"$port" --op=aggregate \
+      --deadline-ms=inf
   else
     echo "FAIL: query-server never reported its port" >&2
     failures=$((failures + 1))

@@ -113,10 +113,9 @@ struct Command {
 // Resolves a --backend flag value against the global registry. On an
 // unknown id, prints the NotFound message (which lists every registered
 // backend) and returns nullptr — callers exit 2, the usage-error code.
-const condensa::backend::AnonymizationBackend* ResolveBackendFlag(
-    const std::string& id) {
-  condensa::StatusOr<const condensa::backend::AnonymizationBackend*>
-      resolved = condensa::backend::Registry::Global().Get(id);
+const condensa::core::Backend* ResolveBackendFlag(const std::string& id) {
+  condensa::StatusOr<const condensa::core::Backend*> resolved =
+      condensa::backend::Registry::Global().Get(id);
   if (!resolved.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  resolved.status().message().c_str());
@@ -238,16 +237,14 @@ int SaveGroups(const condensa::core::CondensedGroupSet& groups,
 }
 
 // --output for serve-stream, shard and fabric: regenerates a release
-// from the gathered groups with the backend's sampler and writes it as CSV, unless `output`
-// is empty. Returns the exit code.
+// from the gathered groups with the backend's sampler and writes it as
+// CSV, unless `output` is empty. Returns the exit code.
 int WriteRelease(const condensa::core::CondensedGroupSet& groups,
-                 const condensa::backend::AnonymizationBackend& backend,
-                 condensa::Rng& rng, const std::string& output) {
+                 const condensa::core::Backend* backend, condensa::Rng& rng,
+                 const std::string& output) {
   if (output.empty()) return 0;
-  condensa::core::AnonymizerOptions anonymizer_options;
-  anonymizer_options.group_sampler = backend.SamplerHook();
   auto anonymized =
-      condensa::core::Anonymizer(anonymizer_options).Generate(groups, rng);
+      condensa::core::Anonymizer({.backend = backend}).Generate(groups, rng);
   if (!anonymized.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  anonymized.status().ToString().c_str());
@@ -268,17 +265,6 @@ int WriteRelease(const condensa::core::CondensedGroupSet& groups,
   return 0;
 }
 
-// Dynamic-condenser options for a durable state built by `backend`.
-condensa::core::DynamicCondenserOptions DynamicOptionsFor(
-    const condensa::backend::AnonymizationBackend& backend, int k) {
-  condensa::core::DynamicCondenserOptions options;
-  options.group_size = static_cast<std::size_t>(k);
-  options.backend = backend.info().id;
-  options.backend_version = backend.info().version;
-  options.bootstrap_construction = backend.ConstructionHook();
-  return options;
-}
-
 void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
                        const char* indent) {
   condensa::core::PrivacySummary summary = groups.Summary();
@@ -295,7 +281,8 @@ void PrintGroupSummary(const condensa::core::CondensedGroupSet& groups,
 
 int RunCondense(const Args& args) {
   // Fail an unknown backend before any file I/O: a usage error, exit 2.
-  if (ResolveBackendFlag(args.backend) == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
 
   auto dataset = LoadCsv(args.input, TaskFromFlag(args.task), args.header,
                          args.label_column);
@@ -309,13 +296,7 @@ int RunCondense(const Args& args) {
   engine_config.mode = args.mode == "dynamic"
                            ? condensa::core::CondensationMode::kDynamic
                            : condensa::core::CondensationMode::kStatic;
-  condensa::Status backend_status =
-      condensa::backend::ApplyBackend(args.backend, &engine_config);
-  if (!backend_status.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 backend_status.message().c_str());
-    return 2;
-  }
+  engine_config.backend = backend;
   condensa::core::CondensationEngine engine(engine_config);
   auto pools = engine.Condense(*dataset, rng);
   if (!pools.ok()) {
@@ -335,10 +316,8 @@ int RunCondense(const Args& args) {
                  args.save_groups.c_str());
   }
 
-  condensa::core::AnonymizerOptions anonymizer_options;
-  anonymizer_options.group_sampler = engine_config.group_sampler;
   auto result =
-      condensa::core::GenerateRelease(*pools, rng, anonymizer_options);
+      condensa::core::GenerateRelease(*pools, rng, {.backend = backend});
   if (!result.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  result.status().ToString().c_str());
@@ -380,8 +359,8 @@ int RunGenerate(const Args& args) {
   if (!pools->pools.empty()) {
     recorded_backend = pools->pools.front().groups.backend_id();
   }
-  condensa::StatusOr<const condensa::backend::AnonymizationBackend*>
-      resolved = condensa::backend::Registry::Global().Get(recorded_backend);
+  condensa::StatusOr<const condensa::core::Backend*> resolved =
+      condensa::backend::Registry::Global().Get(recorded_backend);
   if (!resolved.ok()) {
     std::fprintf(stderr, "error: %s was written by a backend this build "
                  "cannot regenerate: %s\n",
@@ -389,11 +368,9 @@ int RunGenerate(const Args& args) {
                  resolved.status().message().c_str());
     return 1;
   }
-  condensa::core::AnonymizerOptions anonymizer_options;
-  anonymizer_options.group_sampler = (*resolved)->SamplerHook();
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
   auto result =
-      condensa::core::GenerateRelease(*pools, rng, anonymizer_options);
+      condensa::core::GenerateRelease(*pools, rng, {.backend = *resolved});
   if (!result.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  result.status().ToString().c_str());
@@ -419,9 +396,8 @@ int RunGenerate(const Args& args) {
 // can be fed in daily batches (or restarted after a crash) without losing
 // acknowledged records.
 int RunIngest(const Args& args) {
-  const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(args.backend);
-  if (anonymization_backend == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
 
   auto dataset = LoadCsv(args.input, condensa::data::TaskType::kUnlabeled,
                          args.header, -1);
@@ -431,7 +407,8 @@ int RunIngest(const Args& args) {
       .snapshot_interval = static_cast<std::size_t>(args.snapshot_every),
       .sync_every_append = !args.no_sync};
   auto durable = condensa::core::DurableCondenser::Open(
-      dataset->dim(), DynamicOptionsFor(*anonymization_backend, args.k),
+      dataset->dim(),
+      {.group_size = static_cast<std::size_t>(args.k), .backend = backend},
       durability, args.checkpoint_dir);
   if (!durable.ok()) {
     std::fprintf(stderr, "error opening %s: %s\n",
@@ -484,12 +461,12 @@ int RunIngest(const Args& args) {
 // Restores a condenser from its checkpoint directory (newest valid
 // snapshot plus journal replay) and reports what survived.
 int RunRecover(const Args& args) {
-  const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(args.backend);
-  if (anonymization_backend == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
 
   auto durable = condensa::core::DurableCondenser::Recover(
-      args.checkpoint_dir, DynamicOptionsFor(*anonymization_backend, args.k),
+      args.checkpoint_dir,
+      {.group_size = static_cast<std::size_t>(args.k), .backend = backend},
       condensa::core::DurabilityOptions{});
   if (!durable.ok()) {
     std::fprintf(stderr, "recovery from %s failed: %s\n",
@@ -512,7 +489,7 @@ int RunRecover(const Args& args) {
 // a shard ledger does not balance. Returns the exit code.
 int ReleaseSharded(const Args& args,
                    const condensa::shard::ShardedStreamResult& result,
-                   const condensa::backend::AnonymizationBackend& backend,
+                   const condensa::core::Backend* backend,
                    condensa::Rng& rng) {
   if (int code = SaveGroups(result.groups, args.save_groups)) return code;
   if (int code = WriteRelease(result.groups, backend, rng, args.output)) {
@@ -564,7 +541,7 @@ int IngestSharded(const Args& args, Service& service,
 // `config` brings the checkpoint root and any queue tuning; the rest comes
 // from the flags both commands share.
 int StreamSharded(const Args& args,
-                  const condensa::backend::AnonymizationBackend& backend,
+                  const condensa::core::Backend* backend,
                   condensa::shard::ShardedStreamConfig config,
                   const std::vector<condensa::linalg::Vector>& stream,
                   condensa::shard::ShardedStreamResult* result) {
@@ -575,7 +552,7 @@ int StreamSharded(const Args& args,
   config.snapshot_interval = static_cast<std::size_t>(args.snapshot_every);
   config.sync_every_append = !args.no_sync;
   config.seed = static_cast<std::uint64_t>(args.seed);
-  config.backend = backend.info().id;
+  config.backend = backend;
   auto service = condensa::shard::ShardedStreamService::Start(config);
   if (!service.ok()) {
     std::fprintf(stderr, "error starting sharded service in %s: %s\n",
@@ -597,9 +574,8 @@ int StreamSharded(const Args& args,
 // Finish so the spool drains; the printed ledger shows what the runtime
 // absorbed. Exits nonzero if the ledger does not balance.
 int RunServeStream(const Args& args) {
-  const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(args.backend);
-  if (anonymization_backend == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
   std::optional<std::vector<condensa::linalg::Vector>> stream =
       LoadStream(args);
   if (!stream) return 1;
@@ -611,12 +587,12 @@ int RunServeStream(const Args& args) {
     sharded.queue_capacity = static_cast<std::size_t>(args.queue_capacity);
     sharded.batch_size = static_cast<std::size_t>(args.batch_size);
     condensa::shard::ShardedStreamResult result;
-    if (int code = StreamSharded(args, *anonymization_backend, sharded,
-                                 *stream, &result)) {
+    if (int code =
+            StreamSharded(args, backend, sharded, *stream, &result)) {
       return code;
     }
     condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-    return ReleaseSharded(args, result, *anonymization_backend, rng);
+    return ReleaseSharded(args, result, backend, rng);
   }
 
   condensa::runtime::StreamPipelineConfig config;
@@ -637,8 +613,7 @@ int RunServeStream(const Args& args) {
   config.retry.max_attempts = static_cast<std::size_t>(args.retry_attempts);
   config.retry_budget = static_cast<std::size_t>(args.retry_budget);
   config.seed = static_cast<std::uint64_t>(args.seed);
-  config.backend = anonymization_backend->info().id;
-  config.backend_version = anonymization_backend->info().version;
+  config.backend = backend;
 
   auto pipeline = condensa::runtime::StreamPipeline::Start(config);
   if (!pipeline.ok()) {
@@ -680,8 +655,8 @@ int RunServeStream(const Args& args) {
     return code;
   }
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  if (int code = WriteRelease((*pipeline)->groups(), *anonymization_backend,
-                              rng, args.output)) {
+  if (int code =
+          WriteRelease((*pipeline)->groups(), backend, rng, args.output)) {
     return code;
   }
   DumpRegistry(args.format);
@@ -704,9 +679,8 @@ int RunShard(const Args& args) {
                  "error: --checkpoint-root is required with --mode=stream\n");
     return 2;
   }
-  const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(args.backend);
-  if (anonymization_backend == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
   std::optional<std::vector<condensa::linalg::Vector>> data =
       LoadStream(args);
   if (!data) return 1;
@@ -719,8 +693,7 @@ int RunShard(const Args& args) {
   if (stream_mode) {
     condensa::shard::ShardedStreamConfig config;
     config.checkpoint_root = args.checkpoint_root;
-    if (int code = StreamSharded(args, *anonymization_backend, config, *data,
-                                 &result)) {
+    if (int code = StreamSharded(args, backend, config, *data, &result)) {
       return code;
     }
   } else {
@@ -729,7 +702,7 @@ int RunShard(const Args& args) {
     config.policy = PolicyFromFlag(args.policy);
     config.group_size = static_cast<std::size_t>(args.k);
     config.num_threads = static_cast<std::size_t>(args.threads);
-    config.backend = anonymization_backend->info().id;
+    config.backend = backend;
     auto condensed =
         condensa::shard::ShardedCondenser(config).Condense(*data, rng);
     if (!condensed.ok()) {
@@ -748,7 +721,7 @@ int RunShard(const Args& args) {
   }
 
   // Batch mode keeps no ledgers, so only a stream run can fail the check.
-  return ReleaseSharded(args, result, *anonymization_backend, rng);
+  return ReleaseSharded(args, result, backend, rng);
 }
 
 // Runs one standalone fabric worker until a coordinator finishes it.
@@ -815,9 +788,8 @@ int RunFabric(const Args& args) {
                  "error: --workers=HOST:PORT[,HOST:PORT...] is required\n");
     return 2;
   }
-  const condensa::backend::AnonymizationBackend* anonymization_backend =
-      ResolveBackendFlag(args.backend);
-  if (anonymization_backend == nullptr) return 2;
+  const condensa::core::Backend* backend = ResolveBackendFlag(args.backend);
+  if (backend == nullptr) return 2;
   std::optional<std::vector<condensa::linalg::Vector>> stream =
       LoadStream(args);
   if (!stream) return 1;
@@ -832,7 +804,7 @@ int RunFabric(const Args& args) {
   config.heartbeat_interval_ms = args.heartbeat_interval_ms;
   config.heartbeat_timeout_ms = args.heartbeat_timeout_ms;
   config.local_fallback_root = args.local_fallback_root;
-  config.backend = anonymization_backend->info().id;
+  config.backend = backend;
 
   auto service = condensa::shard::FabricService::Start(std::move(config));
   if (!service.ok()) {
@@ -846,7 +818,7 @@ int RunFabric(const Args& args) {
   }
   std::printf("fabric: %s\n", result.report.ToString().c_str());
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  return ReleaseSharded(args, result, *anonymization_backend, rng);
+  return ReleaseSharded(args, result, backend, rng);
 }
 
 // A statistics file that parses neither way: both reasons, since only
@@ -1728,10 +1700,10 @@ void PrintUsage(std::FILE* out) {
   condensa::backend::Registry& registry =
       condensa::backend::Registry::Global();
   for (const std::string& id : registry.Ids()) {
-    condensa::StatusOr<const condensa::backend::AnonymizationBackend*>
-        resolved = registry.Get(id);
+    condensa::StatusOr<const condensa::core::Backend*> resolved =
+        registry.Get(id);
     std::fprintf(out, "  %-12s %s\n", id.c_str(),
-                 resolved.ok() ? (*resolved)->info().summary.c_str() : "");
+                 resolved.ok() ? (*resolved)->summary.c_str() : "");
   }
   std::fprintf(
       out,
