@@ -1,7 +1,7 @@
 // backend_sweep — utility/privacy comparison of anonymization backends.
 //
 // Sweeps the indistinguishability level k over the four paper dataset
-// profiles (ionosphere, ecoli, pima, abalone) for every registered
+// profiles (ionosphere, ecoli, pima, abalone) for every built-in
 // anonymization backend and reports, per (profile, backend, k) cell:
 //
 //   accuracy     1-NN accuracy (within-one-year for abalone) of a model
@@ -27,10 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "backend/registry.h"
 #include "bench/bench_report.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "core/backend.h"
 #include "core/engine.h"
 #include "data/split.h"
 #include "data/transform.h"
@@ -101,8 +101,8 @@ StatusOr<CellOutcome> RunTrial(const ProfileSpec& profile,
   condensa::core::CondensationConfig config;
   config.group_size = k;
   config.mode = condensa::core::CondensationMode::kStatic;
-  CONDENSA_ASSIGN_OR_RETURN(
-      config.backend, condensa::backend::Registry::Global().Get(backend_id));
+  CONDENSA_ASSIGN_OR_RETURN(config.backend,
+                            condensa::core::FindBackend(backend_id));
   condensa::core::CondensationEngine engine(config);
   CONDENSA_ASSIGN_OR_RETURN(condensa::core::AnonymizationResult result,
                             engine.Anonymize(train, rng));
@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
   const std::size_t trials = full ? 3 : 1;
   const std::uint64_t seed = 42;
 
-  const std::vector<std::string> backends =
-      condensa::backend::Registry::Global().Ids();
+  const std::vector<std::string> backends = condensa::core::BackendIds();
 
   condensa::bench::BenchReporter reporter("backend_sweep");
   reporter.AddScalar("trials", static_cast<double>(trials));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -12,6 +13,18 @@
 #include "simd/distance.h"
 
 namespace condensa::core {
+namespace {
+
+// Anonymizer's EigenSource: factorizes `group`'s covariance afresh.
+StatusOr<std::shared_ptr<const linalg::EigenDecomposition>>
+DecomposeCovariance(const GroupStatistics& group) {
+  CONDENSA_ASSIGN_OR_RETURN(
+      linalg::EigenDecomposition eigen,
+      linalg::CovarianceEigenDecomposition(group.Covariance()));
+  return std::make_shared<const linalg::EigenDecomposition>(std::move(eigen));
+}
+
+}  // namespace
 
 std::vector<linalg::Vector> SampleFromEigen(
     const linalg::Vector& centroid, const linalg::EigenDecomposition& eigen,
@@ -65,36 +78,37 @@ std::vector<linalg::Vector> SampleFromEigen(
   return out;
 }
 
-StatusOr<std::vector<linalg::Vector>> Anonymizer::GenerateFromGroup(
-    const GroupStatistics& group, std::size_t count, Rng& rng) const {
+StatusOr<std::vector<linalg::Vector>> RegenerateGroup(
+    const Backend& backend, const GroupStatistics& group, std::size_t count,
+    SamplingDistribution distribution, const EigenSource& eigen, Rng& rng) {
   if (group.empty()) {
     return InvalidArgumentError("cannot anonymize an empty group");
   }
-  if (options_.backend->sample) {
-    return options_.backend->sample(group, count, rng);
+  if (backend.sample) {
+    return backend.sample(group, count, rng);
   }
   linalg::Vector centroid = group.Centroid();
-
   if (group.count() == 1) {
     // Degenerate group: zero covariance, the centroid is the exact record.
-    std::vector<linalg::Vector> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(centroid);
-    }
-    return out;
+    return std::vector<linalg::Vector>(count, centroid);
   }
-
   CONDENSA_ASSIGN_OR_RETURN(
-      linalg::EigenDecomposition eigen,
-      linalg::CovarianceEigenDecomposition(group.Covariance()));
-  return SampleFromEigen(centroid, eigen, count, options_.distribution, rng);
+      std::shared_ptr<const linalg::EigenDecomposition> factorization,
+      eigen(group));
+  return SampleFromEigen(centroid, *factorization, count, distribution, rng);
+}
+
+StatusOr<std::vector<linalg::Vector>> Anonymizer::GenerateFromGroup(
+    const GroupStatistics& group, std::size_t count, Rng& rng) const {
+  return RegenerateGroup(CondensationBackend(), group, count,
+                         options_.distribution, DecomposeCovariance, rng);
 }
 
 StatusOr<std::vector<linalg::Vector>> Anonymizer::Generate(
     const CondensedGroupSet& groups, Rng& rng) const {
   obs::ScopedTimer timer(obs::DefaultRegistry().GetHistogram(
       "condensa_pool_generate_seconds"));
+  CONDENSA_ASSIGN_OR_RETURN(const Backend* backend, StampedBackend(groups));
 
   // One substream and one result slot per group, assigned in group order
   // on this thread, so the released data is a pure function of the seed:
@@ -110,12 +124,14 @@ StatusOr<std::vector<linalg::Vector>> Anonymizer::Generate(
   std::vector<std::function<void()>> tasks;
   tasks.reserve(num_groups);
   for (std::size_t i = 0; i < num_groups; ++i) {
-    tasks.push_back([this, &groups, &streams, &slots, i] {
+    tasks.push_back([this, backend, &groups, &streams, &slots, i] {
       const GroupStatistics& group = groups.group(i);
       std::size_t count = options_.records_per_group > 0
                               ? options_.records_per_group
                               : group.count();
-      slots[i] = GenerateFromGroup(group, count, streams[i]);
+      slots[i] = RegenerateGroup(*backend, group, count,
+                                 options_.distribution, DecomposeCovariance,
+                                 streams[i]);
     });
   }
   ParallelRun(ThreadPool::ResolveThreadCount(options_.num_threads), tasks);

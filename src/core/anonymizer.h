@@ -12,6 +12,8 @@
 #ifndef CONDENSA_CORE_ANONYMIZER_H_
 #define CONDENSA_CORE_ANONYMIZER_H_
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -43,22 +45,33 @@ struct AnonymizerOptions {
   // thread count: the caller's Rng is split into one substream per group
   // on the calling thread, in group order, before any worker runs.
   std::size_t num_threads = 0;
-  // Backend whose sampler regenerates every group (core/backend.h); a
-  // backend without one uses the eigendecomposition path above (the
-  // per-group Rng splitting and parallel fan-out are the same either
-  // way). Must not be null.
-  const Backend* backend = &CondensationBackend();
 };
 
 // Draws `count` anonymized points from an already-computed factorization
 // C = P Λ Pᵀ: x = centroid + Σ_j u_j e_j with u_j ~ Uniform(±sqrt(3 λ_j))
-// (or N(0, λ_j) for the Gaussian ablation). This is the sampling kernel
-// shared by Anonymizer::GenerateFromGroup and the query plane's cached
-// regeneration (src/query/engine.h) — given the same Rng state the two
-// paths are bit-identical, because they run exactly this code.
+// (or N(0, λ_j) for the Gaussian ablation).
 std::vector<linalg::Vector> SampleFromEigen(
     const linalg::Vector& centroid, const linalg::EigenDecomposition& eigen,
     std::size_t count, SamplingDistribution distribution, Rng& rng);
+
+// Where RegenerateGroup gets a group's covariance factorization:
+// Anonymizer decomposes afresh, the query plane reads its version-keyed
+// cache (src/query/eigen_cache.h).
+using EigenSource =
+    std::function<StatusOr<std::shared_ptr<const linalg::EigenDecomposition>>(
+        const GroupStatistics& group)>;
+
+// Regenerates `count` records from one group aggregate under `backend`,
+// the record the group's set is stamped with (StampedBackend). The one
+// place that holds the rule: the record's `sample` when it has one;
+// otherwise a group of one record emits its centroid (zero covariance),
+// and any other group is sampled by SampleFromEigen from the
+// factorization `eigen` supplies. Both Anonymizer::Generate and the query
+// plane's regenerate run exactly this code, so for the same Rng state
+// their records are bit-identical. InvalidArgument for an empty group.
+StatusOr<std::vector<linalg::Vector>> RegenerateGroup(
+    const Backend& backend, const GroupStatistics& group, std::size_t count,
+    SamplingDistribution distribution, const EigenSource& eigen, Rng& rng);
 
 class Anonymizer {
  public:
@@ -66,15 +79,17 @@ class Anonymizer {
 
   const AnonymizerOptions& options() const { return options_; }
 
-  // Regenerates `count` records from one group aggregate.
+  // Regenerates `count` records from one group aggregate with the
+  // eigendecomposition sampler (the condensation record's regeneration).
   StatusOr<std::vector<linalg::Vector>> GenerateFromGroup(
       const GroupStatistics& group, std::size_t count, Rng& rng) const;
 
   // Regenerates an anonymized point set for the whole group set; group i
   // contributes n(G_i) records (or records_per_group when configured).
-  // Groups are eigendecomposed and sampled in parallel (num_threads),
-  // each from its own Rng::Split() substream, so the output depends only
-  // on the seed — never on the thread count.
+  // The set's stamp picks the sampler (StampedBackend, whose errors are
+  // returned before any group is sampled). Groups are regenerated in
+  // parallel (num_threads), each from its own Rng::Split() substream, so
+  // the output depends only on the seed — never on the thread count.
   StatusOr<std::vector<linalg::Vector>> Generate(
       const CondensedGroupSet& groups, Rng& rng) const;
 

@@ -8,11 +8,14 @@
 // both, plus the identity stamped into every group set it builds (and so
 // into serialized pools and checkpoints).
 //
-// Configs name their backend with a `const Backend*` that defaults to
-// &CondensationBackend(); the record must outlive every config that
-// points at it. backend::Registry (src/backend/registry.h) maps the ids
-// that arrive from outside the program (--backend, a pools file's stamp,
-// a fabric Hello) onto records.
+// The built-in records are one fixed table in backend.cc: "condensation"
+// (the paper), "mdav" and "mdav-eigen" (core/mdav.h). Configs name the
+// backend that builds their groups with a `const Backend*` that defaults
+// to &CondensationBackend(); FindBackend maps the ids that arrive from
+// outside the program (--backend, a fabric Hello) onto records. How a
+// group set is regenerated is never configured: its own stamp names the
+// record (StampedBackend), whose sampler RegenerateGroup
+// (core/anonymizer.h) runs.
 
 #ifndef CONDENSA_CORE_BACKEND_H_
 #define CONDENSA_CORE_BACKEND_H_
@@ -44,7 +47,7 @@ struct Backend {
   using SampleFn = std::function<StatusOr<std::vector<linalg::Vector>>(
       const GroupStatistics& group, std::size_t count, Rng& rng)>;
 
-  // Registry key, stamped into every group set this backend builds.
+  // Table key, stamped into every group set this backend builds.
   std::string id;
   // Bumped when the backend's output for a fixed seed changes; a
   // checkpoint stamped with another version refuses to load.
@@ -69,6 +72,18 @@ struct Backend {
 // regeneration is the eigendecomposition sampler. The default of every
 // config.
 const Backend& CondensationBackend();
+
+// The built-in record with this id; NotFound naming the id and listing
+// every id otherwise.
+StatusOr<const Backend*> FindBackend(const std::string& id);
+
+// The ids of the built-in records, sorted.
+std::vector<std::string> BackendIds();
+
+// The record that regenerates `groups`: the one its (id, version) stamp
+// names. NotFound, as FindBackend, for an unknown id; FailedPrecondition
+// naming both versions when the stamp's version is not the record's.
+StatusOr<const Backend*> StampedBackend(const CondensedGroupSet& groups);
 
 }  // namespace condensa::core
 

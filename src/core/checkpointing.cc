@@ -227,12 +227,20 @@ StatusOr<DurableCondenser> DurableCondenser::Create(
   return durable;
 }
 
-StatusOr<DurableCondenser> DurableCondenser::Recover(
-    const std::string& dir, DynamicCondenserOptions options,
-    DurabilityOptions durability) {
-  if (durability.snapshot_interval == 0) {
-    return InvalidArgumentError("snapshot_interval must be >= 1");
-  }
+namespace {
+
+// The newest snapshot in a checkpoint directory that parses cleanly, and
+// the directory listing it was chosen from.
+struct NewestSnapshot {
+  DynamicCondenser::State state;
+  std::size_t sequence = 0;
+  std::vector<std::string> entries;
+};
+
+// Walks the snapshots of `dir` newest-first until one parses. NotFound
+// when the directory holds no checkpoint state at all; kDataLoss when
+// state exists but no snapshot is recoverable.
+StatusOr<NewestSnapshot> LoadNewestSnapshot(const std::string& dir) {
   CONDENSA_ASSIGN_OR_RETURN(std::vector<std::string> entries,
                             ListDirectory(dir));
   std::vector<std::size_t> snapshots;
@@ -253,29 +261,37 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
     return DataLossError(dir + " has journals but no snapshot");
   }
   std::sort(snapshots.rbegin(), snapshots.rend());
-
-  // Walk snapshots newest-first until one parses cleanly.
-  DynamicCondenser::State state;
-  std::size_t chosen = 0;
-  bool found = false;
   for (std::size_t sequence : snapshots) {
     auto text = ReadFileToString(dir + "/" + SnapshotName(sequence));
     if (!text.ok()) continue;
     std::size_t embedded = 0;
     auto parsed = DeserializeCondenserState(*text, &embedded);
     if (!parsed.ok() || embedded != sequence) continue;
-    state = std::move(parsed).value();
-    chosen = sequence;
-    found = true;
-    break;
+    return NewestSnapshot{std::move(parsed).value(), sequence,
+                          std::move(entries)};
   }
-  if (!found) {
-    return DataLossError(dir + " has no recoverable snapshot");
-  }
+  return DataLossError(dir + " has no recoverable snapshot");
+}
 
-  CONDENSA_ASSIGN_OR_RETURN(DynamicCondenser condenser,
-                            DynamicCondenser::FromState(std::move(state),
-                                                        options));
+}  // namespace
+
+StatusOr<const Backend*> DurableCondenser::RecordedBackend(
+    const std::string& dir) {
+  CONDENSA_ASSIGN_OR_RETURN(NewestSnapshot newest, LoadNewestSnapshot(dir));
+  return StampedBackend(newest.state.groups);
+}
+
+StatusOr<DurableCondenser> DurableCondenser::Recover(
+    const std::string& dir, DynamicCondenserOptions options,
+    DurabilityOptions durability) {
+  if (durability.snapshot_interval == 0) {
+    return InvalidArgumentError("snapshot_interval must be >= 1");
+  }
+  CONDENSA_ASSIGN_OR_RETURN(NewestSnapshot newest, LoadNewestSnapshot(dir));
+  const std::size_t chosen = newest.sequence;
+  CONDENSA_ASSIGN_OR_RETURN(
+      DynamicCondenser condenser,
+      DynamicCondenser::FromState(std::move(newest.state), options));
   DurableCondenser durable(std::move(condenser), durability, dir);
   durable.sequence_ = chosen;
 
@@ -350,7 +366,7 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
   // bytes on disk but hides them from sequence scanning (so a later
   // snapshot roll cannot truncate them either). Running Recover again on
   // the resulting directory is a no-op.
-  for (const std::string& name : entries) {
+  for (const std::string& name : newest.entries) {
     std::size_t sequence = 0;
     const bool temp = name.find(".tmp.") != std::string::npos;
     const bool old_snapshot =

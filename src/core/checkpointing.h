@@ -95,6 +95,13 @@ class DurableCondenser {
                                             DynamicCondenserOptions options,
                                             DurabilityOptions durability);
 
+  // The built-in record that the newest recoverable snapshot in `dir` is
+  // stamped with (core::StampedBackend) — the backend Recover must be
+  // given to load it. Fails as Recover does for a directory without a
+  // recoverable snapshot, and as StampedBackend for a stamp this build
+  // does not provide.
+  static StatusOr<const Backend*> RecordedBackend(const std::string& dir);
+
   // Recover when `dir` has state, Create otherwise. The entry point for
   // "restart the server and keep going". `dim` must match recovered state.
   static StatusOr<DurableCondenser> Open(std::size_t dim,

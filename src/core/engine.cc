@@ -334,8 +334,7 @@ StatusOr<AnonymizationResult> CondensationEngine::Anonymize(
   CONDENSA_ASSIGN_OR_RETURN(CondensedPools pools, Condense(input, rng));
   CONDENSA_ASSIGN_OR_RETURN(
       AnonymizationResult result,
-      GenerateRelease(pools, rng, {.num_threads = config_.num_threads,
-                                   .backend = config_.backend}));
+      GenerateRelease(pools, rng, {.num_threads = config_.num_threads}));
   if (!input.feature_names().empty()) {
     CONDENSA_RETURN_IF_ERROR(
         result.anonymized.SetFeatureNames(input.feature_names()));

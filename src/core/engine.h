@@ -61,8 +61,9 @@ struct CondensationConfig {
   std::size_t num_threads = 0;
   // Anonymization backend (core/backend.h): builds every pool's groups
   // (the static condense, or the dynamic mode's bootstrap) and stamps its
-  // identity into them, and so into serialized pools and checkpoints.
-  // Anonymize regenerates through its sampler. Must not be null.
+  // identity into them, and so into serialized pools and checkpoints,
+  // whose stamp picks the sampler Anonymize regenerates with. Must not be
+  // null.
   const Backend* backend = &CondensationBackend();
 
   // Checks every field (group_size >= 1, bootstrap_fraction in [0, 1],

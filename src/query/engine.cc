@@ -234,19 +234,26 @@ StatusOr<RegenerateResult> QueryEngine::ExecuteRegenerate(
   const std::shared_ptr<const SnapshotIndex> index = snapshot.GetIndex();
   CONDENSA_RETURN_IF_ERROR(index->range_status());
 
+  // Each pool's stamp names the record that regenerates its groups;
+  // resolved once per pool, before anything is selected or sampled.
+  std::vector<const core::Backend*> backends;
+  backends.reserve(snapshot.pools.size());
+  for (const LabeledGroups& pool : snapshot.pools) {
+    CONDENSA_ASSIGN_OR_RETURN(const core::Backend* backend,
+                              core::StampedBackend(pool.groups));
+    backends.push_back(backend);
+  }
+
   // Select first, in (pool, group) order: the answer's size is known
   // before any record is sampled, so the caps refuse it up front.
-  std::vector<const core::GroupStatistics*> selected;
-  for (std::size_t ordinal : index->Select(query.range)) {
-    selected.push_back(&index->group(ordinal));
-  }
+  const std::vector<std::size_t> selected = index->Select(query.range);
   auto records_for = [&query](const core::GroupStatistics& group) {
     return query.records_per_group > 0 ? query.records_per_group
                                        : group.count();
   };
   std::uint64_t total = 0;
-  for (const core::GroupStatistics* group : selected) {
-    const std::uint64_t count = records_for(*group);
+  for (std::size_t ordinal : selected) {
+    const std::uint64_t count = records_for(index->group(ordinal));
     total = count > UINT64_MAX - total ? UINT64_MAX : total + count;
   }
   if (context.max_regenerate_records > 0 &&
@@ -269,9 +276,11 @@ StatusOr<RegenerateResult> QueryEngine::ExecuteRegenerate(
   RegenerateResult result;
   // One substream per selected group, split in selection order — the
   // same discipline as Anonymizer::Generate, so the output is a pure
-  // function of (snapshot, query).
+  // function of (snapshot, query). Factorizations come from the cache.
+  const core::EigenSource cached =
+      [this](const core::GroupStatistics& group) { return cache_.Get(group); };
   Rng rng(query.seed);
-  for (const core::GroupStatistics* group : selected) {
+  for (std::size_t ordinal : selected) {
     // Checked per selected group, BEFORE paying for a factorization:
     // the eigendecomposition is the expensive unit of regenerate work.
     if (context.Expired()) {
@@ -279,22 +288,13 @@ StatusOr<RegenerateResult> QueryEngine::ExecuteRegenerate(
     }
     ++result.groups_matched;
     Rng stream = rng.Split();
-    const std::size_t count = records_for(*group);
-    linalg::Vector centroid = group->Centroid();
-    if (group->count() == 1) {
-      // Zero covariance: the centroid is the exact record; no
-      // factorization exists to cache.
-      for (std::size_t i = 0; i < count; ++i) {
-        result.records.push_back(centroid);
-      }
-      continue;
-    }
+    const core::GroupStatistics& group = index->group(ordinal);
     CONDENSA_ASSIGN_OR_RETURN(
-        std::shared_ptr<const linalg::EigenDecomposition> eigen,
-        cache_.Get(*group));
-    std::vector<linalg::Vector> sampled = core::SampleFromEigen(
-        centroid, *eigen, count, core::SamplingDistribution::kUniform,
-        stream);
+        std::vector<linalg::Vector> sampled,
+        core::RegenerateGroup(*backends[index->pool(ordinal)], group,
+                              records_for(group),
+                              core::SamplingDistribution::kUniform, cached,
+                              stream));
     for (linalg::Vector& record : sampled) {
       result.records.push_back(std::move(record));
     }

@@ -4,8 +4,9 @@
 // snapshot.h for the consistency model). Nothing here touches raw
 // records — classification uses centroids + group masses, aggregates
 // come exactly from the additive (n, Fs, Sc) moments, and regeneration
-// samples from the version-keyed eigendecomposition cache shared across
-// queries (eigen_cache.h).
+// runs core::RegenerateGroup under the backend each pool is stamped with,
+// taking factorizations from the version-keyed eigendecomposition cache
+// shared across queries (eigen_cache.h).
 //
 // Thread safety: Execute is safe from multiple threads against the same
 // engine (the cache synchronizes internally; everything else is local or
@@ -80,7 +81,9 @@ class QueryEngine {
   // Answers `query` against `snapshot`. kInvalidArgument for malformed
   // queries (dim mismatches, bad ranges, neighbors == 0);
   // kFailedPrecondition for queries the snapshot cannot answer (empty,
-  // or classify without labeled pools); kResourceExhausted for a
+  // or classify without labeled pools); for regenerate, NotFound or
+  // kFailedPrecondition when a pool's backend stamp is unknown or of
+  // another version (core::StampedBackend); kResourceExhausted for a
   // regenerate answer above the context's caps; kUnavailable when the
   // context deadline expires mid-execution (the partial answer is
   // discarded).

@@ -14,9 +14,10 @@
 //               defines (query/snapshot.h): counts are exact, moments
 //               agree with a (pool, group)-order fold to round-off. A box
 //               of several bounds folds its groups in (pool, group) order.
-//   regenerate  anonymized records for the selected groups, sampled from
-//               the cached eigendecomposition (core::SampleFromEigen) —
-//               deterministic in the request seed.
+//   regenerate  anonymized records for the selected groups, sampled by
+//               the backend each pool is stamped with
+//               (core::RegenerateGroup, eigendecompositions from the
+//               cache) — deterministic in the request seed.
 //
 // Selection is group-granular: a range predicate matches a group when
 // the group's CENTROID falls inside the axis-aligned box. Groups are the

@@ -170,14 +170,17 @@ std::vector<SnapshotIndex::Neighbor> SnapshotIndex::Nearest(
   out.reserve(nearest.size());
   for (const auto& [distance_squared, row] : nearest) {
     const std::size_t ordinal = labeled_[row];
-    // The pool whose ordinal range [offsets_[p], offsets_[p + 1]) holds
-    // it; upper_bound steps past the empty ranges of empty pools.
-    const std::size_t pool = static_cast<std::size_t>(
-        std::upper_bound(offsets_.begin(), offsets_.end(), ordinal) -
-        offsets_.begin() - 1);
-    out.push_back({distance_squared, pool, mass_[ordinal]});
+    out.push_back({distance_squared, pool(ordinal), mass_[ordinal]});
   }
   return out;
+}
+
+std::size_t SnapshotIndex::pool(std::size_t ordinal) const {
+  // The pool whose ordinal range [offsets_[p], offsets_[p + 1]) holds it;
+  // upper_bound steps past the empty ranges of empty pools.
+  return static_cast<std::size_t>(
+      std::upper_bound(offsets_.begin(), offsets_.end(), ordinal) -
+      offsets_.begin() - 1);
 }
 
 std::pair<std::size_t, std::size_t> SnapshotIndex::Positions(

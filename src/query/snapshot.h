@@ -129,6 +129,8 @@ class SnapshotIndex {
   const core::GroupStatistics& group(std::size_t ordinal) const {
     return *groups_[ordinal];
   }
+  // The index of the pool that holds group `ordinal`.
+  std::size_t pool(std::size_t ordinal) const;
 
   struct Neighbor {
     double distance_squared = 0.0;

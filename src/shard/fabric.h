@@ -100,8 +100,8 @@ struct FabricConfig {
   std::uint64_t seed = 42;
 
   // Anonymization backend (core/backend.h). Its id travels to every
-  // worker in the Hello; a worker whose registry (backend/registry.h)
-  // does not know the id rejects the session.
+  // worker in the Hello; a worker that cannot find the id
+  // (core::FindBackend) rejects the session.
   const core::Backend* backend = &core::CondensationBackend();
 
   // Worker tuning forwarded in the Hello (same fields as

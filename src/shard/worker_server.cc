@@ -2,8 +2,8 @@
 
 #include <utility>
 
-#include "backend/registry.h"
 #include "common/failpoint.h"
+#include "core/backend.h"
 #include "core/serialization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,7 +40,7 @@ StatusOr<WorkerOptions> WorkerOptionsFromHello(
   // of condensing under the wrong strategy.
   WorkerOptions options;
   CONDENSA_ASSIGN_OR_RETURN(options.backend,
-                            backend::Registry::Global().Get(hello.backend));
+                            core::FindBackend(hello.backend));
   options.group_size = static_cast<std::size_t>(hello.group_size);
   options.split_rule = static_cast<core::SplitRule>(hello.split_rule);
   options.checkpoint_root = checkpoint_root;

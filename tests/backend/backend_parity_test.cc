@@ -1,5 +1,5 @@
 // Pins the --backend=condensation contract: resolving the default
-// backend through the registry must be byte-identical — same rng
+// backend by id must be byte-identical — same rng
 // stream, same serialized pools, same release — to a config that never
 // mentions backends. If this breaks, every pre-backend artifact
 // (checkpoints, serialized pools, published figures) silently changes
@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "backend/registry.h"
 #include "common/random.h"
 #include "core/backend.h"
 #include "core/engine.h"
@@ -19,7 +18,7 @@
 #include "data/dataset.h"
 #include "linalg/vector.h"
 
-namespace condensa::backend {
+namespace condensa::core {
 namespace {
 
 using linalg::Vector;
@@ -49,7 +48,7 @@ TEST(BackendParityTest, StaticCondenseIsByteIdenticalToHooklessConfig) {
                     core::CondensationMode::kDynamic}) {
     core::CondensationConfig plain = BareConfig(mode);
     core::CondensationConfig resolved = BareConfig(mode);
-    auto condensation = Registry::Global().Get("condensation");
+    auto condensation = FindBackend("condensation");
     ASSERT_TRUE(condensation.ok());
     resolved.backend = *condensation;
 
@@ -74,7 +73,7 @@ TEST(BackendParityTest, ReleaseIsByteIdenticalToHooklessConfig) {
   core::CondensationConfig plain = BareConfig(core::CondensationMode::kStatic);
   core::CondensationConfig resolved =
       BareConfig(core::CondensationMode::kStatic);
-  auto condensation = Registry::Global().Get("condensation");
+  auto condensation = FindBackend("condensation");
   ASSERT_TRUE(condensation.ok());
   resolved.backend = *condensation;
 
@@ -132,7 +131,7 @@ TEST(BackendParityTest, MdavEndToEndStampsAndBoundsGroups) {
   const data::Dataset dataset = MakeClassificationDataset(60);
   core::CondensationConfig config =
       BareConfig(core::CondensationMode::kStatic);
-  auto mdav = Registry::Global().Get("mdav");
+  auto mdav = FindBackend("mdav");
   ASSERT_TRUE(mdav.ok());
   config.backend = *mdav;
   Rng rng(9);
@@ -154,4 +153,4 @@ TEST(BackendParityTest, MdavEndToEndStampsAndBoundsGroups) {
 }
 
 }  // namespace
-}  // namespace condensa::backend
+}  // namespace condensa::core

@@ -1,4 +1,4 @@
-#include "backend/mdav.h"
+#include "core/mdav.h"
 
 #include <gtest/gtest.h>
 
@@ -15,11 +15,9 @@
 #include "core/serialization.h"
 #include "linalg/vector.h"
 
-namespace condensa::backend {
+namespace condensa::core {
 namespace {
 
-using core::CondensedGroupSet;
-using core::GroupStatistics;
 using linalg::Vector;
 
 std::vector<Vector> MakePoints(std::size_t n, std::size_t dim,
@@ -149,14 +147,16 @@ TEST(MdavTest, ConstructionIsDeterministic) {
   auto second = MdavBuildGroups(points, 7);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(core::SerializeGroupSet(*first), core::SerializeGroupSet(*second));
+  EXPECT_EQ(SerializeGroupSet(*first), SerializeGroupSet(*second));
 }
 
 TEST(MdavTest, ConstructionHookNeverDrawsFromTheRng) {
   const std::vector<Vector> points = MakePoints(40, 3, 31);
   Rng used(123);
   Rng untouched(123);
-  auto groups = MdavBackend().Build(points, 5, used);
+  auto mdav = FindBackend("mdav");
+  ASSERT_TRUE(mdav.ok());
+  auto groups = (*mdav)->Build(points, 5, used);
   ASSERT_TRUE(groups.ok());
   // MDAV is deterministic: the rng passed to Build must come out
   // in the same state it went in.
@@ -174,11 +174,15 @@ TEST(MdavTest, RejectsDegenerateInputs) {
 }
 
 TEST(MdavTest, BackendIdentities) {
-  EXPECT_EQ(MdavBackend().id, "mdav");
-  EXPECT_TRUE(static_cast<bool>(MdavBackend().sample));
-  EXPECT_EQ(MdavEigenBackend().id, "mdav-eigen");
+  auto mdav = FindBackend("mdav");
+  auto mdav_eigen = FindBackend("mdav-eigen");
+  ASSERT_TRUE(mdav.ok());
+  ASSERT_TRUE(mdav_eigen.ok());
+  EXPECT_EQ((*mdav)->id, "mdav");
+  EXPECT_TRUE(static_cast<bool>((*mdav)->sample));
+  EXPECT_EQ((*mdav_eigen)->id, "mdav-eigen");
   // Null sample = inherit the built-in eigendecomposition sampler.
-  EXPECT_FALSE(static_cast<bool>(MdavEigenBackend().sample));
+  EXPECT_FALSE(static_cast<bool>((*mdav_eigen)->sample));
 }
 
 TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
@@ -188,8 +192,10 @@ TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
   stats.Add(Vector{5.0, 10.0});
   const Vector centroid = stats.Centroid();
   Rng rng(1);
-  ASSERT_TRUE(static_cast<bool>(MdavBackend().sample));
-  auto sample = MdavBackend().sample(stats, 3, rng);
+  auto mdav = FindBackend("mdav");
+  ASSERT_TRUE(mdav.ok());
+  ASSERT_TRUE(static_cast<bool>((*mdav)->sample));
+  auto sample = (*mdav)->sample(stats, 3, rng);
   ASSERT_TRUE(sample.ok());
   ASSERT_EQ(sample->size(), 3u);
   for (const Vector& record : *sample) {
@@ -200,4 +206,4 @@ TEST(MdavTest, CentroidReplacementEmitsCentroidCopies) {
 }
 
 }  // namespace
-}  // namespace condensa::backend
+}  // namespace condensa::core

@@ -1,4 +1,7 @@
-#include "backend/registry.h"
+// The fixed table of built-in backend records (core/backend.h):
+// FindBackend and BackendIds.
+
+#include "core/backend.h"
 
 #include <gtest/gtest.h>
 
@@ -7,24 +10,28 @@
 #include <string>
 #include <vector>
 
-#include "backend/mdav.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/engine.h"
 #include "linalg/vector.h"
 
-namespace condensa::backend {
+namespace condensa::core {
 namespace {
 
-TEST(RegistryTest, GlobalIsASingleton) {
-  EXPECT_EQ(&Registry::Global(), &Registry::Global());
+TEST(RegistryTest, LookupsShareOneRecordPerId) {
+  for (const std::string& id : BackendIds()) {
+    auto first = FindBackend(id);
+    auto second = FindBackend(id);
+    ASSERT_TRUE(first.ok()) << id;
+    ASSERT_TRUE(second.ok()) << id;
+    EXPECT_EQ(*first, *second) << id;
+  }
 }
 
 TEST(RegistryTest, BuiltInsAreRegistered) {
   for (const char* id : {"condensation", "mdav", "mdav-eigen"}) {
-    auto backend = Registry::Global().Get(id);
+    auto backend = FindBackend(id);
     ASSERT_TRUE(backend.ok()) << id;
     EXPECT_EQ((*backend)->id, id);
     EXPECT_EQ((*backend)->version, 1);
@@ -34,7 +41,7 @@ TEST(RegistryTest, BuiltInsAreRegistered) {
 }
 
 TEST(RegistryTest, UnknownIdIsNotFoundAndListsAvailable) {
-  auto backend = Registry::Global().Get("bogus");
+  auto backend = FindBackend("bogus");
   ASSERT_FALSE(backend.ok());
   EXPECT_TRUE(IsNotFound(backend.status()));
   const std::string message(backend.status().message());
@@ -44,7 +51,7 @@ TEST(RegistryTest, UnknownIdIsNotFoundAndListsAvailable) {
 }
 
 TEST(RegistryTest, IdsAreSortedAndContainBuiltIns) {
-  const std::vector<std::string> ids = Registry::Global().Ids();
+  const std::vector<std::string> ids = BackendIds();
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   for (const char* id : {"condensation", "mdav", "mdav-eigen"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
@@ -52,16 +59,16 @@ TEST(RegistryTest, IdsAreSortedAndContainBuiltIns) {
 }
 
 TEST(RegistryTest, IdListJoinsEveryId) {
-  const std::string list = Registry::Global().IdList();
-  for (const std::string& id : Registry::Global().Ids()) {
+  // The NotFound message lists every id.
+  const std::string list(FindBackend("bogus").status().message());
+  for (const std::string& id : BackendIds()) {
     EXPECT_NE(list.find(id), std::string::npos) << id;
   }
 }
 
 TEST(RegistryTest, MdavRecordCarriesIdVersionAndSampler) {
-  auto mdav = Registry::Global().Get("mdav");
+  auto mdav = FindBackend("mdav");
   ASSERT_TRUE(mdav.ok());
-  EXPECT_EQ(*mdav, &MdavBackend());
   EXPECT_EQ((*mdav)->id, "mdav");
   EXPECT_EQ((*mdav)->version, 1);
   // mdav regenerates by centroid replacement, so it carries a sampler.
@@ -69,12 +76,12 @@ TEST(RegistryTest, MdavRecordCarriesIdVersionAndSampler) {
 }
 
 TEST(RegistryTest, CondensationIsTheDefaultRecord) {
-  auto condensation = Registry::Global().Get("condensation");
+  auto condensation = FindBackend("condensation");
   ASSERT_TRUE(condensation.ok());
   // The id resolves to the very record every config defaults to.
-  EXPECT_EQ(*condensation, &core::CondensationBackend());
-  EXPECT_EQ(core::CondensationConfig{}.backend, *condensation);
-  EXPECT_EQ((*condensation)->id, core::CondensedGroupSet::kDefaultBackendId);
+  EXPECT_EQ(*condensation, &CondensationBackend());
+  EXPECT_EQ(CondensationConfig{}.backend, *condensation);
+  EXPECT_EQ((*condensation)->id, CondensedGroupSet::kDefaultBackendId);
   // Null sampler = the paper's eigendecomposition regeneration.
   EXPECT_FALSE(static_cast<bool>((*condensation)->sample));
 }
@@ -91,14 +98,16 @@ std::vector<linalg::Vector> GaussianPoints(std::size_t n, Rng& rng) {
 TEST(BackendTest, BuildStampsTheResult) {
   Rng rng(7);
   const std::vector<linalg::Vector> points = GaussianPoints(20, rng);
-  auto groups = MdavBackend().Build(points, 5, rng);
+  auto mdav = FindBackend("mdav");
+  ASSERT_TRUE(mdav.ok());
+  auto groups = (*mdav)->Build(points, 5, rng);
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ(groups->backend_id(), "mdav");
   EXPECT_EQ(groups->backend_version(), 1);
 
   // A record's own (id, version) wins over whatever its build returns.
-  const core::Backend custom{.id = "custom", .version = 3,
-                             .build = core::CondensationBackend().build};
+  const Backend custom{.id = "custom", .version = 3,
+                       .build = CondensationBackend().build};
   auto stamped = custom.Build(points, 5, rng);
   ASSERT_TRUE(stamped.ok());
   EXPECT_EQ(stamped->backend_id(), "custom");
@@ -108,9 +117,11 @@ TEST(BackendTest, BuildStampsTheResult) {
 TEST(BackendTest, BuildPropagatesConstructionErrors) {
   Rng rng(7);
   const std::vector<linalg::Vector> points = GaussianPoints(3, rng);
-  auto groups = MdavBackend().Build(points, 5, rng);
+  auto mdav = FindBackend("mdav");
+  ASSERT_TRUE(mdav.ok());
+  auto groups = (*mdav)->Build(points, 5, rng);
   EXPECT_TRUE(IsInvalidArgument(groups.status()));
 }
 
 }  // namespace
-}  // namespace condensa::backend
+}  // namespace condensa::core

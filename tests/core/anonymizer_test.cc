@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/random.h"
 #include "linalg/eigen.h"
@@ -19,6 +20,36 @@ TEST(AnonymizerTest, RejectsEmptyGroup) {
   Rng rng(1);
   EXPECT_FALSE(
       anonymizer.GenerateFromGroup(GroupStatistics(2), 5, rng).ok());
+}
+
+GroupStatistics TwoRecordGroup() {
+  GroupStatistics group(2);
+  group.Add(Vector{0.0, 1.0});
+  group.Add(Vector{1.0, 0.0});
+  return group;
+}
+
+TEST(AnonymizerTest, GenerateRefusesAMismatchedBackendVersion) {
+  CondensedGroupSet groups(2, 2);
+  groups.SetBackend("mdav", 2);
+  groups.AddGroup(TwoRecordGroup());
+  Rng rng(1);
+  auto generated = Anonymizer().Generate(groups, rng);
+  EXPECT_TRUE(IsFailedPrecondition(generated.status()));
+  const std::string message(generated.status().message());
+  EXPECT_NE(message.find("version 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+}
+
+TEST(AnonymizerTest, GenerateRefusesAnUnknownBackend) {
+  CondensedGroupSet groups(2, 2);
+  groups.SetBackend("bogus", 1);
+  groups.AddGroup(TwoRecordGroup());
+  Rng rng(1);
+  auto generated = Anonymizer().Generate(groups, rng);
+  EXPECT_TRUE(IsNotFound(generated.status()));
+  EXPECT_NE(std::string(generated.status().message()).find("bogus"),
+            std::string::npos);
 }
 
 TEST(AnonymizerTest, SingletonGroupReproducesItsRecordExactly) {

@@ -12,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/io.h"
 #include "common/random.h"
+#include "core/backend.h"
 #include "core/serialization.h"
 
 namespace condensa::core {
@@ -219,6 +220,11 @@ TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
   ASSERT_TRUE(matched.ok());
   EXPECT_EQ(matched->condenser().groups().backend_id(), "mdav");
   EXPECT_EQ(matched->records_seen(), 19u);
+
+  // The snapshot's stamp names the built-in record to recover under.
+  auto recorded = DurableCondenser::RecordedBackend(dir);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  EXPECT_EQ(*recorded, *FindBackend("mdav"));
 }
 
 TEST_F(CheckpointingTest, SnapshotIntervalRollsAndPrunesGenerations) {

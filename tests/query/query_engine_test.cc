@@ -9,12 +9,14 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/anonymizer.h"
+#include "core/backend.h"
 #include "core/condensed_group_set.h"
 #include "core/group_statistics.h"
 #include "linalg/vector.h"
@@ -413,37 +415,96 @@ TEST(QueryEngineTest, RegenerateMatchesAnonymizerBitForBit) {
   // A single unlabeled pool regenerated with the engine's cached
   // factorizations must equal Anonymizer::Generate on the same group
   // set with the same seed: both split one substream per group in group
-  // order and run core::SampleFromEigen.
-  CondensedGroupSet groups(2, 5);
-  for (std::size_t g = 0; g < 4; ++g) {
-    groups.AddGroup(
-        MakeGroupAround(MakePoint({double(g), -double(g)}), 5, 40 + g));
+  // order and run core::RegenerateGroup under the set's stamp. One input
+  // per built-in record.
+  for (const std::string& id : core::BackendIds()) {
+    SCOPED_TRACE(id);
+    CondensedGroupSet groups(2, 5);
+    groups.SetBackend(id, 1);
+    for (std::size_t g = 0; g < 4; ++g) {
+      groups.AddGroup(
+          MakeGroupAround(MakePoint({double(g), -double(g)}), 5, 40 + g));
+    }
+    QuerySnapshot snapshot = SnapshotFromGroupSet(groups);
+
+    QueryEngine engine;
+    Query query;
+    query.kind = QueryKind::kRegenerate;
+    query.regenerate.seed = 77;
+    auto result = engine.Execute(snapshot, query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // Run twice so the second pass answers fully from the cache.
+    auto cached = engine.Execute(snapshot, query);
+    ASSERT_TRUE(cached.ok());
+
+    Anonymizer anonymizer({.num_threads = 1});
+    Rng rng(77);
+    auto reference = anonymizer.Generate(groups, rng);
+    ASSERT_TRUE(reference.ok());
+
+    ASSERT_EQ(result->regenerate.records.size(), reference->size());
+    for (std::size_t i = 0; i < reference->size(); ++i) {
+      for (std::size_t d = 0; d < 2; ++d) {
+        EXPECT_EQ(result->regenerate.records[i][d], (*reference)[i][d]);
+        EXPECT_EQ(cached->regenerate.records[i][d], (*reference)[i][d]);
+      }
+    }
+    // Only the eigendecomposition sampler reads the cache.
+    if (!(*core::FindBackend(id))->sample) {
+      EXPECT_GT(engine.eigen_cache().stats().hits, 0u);
+    }
   }
-  QuerySnapshot snapshot = SnapshotFromGroupSet(groups);
+}
+
+TEST(QueryEngineTest, RegenerateFromMdavPoolsEmitsCentroids) {
+  // An mdav-stamped snapshot regenerates by centroid replacement, as
+  // `condensa generate` releases the same pools.
+  QuerySnapshot snapshot = TwoClassSnapshot();
+  QuerySnapshot mdav;
+  mdav.dim = snapshot.dim;
+  for (const LabeledGroups& pool : snapshot.pools) {
+    CondensedGroupSet groups = pool.groups;
+    groups.SetBackend("mdav", 1);
+    mdav.pools.emplace_back(pool.label, std::move(groups));
+  }
 
   QueryEngine engine;
   Query query;
   query.kind = QueryKind::kRegenerate;
-  query.regenerate.seed = 77;
-  auto result = engine.Execute(snapshot, query);
+  query.regenerate.seed = 3;
+  auto result = engine.Execute(mdav, query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // Run twice so the second pass answers fully from the cache.
-  auto cached = engine.Execute(snapshot, query);
-  ASSERT_TRUE(cached.ok());
 
-  Anonymizer anonymizer({.num_threads = 1});
-  Rng rng(77);
-  auto reference = anonymizer.Generate(groups, rng);
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_EQ(result->regenerate.records.size(), reference->size());
-  for (std::size_t i = 0; i < reference->size(); ++i) {
-    for (std::size_t d = 0; d < 2; ++d) {
-      EXPECT_EQ(result->regenerate.records[i][d], (*reference)[i][d]);
-      EXPECT_EQ(cached->regenerate.records[i][d], (*reference)[i][d]);
+  std::size_t next = 0;
+  for (const LabeledGroups& pool : mdav.pools) {
+    for (const GroupStatistics& group : pool.groups.groups()) {
+      const Vector centroid = group.Centroid();
+      for (std::size_t i = 0; i < group.count(); ++i, ++next) {
+        ASSERT_LT(next, result->regenerate.records.size());
+        for (std::size_t d = 0; d < centroid.dim(); ++d) {
+          EXPECT_EQ(result->regenerate.records[next][d], centroid[d]);
+        }
+      }
     }
   }
-  EXPECT_GT(engine.eigen_cache().stats().hits, 0u);
+  EXPECT_EQ(next, result->regenerate.records.size());
+  EXPECT_EQ(engine.eigen_cache().stats().misses, 0u);
+}
+
+TEST(QueryEngineTest, RegenerateRefusesStampsThisBuildCannotHonour) {
+  CondensedGroupSet groups(2, 5);
+  groups.AddGroup(MakeGroupAround(MakePoint({0.0, 0.0}), 5, 1));
+  Query query;
+  query.kind = QueryKind::kRegenerate;
+  QueryEngine engine;
+
+  groups.SetBackend("mdav", 2);
+  auto newer = engine.Execute(SnapshotFromGroupSet(groups), query);
+  EXPECT_EQ(newer.status().code(), StatusCode::kFailedPrecondition);
+
+  groups.SetBackend("bogus", 1);
+  auto unknown = engine.Execute(SnapshotFromGroupSet(groups), query);
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
 TEST(QueryEngineTest, RegenerateSingleRecordGroupYieldsItsCentroid) {

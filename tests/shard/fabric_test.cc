@@ -19,8 +19,8 @@
 #include <thread>
 #include <vector>
 
-#include "backend/mdav.h"
 #include "common/random.h"
+#include "core/backend.h"
 #include "core/serialization.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -256,7 +256,7 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
   std::vector<std::unique_ptr<ServerHandle>> servers;
   FabricConfig config = BaseConfig(3);
   config.group_size = kGroupSize;
-  config.backend = &backend::MdavBackend();
+  config.backend = *core::FindBackend("mdav");
   for (std::size_t i = 0; i < kShards; ++i) {
     servers.push_back(StartServer(Dir("mdav-worker-" + std::to_string(i))));
     config.workers.push_back(

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "backend/mdav.h"
 #include "common/random.h"
+#include "core/backend.h"
 #include "core/serialization.h"
 #include "linalg/vector.h"
 #include "obs/metrics.h"
@@ -184,7 +184,7 @@ TEST(ShardedCondenserTest, MdavBackendStampsAndBoundsGroups) {
   config.num_shards = 4;
   config.group_size = k;
   config.num_threads = 2;
-  config.backend = &backend::MdavBackend();
+  config.backend = *core::FindBackend("mdav");
   Rng rng(7);
   auto result = ShardedCondenser(config).Condense(records, rng);
   ASSERT_TRUE(result.ok()) << result.status();

@@ -23,6 +23,34 @@ expect_code() {
   fi
 }
 
+# Exit 0 when every row of CSV file $2 equals the centroid fs / n of a
+# group saved in pools file $1.
+only_centroids() {
+  awk -F'[ ,]' '
+    FNR == NR {
+      if ($1 == "group") n = $3
+      if ($1 == "fs") {
+        ++groups
+        for (j = 2; j <= NF; ++j) centroid[groups, j - 1] = $j / n
+      }
+      next
+    }
+    {
+      ++rows
+      matched = 0
+      for (g = 1; g <= groups && !matched; ++g) {
+        matched = 1
+        for (j = 1; j <= NF; ++j) {
+          d = $j - centroid[g, j]
+          if (d * d > 1e-24) matched = 0
+        }
+      }
+      if (!matched) ++stray
+    }
+    END { exit (groups == 0 || rows == 0 || stray > 0) }
+  ' "$1" "$2"
+}
+
 # Top-level help and unknown commands.
 expect_code 0 "bare --help"            "$CLI" --help
 expect_code 2 "no command"             "$CLI"
@@ -155,40 +183,45 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     echo "FAIL: mdav snapshot missing 'backend mdav 1' stamp" >&2
     failures=$((failures + 1))
   fi
-  # generate regenerates with the backend its pools file is stamped
-  # with: mdav releases every record as its group's centroid (fs / n), so
-  # each row must equal a saved centroid; the eigen sampler would scatter
-  # rows around them.
+  # A group set's stamp picks its sampler everywhere: mdav releases every
+  # record as its group's centroid (fs / n), so each row `generate` and
+  # `query --op=regenerate` write from the mdav pools must equal a saved
+  # centroid; the eigen sampler would scatter rows around them.
   if "$CLI" generate --groups="$workdir/groups-mdav.bin" --seed=3 \
       --output="$workdir/generate-mdav.csv" > /dev/null 2>&1 &&
-      awk -F'[ ,]' '
-        FNR == NR {
-          if ($1 == "group") n = $3
-          if ($1 == "fs") {
-            ++groups
-            for (j = 2; j <= NF; ++j) centroid[groups, j - 1] = $j / n
-          }
-          next
-        }
-        {
-          ++rows
-          matched = 0
-          for (g = 1; g <= groups && !matched; ++g) {
-            matched = 1
-            for (j = 1; j <= NF; ++j) {
-              d = $j - centroid[g, j]
-              if (d * d > 1e-24) matched = 0
-            }
-          }
-          if (!matched) ++stray
-        }
-        END { exit (groups == 0 || rows == 0 || stray > 0) }
-      ' "$workdir/groups-mdav.bin" "$workdir/generate-mdav.csv"; then
+      only_centroids "$workdir/groups-mdav.bin" \
+        "$workdir/generate-mdav.csv"; then
     echo "ok: generate from mdav pools writes only saved centroids"
   else
     echo "FAIL: generate from mdav pools wrote rows off the centroids" >&2
     failures=$((failures + 1))
   fi
+  if "$CLI" query --groups="$workdir/groups-mdav.bin" --op=regenerate \
+      --seed=3 --output="$workdir/regen-mdav.csv" > /dev/null 2>&1 &&
+      only_centroids "$workdir/groups-mdav.bin" "$workdir/regen-mdav.csv"; then
+    echo "ok: query regenerate from mdav pools writes only saved centroids"
+  else
+    echo "FAIL: query regenerate from mdav pools wrote rows off the centroids" >&2
+    failures=$((failures + 1))
+  fi
+  # A stamp this build cannot honour is refused, not regenerated under
+  # another sampler: a version other than the record's, or an unknown id.
+  sed 's/^backend mdav 1$/backend mdav 2/' "$workdir/groups-mdav.bin" \
+    > "$workdir/groups-mdav2.bin"
+  sed 's/^backend mdav 1$/backend bogus 1/' "$workdir/groups-mdav.bin" \
+    > "$workdir/groups-bogus.bin"
+  expect_code 1 "generate from pools stamped mdav version 2" \
+    "$CLI" generate --groups="$workdir/groups-mdav2.bin" \
+    --output="$workdir/generate-mdav2.csv"
+  expect_code 1 "query regenerate from pools stamped with an unknown id" \
+    "$CLI" query --groups="$workdir/groups-bogus.bin" --op=regenerate \
+    --output="$workdir/regen-bogus.csv"
+  # query recovers a checkpoint under the backend it is stamped with.
+  expect_code 0 "ingest --backend=mdav" \
+    "$CLI" ingest --input="$workdir/data.csv" --k=2 --backend=mdav \
+    --checkpoint-dir="$workdir/mdav-state"
+  expect_code 0 "query an mdav checkpoint" \
+    "$CLI" query --checkpoint-dir="$workdir/mdav-state" --k=2 --op=aggregate
   # Regenerated records print in the CSV writer's number form, so stdout
   # and --output carry the same bytes.
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate --seed=3 \

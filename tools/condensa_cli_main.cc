@@ -20,7 +20,6 @@
 #include <variant>
 #include <vector>
 
-#include "backend/registry.h"
 #include "common/failpoint.h"
 #include "common/io.h"
 #include "common/random.h"
@@ -110,12 +109,12 @@ struct Command {
   std::vector<Flag> flags;
 };
 
-// Resolves a --backend flag value against the global registry. On an
-// unknown id, prints the NotFound message (which lists every registered
-// backend) and returns nullptr — callers exit 2, the usage-error code.
+// Resolves a --backend flag value to a built-in record. On an unknown id,
+// prints the NotFound message (which lists every built-in backend) and
+// returns nullptr — callers exit 2, the usage-error code.
 const condensa::core::Backend* ResolveBackendFlag(const std::string& id) {
   condensa::StatusOr<const condensa::core::Backend*> resolved =
-      condensa::backend::Registry::Global().Get(id);
+      condensa::core::FindBackend(id);
   if (!resolved.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  resolved.status().message().c_str());
@@ -237,14 +236,12 @@ int SaveGroups(const condensa::core::CondensedGroupSet& groups,
 }
 
 // --output for serve-stream, shard and fabric: regenerates a release
-// from the gathered groups with the backend's sampler and writes it as
-// CSV, unless `output` is empty. Returns the exit code.
+// from the gathered groups with the sampler their stamp names and writes
+// it as CSV, unless `output` is empty. Returns the exit code.
 int WriteRelease(const condensa::core::CondensedGroupSet& groups,
-                 const condensa::core::Backend* backend, condensa::Rng& rng,
-                 const std::string& output) {
+                 condensa::Rng& rng, const std::string& output) {
   if (output.empty()) return 0;
-  auto anonymized =
-      condensa::core::Anonymizer({.backend = backend}).Generate(groups, rng);
+  auto anonymized = condensa::core::Anonymizer().Generate(groups, rng);
   if (!anonymized.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  anonymized.status().ToString().c_str());
@@ -316,8 +313,7 @@ int RunCondense(const Args& args) {
                  args.save_groups.c_str());
   }
 
-  auto result =
-      condensa::core::GenerateRelease(*pools, rng, {.backend = backend});
+  auto result = condensa::core::GenerateRelease(*pools, rng);
   if (!result.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  result.status().ToString().c_str());
@@ -351,26 +347,8 @@ int RunGenerate(const Args& args) {
                  pools.status().ToString().c_str());
     return 1;
   }
-  // The groups file records which backend built it; regenerate with
-  // that backend's sampler. The default condensation stamp keeps the
-  // built-in eigendecomposition sampler, byte-for-byte.
-  std::string recorded_backend =
-      condensa::core::CondensedGroupSet::kDefaultBackendId;
-  if (!pools->pools.empty()) {
-    recorded_backend = pools->pools.front().groups.backend_id();
-  }
-  condensa::StatusOr<const condensa::core::Backend*> resolved =
-      condensa::backend::Registry::Global().Get(recorded_backend);
-  if (!resolved.ok()) {
-    std::fprintf(stderr, "error: %s was written by a backend this build "
-                 "cannot regenerate: %s\n",
-                 args.groups.c_str(),
-                 resolved.status().message().c_str());
-    return 1;
-  }
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  auto result =
-      condensa::core::GenerateRelease(*pools, rng, {.backend = *resolved});
+  auto result = condensa::core::GenerateRelease(*pools, rng);
   if (!result.ok()) {
     std::fprintf(stderr, "release generation failed: %s\n",
                  result.status().ToString().c_str());
@@ -489,12 +467,9 @@ int RunRecover(const Args& args) {
 // a shard ledger does not balance. Returns the exit code.
 int ReleaseSharded(const Args& args,
                    const condensa::shard::ShardedStreamResult& result,
-                   const condensa::core::Backend* backend,
                    condensa::Rng& rng) {
   if (int code = SaveGroups(result.groups, args.save_groups)) return code;
-  if (int code = WriteRelease(result.groups, backend, rng, args.output)) {
-    return code;
-  }
+  if (int code = WriteRelease(result.groups, rng, args.output)) return code;
   DumpRegistry(args.format);
   if (result.Balanced()) return 0;
   std::fprintf(stderr,
@@ -592,7 +567,7 @@ int RunServeStream(const Args& args) {
       return code;
     }
     condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-    return ReleaseSharded(args, result, backend, rng);
+    return ReleaseSharded(args, result, rng);
   }
 
   condensa::runtime::StreamPipelineConfig config;
@@ -655,8 +630,7 @@ int RunServeStream(const Args& args) {
     return code;
   }
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  if (int code =
-          WriteRelease((*pipeline)->groups(), backend, rng, args.output)) {
+  if (int code = WriteRelease((*pipeline)->groups(), rng, args.output)) {
     return code;
   }
   DumpRegistry(args.format);
@@ -721,7 +695,7 @@ int RunShard(const Args& args) {
   }
 
   // Batch mode keeps no ledgers, so only a stream run can fail the check.
-  return ReleaseSharded(args, result, backend, rng);
+  return ReleaseSharded(args, result, rng);
 }
 
 // Runs one standalone fabric worker until a coordinator finishes it.
@@ -818,7 +792,7 @@ int RunFabric(const Args& args) {
   }
   std::printf("fabric: %s\n", result.report.ToString().c_str());
   condensa::Rng rng(static_cast<std::uint64_t>(args.seed));
-  return ReleaseSharded(args, result, backend, rng);
+  return ReleaseSharded(args, result, rng);
 }
 
 // A statistics file that parses neither way: both reasons, since only
@@ -851,10 +825,19 @@ int LoadSnapshot(const Args& args, condensa::query::QuerySnapshot* snapshot) {
     *snapshot = condensa::query::SnapshotFromGroupSet(*groups);
     return 0;
   }
-  condensa::core::DynamicCondenserOptions options;
-  options.group_size = static_cast<std::size_t>(args.k);
+  // Recover under the backend the checkpoint itself is stamped with.
+  auto backend =
+      condensa::core::DurableCondenser::RecordedBackend(args.checkpoint_dir);
+  if (!backend.ok()) {
+    std::fprintf(stderr, "recovery from %s failed: %s\n",
+                 args.checkpoint_dir.c_str(),
+                 backend.status().ToString().c_str());
+    return 1;
+  }
   auto durable = condensa::core::DurableCondenser::Recover(
-      args.checkpoint_dir, options, condensa::core::DurabilityOptions{});
+      args.checkpoint_dir,
+      {.group_size = static_cast<std::size_t>(args.k), .backend = *backend},
+      condensa::core::DurabilityOptions{});
   if (!durable.ok()) {
     std::fprintf(stderr, "recovery from %s failed: %s\n",
                  args.checkpoint_dir.c_str(),
@@ -1697,13 +1680,9 @@ void PrintUsage(std::FILE* out) {
   PrintWrapped(out, 0, 0,
                "anonymization backends (--backend=ID on " + backend_users +
                    "; default " + kDefaultBackend + "):");
-  condensa::backend::Registry& registry =
-      condensa::backend::Registry::Global();
-  for (const std::string& id : registry.Ids()) {
-    condensa::StatusOr<const condensa::core::Backend*> resolved =
-        registry.Get(id);
+  for (const std::string& id : condensa::core::BackendIds()) {
     std::fprintf(out, "  %-12s %s\n", id.c_str(),
-                 resolved.ok() ? (*resolved)->summary.c_str() : "");
+                 (*condensa::core::FindBackend(id))->summary.c_str());
   }
   std::fprintf(
       out,
