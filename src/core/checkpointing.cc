@@ -273,12 +273,89 @@ StatusOr<NewestSnapshot> LoadNewestSnapshot(const std::string& dir) {
   return DataLossError(dir + " has no recoverable snapshot");
 }
 
+// What a read-only load of a checkpoint directory finds: the condenser
+// positioned at the last complete journal entry of the newest parseable
+// snapshot's generation, and where that journal's valid prefix ends.
+struct LoadedCheckpoint {
+  DynamicCondenser condenser;
+  std::size_t sequence = 0;
+  // The directory listing the snapshot was chosen from.
+  std::vector<std::string> entries;
+  // Bytes in the chosen journal, and the end of its valid prefix (0 when
+  // the journal or its header is missing).
+  std::size_t journal_size = 0;
+  std::size_t valid_offset = 0;
+  std::size_t replayed = 0;
+};
+
+// Loads the newest parseable snapshot of `dir` and replays its journal
+// up to the first torn or malformed entry. With `use_stamp` the
+// condenser runs under the backend the snapshot is stamped with instead
+// of options.backend. Writes nothing.
+StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& dir,
+                                          DynamicCondenserOptions options,
+                                          bool use_stamp) {
+  CONDENSA_ASSIGN_OR_RETURN(NewestSnapshot newest, LoadNewestSnapshot(dir));
+  if (use_stamp) {
+    CONDENSA_ASSIGN_OR_RETURN(options.backend,
+                              StampedBackend(newest.state.groups));
+  }
+  CONDENSA_ASSIGN_OR_RETURN(
+      DynamicCondenser condenser,
+      DynamicCondenser::FromState(std::move(newest.state), options));
+  LoadedCheckpoint loaded{std::move(condenser), newest.sequence,
+                          std::move(newest.entries)};
+
+  const std::string header = JournalHeader(loaded.sequence);
+  std::string content;
+  if (auto read = ReadFileToString(dir + "/" + JournalName(loaded.sequence));
+      read.ok()) {
+    content = std::move(read).value();
+  }
+  loaded.journal_size = content.size();
+  if (!StartsWith(content, header)) {
+    return loaded;
+  }
+  std::size_t offset = header.size();
+  linalg::Vector record(loaded.condenser.dim());
+  while (offset < content.size()) {
+    const std::size_t line_end = content.find('\n', offset);
+    if (line_end == std::string::npos) {
+      break;  // torn tail: entry never got its newline
+    }
+    const char op = ParseRecordLine(
+        std::string_view(content).substr(offset, line_end - offset),
+        &record);
+    if (op != 'i' && op != 'r') {
+      break;  // malformed entry: the valid prefix ends here
+    }
+    Status applied = op == 'i' ? loaded.condenser.Insert(record)
+                               : loaded.condenser.Remove(record);
+    if (!applied.ok()) {
+      // A well-formed entry that fails to apply is NOT a crash artifact
+      // — the bytes are fine, the condenser (or an injected fault)
+      // refused the operation. Treating it as the end of the valid
+      // prefix would let Recover destroy acknowledged records, so the
+      // load fails and the caller retries instead.
+      return Status(applied.code(),
+                    "journal replay failed at entry " +
+                        std::to_string(loaded.replayed) + ": " +
+                        applied.message());
+    }
+    offset = line_end + 1;
+    ++loaded.replayed;
+  }
+  loaded.valid_offset = offset;
+  return loaded;
+}
+
 }  // namespace
 
-StatusOr<const Backend*> DurableCondenser::RecordedBackend(
-    const std::string& dir) {
-  CONDENSA_ASSIGN_OR_RETURN(NewestSnapshot newest, LoadNewestSnapshot(dir));
-  return StampedBackend(newest.state.groups);
+StatusOr<DynamicCondenser> DurableCondenser::Load(
+    const std::string& dir, DynamicCondenserOptions options) {
+  CONDENSA_ASSIGN_OR_RETURN(LoadedCheckpoint loaded,
+                            LoadCheckpoint(dir, options, /*use_stamp=*/true));
+  return std::move(loaded.condenser);
 }
 
 StatusOr<DurableCondenser> DurableCondenser::Recover(
@@ -287,74 +364,31 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
   if (durability.snapshot_interval == 0) {
     return InvalidArgumentError("snapshot_interval must be >= 1");
   }
-  CONDENSA_ASSIGN_OR_RETURN(NewestSnapshot newest, LoadNewestSnapshot(dir));
-  const std::size_t chosen = newest.sequence;
-  CONDENSA_ASSIGN_OR_RETURN(
-      DynamicCondenser condenser,
-      DynamicCondenser::FromState(std::move(newest.state), options));
-  DurableCondenser durable(std::move(condenser), durability, dir);
+  CONDENSA_ASSIGN_OR_RETURN(LoadedCheckpoint loaded,
+                            LoadCheckpoint(dir, options, /*use_stamp=*/false));
+  const std::size_t chosen = loaded.sequence;
+  DurableCondenser durable(std::move(loaded.condenser), durability, dir);
   durable.sequence_ = chosen;
-
-  // Replay the journal of the chosen generation onto the snapshot,
-  // stopping at (and truncating) the first torn or malformed entry.
-  const std::string journal_path = dir + "/" + JournalName(chosen);
-  const std::string header = JournalHeader(chosen);
-  std::string content;
-  if (auto read = ReadFileToString(journal_path); read.ok()) {
-    content = std::move(read).value();
-  }
-  std::size_t valid_offset = 0;
-  std::size_t replayed = 0;
-  if (StartsWith(content, header)) {
-    valid_offset = header.size();
-    const std::size_t dim = durable.condenser_.dim();
-    linalg::Vector record(dim);
-    while (valid_offset < content.size()) {
-      std::size_t line_end = content.find('\n', valid_offset);
-      if (line_end == std::string::npos) {
-        break;  // torn tail: entry never got its newline
-      }
-      const char op = ParseRecordLine(
-          std::string_view(content).substr(valid_offset,
-                                           line_end - valid_offset),
-          &record);
-      if (op != 'i' && op != 'r') {
-        break;  // malformed entry: truncate from here
-      }
-      Status applied = op == 'i' ? durable.condenser_.Insert(record)
-                                 : durable.condenser_.Remove(record);
-      if (!applied.ok()) {
-        // A well-formed entry that fails to apply is NOT a crash
-        // artifact — the bytes are fine, the condenser (or an injected
-        // fault) refused the operation. Truncating here would destroy
-        // acknowledged records, so recovery fails and the caller
-        // retries instead.
-        return Status(applied.code(),
-                      "journal replay failed at entry " +
-                          std::to_string(replayed) + ": " +
-                          applied.message());
-      }
-      valid_offset = line_end + 1;
-      ++replayed;
-    }
-  }
 
   // Re-open the journal for appending, repairing the torn tail (or a
   // missing/corrupt header) in place.
-  CONDENSA_ASSIGN_OR_RETURN(durable.journal_, AppendFile::Open(journal_path));
-  if (valid_offset != content.size() || valid_offset == 0) {
+  CONDENSA_ASSIGN_OR_RETURN(durable.journal_,
+                            AppendFile::Open(dir + "/" + JournalName(chosen)));
+  std::size_t valid_offset = loaded.valid_offset;
+  if (valid_offset != loaded.journal_size || valid_offset == 0) {
     CONDENSA_RETURN_IF_ERROR(durable.journal_.Truncate(valid_offset));
     if (valid_offset == 0) {
+      const std::string header = JournalHeader(chosen);
       CONDENSA_RETURN_IF_ERROR(durable.journal_.Append(header));
       valid_offset = header.size();
     }
     CONDENSA_RETURN_IF_ERROR(durable.journal_.Sync());
   }
   durable.journal_bytes_ = valid_offset;
-  durable.appends_ = replayed;
+  durable.appends_ = loaded.replayed;
   CheckpointMetrics& metrics = CheckpointMetrics::Get();
   metrics.recoveries.Increment();
-  metrics.recovery_replayed.Increment(replayed);
+  metrics.recovery_replayed.Increment(loaded.replayed);
 
   // Prune stale generations and leftover temp files (best effort). Only
   // generations OLDER than the chosen one are stale. A NEWER generation
@@ -366,7 +400,7 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
   // bytes on disk but hides them from sequence scanning (so a later
   // snapshot roll cannot truncate them either). Running Recover again on
   // the resulting directory is a no-op.
-  for (const std::string& name : newest.entries) {
+  for (const std::string& name : loaded.entries) {
     std::size_t sequence = 0;
     const bool temp = name.find(".tmp.") != std::string::npos;
     const bool old_snapshot =

@@ -24,7 +24,7 @@
 // `Recover` walks snapshots newest-first until one parses, replays the
 // matching journal onto it, truncates any torn journal tail (a crash
 // mid-append), and returns a condenser positioned exactly at the last
-// durable record. Replay is deterministic, so the recovered structure is
+// durable record. `Load` does the same walk and replay read-only. Replay is deterministic, so the recovered structure is
 // bit-identical to the pre-crash in-memory structure at that record.
 
 #ifndef CONDENSA_CORE_CHECKPOINTING_H_
@@ -95,12 +95,17 @@ class DurableCondenser {
                                             DynamicCondenserOptions options,
                                             DurabilityOptions durability);
 
-  // The built-in record that the newest recoverable snapshot in `dir` is
-  // stamped with (core::StampedBackend) — the backend Recover must be
-  // given to load it. Fails as Recover does for a directory without a
-  // recoverable snapshot, and as StampedBackend for a stamp this build
-  // does not provide.
-  static StatusOr<const Backend*> RecordedBackend(const std::string& dir);
+  // The state Recover would restore from `dir`, loaded without writing
+  // to the directory: the newest parseable snapshot with its journal
+  // replayed up to the first torn or malformed entry. Nothing is
+  // truncated, pruned or renamed, so it is safe against a directory a
+  // live writer is still appending to. The condenser runs under the
+  // backend the snapshot is stamped with (core::StampedBackend);
+  // options.backend is ignored. Fails as Recover does for a directory
+  // without a recoverable snapshot, and as StampedBackend for a stamp
+  // this build does not provide.
+  static StatusOr<DynamicCondenser> Load(const std::string& dir,
+                                         DynamicCondenserOptions options);
 
   // Recover when `dir` has state, Create otherwise. The entry point for
   // "restart the server and keep going". `dim` must match recovered state.

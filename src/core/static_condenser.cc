@@ -10,7 +10,6 @@
 #include "index/deletion_aware.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
-#include "simd/arena.h"
 #include "simd/distance.h"
 #include "simd/record_block.h"
 
@@ -112,15 +111,16 @@ StatusOr<CondensedGroupSet> StaticCondenser::Condense(
   // The scan path keeps a blocked-SoA copy of the survivors, compacted
   // with the same swap-with-last moves as `alive` (slot s holds record
   // alive[s]), so each group's neighbour scan is one vectorized
-  // batch-distance call instead of a per-record pointer chase. Group
-  // scratch comes from a bump arena recycled per group — no per-
-  // candidate heap churn.
+  // batch-distance call instead of a per-record pointer chase. The
+  // distances land in one buffer sized once for the first (largest)
+  // scan — no per-group heap churn.
   simd::RecordBlock survivors(0);
+  std::vector<double> dist;
   const bool use_soa = !nn_index.has_value();
   if (use_soa) {
     survivors = simd::RecordBlock::FromVectors(points);
+    dist.resize(points.size());
   }
-  simd::Arena arena;
 
   auto remove_original = [&](std::size_t orig) {
     std::size_t pos = alive_pos[orig];
@@ -163,9 +163,7 @@ StatusOr<CondensedGroupSet> StaticCondenser::Condense(
         // Slot s of `survivors` is record alive[s] and the kernel sums
         // each record in dimension order, so (distance, index) pairs are
         // bit-identical to the per-record linalg::SquaredDistance loop.
-        arena.Reset();
-        double* dist = arena.AllocDoubles(alive.size());
-        simd::SquaredDistanceBatch(survivors, seed.data(), dist);
+        simd::SquaredDistanceBatch(survivors, seed.data(), dist.data());
         for (std::size_t slot = 0; slot < alive.size(); ++slot) {
           const std::size_t orig = alive[slot];
           if (orig == seed_orig) continue;

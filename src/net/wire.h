@@ -116,8 +116,8 @@ struct HelloAckMessage {
 // for diagnostics — ordering is carried by the connection).
 // Caps on a Submit batch's variable-length fields, enforced by
 // DecodeSubmit before allocation (a corrupt count cannot drive
-// per-element work) and by FabricConfig::Validate (a legal config can
-// never build a batch that EncodeFrame's payload cap rejects).
+// per-element work) and by ShardedStreamConfig::Validate (a legal config
+// can never build a batch that EncodeFrame's payload cap rejects).
 inline constexpr std::uint64_t kMaxRecordsPerSubmit = 1u << 20;
 inline constexpr std::uint64_t kMaxWireDim = 1u << 16;
 // Fixed bytes preceding the packed records in a Submit payload:

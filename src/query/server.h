@@ -89,8 +89,7 @@ class QueryServer {
 
   // Serves on an already-bound listener. This is the crash-test seam:
   // a harness binds the listener in the parent, forks, and respawns a
-  // killed server on the SAME port without a rebind race (the same
-  // pattern as the fabric's WorkerServer::CreateWithListener).
+  // killed server on the SAME port without a rebind race.
   static StatusOr<std::unique_ptr<QueryServer>> CreateWithListener(
       QueryServerConfig config, std::shared_ptr<SnapshotStore> store,
       net::TcpListener listener);

@@ -69,8 +69,8 @@ class Router {
   // ids instead of the full 0..N-1 range. Pure in (record, index,
   // members) — removing a member and later re-adding it reproduces the
   // original assignment for the surviving set exactly, which is what
-  // lets the fabric re-route in-flight records during an outage without
-  // perturbing the shards that stayed up. `members` must be non-empty;
+  // lets ShardedStreamService re-route in-flight records during an
+  // outage of remote peers without perturbing the shards that stayed up. `members` must be non-empty;
   // with the full membership {0..N-1} in order this is ShardOf.
   std::size_t ShardAmong(const linalg::Vector& record, std::size_t index,
                          const std::vector<std::size_t>& members) const;
@@ -86,9 +86,9 @@ class Router {
   static std::vector<Rng> SplitStreams(Rng& rng, std::size_t num_shards);
 
   // The per-shard pipeline seeds of sharded streaming: the first draw of
-  // each SplitStreams substream of Rng(seed). Every service that runs
-  // durable shards (ShardedStreamService, FabricService) derives its
-  // seeds here, which is half of their bit-identity contract.
+  // each SplitStreams substream of Rng(seed). ShardedStreamService
+  // derives its seeds here for in-process and remote shards alike, which
+  // is half of their bit-identity contract.
   static std::vector<std::uint64_t> ShardSeeds(std::uint64_t seed,
                                                std::size_t num_shards);
 

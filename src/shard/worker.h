@@ -1,5 +1,5 @@
-// One durable streaming shard: the unit ShardedStreamService and the
-// fabric (in-process or behind shard/worker_server.h) are built from.
+// One durable streaming shard: the unit ShardedStreamService is built
+// from, whether the shard runs in-process or behind shard/worker_server.h.
 //
 // A Worker condenses one shard's partition of the stream independently of
 // every other shard — no cross-shard locks, no shared state — through the
@@ -92,14 +92,14 @@ class Worker {
 
   // Blocks until every submitted record is durably in the shard's
   // custody (journaled, quarantined, or spooled) or `timeout_ms` elapses.
-  // The fabric worker acks a Submit batch only after Flush, which is what
+  // A remote worker acks a Submit batch only after Flush, which is what
   // makes a post-ack kill -9 lossless.
   Status Flush(double timeout_ms);
 
   // Records durably in this shard's custody right now: condensed records
   // recovered or applied (the checkpoint), plus live quarantine entries
   // and spooled backlog. Monotonic across restarts for clean data; the
-  // fabric uses it to trim already-delivered prefixes on reconnect.
+  // coordinator uses it to trim already-delivered prefixes on reconnect.
   std::size_t durable_total() const;
 
   // Drains and checkpoints the pipeline and surrenders the shard-local

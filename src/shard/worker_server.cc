@@ -69,18 +69,10 @@ WorkerServer::WorkerServer(WorkerServerConfig config)
 
 StatusOr<std::unique_ptr<WorkerServer>> WorkerServer::Create(
     WorkerServerConfig config) {
+  CONDENSA_RETURN_IF_ERROR(config.Validate());
   CONDENSA_ASSIGN_OR_RETURN(
       net::TcpListener listener,
       net::TcpListener::Listen(config.host, config.port));
-  return CreateWithListener(std::move(config), std::move(listener));
-}
-
-StatusOr<std::unique_ptr<WorkerServer>> WorkerServer::CreateWithListener(
-    WorkerServerConfig config, net::TcpListener listener) {
-  CONDENSA_RETURN_IF_ERROR(config.Validate());
-  if (!listener.ok()) {
-    return FailedPreconditionError("worker server needs a live listener");
-  }
   net::FramedServerConfig loop;
   loop.poll_ms = config.poll_ms;
   loop.idle_timeout_ms = config.idle_timeout_ms;

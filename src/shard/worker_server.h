@@ -1,7 +1,7 @@
 // The standalone side of the networked shard fabric: a shard::Worker
 // behind the wire protocol.
 //
-// `condensa worker` (and WorkerProcess in tests) runs one WorkerServer.
+// `condensa worker` runs one WorkerServer.
 // The server listens on a TCP port and serves one coordinator session at
 // a time, strictly request/response:
 //
@@ -48,8 +48,7 @@
 namespace condensa::shard {
 
 // The Worker a Hello describes; rejects a split rule or backend this
-// build does not know. Local takeover uses it too, so a taken-over shard
-// runs exactly what its remote worker ran.
+// build does not know.
 StatusOr<WorkerOptions> WorkerOptionsFromHello(
     const net::HelloMessage& hello, const std::string& checkpoint_root,
     const std::string& worker_id);
@@ -80,12 +79,9 @@ struct WorkerServerConfig {
 class WorkerServer {
  public:
   // Binds and listens; the bound port is available via port() before
-  // Run() (WorkerProcess reads it in the parent before forking).
+  // Run().
   static StatusOr<std::unique_ptr<WorkerServer>> Create(
       WorkerServerConfig config);
-  // As Create, but serves on an already-bound listener.
-  static StatusOr<std::unique_ptr<WorkerServer>> CreateWithListener(
-      WorkerServerConfig config, net::TcpListener listener);
 
   WorkerServer(const WorkerServer&) = delete;
   WorkerServer& operator=(const WorkerServer&) = delete;

@@ -221,10 +221,11 @@ TEST_F(CheckpointingTest, RecoverRefusesMismatchedBackend) {
   EXPECT_EQ(matched->condenser().groups().backend_id(), "mdav");
   EXPECT_EQ(matched->records_seen(), 19u);
 
-  // The snapshot's stamp names the built-in record to recover under.
-  auto recorded = DurableCondenser::RecordedBackend(dir);
-  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
-  EXPECT_EQ(*recorded, *FindBackend("mdav"));
+  // The snapshot's stamp names the built-in record a load runs under,
+  // whatever backend the options name.
+  auto loaded = DurableCondenser::Load(dir, {.group_size = 4});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->options().backend, *FindBackend("mdav"));
 }
 
 TEST_F(CheckpointingTest, SnapshotIntervalRollsAndPrunesGenerations) {
@@ -280,6 +281,53 @@ TEST_F(CheckpointingTest, TornJournalTailIsTruncatedOnRecovery) {
   auto again = DurableCondenser::Recover(dir, {.group_size = 3}, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(Fingerprint(again->condenser()), Fingerprint(reference));
+}
+
+// Load sees exactly what Recover restores, and writes nothing: the torn
+// tail and the stray temp file Recover would repair stay on disk byte
+// for byte.
+TEST_F(CheckpointingTest, LoadMatchesRecoverAndWritesNothing) {
+  const std::string dir = FreshDir();
+  {
+    auto durable = DurableCondenser::Create(
+        2, {.group_size = 3}, {.snapshot_interval = 7}, dir);
+    ASSERT_TRUE(durable.ok());
+    for (const Vector& record : MakeStream(25, 2, 41)) {
+      ASSERT_TRUE(durable->Insert(record).ok());
+    }
+  }
+  const std::string journal = dir + "/journal-000003.log";
+  ASSERT_TRUE(PathExists(journal));
+  {
+    auto file = AppendFile::Open(journal);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(file->Append("i 0.5 0.5").ok());
+  }
+  ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-000009.condensa.tmp.1",
+                              "partial")
+                  .ok());
+  auto contents = [&dir] {
+    std::vector<std::pair<std::string, std::string>> files;
+    const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
+    for (const std::string& name : *names) {
+      files.emplace_back(name, *ReadFileToString(dir + "/" + name));
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = contents();
+
+  auto loaded = DurableCondenser::Load(dir, {.group_size = 3});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(contents(), before);
+
+  auto recovered = DurableCondenser::Recover(dir, {.group_size = 3}, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(loaded->records_seen(), 25u);
+  EXPECT_EQ(loaded->records_seen(), recovered->records_seen());
+  EXPECT_EQ(SerializeGroupSet(loaded->groups()),
+            SerializeGroupSet(recovered->groups()));
+  EXPECT_EQ(Fingerprint(*loaded), Fingerprint(recovered->condenser()));
 }
 
 // glibc strtod flags subnormals with ERANGE; replay used to take such an

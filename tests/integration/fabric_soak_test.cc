@@ -1,5 +1,6 @@
-// Fabric chaos soak: worker PROCESSES (fork + SIGKILL), not threads.
-// These tests pin the tentpole guarantees end-to-end:
+// Fabric chaos soak: remote shards in worker PROCESSES — the shipped
+// `condensa worker` binary (worker_process.h), killed with SIGKILL — not
+// threads. These tests pin the remote-peer guarantees end-to-end:
 //
 //   * a clean multi-process run, with 1 or 2 workers, releases the exact
 //     bytes of the in-process sharded service (bit-identity over the
@@ -14,9 +15,6 @@
 //     the shared checkpoint root;
 //   * heartbeat-loss injection (the "fabric.heartbeat" probe) drives the
 //     liveness machinery — misses, then recovery — without data loss.
-//
-// Under TSan the forking parent needs TSAN_OPTIONS=die_after_fork=0 (set
-// by the CI chaos job).
 
 #include <gtest/gtest.h>
 
@@ -32,10 +30,9 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/serialization.h"
-#include "shard/fabric.h"
 #include "shard/stream_service.h"
-#include "shard/worker_process.h"
 #include "shard/worker_server.h"
+#include "worker_process.h"
 
 namespace condensa::shard {
 namespace {
@@ -80,8 +77,8 @@ class FabricSoakTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-FabricConfig SoakConfig(std::size_t dim) {
-  FabricConfig config;
+ShardedStreamConfig SoakConfig(std::size_t dim) {
+  ShardedStreamConfig config;
   config.dim = dim;
   config.group_size = 10;
   config.seed = 77;
@@ -96,10 +93,17 @@ FabricConfig SoakConfig(std::size_t dim) {
   return config;
 }
 
+// Starts a fleet whose shard i is config.workers[i].
+StatusOr<std::unique_ptr<ShardedStreamService>> StartRemote(
+    ShardedStreamConfig config) {
+  config.num_shards = config.workers.size();
+  return ShardedStreamService::Start(std::move(config));
+}
+
 // The zero-silent-loss ledger, stated end to end: every submitted record
 // is in the release, and the only multiplicity is the counted duplicates
 // from batches whose ack a crash swallowed.
-void ExpectLedgerExact(const FabricResult& result, std::size_t submitted) {
+void ExpectLedgerExact(const ShardedStreamResult& result, std::size_t submitted) {
   EXPECT_TRUE(result.Balanced());
   EXPECT_EQ(result.groups.TotalRecords(),
             submitted + result.report.duplicates_detected);
@@ -126,17 +130,16 @@ TEST_F(FabricSoakTest, ForkedWorkersReleaseBitIdenticalToInProcess) {
     ASSERT_TRUE(expected.ok());
 
     std::vector<WorkerProcess> workers;
-    FabricConfig config = SoakConfig(3);
+    ShardedStreamConfig config = SoakConfig(3);
     for (std::size_t i = 0; i < shards; ++i) {
-      WorkerServerConfig server;
-      server.checkpoint_root = Dir(cell + "worker-" + std::to_string(i));
-      auto spawned = WorkerProcess::Spawn(std::move(server));
+      auto spawned =
+          WorkerProcess::Spawn(Dir(cell + "worker-" + std::to_string(i)));
       ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
       workers.push_back(*std::move(spawned));
       config.workers.push_back({"127.0.0.1", workers.back().port()});
     }
 
-    auto fabric = FabricService::Start(config);
+    auto fabric = StartRemote(config);
     ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
     for (const Vector& record : stream) {
       ASSERT_TRUE((*fabric)->Submit(record).ok());
@@ -165,16 +168,14 @@ TEST_F(FabricSoakTest, SigkillMidIngestLosesNoAckedRecordsAndWorkerRejoins) {
   const std::vector<Vector> stream = MakeStream(1500, 3, 12);
 
   std::vector<WorkerProcess> workers;
-  FabricConfig config = SoakConfig(3);
+  ShardedStreamConfig config = SoakConfig(3);
   for (std::size_t i = 0; i < kShards; ++i) {
-    WorkerServerConfig server;
-    server.checkpoint_root = root;
-    auto spawned = WorkerProcess::Spawn(std::move(server));
+    auto spawned = WorkerProcess::Spawn(root);
     ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
     workers.push_back(*std::move(spawned));
     config.workers.push_back({"127.0.0.1", workers.back().port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   // Phase 1: a third of the stream lands normally.
@@ -199,10 +200,7 @@ TEST_F(FabricSoakTest, SigkillMidIngestLosesNoAckedRecordsAndWorkerRejoins) {
   // worker recovers its durable shard state and rejoins on the next
   // redial (or, at the latest, Finish's last-chance handshake).
   {
-    WorkerServerConfig server;
-    server.checkpoint_root = root;
-    server.port = killed_port;
-    auto respawned = WorkerProcess::Spawn(std::move(server));
+    auto respawned = WorkerProcess::Spawn(root, killed_port);
     ASSERT_TRUE(respawned.ok()) << respawned.status().ToString();
     workers[1] = *std::move(respawned);
   }
@@ -231,17 +229,15 @@ TEST_F(FabricSoakTest, KilledWorkerWithoutRespawnIsTakenOverLocally) {
   const std::vector<Vector> stream = MakeStream(800, 3, 13);
 
   std::vector<WorkerProcess> workers;
-  FabricConfig config = SoakConfig(3);
-  config.local_fallback_root = root;  // same parent as the workers
+  ShardedStreamConfig config = SoakConfig(3);
+  config.checkpoint_root = root;  // takeover over the workers' root
   for (std::size_t i = 0; i < kShards; ++i) {
-    WorkerServerConfig server;
-    server.checkpoint_root = root;
-    auto spawned = WorkerProcess::Spawn(std::move(server));
+    auto spawned = WorkerProcess::Spawn(root);
     ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
     workers.push_back(*std::move(spawned));
     config.workers.push_back({"127.0.0.1", workers.back().port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   std::size_t sent = 0;
@@ -272,13 +268,13 @@ TEST_F(FabricSoakTest, HeartbeatLossInjectionDrivesMissAndRecovery) {
   std::thread server_thread(
       [raw = server->get()] { EXPECT_TRUE(raw->Run().ok()); });
 
-  FabricConfig config = SoakConfig(3);
+  ShardedStreamConfig config = SoakConfig(3);
   config.workers = {{"127.0.0.1", (*server)->port()}};
   // Tight liveness so the test observes misses quickly; the recv wait for
   // a swallowed beat is heartbeat_timeout_ms.
   config.heartbeat_interval_ms = 30.0;
   config.heartbeat_timeout_ms = 120.0;
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   const std::vector<Vector> stream = MakeStream(300, 3, 14);

@@ -1,11 +1,9 @@
-// FabricService over in-process WorkerServers (threads, not forks): the
-// networked fabric must release the exact bytes the in-process sharded
-// service releases, survive endpoint loss via re-routing and local
-// takeover, and validate its configuration before touching the network.
-// Process-level chaos (kill -9, rejoin) lives in
+// ShardedStreamService with remote peers, over in-process WorkerServers
+// (threads, not processes): a remote fleet must release the exact bytes
+// an in-process fleet releases, survive endpoint loss via re-routing and
+// local takeover, and validate its configuration before touching the
+// network. Process-level chaos (kill -9, rejoin) lives in
 // tests/integration/fabric_soak_test.cc.
-
-#include "shard/fabric.h"
 
 #include <unistd.h>
 
@@ -98,8 +96,8 @@ class FabricTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-FabricConfig BaseConfig(std::size_t dim) {
-  FabricConfig config;
+ShardedStreamConfig BaseConfig(std::size_t dim) {
+  ShardedStreamConfig config;
   config.dim = dim;
   config.group_size = 10;
   config.seed = 91;
@@ -112,13 +110,23 @@ FabricConfig BaseConfig(std::size_t dim) {
   return config;
 }
 
-TEST_F(FabricTest, ValidateRejectsBadConfigs) {
-  FabricConfig config = BaseConfig(4);
-  EXPECT_FALSE(config.Validate().ok());  // no workers
+// Starts a fleet whose shard i is config.workers[i].
+StatusOr<std::unique_ptr<ShardedStreamService>> StartRemote(
+    ShardedStreamConfig config) {
+  config.num_shards = config.workers.size();
+  return ShardedStreamService::Start(std::move(config));
+}
 
+TEST_F(FabricTest, ValidateRejectsBadConfigs) {
+  ShardedStreamConfig config = BaseConfig(4);
+  // No workers means in-process shards, which need a checkpoint root.
+  EXPECT_FALSE(config.Validate().ok());
+
+  config.num_shards = 2;
   config.workers = {{"127.0.0.1", 1}, {"", 2}};
   EXPECT_FALSE(config.Validate().ok());  // empty host
 
+  config.num_shards = 1;
   config.workers = {{"127.0.0.1", 0}};
   EXPECT_FALSE(config.Validate().ok());  // port 0
 
@@ -165,15 +173,19 @@ TEST_F(FabricTest, SubmitRejectsWrongDimensionRecord) {
   // undecodable forever (a poison pill that reads as a dead shard). It
   // must be rejected at Submit, before it takes an arrival index.
   auto server = StartServer(Dir("w0"));
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   config.workers = {{"127.0.0.1", server->server->port()}};
   config.wire_batch = 8;
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   Vector bad(3);
   EXPECT_EQ((*fabric)->Submit(bad).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ((*fabric)->records_submitted(), 0u);
+  // Remote shards report no live ledger before Finish.
+  for (const runtime::StreamPipelineStats& stats : (*fabric)->stats()) {
+    EXPECT_EQ(stats.submitted, 0u);
+  }
 
   // The rejected record poisoned nothing: a full run still flows,
   // finishes, and balances.
@@ -189,10 +201,10 @@ TEST_F(FabricTest, SubmitRejectsWrongDimensionRecord) {
 }
 
 TEST_F(FabricTest, StartFailsWhenNothingIsReachableAndNoFallback) {
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   // Reserved port with nothing behind it.
   config.workers = {{"127.0.0.1", 1}};
-  Status status = FabricService::Start(config).status();
+  Status status = StartRemote(config).status();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
 }
 
@@ -217,13 +229,13 @@ TEST_F(FabricTest, ReleaseIsBitIdenticalToInProcessService) {
 
   // Fabric run over three worker servers.
   std::vector<std::unique_ptr<ServerHandle>> servers;
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   for (std::size_t i = 0; i < kShards; ++i) {
     servers.push_back(StartServer(Dir("worker-" + std::to_string(i))));
     config.workers.push_back(
         {"127.0.0.1", servers.back()->server->port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*fabric)->Submit(record).ok());
@@ -254,7 +266,7 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
   const std::vector<Vector> stream = MakeStream(400, 3, 19);
 
   std::vector<std::unique_ptr<ServerHandle>> servers;
-  FabricConfig config = BaseConfig(3);
+  ShardedStreamConfig config = BaseConfig(3);
   config.group_size = kGroupSize;
   config.backend = *core::FindBackend("mdav");
   for (std::size_t i = 0; i < kShards; ++i) {
@@ -262,7 +274,7 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
     config.workers.push_back(
         {"127.0.0.1", servers.back()->server->port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*fabric)->Submit(record).ok());
@@ -322,11 +334,11 @@ TEST_F(FabricTest, DeadEndpointIsRoutedAroundWithZeroLoss) {
   // and the run must finish balanced.
   auto server0 = StartServer(Dir("w0"));
   auto server2 = StartServer(Dir("w2"));
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   config.workers = {{"127.0.0.1", server0->server->port()},
                     {"127.0.0.1", 1},  // nothing listens here
                     {"127.0.0.1", server2->server->port()}};
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   const std::vector<Vector> stream = MakeStream(600, 4, 6);
@@ -345,10 +357,10 @@ TEST_F(FabricTest, DeadEndpointIsRoutedAroundWithZeroLoss) {
 }
 
 TEST_F(FabricTest, TotalOutageDegradesToLocalFallbackBitIdentically) {
-  // No endpoint is reachable at all, but local_fallback_root is set: the
-  // run must complete entirely in-process AND still release the same
-  // bytes as the healthy in-process run (takeover mirrors the same
-  // routing, seeds, and gather order).
+  // No endpoint is reachable at all, but checkpoint_root is set for
+  // takeover: the run must complete entirely in-process AND still
+  // release the same bytes as the healthy in-process run (takeover
+  // mirrors the same routing, seeds, and gather order).
   const std::size_t kShards = 2;
   const std::vector<Vector> stream = MakeStream(800, 3, 7);
 
@@ -366,10 +378,10 @@ TEST_F(FabricTest, TotalOutageDegradesToLocalFallbackBitIdentically) {
   auto expected = (*in_process)->Finish();
   ASSERT_TRUE(expected.ok());
 
-  FabricConfig config = BaseConfig(3);
+  ShardedStreamConfig config = BaseConfig(3);
   config.workers = {{"127.0.0.1", 1}, {"127.0.0.1", 1}};
-  config.local_fallback_root = Dir("fallback");
-  auto fabric = FabricService::Start(config);
+  config.checkpoint_root = Dir("fallback");
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*fabric)->Submit(record).ok())
@@ -392,7 +404,7 @@ TEST_F(FabricTest, WorkerDeathAtFinishReroutesPendingRecordsBeforeGather) {
   // silently dropped records (orphan lands on an already-gathered one).
   const std::size_t kShards = 3;
   std::vector<std::unique_ptr<ServerHandle>> servers;
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   // Nothing flushes during ingest: every record is still in an outbox
   // when Finish starts.
   config.wire_batch = 100000;
@@ -405,7 +417,7 @@ TEST_F(FabricTest, WorkerDeathAtFinishReroutesPendingRecordsBeforeGather) {
     config.workers.push_back(
         {"127.0.0.1", servers.back()->server->port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
 
   const std::vector<Vector> stream = MakeStream(600, 4, 11);
@@ -427,7 +439,7 @@ TEST_F(FabricTest, WorkerDeathAtFinishReroutesPendingRecordsBeforeGather) {
 }
 
 TEST_F(FabricTest, WorkerDeathAtFinishIsTakenOverWithItsBacklog) {
-  // Same shape with a fallback root: the dead shard keeps its backlog
+  // Same shape with a takeover root: the dead shard keeps its backlog
   // via in-process takeover instead of displacing it, so the release
   // stays bit-identical to the healthy in-process run.
   const std::size_t kShards = 3;
@@ -448,17 +460,17 @@ TEST_F(FabricTest, WorkerDeathAtFinishIsTakenOverWithItsBacklog) {
   ASSERT_TRUE(expected.ok());
 
   std::vector<std::unique_ptr<ServerHandle>> servers;
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   config.wire_batch = 100000;
   config.io_timeout_ms = 500.0;
   config.ack_timeout_ms = 1000.0;
-  config.local_fallback_root = Dir("fallback");
+  config.checkpoint_root = Dir("fallback");
   for (std::size_t i = 0; i < kShards; ++i) {
     servers.push_back(StartServer(Dir("w" + std::to_string(i))));
     config.workers.push_back(
         {"127.0.0.1", servers.back()->server->port()});
   }
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   for (const Vector& record : stream) {
     ASSERT_TRUE((*fabric)->Submit(record).ok());
@@ -480,9 +492,9 @@ TEST_F(FabricTest, WorkerDeathAtFinishIsTakenOverWithItsBacklog) {
 
 TEST_F(FabricTest, SubmitAfterFinishFails) {
   auto server = StartServer(Dir("w0"));
-  FabricConfig config = BaseConfig(2);
+  ShardedStreamConfig config = BaseConfig(2);
   config.workers = {{"127.0.0.1", server->server->port()}};
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok());
   for (const Vector& record : MakeStream(50, 2, 8)) {
     ASSERT_TRUE((*fabric)->Submit(record).ok());
@@ -520,14 +532,14 @@ TEST_F(FabricTest, RejoinAtFinishIsCountedInTheReconnectSeries) {
   };
   const std::uint64_t before = reconnects_total();
 
-  FabricConfig config = BaseConfig(4);
+  ShardedStreamConfig config = BaseConfig(4);
   config.workers = {{"127.0.0.1", server0->server->port()},
                     {"127.0.0.1", late_port}};
   // After its first failed redial the heartbeat thread waits a minute,
   // which leaves the rejoin to Finish.
   config.reconnect.initial_backoff_ms = 60000.0;
   config.reconnect.max_backoff_ms = 60000.0;
-  auto fabric = FabricService::Start(config);
+  auto fabric = StartRemote(config);
   ASSERT_TRUE(fabric.ok()) << fabric.status().ToString();
   const std::vector<Vector> stream = MakeStream(200, 4, 13);
   for (const Vector& record : stream) {

@@ -158,6 +158,36 @@ TEST_F(StreamServiceTest, ValidatesConfig) {
   config.checkpoint_root.clear();
   EXPECT_TRUE(
       IsInvalidArgument(ShardedStreamService::Start(config).status()));
+  // Shard i is workers[i]: a list of the wrong length is refused before
+  // any endpoint is dialled.
+  config = Config(2);
+  config.workers = {{"127.0.0.1", 1}};
+  EXPECT_TRUE(
+      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+  config.workers = {{"127.0.0.1", 1}, {"127.0.0.1", 1}, {"127.0.0.1", 1}};
+  EXPECT_TRUE(
+      IsInvalidArgument(ShardedStreamService::Start(config).status()));
+}
+
+TEST_F(StreamServiceTest, InProcessShardsRefuseAWrongDimensionRecord) {
+  auto service = ShardedStreamService::Start(Config(2));
+  ASSERT_TRUE(service.ok()) << service.status();
+  EXPECT_TRUE(IsInvalidArgument((*service)->Submit(Vector{1.0, 2.0})));
+  EXPECT_EQ((*service)->records_submitted(), 0u);
+  for (const runtime::StreamPipelineStats& stats : (*service)->stats()) {
+    EXPECT_EQ(stats.submitted, 0u);
+  }
+
+  // Nothing was quarantined or half-applied: a clean run still balances.
+  for (const Vector& record : Records(40, 6)) {
+    ASSERT_TRUE((*service)->Submit(record).ok());
+  }
+  auto result = (*service)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->Balanced());
+  EXPECT_EQ(result->TotalAccepted(), 40u);
+  EXPECT_EQ(result->TotalApplied(), 40u);
+  EXPECT_EQ(result->report.connects, 0u);
 }
 
 TEST_F(StreamServiceTest, LiveStatsCoverEveryShard) {

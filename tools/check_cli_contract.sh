@@ -222,6 +222,20 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     --checkpoint-dir="$workdir/mdav-state"
   expect_code 0 "query an mdav checkpoint" \
     "$CLI" query --checkpoint-dir="$workdir/mdav-state" --k=2 --op=aggregate
+  # query loads a checkpoint read-only: a torn journal tail (an append
+  # still in flight) and a stray temp file, which recovery would repair,
+  # keep every file's name and bytes.
+  printf 'i 0.5 0.5' >> "$(ls "$workdir"/mdav-state/journal-*.log | head -n 1)"
+  printf 'partial' > "$workdir/mdav-state/snapshot-000009.condensa.tmp.1"
+  before="$(cd "$workdir/mdav-state" && md5sum * | sort)"
+  expect_code 0 "query a checkpoint with a torn tail" \
+    "$CLI" query --checkpoint-dir="$workdir/mdav-state" --k=2 --op=aggregate
+  if [ "$(cd "$workdir/mdav-state" && md5sum * | sort)" = "$before" ]; then
+    echo "ok: query --checkpoint-dir leaves every file unchanged"
+  else
+    echo "FAIL: query --checkpoint-dir changed the checkpoint directory" >&2
+    failures=$((failures + 1))
+  fi
   # Regenerated records print in the CSV writer's number form, so stdout
   # and --output carry the same bytes.
   "$CLI" query --groups="$workdir/groups.bin" --op=regenerate --seed=3 \

@@ -41,7 +41,6 @@
 #include "query/snapshot.h"
 #include "runtime/pipeline.h"
 #include "runtime/retry.h"
-#include "shard/fabric.h"
 #include "shard/sharded_condenser.h"
 #include "shard/stream_service.h"
 #include "shard/worker_server.h"
@@ -477,14 +476,13 @@ int ReleaseSharded(const Args& args,
   return 1;
 }
 
-// Submits `stream` to a started sharded service (ShardedStreamService or
-// FabricService) with --chaos armed during ingest, finishes it and prints
-// each shard's ledger, the gather and the group summary. Returns the exit
-// code; on 0 `*result` is the run.
-template <typename Service, typename Result>
-int IngestSharded(const Args& args, Service& service,
+// Submits `stream` to a started sharded service with --chaos armed during
+// ingest, finishes it and prints each shard's ledger, the gather and the
+// group summary. Returns the exit code; on 0 `*result` is the run.
+int IngestSharded(const Args& args,
+                  condensa::shard::ShardedStreamService& service,
                   const std::vector<condensa::linalg::Vector>& stream,
-                  Result* result) {
+                  condensa::shard::ShardedStreamResult* result) {
   if (args.chaos > 0.0) ArmChaos(args);
   for (const condensa::linalg::Vector& record : stream) {
     condensa::Status status = service.Submit(record);
@@ -768,25 +766,29 @@ int RunFabric(const Args& args) {
       LoadStream(args);
   if (!stream) return 1;
 
-  condensa::shard::FabricConfig config;
+  // Shard i runs in worker i; --local-fallback-root is the checkpoint
+  // root of in-process takeovers (empty: no takeover).
+  condensa::shard::ShardedStreamConfig config;
+  config.num_shards = endpoints.size();
   config.workers = std::move(endpoints);
+  config.policy = PolicyFromFlag(args.policy);
   config.dim = StreamDim(args, *stream);
   config.group_size = static_cast<std::size_t>(args.k);
-  config.policy = PolicyFromFlag(args.policy);
+  config.checkpoint_root = args.local_fallback_root;
   config.seed = static_cast<std::uint64_t>(args.seed);
+  config.backend = backend;
   config.wire_batch = static_cast<std::size_t>(args.wire_batch);
   config.heartbeat_interval_ms = args.heartbeat_interval_ms;
   config.heartbeat_timeout_ms = args.heartbeat_timeout_ms;
-  config.local_fallback_root = args.local_fallback_root;
-  config.backend = backend;
 
-  auto service = condensa::shard::FabricService::Start(std::move(config));
+  auto service = condensa::shard::ShardedStreamService::Start(
+      std::move(config));
   if (!service.ok()) {
     std::fprintf(stderr, "error starting fabric: %s\n",
                  service.status().ToString().c_str());
     return StartupExitCode(service.status());
   }
-  condensa::shard::FabricResult result;
+  condensa::shard::ShardedStreamResult result;
   if (int code = IngestSharded(args, **service, *stream, &result)) {
     return code;
   }
@@ -807,7 +809,7 @@ void PrintLoadError(const std::string& path, const condensa::Status& as_pools,
 
 // Loads the snapshot `query` and `query-server` answer from: --groups (a
 // saved pools or group-set file) or --checkpoint-dir (durable state,
-// recovered with group size --k). Returns the exit code.
+// loaded read-only with group size --k). Returns the exit code.
 int LoadSnapshot(const Args& args, condensa::query::QuerySnapshot* snapshot) {
   if (!args.groups.empty()) {
     // Accept either a condensa-pools file or a bare group-set file,
@@ -825,19 +827,10 @@ int LoadSnapshot(const Args& args, condensa::query::QuerySnapshot* snapshot) {
     *snapshot = condensa::query::SnapshotFromGroupSet(*groups);
     return 0;
   }
-  // Recover under the backend the checkpoint itself is stamped with.
-  auto backend =
-      condensa::core::DurableCondenser::RecordedBackend(args.checkpoint_dir);
-  if (!backend.ok()) {
-    std::fprintf(stderr, "recovery from %s failed: %s\n",
-                 args.checkpoint_dir.c_str(),
-                 backend.status().ToString().c_str());
-    return 1;
-  }
-  auto durable = condensa::core::DurableCondenser::Recover(
-      args.checkpoint_dir,
-      {.group_size = static_cast<std::size_t>(args.k), .backend = *backend},
-      condensa::core::DurabilityOptions{});
+  // A read-only load under the backend the checkpoint is stamped with:
+  // a live writer may still be appending to the directory.
+  auto durable = condensa::core::DurableCondenser::Load(
+      args.checkpoint_dir, {.group_size = static_cast<std::size_t>(args.k)});
   if (!durable.ok()) {
     std::fprintf(stderr, "recovery from %s failed: %s\n",
                  args.checkpoint_dir.c_str(),
