@@ -1,17 +1,23 @@
-// P1-P6: google-benchmark microbenchmarks for the computational kernels —
+// P1-P7: google-benchmark microbenchmarks for the computational kernels —
 // the Jacobi eigensolver, static condensation, dynamic ingest, anonymized
 // data generation, nearest-neighbour search — the text codecs that carry
-// a release in and out (CSV, pools), and query engine execution.
+// a release in and out (CSV, pools), query engine execution, and the
+// binary checkpoint codec (journal entries, snapshots, replay).
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_report.h"
 #include "common/check.h"
+#include "common/wire.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/anonymizer.h"
+#include "core/checkpointing.h"
 #include "core/dynamic_condenser.h"
 #include "core/engine.h"
 #include "core/serialization.h"
@@ -449,6 +455,98 @@ void BM_QueryExecute(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_QueryExecute)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
+
+// P7: checkpoint codec on the sharded_stream shape — d = 10, a k = 10
+// state of 112 groups, and 1,024 records after it; no fsync.
+constexpr std::size_t kCheckpointDim = 10;
+constexpr std::size_t kCheckpointRecords = 1024;
+
+struct CheckpointInputs {
+  condensa::core::DynamicCondenser condenser{kCheckpointDim,
+                                             {.group_size = 10}};
+  std::vector<Vector> records;
+};
+
+const CheckpointInputs& GetCheckpointInputs() {
+  static const CheckpointInputs* inputs = [] {
+    auto* out = new CheckpointInputs;
+    Rng rng(31);
+    CONDENSA_CHECK(
+        out->condenser.Bootstrap(MakeCloud(1120, kCheckpointDim, 32), rng)
+            .ok());
+    CONDENSA_CHECK_EQ(out->condenser.groups().num_groups(), 112u);
+    out->records = MakeCloud(kCheckpointRecords, kCheckpointDim, 33);
+    return out;
+  }();
+  return *inputs;
+}
+
+void BM_CheckpointJournalEncode(benchmark::State& state) {
+  const CheckpointInputs& inputs = GetCheckpointInputs();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    condensa::WireWriter journal;
+    journal.Reserve(kCheckpointRecords *
+                    condensa::core::JournalEntryBytes(kCheckpointDim));
+    for (const Vector& record : inputs.records) {
+      condensa::core::AppendJournalEntry(journal, 'i', record);
+    }
+    benchmark::DoNotOptimize(journal.buffer().data());
+    bytes = journal.size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kCheckpointRecords));
+}
+BENCHMARK(BM_CheckpointJournalEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_CheckpointSnapshotEncode(benchmark::State& state) {
+  const condensa::core::DynamicCondenser::State snapshot =
+      GetCheckpointInputs().condenser.ExportState();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string encoded =
+        condensa::core::SerializeCondenserState(snapshot, 1);
+    benchmark::DoNotOptimize(encoded.data());
+    bytes = encoded.size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointSnapshotEncode)->Unit(benchmark::kMicrosecond);
+
+// Load of a checkpoint directory: decode the 112-group snapshot and
+// replay the 1,024 journaled inserts.
+void BM_CheckpointReplay(benchmark::State& state) {
+  const CheckpointInputs& inputs = GetCheckpointInputs();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("condensa_perf_micro_replay_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    auto durable = condensa::core::DurableCondenser::Create(
+        kCheckpointDim, {.group_size = 10},
+        {.snapshot_interval = 2 * kCheckpointRecords,
+         .sync_every_append = false},
+        dir.string());
+    CONDENSA_CHECK(durable.ok());
+    Rng rng(31);
+    CONDENSA_CHECK(
+        durable->Bootstrap(MakeCloud(1120, kCheckpointDim, 32), rng).ok());
+    for (const Vector& record : inputs.records) {
+      CONDENSA_CHECK(durable->Insert(record).ok());
+    }
+  }
+  for (auto _ : state) {
+    auto loaded =
+        condensa::core::DurableCondenser::Load(dir.string(), {.group_size = 10});
+    CONDENSA_CHECK(loaded.ok());
+    benchmark::DoNotOptimize(loaded->records_seen());
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kCheckpointRecords));
+}
+BENCHMARK(BM_CheckpointReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -113,7 +113,13 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return content;
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& content) {
+namespace {
+
+// Writes `content` to a temp file next to `path` and renames it over
+// `path`; with `sync` the temp file and then the directory are fsync'd.
+// Every failure unlinks the temp file and leaves `path` as it was.
+Status ReplaceThroughTemp(const std::string& path, const std::string& content,
+                          bool sync) {
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
   int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
@@ -122,7 +128,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
   }
   FailPointDecision decision = FailPoint::Check("io.atomic_write");
   Status status = WriteAllWithDecision(fd, content, temp, decision);
-  if (status.ok()) {
+  if (status.ok() && sync) {
     status = SyncFd(fd, temp);
   }
   ::close(fd);
@@ -142,7 +148,17 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
     ::unlink(temp.c_str());
     return error;
   }
-  return SyncDirectory(DirName(path));
+  return sync ? SyncDirectory(DirName(path)) : OkStatus();
+}
+
+}  // namespace
+
+Status WriteFileAtomic(const std::string& path, const std::string& content) {
+  return ReplaceThroughTemp(path, content, /*sync=*/true);
+}
+
+Status ReplaceFile(const std::string& path, const std::string& content) {
+  return ReplaceThroughTemp(path, content, /*sync=*/false);
 }
 
 Status CreateDirectories(const std::string& dir) {

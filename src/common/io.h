@@ -6,6 +6,7 @@
 //   * WriteFileAtomic — temp file in the same directory, full write, fsync,
 //     rename over the target, fsync of the directory. A crash at any point
 //     leaves either the old file or the new file, never a torn mix.
+//     ReplaceFile is the same without the fsyncs.
 //   * AppendFile — an append-only log handle whose Append() optionally
 //     fsyncs before acknowledging, the primitive under the record journal.
 //
@@ -31,6 +32,13 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 // directory fsync). On any failure the previous file, if one existed, is
 // left intact; short writes report kDataLoss naming the path.
 Status WriteFileAtomic(const std::string& path, const std::string& content);
+
+// Replaces `path` with `content` through the same temp file and rename as
+// WriteFileAtomic, but fsyncs nothing. A crash of the process leaves the
+// old file or the new one, never a torn mix; a power loss can still lose
+// the new file. For outputs that can be re-derived (a release CSV), where
+// two fsyncs would cost more than the guarantee is worth.
+Status ReplaceFile(const std::string& path, const std::string& content);
 
 // Creates `dir` (and missing parents). OK if it already exists.
 Status CreateDirectories(const std::string& dir);

@@ -1,8 +1,10 @@
 #include "core/checkpointing.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -41,9 +43,23 @@ struct CheckpointMetrics {
   }
 };
 
-constexpr char kSnapshotMagic[] = "condensa-snapshot v1";
-constexpr char kJournalMagic[] = "condensa-journal v1";
-constexpr char kGroupsMagic[] = "condensa-groups v1";
+// v2 magics end in a newline so `head -c` of a file names its format.
+constexpr std::string_view kSnapshotMagic = "condensa-snapshot v2\n";
+constexpr std::string_view kJournalMagic = "condensa-journal v2\n";
+// v1 text files, still read (see DeserializeSnapshotV1 and the journal
+// replay in LoadCheckpoint).
+constexpr std::string_view kSnapshotMagicV1 = "condensa-snapshot v1";
+constexpr std::string_view kJournalMagicV1 = "condensa-journal v1";
+constexpr std::string_view kGroupsMagic = "condensa-groups v1";
+
+static_assert(kJournalMagic.size() + 8 + 4 == kJournalHeaderBytes);
+constexpr std::size_t kCrcBytes = 4;
+// The v2 snapshot trailer: u64 byte length and u32 CRC32 of every byte
+// before the trailer.
+constexpr std::size_t kTrailerBytes = 8 + kCrcBytes;
+// Bits of the v2 snapshot's flags byte.
+constexpr std::uint8_t kBootstrappedFlag = 1;
+constexpr std::uint8_t kFormingFlag = 2;
 
 std::string SequenceTag(std::size_t sequence) {
   char buffer[16];
@@ -72,70 +88,153 @@ bool ParseSequence(const std::string& name, const std::string& prefix,
                    sequence);
 }
 
-std::string JournalHeader(std::size_t sequence) {
-  return std::string(kJournalMagic) + " base " + std::to_string(sequence) +
+// The v2 journal header: magic, base sequence (u64) and record dimension
+// (u32). Replay compares a journal's first bytes with the header it
+// expects, so a torn or foreign header is never mistaken for entries.
+std::string JournalHeader(std::size_t sequence, std::size_t dim) {
+  WireWriter out;
+  out.PutBytes(kJournalMagic);
+  out.PutU64(sequence);
+  out.PutCount(dim);
+  return out.Take();
+}
+
+std::string JournalHeaderV1(std::size_t sequence) {
+  return std::string(kJournalMagicV1) + " base " + std::to_string(sequence) +
          "\n";
 }
 
-}  // namespace
-
-void AppendRecordLine(std::string& out, char tag,
-                      const linalg::Vector& record) {
-  out += tag;
-  for (std::size_t j = 0; j < record.dim(); ++j) {
-    out += ' ';
-    AppendDouble(out, record[j]);
-  }
-  out += " .\n";
+// Bytes of one group in a v2 snapshot: n, Fs and the upper triangle of Sc.
+std::size_t GroupBytes(std::size_t dim) {
+  return 8 * (1 + dim + dim * (dim + 1) / 2);
 }
 
-char ParseRecordLine(std::string_view line, linalg::Vector* record) {
-  const std::string_view tag = NextToken(&line);
-  if (tag.size() != 1) return '\0';
-  for (std::size_t j = 0; j < record->dim(); ++j) {
-    if (!ParseDouble(NextToken(&line), &(*record)[j])) return '\0';
+void PutGroup(WireWriter& out, const GroupStatistics& group) {
+  const std::size_t d = group.dim();
+  out.PutU64(group.count());
+  for (std::size_t j = 0; j < d; ++j) {
+    out.PutDouble(group.first_order()[j]);
   }
-  // Terminator, then nothing else.
-  if (NextToken(&line) != "." || !NextToken(&line).empty()) return '\0';
-  return tag[0];
+  // Upper triangle including the diagonal; Sc is symmetric.
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = i; j < d; ++j) {
+      out.PutDouble(group.second_order()(i, j));
+    }
+  }
 }
 
-std::string SerializeCondenserState(const DynamicCondenser::State& state,
-                                    std::size_t sequence) {
-  const bool forming =
-      state.forming.has_value() && state.forming->count() > 0;
-  std::string out = kSnapshotMagic;
-  out += "\nseq ";
-  out += std::to_string(sequence);
-  out += " records ";
-  out += std::to_string(state.records_seen);
-  out += " splits ";
-  out += std::to_string(state.split_count);
-  out += " merges ";
-  out += std::to_string(state.merge_count);
-  out += " bootstrapped ";
-  out += state.bootstrapped ? '1' : '0';
-  out += " forming ";
-  out += forming ? '1' : '0';
-  out += '\n';
-  out += SerializeGroupSet(state.groups);
+// Reads one group written by PutGroup. Empty groups and non-finite sums
+// are refused as the v1 group-set reader refuses them.
+StatusOr<GroupStatistics> ReadGroup(WireReader& in, std::size_t dim,
+                                    std::size_t g) {
+  std::uint64_t count = 0;
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&count));
+  if (count == 0) {
+    return DataLossError("empty group " + std::to_string(g));
+  }
+  linalg::Vector fs(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    CONDENSA_RETURN_IF_ERROR(in.ReadDouble(&fs[j]));
+    if (!std::isfinite(fs[j])) {
+      return DataLossError("non-finite fs value in group " +
+                           std::to_string(g));
+    }
+  }
+  linalg::Matrix sc(dim, dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = i; j < dim; ++j) {
+      double value = 0.0;
+      CONDENSA_RETURN_IF_ERROR(in.ReadDouble(&value));
+      if (!std::isfinite(value)) {
+        return DataLossError("non-finite sc value in group " +
+                             std::to_string(g));
+      }
+      sc(i, j) = value;
+      sc(j, i) = value;
+    }
+  }
+  return GroupStatistics::FromRawSums(count, std::move(fs), std::move(sc));
+}
+
+StatusOr<DynamicCondenser::State> DeserializeSnapshotV2(
+    std::string_view bytes, std::size_t* sequence_out) {
+  if (bytes.size() < kSnapshotMagic.size() + kTrailerBytes) {
+    return DataLossError("snapshot too short for its trailer (truncated write?)");
+  }
+  const std::string_view body = bytes.substr(0, bytes.size() - kTrailerBytes);
+  WireReader trailer(bytes.substr(body.size()));
+  std::uint64_t length = 0;
+  std::uint32_t crc = 0;
+  CONDENSA_RETURN_IF_ERROR(trailer.ReadU64(&length));
+  CONDENSA_RETURN_IF_ERROR(trailer.ReadU32(&crc));
+  if (length != body.size()) {
+    return DataLossError(
+        "snapshot trailer length disagrees with the file (truncated write?)");
+  }
+  if (crc != Crc32(body)) {
+    return DataLossError("snapshot checksum mismatch");
+  }
+
+  WireReader in(body.substr(kSnapshotMagic.size()));
+  std::uint64_t sequence = 0, records = 0, splits = 0, merges = 0, k = 0,
+                num_groups = 0;
+  std::uint8_t flags = 0;
+  std::uint32_t dim = 0, version = 0;
+  std::string backend;
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&sequence));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&records));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&splits));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&merges));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU8(&flags));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU32(&dim));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&k));
+  CONDENSA_RETURN_IF_ERROR(in.ReadString(&backend));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU32(&version));
+  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&num_groups));
+  if ((flags & ~(kBootstrappedFlag | kFormingFlag)) != 0) {
+    return DataLossError("unknown snapshot flags");
+  }
+  if (dim == 0 || backend.empty() || version == 0 ||
+      version > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+    return DataLossError("malformed snapshot header");
+  }
+  // Every group takes GroupBytes(dim) bytes, so a count the file cannot
+  // hold is refused before it drives any allocation.
+  const bool forming = (flags & kFormingFlag) != 0;
+  if (dim > body.size() ||
+      num_groups + (forming ? 1 : 0) > in.remaining() / GroupBytes(dim)) {
+    return DataLossError("snapshot group count exceeds file size");
+  }
+
+  DynamicCondenser::State state;
+  state.groups = CondensedGroupSet(dim, k);
+  state.groups.SetBackend(std::move(backend), static_cast<int>(version));
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    CONDENSA_ASSIGN_OR_RETURN(GroupStatistics group, ReadGroup(in, dim, g));
+    state.groups.AddGroup(std::move(group));
+  }
   if (forming) {
-    // The forming buffer rides along as a one-group set of the same k.
-    CondensedGroupSet wrapper(state.groups.dim(),
-                              state.groups.indistinguishability_level());
-    wrapper.SetBackend(state.groups.backend_id(),
-                       state.groups.backend_version());
-    wrapper.AddGroup(*state.forming);
-    out += SerializeGroupSet(wrapper);
+    CONDENSA_ASSIGN_OR_RETURN(state.forming,
+                              ReadGroup(in, dim, num_groups));
   }
-  out += "end\n";
-  return out;
+  CONDENSA_RETURN_IF_ERROR(in.ExpectDone());
+  state.records_seen = records;
+  state.split_count = splits;
+  state.merge_count = merges;
+  state.bootstrapped = (flags & kBootstrappedFlag) != 0;
+  if (sequence_out != nullptr) {
+    *sequence_out = sequence;
+  }
+  return state;
 }
 
-StatusOr<DynamicCondenser::State> DeserializeCondenserState(
+// The v1 text snapshot: a header line, the group set and the forming
+// buffer as condensa-groups v1 sections (core/serialization.h), and an
+// "end" marker.
+StatusOr<DynamicCondenser::State> DeserializeSnapshotV1(
     std::string_view text, std::size_t* sequence_out) {
   std::string_view rest = text;
-  if (rest.empty() || StripWhitespace(NextLine(&rest)) != kSnapshotMagic) {
+  if (rest.empty() || StripWhitespace(NextLine(&rest)) != kSnapshotMagicV1) {
     return InvalidArgumentError("missing condensa-snapshot v1 header");
   }
 
@@ -166,7 +265,7 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
   remainder = remainder.substr(0, end_marker + 1);  // keep final newline
 
   std::size_t forming_begin =
-      remainder.find(kGroupsMagic, std::strlen(kGroupsMagic));
+      remainder.find(kGroupsMagic, kGroupsMagic.size());
   if ((forming == 1) != (forming_begin != std::string_view::npos)) {
     return DataLossError("snapshot forming flag disagrees with body");
   }
@@ -199,6 +298,97 @@ StatusOr<DynamicCondenser::State> DeserializeCondenserState(
     *sequence_out = seq;
   }
   return state;
+}
+
+}  // namespace
+
+void AppendRecordLine(std::string& out, char tag,
+                      const linalg::Vector& record) {
+  out += tag;
+  for (std::size_t j = 0; j < record.dim(); ++j) {
+    out += ' ';
+    AppendDouble(out, record[j]);
+  }
+  out += " .\n";
+}
+
+char ParseRecordLine(std::string_view line, linalg::Vector* record) {
+  const std::string_view tag = NextToken(&line);
+  if (tag.size() != 1) return '\0';
+  for (std::size_t j = 0; j < record->dim(); ++j) {
+    if (!ParseDouble(NextToken(&line), &(*record)[j])) return '\0';
+  }
+  // Terminator, then nothing else.
+  if (NextToken(&line) != "." || !NextToken(&line).empty()) return '\0';
+  return tag[0];
+}
+
+std::string SerializeCondenserState(const DynamicCondenser::State& state,
+                                    std::size_t sequence) {
+  const CondensedGroupSet& groups = state.groups;
+  const bool forming =
+      state.forming.has_value() && state.forming->count() > 0;
+  WireWriter out;
+  out.Reserve(kSnapshotMagic.size() + 64 + groups.backend_id().size() +
+              (groups.num_groups() + 1) * GroupBytes(groups.dim()) +
+              kTrailerBytes);
+  out.PutBytes(kSnapshotMagic);
+  out.PutU64(sequence);
+  out.PutU64(state.records_seen);
+  out.PutU64(state.split_count);
+  out.PutU64(state.merge_count);
+  out.PutU8((state.bootstrapped ? kBootstrappedFlag : 0) |
+            (forming ? kFormingFlag : 0));
+  out.PutCount(groups.dim());
+  out.PutU64(groups.indistinguishability_level());
+  out.PutString(groups.backend_id());
+  out.PutU32(static_cast<std::uint32_t>(groups.backend_version()));
+  out.PutU64(groups.num_groups());
+  for (const GroupStatistics& group : groups.groups()) {
+    PutGroup(out, group);
+  }
+  if (forming) {
+    PutGroup(out, *state.forming);
+  }
+  const std::uint32_t crc = Crc32(out.buffer());
+  out.PutU64(out.size());
+  out.PutU32(crc);
+  return out.Take();
+}
+
+StatusOr<DynamicCondenser::State> DeserializeCondenserState(
+    std::string_view bytes, std::size_t* sequence_out) {
+  if (StartsWith(bytes, kSnapshotMagic)) {
+    return DeserializeSnapshotV2(bytes, sequence_out);
+  }
+  return DeserializeSnapshotV1(bytes, sequence_out);
+}
+
+void AppendJournalEntry(WireWriter& out, char tag,
+                        const linalg::Vector& record) {
+  const std::size_t begin = out.size();
+  out.PutU8(static_cast<std::uint8_t>(tag));
+  for (std::size_t j = 0; j < record.dim(); ++j) {
+    out.PutDouble(record[j]);
+  }
+  out.PutU32(Crc32(std::string_view(out.buffer()).substr(begin)));
+}
+
+char DecodeJournalEntry(std::string_view entry, linalg::Vector* record) {
+  if (entry.size() != JournalEntryBytes(record->dim())) return '\0';
+  WireReader in(entry);
+  std::uint8_t tag = 0;
+  std::uint32_t crc = 0;
+  // The size check above makes every read succeed.
+  bool ok = in.ReadU8(&tag).ok();
+  for (std::size_t j = 0; ok && j < record->dim(); ++j) {
+    ok = in.ReadDouble(&(*record)[j]).ok();
+  }
+  ok = ok && in.ReadU32(&crc).ok();
+  if (!ok || crc != Crc32(entry.substr(0, entry.size() - kCrcBytes))) {
+    return '\0';
+  }
+  return static_cast<char>(tag);
 }
 
 StatusOr<DurableCondenser> DurableCondenser::Create(
@@ -286,6 +476,8 @@ struct LoadedCheckpoint {
   std::size_t journal_size = 0;
   std::size_t valid_offset = 0;
   std::size_t replayed = 0;
+  // The journal is a v1 text journal.
+  bool journal_v1 = false;
 };
 
 // Loads the newest parseable snapshot of `dir` and replays its journal
@@ -306,26 +498,43 @@ StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& dir,
   LoadedCheckpoint loaded{std::move(condenser), newest.sequence,
                           std::move(newest.entries)};
 
-  const std::string header = JournalHeader(loaded.sequence);
   std::string content;
   if (auto read = ReadFileToString(dir + "/" + JournalName(loaded.sequence));
       read.ok()) {
     content = std::move(read).value();
   }
   loaded.journal_size = content.size();
-  if (!StartsWith(content, header)) {
+  const std::size_t dim = loaded.condenser.dim();
+  const std::string header = JournalHeader(loaded.sequence, dim);
+  const std::string header_v1 = JournalHeaderV1(loaded.sequence);
+  std::size_t offset = 0;
+  if (StartsWith(content, header)) {
+    offset = header.size();
+  } else if (StartsWith(content, header_v1)) {
+    offset = header_v1.size();
+    loaded.journal_v1 = true;
+  } else {
     return loaded;
   }
-  std::size_t offset = header.size();
-  linalg::Vector record(loaded.condenser.dim());
-  while (offset < content.size()) {
-    const std::size_t line_end = content.find('\n', offset);
-    if (line_end == std::string::npos) {
-      break;  // torn tail: entry never got its newline
+  const std::string_view journal = content;
+  const std::size_t entry_bytes = JournalEntryBytes(dim);
+  linalg::Vector record(dim);
+  while (offset < journal.size()) {
+    // A torn tail is a short last entry (v2) or a line that never got
+    // its newline (v1); a corrupt entry fails its CRC or parse.
+    std::size_t entry_end = 0;
+    char op = '\0';
+    if (loaded.journal_v1) {
+      entry_end = journal.find('\n', offset);
+      if (entry_end == std::string_view::npos) break;
+      op = ParseRecordLine(journal.substr(offset, entry_end - offset),
+                           &record);
+      ++entry_end;
+    } else {
+      if (journal.size() - offset < entry_bytes) break;
+      entry_end = offset + entry_bytes;
+      op = DecodeJournalEntry(journal.substr(offset, entry_bytes), &record);
     }
-    const char op = ParseRecordLine(
-        std::string_view(content).substr(offset, line_end - offset),
-        &record);
     if (op != 'i' && op != 'r') {
       break;  // malformed entry: the valid prefix ends here
     }
@@ -342,7 +551,7 @@ StatusOr<LoadedCheckpoint> LoadCheckpoint(const std::string& dir,
                         std::to_string(loaded.replayed) + ": " +
                         applied.message());
     }
-    offset = line_end + 1;
+    offset = entry_end;
     ++loaded.replayed;
   }
   loaded.valid_offset = offset;
@@ -378,13 +587,16 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
   if (valid_offset != loaded.journal_size || valid_offset == 0) {
     CONDENSA_RETURN_IF_ERROR(durable.journal_.Truncate(valid_offset));
     if (valid_offset == 0) {
-      const std::string header = JournalHeader(chosen);
+      const std::string header =
+          JournalHeader(chosen, durable.condenser_.dim());
       CONDENSA_RETURN_IF_ERROR(durable.journal_.Append(header));
+      CheckpointMetrics::Get().journal_bytes.Increment(header.size());
       valid_offset = header.size();
     }
     CONDENSA_RETURN_IF_ERROR(durable.journal_.Sync());
   }
   durable.journal_bytes_ = valid_offset;
+  durable.journal_v1_ = loaded.journal_v1;
   durable.appends_ = loaded.replayed;
   CheckpointMetrics& metrics = CheckpointMetrics::Get();
   metrics.recoveries.Increment();
@@ -467,9 +679,16 @@ Status DurableCondenser::Bootstrap(
 Status DurableCondenser::AppendJournal(char op,
                                        const linalg::Vector& record) {
   CONDENSA_RETURN_IF_ERROR(FailPoint::Maybe("checkpoint.journal_append"));
-  std::string line;
-  AppendRecordLine(line, op, record);
-  Status status = journal_.Append(line);
+  std::string entry;
+  if (journal_v1_) {
+    AppendRecordLine(entry, op, record);
+  } else {
+    WireWriter writer;
+    writer.Reserve(JournalEntryBytes(record.dim()));
+    AppendJournalEntry(writer, op, record);
+    entry = writer.Take();
+  }
+  Status status = journal_.Append(entry);
   if (status.ok() && durability_.sync_every_append) {
     status = journal_.Sync();
     if (status.ok()) {
@@ -477,7 +696,7 @@ Status DurableCondenser::AppendJournal(char op,
     }
   }
   if (!status.ok()) {
-    // The line may be partially (torn write) or even fully (failed sync)
+    // The entry may be partially (torn write) or even fully (failed sync)
     // on disk. Roll it back so journal_bytes_ stays the exact length of
     // the durable content — otherwise a later apply-failure truncation
     // would chop into entries acknowledged after this orphan (best
@@ -487,10 +706,10 @@ Status DurableCondenser::AppendJournal(char op,
     journal_.Sync();
     return status;
   }
-  journal_bytes_ += line.size();
+  journal_bytes_ += entry.size();
   CheckpointMetrics& metrics = CheckpointMetrics::Get();
   metrics.journal_appends.Increment();
-  metrics.journal_bytes.Increment(line.size());
+  metrics.journal_bytes.Increment(entry.size());
   return OkStatus();
 }
 
@@ -595,7 +814,7 @@ Status DurableCondenser::WriteSnapshot() {
   // Roll the journal. If this fails the new snapshot must not stay
   // visible: records acknowledged afterwards would land in the old
   // journal, which recovery (keyed to the newest snapshot) ignores.
-  const std::string header = JournalHeader(next);
+  const std::string header = JournalHeader(next, condenser_.dim());
   auto rolled = AppendFile::Open(dir_ + "/" + JournalName(next),
                                  /*truncate=*/true);
   Status roll_status =
@@ -611,6 +830,8 @@ Status DurableCondenser::WriteSnapshot() {
   }
   journal_ = std::move(rolled).value();
   journal_bytes_ = header.size();
+  journal_v1_ = false;
+  metrics.journal_bytes.Increment(header.size());
 
   if (!initial) {
     // Previous generation is now redundant (best-effort cleanup).

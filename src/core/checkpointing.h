@@ -6,14 +6,20 @@
 // raw records, so a crash must not force re-reading the stream:
 // DurableCondenser makes every acknowledged record recoverable.
 //
-// Disk layout inside the checkpoint directory:
+// Disk layout inside the checkpoint directory (docs/durability.md has the
+// byte layouts):
 //
-//   snapshot-NNNNNN.condensa   full state: a small header plus the group
-//                              set (and forming buffer) in the v1 text
-//                              format of core/serialization.h. Written
+//   snapshot-NNNNNN.condensa   full state in the v2 binary format: a
+//                              header, each group's (n, Fs, upper
+//                              triangle of Sc), the forming buffer, and a
+//                              trailer holding the byte length and a
+//                              CRC32 of everything before it. Written
 //                              atomically (temp + fsync + rename).
-//   journal-NNNNNN.log         append-only record log since snapshot N;
-//                              one fsync'd line per Insert/Remove.
+//   journal-NNNNNN.log         append-only record log since snapshot N: a
+//                              header naming N and the record dimension
+//                              d, then one fsync'd fixed-size entry per
+//                              Insert/Remove (a tag byte, d little-endian
+//                              doubles, a CRC32 of those bytes).
 //
 // Commit protocol: a record is journaled (and synced) *before* it is
 // applied in memory, so `Insert` returning OK means the record survives a
@@ -23,9 +29,15 @@
 //
 // `Recover` walks snapshots newest-first until one parses, replays the
 // matching journal onto it, truncates any torn journal tail (a crash
-// mid-append), and returns a condenser positioned exactly at the last
-// durable record. `Load` does the same walk and replay read-only. Replay is deterministic, so the recovered structure is
-// bit-identical to the pre-crash in-memory structure at that record.
+// mid-append leaves a short or CRC-failing last entry), and returns a
+// condenser positioned exactly at the last durable record. `Load` does
+// the same walk and replay read-only. Replay is deterministic, so the
+// recovered structure is bit-identical to the pre-crash in-memory
+// structure at that record.
+//
+// Both readers also take the v1 text files earlier builds wrote: each
+// file's magic picks its reader. A recovered v1 journal keeps receiving
+// v1 lines until the next snapshot rolls it; every roll writes v2.
 
 #ifndef CONDENSA_CORE_CHECKPOINTING_H_
 #define CONDENSA_CORE_CHECKPOINTING_H_
@@ -38,6 +50,7 @@
 #include "common/io.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/wire.h"
 #include "core/dynamic_condenser.h"
 
 namespace condensa::core {
@@ -51,17 +64,40 @@ struct DurabilityOptions {
   bool sync_every_append = true;
 };
 
-// Serialized forms of the full condenser state (the snapshot body).
+// The snapshot file: the full condenser state in the v2 binary format.
 // Exposed for tests and tooling; production code uses DurableCondenser.
 std::string SerializeCondenserState(const DynamicCondenser::State& state,
                                     std::size_t sequence);
+// Reads a v2 snapshot, or a v1 text snapshot an earlier build wrote; the
+// leading magic picks the reader. kDataLoss for a truncated or corrupt
+// file (a v2 file whose trailer is missing or disagrees with its bytes).
 StatusOr<DynamicCondenser::State> DeserializeCondenserState(
-    std::string_view text, std::size_t* sequence_out);
+    std::string_view bytes, std::size_t* sequence_out);
 
-// The record line of the journal (tags 'i' insert, 'r' remove) and of the
-// runtime spool (tag 's'): "<tag> v0 ... vd-1 .\n". The trailing "."
-// marks a complete entry; a line missing it (or its newline) is a torn
-// write. Appends the line for `record` to `out`.
+// Bytes of the v2 journal header: the magic "condensa-journal v2\n", the
+// base sequence (u64) and the record dimension (u32).
+inline constexpr std::size_t kJournalHeaderBytes = 20 + 8 + 4;
+
+// Bytes of one v2 journal entry for d-dimensional records: the tag, d
+// doubles and the CRC32.
+constexpr std::size_t JournalEntryBytes(std::size_t dim) {
+  return 1 + 8 * dim + 4;
+}
+
+// Appends the v2 journal entry for `record` (tag 'i' insert, 'r' remove)
+// to `out`.
+void AppendJournalEntry(WireWriter& out, char tag,
+                        const linalg::Vector& record);
+
+// Decodes one v2 journal entry of exactly JournalEntryBytes(record->dim())
+// bytes into `record`. Returns the tag, or '\0' when `entry` has another
+// size or its CRC disagrees with its bytes (a torn or corrupt entry).
+char DecodeJournalEntry(std::string_view entry, linalg::Vector* record);
+
+// The record line of the runtime spool (tag 's') and of the v1 journal
+// (tags 'i' insert, 'r' remove): "<tag> v0 ... vd-1 .\n". The trailing
+// "." marks a complete entry; a line missing it (or its newline) is a
+// torn write. Appends the line for `record` to `out`.
 void AppendRecordLine(std::string& out, char tag,
                       const linalg::Vector& record);
 
@@ -155,7 +191,7 @@ class DurableCondenser {
         durability_(durability),
         dir_(std::move(dir)) {}
 
-  // Appends one journal line ("<op> v0 ... vd-1 .\n") durably.
+  // Appends one journal entry durably, in the journal's format.
   Status AppendJournal(char op, const linalg::Vector& record);
 
   // Rebuilds the in-memory condenser from the on-disk snapshot + journal.
@@ -184,6 +220,9 @@ class DurableCondenser {
   // Bytes of valid journal content, so a failed apply can truncate the
   // entry it journaled (journal contents always match applied state).
   std::size_t journal_bytes_ = 0;
+  // The open journal is a recovered v1 text journal: it takes v1 lines
+  // until the next snapshot rolls it to v2.
+  bool journal_v1_ = false;
   // Set when a post-apply-failure rebuild failed too: memory and disk may
   // disagree, so every further durable operation is refused. The caller
   // recovers by constructing a fresh instance via Recover.

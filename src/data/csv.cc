@@ -1,5 +1,7 @@
 #include "data/csv.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -344,15 +346,23 @@ std::string WriteCsvToString(const Dataset& dataset) {
 }
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return InvalidArgumentError("cannot open " + path + " for writing");
+  const std::string content = WriteCsvToString(dataset);
+  // A path that exists but is not a regular file (a device such as
+  // /dev/null, a pipe, a symlink) is written in place: renaming over it
+  // would replace the node itself.
+  struct stat info;
+  if (::lstat(path.c_str(), &info) == 0 && !S_ISREG(info.st_mode)) {
+    std::ofstream file(path);
+    if (!file) {
+      return InvalidArgumentError("cannot open " + path + " for writing");
+    }
+    file << content;
+    if (!file) {
+      return DataLossError("short write to " + path);
+    }
+    return OkStatus();
   }
-  file << WriteCsvToString(dataset);
-  if (!file) {
-    return DataLossError("short write to " + path);
-  }
-  return OkStatus();
+  return ReplaceFile(path, content);
 }
 
 }  // namespace condensa::data

@@ -64,6 +64,15 @@ StatusOr<CsvReadResult> ReadCsvFromString(std::string_view content,
 
 // Writes `dataset` to `path`; labels/targets become the last column. When
 // the dataset has feature names a header row is emitted.
+//
+// The bytes go to `<path>.tmp.<pid>` in the same directory, which is then
+// renamed over `path` (ReplaceFile in common/io.h), so a crash never
+// leaves a truncated release that looks whole; every error removes the
+// temp file and leaves `path` as it was. Nothing is fsync'd: a release
+// can be re-derived from the saved pools and the seed, and
+// WriteFileAtomic's two fsyncs would double the I/O calls of a condense
+// run. A path that exists but is not a regular file (/dev/null, a pipe)
+// is written in place, since renaming over it would replace the node.
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 // Renders `dataset` as a CSV string (same format as WriteCsv).

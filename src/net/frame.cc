@@ -1,6 +1,5 @@
 #include "net/frame.h"
 
-#include <array>
 #include <cstring>
 
 #include "common/check.h"
@@ -10,55 +9,7 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'N', 'W', 'F'};
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-void PutU16(std::string& out, std::uint16_t value) {
-  out.push_back(static_cast<char>(value & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-}
-
-void PutU32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t GetU16(const char* data) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-  return static_cast<std::uint16_t>(bytes[0] |
-                                    (static_cast<std::uint16_t>(bytes[1])
-                                     << 8));
-}
-
-std::uint32_t GetU32(const char* data) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | bytes[i];
-  }
-  return value;
-}
-
 }  // namespace
-
-std::uint32_t Crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 bool IsKnownFrameType(std::uint16_t value) {
   return value >= static_cast<std::uint16_t>(FrameType::kHello) &&
@@ -86,15 +37,15 @@ const char* FrameTypeName(FrameType type) {
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   CONDENSA_CHECK_LE(payload.size(),
                     static_cast<std::size_t>(kMaxFramePayload));
-  std::string out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  PutU16(out, kProtocolVersion);
-  PutU16(out, static_cast<std::uint16_t>(type));
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
-  out.append(payload.data(), payload.size());
-  return out;
+  WireWriter out;
+  out.Reserve(kFrameHeaderSize + payload.size());
+  out.PutBytes(std::string_view(kMagic, sizeof(kMagic)));
+  out.PutU16(kProtocolVersion);
+  out.PutU16(static_cast<std::uint16_t>(type));
+  out.PutU32(static_cast<std::uint32_t>(payload.size()));
+  out.PutU32(Crc32(payload));
+  out.PutBytes(payload);
+  return out.Take();
 }
 
 StatusOr<FrameHeader> DecodeFrameHeader(std::string_view data,
@@ -107,15 +58,19 @@ StatusOr<FrameHeader> DecodeFrameHeader(std::string_view data,
   if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return DataLossError("bad frame magic");
   }
+  // The size check above makes every read below succeed.
+  WireReader reader(
+      data.substr(sizeof(kMagic), kFrameHeaderSize - sizeof(kMagic)));
   FrameHeader header;
-  header.version = GetU16(data.data() + 4);
+  CONDENSA_RETURN_IF_ERROR(reader.ReadU16(&header.version));
   if (header.version != kProtocolVersion) {
     return FailedPreconditionError(
         "unsupported wire protocol version " +
         std::to_string(header.version) + " (this build speaks " +
         std::to_string(kProtocolVersion) + ")");
   }
-  const std::uint16_t raw_type = GetU16(data.data() + 6);
+  std::uint16_t raw_type = 0;
+  CONDENSA_RETURN_IF_ERROR(reader.ReadU16(&raw_type));
   if (!IsKnownFrameType(raw_type)) {
     return DataLossError("unknown frame type " + std::to_string(raw_type));
   }
@@ -123,14 +78,14 @@ StatusOr<FrameHeader> DecodeFrameHeader(std::string_view data,
   // The length is validated before any caller allocates payload space: a
   // corrupt length (including a negative value reinterpreted as a huge
   // unsigned) must never drive an allocation.
-  header.payload_length = GetU32(data.data() + 8);
+  CONDENSA_RETURN_IF_ERROR(reader.ReadU32(&header.payload_length));
   if (header.payload_length > max_payload) {
     return DataLossError("frame payload length " +
                          std::to_string(header.payload_length) +
                          " exceeds the " + std::to_string(max_payload) +
                          "-byte cap");
   }
-  header.payload_crc32 = GetU32(data.data() + 12);
+  CONDENSA_RETURN_IF_ERROR(reader.ReadU32(&header.payload_crc32));
   return header;
 }
 

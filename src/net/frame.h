@@ -31,6 +31,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "common/wire.h"
 
 namespace condensa::net {
 
@@ -94,9 +95,6 @@ struct Frame {
   FrameType type = FrameType::kError;
   std::string payload;
 };
-
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
-std::uint32_t Crc32(std::string_view data);
 
 // Renders header + payload as one contiguous byte string. Payloads at or
 // above kMaxFramePayload are a programming error (CHECK).

@@ -1,9 +1,5 @@
 #include "net/wire.h"
 
-#include <cstring>
-#include <limits>
-
-#include "common/check.h"
 #include "net/frame.h"
 
 namespace condensa::net {
@@ -78,125 +74,6 @@ Status DecodeStats(WireReader& reader,
 }
 
 }  // namespace
-
-void WireWriter::PutU8(std::uint8_t value) {
-  buffer_.push_back(static_cast<char>(value));
-}
-
-void WireWriter::PutU16(std::uint16_t value) {
-  for (int shift = 0; shift < 16; shift += 8) {
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void WireWriter::PutU32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void WireWriter::PutU64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void WireWriter::PutDouble(double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(bits);
-}
-
-void WireWriter::PutCount(std::size_t count) {
-  CONDENSA_CHECK_LE(count, std::numeric_limits<std::uint32_t>::max());
-  PutU32(static_cast<std::uint32_t>(count));
-}
-
-void WireWriter::PutString(std::string_view value) {
-  PutCount(value.size());
-  buffer_.append(value.data(), value.size());
-}
-
-Status WireReader::ReadU8(std::uint8_t* value) {
-  if (remaining() < 1) {
-    return DataLossError("wire payload exhausted reading u8");
-  }
-  *value = static_cast<std::uint8_t>(data_[pos_]);
-  pos_ += 1;
-  return OkStatus();
-}
-
-Status WireReader::ReadU16(std::uint16_t* value) {
-  if (remaining() < 2) {
-    return DataLossError("wire payload exhausted reading u16");
-  }
-  std::uint16_t out = 0;
-  for (int i = 1; i >= 0; --i) {
-    out = static_cast<std::uint16_t>(
-        (out << 8) | static_cast<unsigned char>(data_[pos_ + i]));
-  }
-  pos_ += 2;
-  *value = out;
-  return OkStatus();
-}
-
-Status WireReader::ReadU32(std::uint32_t* value) {
-  if (remaining() < 4) {
-    return DataLossError("wire payload exhausted reading u32");
-  }
-  std::uint32_t out = 0;
-  for (int i = 3; i >= 0; --i) {
-    out = (out << 8) | static_cast<unsigned char>(data_[pos_ + i]);
-  }
-  pos_ += 4;
-  *value = out;
-  return OkStatus();
-}
-
-Status WireReader::ReadU64(std::uint64_t* value) {
-  if (remaining() < 8) {
-    return DataLossError("wire payload exhausted reading u64");
-  }
-  std::uint64_t out = 0;
-  for (int i = 7; i >= 0; --i) {
-    out = (out << 8) | static_cast<unsigned char>(data_[pos_ + i]);
-  }
-  pos_ += 8;
-  *value = out;
-  return OkStatus();
-}
-
-Status WireReader::ReadDouble(double* value) {
-  std::uint64_t bits = 0;
-  CONDENSA_RETURN_IF_ERROR(ReadU64(&bits));
-  std::memcpy(value, &bits, sizeof(bits));
-  return OkStatus();
-}
-
-Status WireReader::ReadString(std::string* value) {
-  std::uint32_t length = 0;
-  const std::size_t saved = pos_;
-  CONDENSA_RETURN_IF_ERROR(ReadU32(&length));
-  if (length > remaining()) {
-    pos_ = saved;
-    return DataLossError("wire string length " + std::to_string(length) +
-                         " exceeds remaining payload (" +
-                         std::to_string(remaining()) + " bytes)");
-  }
-  value->assign(data_.data() + pos_, length);
-  pos_ += length;
-  return OkStatus();
-}
-
-Status WireReader::ExpectDone() const {
-  if (pos_ != data_.size()) {
-    return DataLossError("wire payload has " +
-                         std::to_string(data_.size() - pos_) +
-                         " trailing bytes");
-  }
-  return OkStatus();
-}
 
 std::string EncodeHello(const HelloMessage& msg) {
   WireWriter writer;

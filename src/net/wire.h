@@ -1,12 +1,12 @@
 // Wire message payloads for the shard fabric protocol.
 //
 // Each FrameType (net/frame.h) carries one of the payload structs below,
-// encoded with WireWriter and decoded with WireReader. The codecs are
-// little-endian, fixed-width, and bounds-checked: every read validates
-// the remaining byte count before touching memory, and every length
-// prefix is validated against the bytes actually present before any
-// allocation — the same hardening contract as the frame header. Decoding
-// failures are kDataLoss.
+// encoded with WireWriter and decoded with WireReader (common/wire.h).
+// The codecs are little-endian, fixed-width, and bounds-checked: every
+// read validates the remaining byte count before touching memory, and
+// every length prefix is validated against the bytes actually present
+// before any allocation — the same hardening contract as the frame
+// header. Decoding failures are kDataLoss.
 //
 // Records travel as raw IEEE-754 bit patterns (u64 per coordinate), so a
 // record round-trips bit-exactly — the foundation of the fabric's
@@ -22,60 +22,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/wire.h"
 #include "linalg/vector.h"
 #include "runtime/pipeline.h"
 
 namespace condensa::net {
-
-// Appends fixed-width little-endian scalars and length-prefixed blobs to
-// a growing buffer.
-class WireWriter {
- public:
-  void PutU8(std::uint8_t value);
-  void PutU16(std::uint16_t value);
-  void PutU32(std::uint32_t value);
-  void PutU64(std::uint64_t value);
-  // The double's IEEE-754 bit pattern as a u64 (bit-exact round-trip).
-  void PutDouble(double value);
-  // An element count or length as the u32 the decoders read. A count
-  // past 2^32 - 1 would need gigabytes of elements no frame can carry, so
-  // it CHECK-fails instead of wrapping.
-  void PutCount(std::size_t count);
-  // PutCount length prefix + raw bytes.
-  void PutString(std::string_view value);
-
-  const std::string& buffer() const { return buffer_; }
-  std::string Take() { return std::move(buffer_); }
-
- private:
-  std::string buffer_;
-};
-
-// Consumes the same encoding with bounds checks on every read. All
-// methods return kDataLoss once the payload is exhausted or a length
-// prefix exceeds the remaining bytes; the reader stays at its position
-// after a failed read.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  Status ReadU8(std::uint8_t* value);
-  Status ReadU16(std::uint16_t* value);
-  Status ReadU32(std::uint32_t* value);
-  Status ReadU64(std::uint64_t* value);
-  Status ReadDouble(double* value);
-  // Validates the length prefix against remaining() BEFORE allocating.
-  Status ReadString(std::string* value);
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  // Decoders call this last: trailing garbage means a framing bug or
-  // corruption, not a shorter message from an older peer.
-  Status ExpectDone() const;
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Message payloads, one per FrameType.

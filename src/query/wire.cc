@@ -11,9 +11,6 @@
 namespace condensa::query {
 namespace {
 
-using net::WireReader;
-using net::WireWriter;
-
 // Reuse the fabric's per-frame caps: a corrupt count or dimension must
 // be rejected before it can drive allocation or per-element work.
 constexpr std::uint64_t kMaxPoints = net::kMaxRecordsPerSubmit;

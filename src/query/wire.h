@@ -1,8 +1,8 @@
 // Wire payloads for the query protocol (FrameTypes kQuery/kQueryResult).
 //
 // Lives in src/query (not src/net) so the net layer stays ignorant of
-// the query model; the codecs reuse net::WireWriter/WireReader and
-// inherit their hardening contract — every length prefix is validated
+// the query model; the codecs reuse WireWriter/WireReader (common/wire.h)
+// and inherit their hardening contract — every length prefix is validated
 // against the bytes present (and the per-frame caps from net/wire.h)
 // BEFORE any allocation, decode failures are kDataLoss, and doubles
 // travel as IEEE-754 bit patterns so results round-trip bit-exactly.

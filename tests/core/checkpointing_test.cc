@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -273,11 +274,11 @@ TEST_F(CheckpointingTest, TornJournalTailIsTruncatedOnRecovery) {
   EXPECT_EQ(recovered->records_seen(), 9u);
   EXPECT_EQ(Fingerprint(recovered->condenser()), Fingerprint(reference));
 
-  // The torn bytes are gone: every surviving entry is complete (ends in
-  // its terminator), and a second recovery replays cleanly too.
+  // The torn bytes are gone: the journal holds its header and the nine
+  // complete entries, and a second recovery replays cleanly too.
   auto content = ReadFileToString(journal);
   ASSERT_TRUE(content.ok());
-  EXPECT_TRUE(content->ends_with(" .\n"));
+  EXPECT_EQ(content->size(), kJournalHeaderBytes + 9 * JournalEntryBytes(2));
   auto again = DurableCondenser::Recover(dir, {.group_size = 3}, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(Fingerprint(again->condenser()), Fingerprint(reference));
@@ -650,6 +651,92 @@ TEST_F(CheckpointingTest, InsertDimensionMismatchLeavesJournalClean) {
   auto recovered = DurableCondenser::Recover(dir, {.group_size = 4}, {});
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->records_seen(), 2u);
+}
+
+// A checkpoint directory an earlier build wrote in the v1 text format
+// (tests/core/testdata/checkpoint_v1): d = 3, k = 4, a snapshot holding
+// a two-record forming buffer, then a journal of nine inserts, one remove
+// and an insert, ending in a torn entry.
+constexpr char kV1FixtureGroups[] =
+    "condensa-groups v1\n"
+    "dim 3 k 4 groups 2\n"
+    "group n 5\n"
+    "fs 4.806639532743847 5.625841463681117 -7.881137276065435\n"
+    "sc 8.547357546905207 6.638192849243614 -4.038510422680534 "
+    "9.784826220644756 -6.766816482938866 16.482457101229564\n"
+    "group n 5\n"
+    "fs 18.693360467256152 15.874158536318884 7.381137276065434\n"
+    "sc 74.95264245309481 63.17430715075639 32.288510422680545 "
+    "55.09017377935527 27.266816482938886 15.892542898770458\n";
+
+// What the fixture restores: the group set, the record count and the
+// split count (the forming buffer has become the first group).
+void ExpectV1FixtureState(const DynamicCondenser& condenser) {
+  EXPECT_EQ(SerializeGroupSet(condenser.groups()), kV1FixtureGroups);
+  EXPECT_EQ(condenser.records_seen(), 10u);
+  EXPECT_EQ(condenser.split_count(), 1u);
+  EXPECT_FALSE(condenser.ExportState().forming.has_value());
+}
+
+TEST_F(CheckpointingTest, V1CheckpointLoadsRecoversAndRollsToV2) {
+  const std::string fixture =
+      std::string(CONDENSA_TESTDATA_DIR) + "/checkpoint_v1";
+  const std::string dir = FreshDir();
+  for (const char* name : {"snapshot-000001.condensa", "journal-000001.log"}) {
+    auto bytes = ReadFileToString(fixture + "/" + name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ASSERT_TRUE(WriteFileAtomic(dir + "/" + name, *bytes).ok());
+  }
+  auto contents = [&dir] {
+    std::vector<std::pair<std::string, std::string>> files;
+    const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
+    for (const std::string& name : *names) {
+      files.emplace_back(name, *ReadFileToString(dir + "/" + name));
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const std::string journal = dir + "/journal-000001.log";
+  const std::string torn = *ReadFileToString(journal);
+  ASSERT_TRUE(torn.ends_with("i 0.5 -1.25"));
+
+  const auto before = contents();
+  auto loaded = DurableCondenser::Load(dir, {.group_size = 4});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectV1FixtureState(*loaded);
+  EXPECT_EQ(contents(), before);
+
+  auto recovered = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectV1FixtureState(recovered->condenser());
+  EXPECT_EQ(*ReadFileToString(journal),
+            torn.substr(0, torn.size() - std::strlen("i 0.5 -1.25")));
+
+  // A second Recover is a no-op.
+  const auto after_first = contents();
+  {
+    auto again = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ExpectV1FixtureState(again->condenser());
+  }
+  EXPECT_EQ(contents(), after_first);
+
+  // The recovered v1 journal keeps taking v1 lines until its roll...
+  ASSERT_TRUE(recovered->Insert(Vector{2.0, 1.5, 0.25}).ok());
+  EXPECT_TRUE(ReadFileToString(journal)->ends_with("\ni 2 1.5 0.25 .\n"));
+  // ...and the roll writes both files of the next generation in v2.
+  ASSERT_TRUE(recovered->Checkpoint().ok());
+  EXPECT_FALSE(PathExists(journal));
+  EXPECT_TRUE(ReadFileToString(dir + "/snapshot-000002.condensa")
+                  ->starts_with("condensa-snapshot v2\n"));
+  EXPECT_EQ(*ReadFileToString(dir + "/journal-000002.log"),
+            std::string("condensa-journal v2\n") +
+                std::string("\x02\0\0\0\0\0\0\0\x03\0\0\0", 12));
+  auto rolled = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  EXPECT_EQ(rolled->records_seen(), 11u);
+  EXPECT_EQ(Fingerprint(rolled->condenser()),
+            Fingerprint(recovered->condenser()));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Randomized round trips through every text codec that carries doubles:
-// CSV, group-set, pools and snapshot documents. Values are drawn from
-// uniformly random 64-bit patterns filtered to finite doubles, so every
-// exponent is equally likely (subnormals included); counters sit at
-// 2^31, 2^32 and 2^53+1, where narrower or floating-point parsing would
-// break. Each document must load back bit-identical, re-serialize to the
-// same bytes, and load to the same bits when its values are rendered in
-// the 17-significant-digit form older writers produced.
+// Randomized round trips through every codec that carries doubles: CSV,
+// group-set, pools and snapshot documents (binary v2 and text v1). Values
+// are drawn from uniformly random 64-bit patterns filtered to finite
+// doubles, so every exponent is equally likely (subnormals included);
+// counters sit at 2^31, 2^32 and 2^53+1, where narrower or floating-point
+// parsing would break. Each document must load back bit-identical,
+// re-serialize to the same bytes, and load to the same bits when its text
+// values are rendered in the 17-significant-digit form older writers
+// produced.
 
 #include <gtest/gtest.h>
 
@@ -178,6 +179,32 @@ TEST(CodecRoundTripTest, PoolsDocumentsAreBitExact) {
   }
 }
 
+// The v1 text snapshot earlier builds wrote for `state`: a header line,
+// the group set and the forming buffer as group-set sections, and "end".
+std::string V1SnapshotText(const DynamicCondenser::State& state,
+                           std::size_t sequence) {
+  const bool forming = state.forming.has_value();
+  std::string out = "condensa-snapshot v1\nseq " + std::to_string(sequence) +
+                    " records " + std::to_string(state.records_seen) +
+                    " splits " + std::to_string(state.split_count) +
+                    " merges " + std::to_string(state.merge_count) +
+                    " bootstrapped " + (state.bootstrapped ? "1" : "0") +
+                    " forming " + (forming ? "1" : "0") + "\n";
+  out += SerializeGroupSet(state.groups);
+  if (forming) {
+    CondensedGroupSet wrapper(state.groups.dim(),
+                              state.groups.indistinguishability_level());
+    wrapper.SetBackend(state.groups.backend_id(),
+                       state.groups.backend_version());
+    wrapper.AddGroup(*state.forming);
+    out += SerializeGroupSet(wrapper);
+  }
+  return out + "end\n";
+}
+
+// Snapshots are written in the v2 binary format and read in v2 and v1:
+// each form loads back bit-identical and re-serializes to the same v2
+// bytes.
 TEST(CodecRoundTripTest, SnapshotDocumentsAreBitExact) {
   Rng rng(103);
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -192,8 +219,9 @@ TEST(CodecRoundTripTest, SnapshotDocumentsAreBitExact) {
     state.merge_count = kCounts[0];
     state.bootstrapped = rng.UniformIndex(2) == 0;
     const std::size_t sequence = kCounts[trial % 3];
-    const std::string text = SerializeCondenserState(state, sequence);
-    for (const std::string& document : {text, With17gValues(text)}) {
+    const std::string bytes = SerializeCondenserState(state, sequence);
+    const std::string v1 = V1SnapshotText(state, sequence);
+    for (const std::string& document : {bytes, v1, With17gValues(v1)}) {
       std::size_t parsed_sequence = 0;
       auto parsed = DeserializeCondenserState(document, &parsed_sequence);
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -207,7 +235,7 @@ TEST(CodecRoundTripTest, SnapshotDocumentsAreBitExact) {
       if (state.forming.has_value()) {
         ExpectSameGroup(*parsed->forming, *state.forming);
       }
-      EXPECT_EQ(SerializeCondenserState(*parsed, sequence), text);
+      EXPECT_EQ(SerializeCondenserState(*parsed, sequence), bytes);
     }
   }
 }

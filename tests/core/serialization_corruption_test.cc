@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/io.h"
 #include "common/random.h"
 #include "core/checkpointing.h"
 #include "core/engine.h"
@@ -46,15 +48,30 @@ std::string MakePoolsText() {
   return SerializePools(pools);
 }
 
+// A v1 text snapshot as an earlier build wrote it: the checked-in
+// fixture of tests/core/testdata/checkpoint_v1.
 std::string MakeStateText() {
+  auto text = ReadFileToString(std::string(CONDENSA_TESTDATA_DIR) +
+                               "/checkpoint_v1/snapshot-000001.condensa");
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  return text.ok() ? *text : std::string();
+}
+
+Vector RandomRecord(Rng& rng) {
+  Vector p(3);
+  for (int j = 0; j < 3; ++j) {
+    p[j] = rng.Gaussian(0.0, 1.0);
+  }
+  return p;
+}
+
+// The v2 binary snapshot of a condenser fed `inserts` random records:
+// 11 give two groups, 2 leave only a forming buffer.
+std::string MakeStateV2(int inserts) {
   DynamicCondenser condenser(3, {.group_size = 4});
   Rng rng(3);
-  for (int i = 0; i < 11; ++i) {
-    Vector p(3);
-    for (int j = 0; j < 3; ++j) {
-      p[j] = rng.Gaussian(0.0, 1.0);
-    }
-    EXPECT_TRUE(condenser.Insert(p).ok());
+  for (int i = 0; i < inserts; ++i) {
+    EXPECT_TRUE(condenser.Insert(RandomRecord(rng)).ok());
   }
   return SerializeCondenserState(condenser.ExportState(), 5);
 }
@@ -314,6 +331,90 @@ TEST(SerializationCorruptionTest, NonFiniteSumsAreDataLoss) {
   EXPECT_NE(status.message().find("non-finite fs value in group 2"),
             std::string::npos)
       << status.ToString();
+}
+
+// The v2 snapshot's trailer holds its length and a CRC32 of every byte
+// before it, so every truncation and every single-bit flip is refused.
+TEST(SerializationCorruptionTest, V2SnapshotRefusesEveryTruncationAndBitFlip) {
+  for (const int inserts : {11, 2}) {
+    const std::string valid = MakeStateV2(inserts);
+    ASSERT_TRUE(ParseState(valid).ok()) << inserts;
+    const auto expect_refused = [inserts](const Status& status,
+                                          const std::string& what) {
+      EXPECT_FALSE(status.ok()) << inserts << " " << what;
+      EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
+                  status.code() == StatusCode::kInvalidArgument)
+          << inserts << " " << what << ": " << status.ToString();
+    };
+    for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+      expect_refused(ParseState(valid.substr(0, cut)),
+                     "truncated at " + std::to_string(cut));
+    }
+    for (std::size_t pos = 0; pos < valid.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mangled = valid;
+        mangled[pos] = static_cast<char>(mangled[pos] ^ (1 << bit));
+        expect_refused(ParseState(mangled), "bit flip at " +
+                                                std::to_string(pos) + "." +
+                                                std::to_string(bit));
+      }
+    }
+  }
+}
+
+// A bit flip anywhere in a v2 journal stops replay at the entry holding
+// it and keeps every entry before it (a flip in the header drops them
+// all: the journal no longer names its generation).
+TEST(SerializationCorruptionTest, V2JournalBitFlipsStopAtTheFirstBadEntry) {
+  const std::string dir =
+      ::testing::TempDir() + "/condensa_v2_journal_fuzz";
+  ASSERT_TRUE(CreateDirectories(dir).ok());
+  const StatusOr<std::vector<std::string>> stale = ListDirectory(dir);
+  ASSERT_TRUE(stale.ok());
+  for (const std::string& name : *stale) {
+    ASSERT_TRUE(RemoveFile(dir + "/" + name).ok());
+  }
+  const auto fingerprint = [](const DynamicCondenser& condenser) {
+    return SerializeCondenserState(condenser.ExportState(), 0);
+  };
+  // Eleven inserts and a remove; prefixes[e] is the state after e entries.
+  Rng rng(21);
+  std::vector<Vector> records;
+  for (int i = 0; i < 11; ++i) records.push_back(RandomRecord(rng));
+  DynamicCondenser reference(3, {.group_size = 4});
+  std::vector<std::string> prefixes = {fingerprint(reference)};
+  {
+    auto durable = DurableCondenser::Create(
+        3, {.group_size = 4}, {.sync_every_append = false}, dir);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    for (const Vector& record : records) {
+      ASSERT_TRUE(durable->Insert(record).ok());
+      ASSERT_TRUE(reference.Insert(record).ok());
+      prefixes.push_back(fingerprint(reference));
+    }
+    ASSERT_TRUE(durable->Remove(records[3]).ok());
+    ASSERT_TRUE(reference.Remove(records[3]).ok());
+    prefixes.push_back(fingerprint(reference));
+  }
+  const std::string path = dir + "/journal-000000.log";
+  const std::string valid = *ReadFileToString(path);
+  const std::size_t entry = JournalEntryBytes(3);
+  ASSERT_EQ(valid.size(), kJournalHeaderBytes + 12 * entry);
+
+  Rng fuzz(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string mangled = valid;
+    const std::size_t pos = fuzz.UniformIndex(mangled.size());
+    mangled[pos] = static_cast<char>(mangled[pos] ^
+                                     (1 << fuzz.UniformIndex(8)));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << mangled;
+    const std::size_t kept =
+        pos < kJournalHeaderBytes ? 0 : (pos - kJournalHeaderBytes) / entry;
+    auto loaded = DurableCondenser::Load(dir, {.group_size = 4});
+    ASSERT_TRUE(loaded.ok()) << "flip at " << pos << ": "
+                             << loaded.status().ToString();
+    EXPECT_EQ(fingerprint(*loaded), prefixes[kept]) << "flip at " << pos;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cfloat>
 #include <cmath>
@@ -9,6 +10,11 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <vector>
+
+#include "common/failpoint.h"
+#include "common/io.h"
 
 namespace condensa::data {
 namespace {
@@ -459,6 +465,47 @@ TEST(CsvWriteTest, NoHeaderWithoutFeatureNames) {
   Dataset ds(1);
   ds.Add(linalg::Vector{4.0});
   EXPECT_EQ(WriteCsvToString(ds), "4\n");
+}
+
+// A write torn mid-file, or one whose rename fails, leaves the previous
+// release byte for byte and no temp file behind.
+TEST(CsvWriteTest, FailedWriteKeepsThePreviousFile) {
+  const std::string dir = ::testing::TempDir() + "/condensa_csv_torn";
+  ASSERT_TRUE(CreateDirectories(dir).ok());
+  const std::string path = dir + "/release.csv";
+  Dataset first(1);
+  first.Add(linalg::Vector{4.0});
+  ASSERT_TRUE(WriteCsv(first, path).ok());
+  Dataset second(1);
+  for (int i = 0; i < 100; ++i) second.Add(linalg::Vector{0.5 * i});
+
+  for (const FailPointSpec& spec :
+       {FailPointSpec{.mode = FailPointMode::kTornWrite},
+        FailPointSpec{.code = StatusCode::kDataLoss}}) {
+    FailPoint::Reset();
+    FailPoint::Arm(spec.mode == FailPointMode::kTornWrite ? "io.atomic_write"
+                                                           : "io.atomic_rename",
+                   spec);
+    EXPECT_FALSE(WriteCsv(second, path).ok());
+    FailPoint::Reset();
+    EXPECT_EQ(*ReadFileToString(path), "4\n");
+    const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
+    ASSERT_TRUE(names.ok());
+    EXPECT_EQ(*names, std::vector<std::string>{"release.csv"});
+  }
+  ASSERT_TRUE(WriteCsv(second, path).ok());
+  EXPECT_EQ(*ReadFileToString(path), WriteCsvToString(second));
+}
+
+// Paths that are not regular files are written in place: a character
+// device stays a character device.
+TEST(CsvWriteTest, DeviceOutputIsWrittenInPlace) {
+  Dataset ds(1);
+  ds.Add(linalg::Vector{4.0});
+  ASSERT_TRUE(WriteCsv(ds, "/dev/null").ok());
+  struct stat info;
+  ASSERT_EQ(::stat("/dev/null", &info), 0);
+  EXPECT_TRUE(S_ISCHR(info.st_mode));
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Crash-recovery sweep: a durable streaming condensation is crashed at
 // EVERY fault boundary it crosses — each journal append, fsync, snapshot
 // write, rename, journal roll, and eigensolver call — via armed
-// failpoints, in both clean-error and torn-write modes. After every
-// injected crash, recovery must (a) lose no acknowledged record, (b) be
-// bit-identical to an in-memory condenser fed the same durable prefix,
-// and (c) resume to a final structure identical to a run that never
-// crashed.
+// failpoints, in both clean-error and torn-write modes (torn at the v2
+// journal entry's boundaries too), and with a newest snapshot that lost
+// its trailer. After every injected crash, recovery must (a) lose no
+// acknowledged record, (b) be bit-identical to an in-memory condenser fed
+// the same durable prefix, and (c) resume to a final structure identical
+// to a run that never crashed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,10 +87,39 @@ std::size_t RunScenario(const std::string& dir) {
   return acked;
 }
 
+// Bytes of a v2 snapshot's trailer: its u64 length and u32 CRC32.
+constexpr std::size_t kSnapshotTrailerBytes = 8 + 4;
+
+// Models a roll that crashed after its rename reached the disk but before
+// the snapshot's last bytes did: writes snapshot N+1 of the crashed
+// directory's state without its trailer. Returns N+1, or 0 when the
+// crash left no state to snapshot.
+std::size_t PlantSnapshotWithoutTrailer(const std::string& dir) {
+  auto loaded = DurableCondenser::Load(dir, CondenserOptions());
+  if (!loaded.ok()) return 0;
+  std::size_t newest = 0;
+  const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
+  for (const std::string& name : *names) {
+    if (name.starts_with("snapshot-") && name.ends_with(".condensa")) {
+      newest = std::max<std::size_t>(newest, std::stoul(name.substr(9, 6)));
+    }
+  }
+  const std::size_t planted = newest + 1;
+  std::string bytes = SerializeCondenserState(loaded->ExportState(), planted);
+  bytes.resize(bytes.size() - kSnapshotTrailerBytes);
+  char name[32];
+  std::snprintf(name, sizeof(name), "/snapshot-%06zu.condensa", planted);
+  EXPECT_TRUE(WriteFileAtomic(dir + name, bytes).ok());
+  return planted;
+}
+
 struct Variant {
   std::string probe;
   FailPointSpec spec;
   std::string label;
+  // Damage done to the crashed directory before recovery; returns a
+  // snapshot sequence recovery must refuse (0 for none).
+  std::size_t (*after_crash)(const std::string& dir) = nullptr;
 };
 
 std::vector<Variant> Variants() {
@@ -101,8 +133,10 @@ std::vector<Variant> Variants() {
   // -Wmaybe-uninitialized false positive on FailPointSpec::message.
   std::vector<Variant> variants;
   const auto add = [&variants](const char* probe, FailPointSpec spec,
-                               const char* label) {
-    variants.push_back({probe, std::move(spec), label});
+                               const char* label,
+                               std::size_t (*after_crash)(const std::string&) =
+                                   nullptr) {
+    variants.push_back({probe, std::move(spec), label, after_crash});
   };
   add("checkpoint.snapshot", error, "snapshot/error");
   add("checkpoint.journal_append", error, "journal_append/error");
@@ -113,6 +147,12 @@ std::vector<Variant> Variants() {
   add("io.append", error, "append/error");
   add("io.append", torn(half), "append/torn-half");
   add("io.append", torn(2), "append/torn-2");
+  // v2 journal entry boundaries: the tag byte alone, and everything but
+  // the CRC32.
+  add("io.append", torn(1), "append/torn-1");
+  add("io.append", torn(JournalEntryBytes(kDim) - 4), "append/torn-before-crc");
+  add("io.append", error, "append/error+snapshot-without-trailer",
+      &PlantSnapshotWithoutTrailer);
   add("io.sync", error, "sync/error");
   add("eigen.jacobi",
       {.code = StatusCode::kInternal, .message = "eigensolver diverged"},
@@ -152,6 +192,8 @@ TEST(CrashRecoveryTest, EveryWriteBoundarySurvivesInjectedCrash) {
       const std::size_t acked = RunScenario(dir);
       FailPoint::Reset();  // the "machine" reboots with healthy hardware
       ++crashes;
+      const std::size_t refused =
+          variant.after_crash != nullptr ? variant.after_crash(dir) : 0;
 
       auto recovered =
           DurableCondenser::Recover(dir, CondenserOptions(), Durability());
@@ -162,6 +204,9 @@ TEST(CrashRecoveryTest, EveryWriteBoundarySurvivesInjectedCrash) {
                                              Durability(), dir);
       }
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      if (refused != 0) {
+        ASSERT_LT(recovered->snapshot_sequence(), refused);
+      }
 
       // (a) no acknowledged record is lost, and (b) the recovered state
       // is bit-identical to an uninterrupted run over its prefix.

@@ -395,6 +395,15 @@ else
   failures=$((failures + 1))
 fi
 
+# Releases are renamed into place, but --output=/dev/null (used above) is
+# written in place: the device node must survive the whole contract.
+if [ -c /dev/null ]; then
+  echo "ok: /dev/null is still a character device"
+else
+  echo "FAIL: /dev/null is no longer a character device" >&2
+  failures=$((failures + 1))
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI contract check(s) failed" >&2
   exit 1
