@@ -501,12 +501,12 @@ void BM_CheckpointJournalEncode(benchmark::State& state) {
 BENCHMARK(BM_CheckpointJournalEncode)->Unit(benchmark::kMicrosecond);
 
 void BM_CheckpointSnapshotEncode(benchmark::State& state) {
-  const condensa::core::DynamicCondenser::State snapshot =
-      GetCheckpointInputs().condenser.ExportState();
+  const condensa::core::DynamicCondenser& condenser =
+      GetCheckpointInputs().condenser;
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::string encoded =
-        condensa::core::SerializeCondenserState(snapshot, 1);
+        condensa::core::SerializeCondenserState(condenser, 1);
     benchmark::DoNotOptimize(encoded.data());
     bytes = encoded.size();
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -323,21 +324,21 @@ char ParseRecordLine(std::string_view line, linalg::Vector* record) {
   return tag[0];
 }
 
-std::string SerializeCondenserState(const DynamicCondenser::State& state,
+std::string SerializeCondenserState(const DynamicCondenser& condenser,
                                     std::size_t sequence) {
-  const CondensedGroupSet& groups = state.groups;
-  const bool forming =
-      state.forming.has_value() && state.forming->count() > 0;
+  const CondensedGroupSet& groups = condenser.groups();
+  const std::optional<GroupStatistics>& forming_group = condenser.forming();
+  const bool forming = forming_group.has_value() && forming_group->count() > 0;
   WireWriter out;
   out.Reserve(kSnapshotMagic.size() + 64 + groups.backend_id().size() +
               (groups.num_groups() + 1) * GroupBytes(groups.dim()) +
               kTrailerBytes);
   out.PutBytes(kSnapshotMagic);
   out.PutU64(sequence);
-  out.PutU64(state.records_seen);
-  out.PutU64(state.split_count);
-  out.PutU64(state.merge_count);
-  out.PutU8((state.bootstrapped ? kBootstrappedFlag : 0) |
+  out.PutU64(condenser.records_seen());
+  out.PutU64(condenser.split_count());
+  out.PutU64(condenser.merge_count());
+  out.PutU8((condenser.bootstrapped() ? kBootstrappedFlag : 0) |
             (forming ? kFormingFlag : 0));
   out.PutCount(groups.dim());
   out.PutU64(groups.indistinguishability_level());
@@ -348,7 +349,7 @@ std::string SerializeCondenserState(const DynamicCondenser::State& state,
     PutGroup(out, group);
   }
   if (forming) {
-    PutGroup(out, *state.forming);
+    PutGroup(out, *forming_group);
   }
   const std::uint32_t crc = Crc32(out.buffer());
   out.PutU64(out.size());
@@ -596,7 +597,6 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
     CONDENSA_RETURN_IF_ERROR(durable.journal_.Sync());
   }
   durable.journal_bytes_ = valid_offset;
-  durable.journal_v1_ = loaded.journal_v1;
   durable.appends_ = loaded.replayed;
   CheckpointMetrics& metrics = CheckpointMetrics::Get();
   metrics.recoveries.Increment();
@@ -635,6 +635,14 @@ StatusOr<DurableCondenser> DurableCondenser::Recover(
       }
       std::rename((dir + "/" + name).c_str(), target.c_str());
     }
+  }
+  // A v1 journal an earlier build wrote is rolled to a v2 generation now,
+  // so appends only ever write v2 entries. The roll comes after the
+  // prune: a newer journal set aside above would otherwise be truncated
+  // by the roll's journal-(N+1). A failed roll removes its snapshot and
+  // leaves the repaired v1 generation for the next Recover.
+  if (loaded.journal_v1) {
+    CONDENSA_RETURN_IF_ERROR(durable.WriteSnapshot());
   }
   return durable;
 }
@@ -679,15 +687,10 @@ Status DurableCondenser::Bootstrap(
 Status DurableCondenser::AppendJournal(char op,
                                        const linalg::Vector& record) {
   CONDENSA_RETURN_IF_ERROR(FailPoint::Maybe("checkpoint.journal_append"));
-  std::string entry;
-  if (journal_v1_) {
-    AppendRecordLine(entry, op, record);
-  } else {
-    WireWriter writer;
-    writer.Reserve(JournalEntryBytes(record.dim()));
-    AppendJournalEntry(writer, op, record);
-    entry = writer.Take();
-  }
+  WireWriter writer;
+  writer.Reserve(JournalEntryBytes(record.dim()));
+  AppendJournalEntry(writer, op, record);
+  const std::string entry = writer.Take();
   Status status = journal_.Append(entry);
   if (status.ok() && durability_.sync_every_append) {
     status = journal_.Sync();
@@ -806,7 +809,7 @@ Status DurableCondenser::WriteSnapshot() {
   const std::size_t next = initial ? sequence_ : sequence_ + 1;
   const std::string snapshot_path = dir_ + "/" + SnapshotName(next);
   const std::string serialized =
-      SerializeCondenserState(condenser_.ExportState(), next);
+      SerializeCondenserState(condenser_, next);
   CONDENSA_RETURN_IF_ERROR(WriteFileAtomic(snapshot_path, serialized));
   metrics.snapshots.Increment();
   metrics.snapshot_bytes.Increment(serialized.size());
@@ -830,7 +833,6 @@ Status DurableCondenser::WriteSnapshot() {
   }
   journal_ = std::move(rolled).value();
   journal_bytes_ = header.size();
-  journal_v1_ = false;
   metrics.journal_bytes.Increment(header.size());
 
   if (!initial) {

@@ -36,8 +36,9 @@
 // structure at that record.
 //
 // Both readers also take the v1 text files earlier builds wrote: each
-// file's magic picks its reader. A recovered v1 journal keeps receiving
-// v1 lines until the next snapshot rolls it; every roll writes v2.
+// file's magic picks its reader. `Recover` of a generation whose journal
+// is v1 rolls it to v2 at once, so every journal this code appends to is
+// v2.
 
 #ifndef CONDENSA_CORE_CHECKPOINTING_H_
 #define CONDENSA_CORE_CHECKPOINTING_H_
@@ -64,9 +65,10 @@ struct DurabilityOptions {
   bool sync_every_append = true;
 };
 
-// The snapshot file: the full condenser state in the v2 binary format.
-// Exposed for tests and tooling; production code uses DurableCondenser.
-std::string SerializeCondenserState(const DynamicCondenser::State& state,
+// The snapshot file: the full state of `condenser` in the v2 binary
+// format, read straight from the live structure. Exposed for tests and
+// tooling; production code uses DurableCondenser.
+std::string SerializeCondenserState(const DynamicCondenser& condenser,
                                     std::size_t sequence);
 // Reads a v2 snapshot, or a v1 text snapshot an earlier build wrote; the
 // leading magic picks the reader. kDataLoss for a truncated or corrupt
@@ -120,8 +122,9 @@ class DurableCondenser {
                                            const std::string& dir);
 
   // Restores from `dir`: loads the newest parseable snapshot, replays its
-  // journal, truncates any torn tail, and deletes generations older than
-  // the chosen one. Journals newer than the chosen snapshot (possible
+  // journal, truncates any torn tail, deletes generations older than the
+  // chosen one, and rolls a v1 journal to a v2 generation (one snapshot;
+  // its failure fails Recover). Journals newer than the chosen snapshot (possible
   // when recovery fell back past a corrupt snapshot) are preserved under
   // a ".orphan" suffix, never deleted. Recover is idempotent: running it
   // twice against the same directory leaves the second run a no-op.
@@ -191,7 +194,7 @@ class DurableCondenser {
         durability_(durability),
         dir_(std::move(dir)) {}
 
-  // Appends one journal entry durably, in the journal's format.
+  // Appends one v2 journal entry durably.
   Status AppendJournal(char op, const linalg::Vector& record);
 
   // Rebuilds the in-memory condenser from the on-disk snapshot + journal.
@@ -220,9 +223,6 @@ class DurableCondenser {
   // Bytes of valid journal content, so a failed apply can truncate the
   // entry it journaled (journal contents always match applied state).
   std::size_t journal_bytes_ = 0;
-  // The open journal is a recovered v1 text journal: it takes v1 lines
-  // until the next snapshot rolls it to v2.
-  bool journal_v1_ = false;
   // Set when a post-apply-failure rebuild failed too: memory and disk may
   // disagree, so every further durable operation is refused. The caller
   // recovers by constructing a fresh instance via Recover.

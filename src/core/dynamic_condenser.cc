@@ -45,17 +45,6 @@ DynamicCondenser::DynamicCondenser(std::size_t dim,
   groups_.SetBackend(options_.backend->id, options_.backend->version);
 }
 
-DynamicCondenser::State DynamicCondenser::ExportState() const {
-  State state;
-  state.groups = groups_;
-  state.forming = forming_;
-  state.split_count = split_count_;
-  state.merge_count = merge_count_;
-  state.records_seen = records_seen_;
-  state.bootstrapped = bootstrapped_;
-  return state;
-}
-
 StatusOr<DynamicCondenser> DynamicCondenser::FromState(
     State state, DynamicCondenserOptions options) {
   if (state.forming.has_value() &&

@@ -47,7 +47,8 @@ struct DynamicCondenserOptions {
 class DynamicCondenser {
  public:
   // The complete mutable state of a condenser — everything a durability
-  // layer must persist to reconstruct it exactly (see core/checkpointing.h).
+  // layer must persist to reconstruct it exactly: what the snapshot
+  // reader returns for FromState (see core/checkpointing.h).
   struct State {
     CondensedGroupSet groups{0, 0};
     // Pure-stream warm-up buffer, when one is open.
@@ -61,10 +62,7 @@ class DynamicCondenser {
   // Creates a condenser for d-dimensional records.
   DynamicCondenser(std::size_t dim, DynamicCondenserOptions options);
 
-  // Copies out the full state (checkpointing).
-  State ExportState() const;
-
-  // Rebuilds a condenser from a previously exported state. Fails when the
+  // Rebuilds a condenser from a previously saved state. Fails when the
   // forming buffer's dimension disagrees with the group set's.
   static StatusOr<DynamicCondenser> FromState(State state,
                                               DynamicCondenserOptions options);
@@ -99,6 +97,13 @@ class DynamicCondenser {
 
   // Records consumed so far (bootstrap + stream).
   std::size_t records_seen() const { return records_seen_; }
+
+  // Pure-stream warm-up buffer, when one is open: fewer than k records,
+  // not yet a group.
+  const std::optional<GroupStatistics>& forming() const { return forming_; }
+
+  // True once Bootstrap has seeded the structure.
+  bool bootstrapped() const { return bootstrapped_; }
 
   // Read-only view of the current group aggregates. The forming group (if
   // a pure-stream condenser has seen fewer than k records) is excluded.

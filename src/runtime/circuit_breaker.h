@@ -17,7 +17,9 @@
 //              a single failure re-opens it.
 //
 // The clock is injectable so state transitions are testable without real
-// waiting. Thread-safe; the watchdog trips it from outside via ForceTrip.
+// waiting. Thread-safe: the pipeline's worker drives it (and trips it via
+// ForceTrip on a batch past its deadline) while stats readers on other
+// threads query it.
 
 #ifndef CONDENSA_RUNTIME_CIRCUIT_BREAKER_H_
 #define CONDENSA_RUNTIME_CIRCUIT_BREAKER_H_
@@ -57,7 +59,7 @@ class CircuitBreaker {
   void RecordSuccess();
   void RecordFailure();
 
-  // Trips straight to kOpen regardless of counts (watchdog stall).
+  // Trips straight to kOpen regardless of counts (batch deadline overrun).
   void ForceTrip();
 
   State state() const;

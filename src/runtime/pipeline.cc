@@ -114,9 +114,6 @@ Status StreamPipelineConfig::Validate() const {
   if (!(batch_deadline_ms > 0.0)) {
     return InvalidArgumentError("batch_deadline_ms must be > 0");
   }
-  if (!(watchdog_poll_ms > 0.0)) {
-    return InvalidArgumentError("watchdog_poll_ms must be > 0");
-  }
   if (retry.max_attempts < 1) {
     return InvalidArgumentError("retry.max_attempts must be >= 1");
   }
@@ -246,19 +243,13 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Start(
   }
 
   pipeline->worker_ = std::thread(&StreamPipeline::WorkerLoop, pipeline.get());
-  pipeline->watchdog_ =
-      std::thread(&StreamPipeline::WatchdogLoop, pipeline.get());
   return pipeline;
 }
 
 StreamPipeline::~StreamPipeline() {
   queue_.Close();
-  shutdown_.store(true, std::memory_order_relaxed);
   if (worker_.joinable()) {
     worker_.join();
-  }
-  if (watchdog_.joinable()) {
-    watchdog_.join();
   }
 }
 
@@ -433,10 +424,10 @@ void StreamPipeline::MaybeDrainSpool() {
   (void)truncated;
 }
 
-void StreamPipeline::ProcessRecord(const linalg::Vector& record) {
+void StreamPipeline::ProcessRecord(const linalg::Vector& record,
+                                   bool batch_overran) {
   RuntimeMetrics& metrics = RuntimeMetrics::Get();
-  if (deadline_exceeded_.load(std::memory_order_relaxed) ||
-      !breaker_.AllowRequest()) {
+  if (batch_overran || !breaker_.AllowRequest()) {
     // Degraded (or mid-stall): buffer durably, condense later.
     SpoolRecord(record);
     return;
@@ -494,13 +485,19 @@ void StreamPipeline::WorkerLoop() {
       continue;
     }
     const double start_ms = SteadyNowMs();
-    deadline_exceeded_.store(false, std::memory_order_relaxed);
-    batch_start_ms_.store(start_ms, std::memory_order_relaxed);
-    in_batch_.store(true, std::memory_order_release);
+    bool overran = false;
     for (const linalg::Vector& record : batch) {
-      ProcessRecord(record);
+      ProcessRecord(record, overran);
+      // One trip per overrun batch: the rest of the batch spools instead
+      // of pushing more records into whatever is stalling, and the
+      // breaker keeps new work out until probes pass.
+      if (!overran && SteadyNowMs() - start_ms > config_.batch_deadline_ms) {
+        overran = true;
+        watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
+        metrics.watchdog_stalls.Increment();
+        breaker_.ForceTrip();
+      }
     }
-    in_batch_.store(false, std::memory_order_release);
     drained_.fetch_add(popped, std::memory_order_release);
     metrics.batch_seconds.Observe((SteadyNowMs() - start_ms) / 1000.0);
     MaybeDrainSpool();
@@ -514,29 +511,6 @@ void StreamPipeline::WorkerLoop() {
   PublishGauges();
 }
 
-void StreamPipeline::WatchdogLoop() {
-  const auto poll =
-      std::chrono::duration<double, std::milli>(config_.watchdog_poll_ms);
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(poll);
-    if (!in_batch_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    const double start = batch_start_ms_.load(std::memory_order_relaxed);
-    if (SteadyNowMs() - start <= config_.batch_deadline_ms) {
-      continue;
-    }
-    // One trip per stalled batch: the flag makes the worker spool the
-    // rest of the batch instead of pushing more records into whatever is
-    // stalling, and the breaker keeps new work out until probes pass.
-    if (!deadline_exceeded_.exchange(true, std::memory_order_relaxed)) {
-      watchdog_stalls_.fetch_add(1, std::memory_order_relaxed);
-      RuntimeMetrics::Get().watchdog_stalls.Increment();
-      breaker_.ForceTrip();
-    }
-  }
-}
-
 Status StreamPipeline::Flush(double timeout_ms) {
   const double deadline = SteadyNowMs() + timeout_ms;
   while (true) {
@@ -544,8 +518,8 @@ Status StreamPipeline::Flush(double timeout_ms) {
     // (drained_) or evicted by a producer under kDropOldest (dropped);
     // both are terminal custody states, so the barrier is their sum
     // catching up with accepted_. Comparing counters instead of probing
-    // queue-empty + !in_batch_ avoids the window between PopBatch
-    // emptying the queue and the worker raising in_batch_.
+    // queue-empty avoids the window between PopBatch emptying the queue
+    // and the worker finishing the popped batch.
     const std::size_t accepted = accepted_.load(std::memory_order_acquire);
     const std::size_t settled = drained_.load(std::memory_order_acquire) +
                                 queue_.dropped();
@@ -572,10 +546,6 @@ StatusOr<StreamPipelineStats> StreamPipeline::Finish() {
   queue_.Close();
   if (worker_.joinable()) {
     worker_.join();
-  }
-  shutdown_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) {
-    watchdog_.join();
   }
 
   // Final drain, bounded by the configured deadline: the breaker may be

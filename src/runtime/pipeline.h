@@ -11,9 +11,9 @@
 //                                                   │ validate → quarantine
 //                                                   │ apply w/ retry+backoff
 //                                                   │ breaker open → spool
+//                                                   │ batch deadline → trip
 //                                                   ▼
 //                                          DurableCondenser (journal+snapshot)
-//                     watchdog thread ── batch deadline → trip breaker
 //
 //   * Bounded MPSC queue: queue memory is capped; a producer hitting the
 //     cap blocks, sheds load, or evicts the oldest record per the
@@ -24,13 +24,14 @@
 //   * Retry with exponential backoff + jitter around checkpoint/journal
 //     I/O, bounded by a run-wide RetryBudget.
 //   * Circuit breaker + graceful degradation: repeated transient failures
-//     (or a watchdog-detected stall) flip the pipeline into
+//     (or a batch past its deadline) flip the pipeline into
 //     buffer-and-checkpoint-only mode — records are appended durably to a
 //     spool file instead of being condensed — and health probes drain the
 //     spool back through the condenser once the fault clears.
-//   * Watchdog: a supervisor thread enforces a per-batch wall-clock
-//     deadline; a stalled batch trips the breaker so the rest of the
-//     batch degrades to the spool instead of wedging the queue.
+//   * Batch deadline: after each record the worker checks the batch's
+//     wall-clock age; a batch past its deadline trips the breaker so the
+//     rest of the batch degrades to the spool instead of wedging the
+//     queue. A call that hangs is caught when it returns.
 //
 // Accounting invariant (asserted by the chaos soak test): every record
 // Submit() accepted is, by Finish(), exactly one of applied | quarantined
@@ -93,11 +94,10 @@ struct StreamPipelineConfig {
   std::size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
-  // Worker: records per batch (>= 1) and the watchdog-enforced wall-clock
-  // deadline per batch.
+  // Worker: records per batch (>= 1) and the wall-clock deadline per
+  // batch (> 0), checked by the worker after each record.
   std::size_t batch_size = 32;
   double batch_deadline_ms = 1000.0;
-  double watchdog_poll_ms = 20.0;
 
   // Retry schedule for transient condenser/checkpoint failures, plus the
   // run-wide cap on total retries.
@@ -159,6 +159,8 @@ struct StreamPipelineStats {
   std::size_t spool_recovered = 0;
   std::size_t retries = 0;
   std::size_t breaker_trips = 0;
+  // Batches that ran past batch_deadline_ms (the name predates the
+  // worker-side check; it is on the fabric wire).
   std::size_t watchdog_stalls = 0;
   // Times the durable condenser was rebuilt via Recover after poisoning.
   std::size_t condenser_reopens = 0;
@@ -183,14 +185,14 @@ class StreamPipeline {
  public:
   // Validates `config`, opens (or recovers) the durable condenser and the
   // quarantine/spool files, preloads any spool backlog left by a crashed
-  // run, and starts the worker + watchdog threads.
+  // run, and starts the worker thread.
   static StatusOr<std::unique_ptr<StreamPipeline>> Start(
       StreamPipelineConfig config);
 
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
 
-  // Joins the threads (drains nothing beyond what Finish already did).
+  // Joins the worker (drains nothing beyond what Finish already did).
   ~StreamPipeline();
 
   // Producer API; safe from any number of threads. A record failing
@@ -212,7 +214,7 @@ class StreamPipeline {
   Status Flush(double timeout_ms);
 
   // Closes intake, drains the queue and (deadline-bounded) the spool,
-  // writes a final checkpoint, joins the threads, and returns the final
+  // writes a final checkpoint, joins the worker, and returns the final
   // ledger. Callable once.
   StatusOr<StreamPipelineStats> Finish();
 
@@ -242,9 +244,10 @@ class StreamPipeline {
   explicit StreamPipeline(StreamPipelineConfig config);
 
   void WorkerLoop();
-  void WatchdogLoop();
-  // One record through validate → breaker → retry → quarantine/spool.
-  void ProcessRecord(const linalg::Vector& record);
+  // One record through validate → breaker → retry → quarantine/spool;
+  // `batch_overran` (its batch is past the deadline) sends it straight
+  // to the spool.
+  void ProcessRecord(const linalg::Vector& record, bool batch_overran);
   // Applies through the durable condenser with retry/backoff, rebuilding
   // a poisoned condenser via Recover.
   Status ApplyRecord(const linalg::Vector& record);
@@ -269,13 +272,6 @@ class StreamPipeline {
   Rng rng_;  // worker-thread only
 
   std::thread worker_;
-  std::thread watchdog_;
-
-  // Watchdog handshake.
-  std::atomic<bool> in_batch_{false};
-  std::atomic<double> batch_start_ms_{0.0};
-  std::atomic<bool> deadline_exceeded_{false};
-  std::atomic<bool> shutdown_{false};
 
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> accepted_{0};

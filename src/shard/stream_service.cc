@@ -8,6 +8,7 @@
 #include "net/frame.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/worker_server.h"
 
 namespace condensa::shard {
 namespace {
@@ -195,8 +196,7 @@ StatusOr<std::unique_ptr<ShardedStreamService>> ShardedStreamService::Start(
     std::lock_guard<std::mutex> lock(peer.mu);
     if (in_process) {
       CONDENSA_ASSIGN_OR_RETURN(
-          peer.local, Worker::Start(shard, cfg.dim,
-                                    service->LocalWorkerOptions(shard, "")));
+          peer.local, Worker::Start(shard, "", service->shard_config(shard)));
       peer.state = PeerState::kLocal;
       continue;
     }
@@ -242,40 +242,21 @@ ShardedStreamService::~ShardedStreamService() {
   }
 }
 
-std::string ShardedStreamService::checkpoint_dir(std::size_t shard) const {
-  CONDENSA_CHECK_LT(shard, peers_.size());
-  return config_.checkpoint_root + "/shard-" + std::to_string(shard);
-}
-
-WorkerOptions ShardedStreamService::LocalWorkerOptions(
-    std::size_t shard, std::string worker_id) const {
-  WorkerOptions options;
-  options.group_size = config_.group_size;
-  options.split_rule = config_.split_rule;
-  options.checkpoint_root = config_.checkpoint_root;
-  options.snapshot_interval = config_.snapshot_interval;
-  options.sync_every_append = config_.sync_every_append;
-  options.queue_capacity = config_.queue_capacity;
-  options.batch_size = config_.batch_size;
-  options.seed = shard_seeds_[shard];
-  options.worker_id = std::move(worker_id);
-  options.backend = config_.backend;
-  return options;
-}
-
-net::HelloMessage ShardedStreamService::HelloFor(std::size_t shard) const {
-  net::HelloMessage hello;
-  hello.shard_id = shard;
-  hello.dim = config_.dim;
-  hello.group_size = config_.group_size;
-  hello.split_rule = static_cast<std::uint16_t>(config_.split_rule);
-  hello.snapshot_interval = config_.snapshot_interval;
-  hello.sync_every_append = config_.sync_every_append ? 1 : 0;
-  hello.queue_capacity = config_.queue_capacity;
-  hello.batch_size = config_.batch_size;
-  hello.seed = shard_seeds_[shard];
-  hello.backend = config_.backend->id;
-  return hello;
+runtime::StreamPipelineConfig ShardedStreamService::shard_config(
+    std::size_t shard) const {
+  CONDENSA_CHECK_LT(shard, shard_seeds_.size());
+  runtime::StreamPipelineConfig config;
+  config.dim = config_.dim;
+  config.group_size = config_.group_size;
+  config.split_rule = config_.split_rule;
+  config.backend = config_.backend;
+  config.checkpoint_dir = ShardCheckpointDir(config_.checkpoint_root, shard);
+  config.snapshot_interval = config_.snapshot_interval;
+  config.sync_every_append = config_.sync_every_append;
+  config.queue_capacity = config_.queue_capacity;
+  config.batch_size = config_.batch_size;
+  config.seed = shard_seeds_[shard];
+  return config;
 }
 
 Status ShardedStreamService::HandshakeLocked(std::size_t shard, Peer& peer) {
@@ -286,9 +267,10 @@ Status ShardedStreamService::HandshakeLocked(std::size_t shard, Peer& peer) {
       net::TcpConnection conn,
       net::TcpConnection::Connect(endpoint.host, endpoint.port,
                                   config_.connect_timeout_ms));
-  CONDENSA_RETURN_IF_ERROR(conn.SendFrame(net::FrameType::kHello,
-                                          net::EncodeHello(HelloFor(shard)),
-                                          config_.io_timeout_ms));
+  CONDENSA_RETURN_IF_ERROR(conn.SendFrame(
+      net::FrameType::kHello,
+      net::EncodeHello(HelloForShard(shard, shard_config(shard))),
+      config_.io_timeout_ms));
   CONDENSA_ASSIGN_OR_RETURN(net::Frame frame,
                             conn.RecvFrame(config_.io_timeout_ms));
   if (frame.type == net::FrameType::kError) {
@@ -481,11 +463,10 @@ Status ShardedStreamService::LocalTakeoverLocked(std::size_t shard,
         " is unreachable and no checkpoint_root is configured for local "
         "takeover");
   }
-  // The options an in-process shard runs with are what the Hello gave
-  // the remote worker, so the takeover runs exactly what that worker ran.
+  // The config an in-process shard runs with is what the Hello gave the
+  // remote worker, so the takeover runs exactly what that worker ran.
   CONDENSA_ASSIGN_OR_RETURN(
-      peer.local, Worker::Start(shard, config_.dim,
-                                LocalWorkerOptions(shard, peer.worker_id)));
+      peer.local, Worker::Start(shard, peer.worker_id, shard_config(shard)));
   // Recovering over the worker's own checkpoint dir restores its acked
   // records exactly; trim what the recovery already owns, then deliver
   // the rest of the outbox in-process.

@@ -222,8 +222,11 @@ class ShardedStreamService {
   // workers keep their durable state for the next run).
   ~ShardedStreamService();
 
-  // Shard i's checkpoint directory, <checkpoint_root>/shard-<i>.
-  std::string checkpoint_dir(std::size_t shard) const;
+  // Shard i's pipeline config, the one record of its parameters: what
+  // its in-process Worker (own or takeover) starts from, and what the
+  // Hello carries to a remote worker (HelloForShard), which swaps in its
+  // own checkpoint root.
+  runtime::StreamPipelineConfig shard_config(std::size_t shard) const;
 
   // Routes one record to its shard. A record whose dimension is not the
   // config's is refused (kInvalidArgument) before it takes an arrival
@@ -269,13 +272,6 @@ class ShardedStreamService {
   };
 
   explicit ShardedStreamService(ShardedStreamConfig config);
-
-  // The options of shard `shard`'s in-process Worker, for in-process
-  // shards and takeovers alike.
-  WorkerOptions LocalWorkerOptions(std::size_t shard,
-                                   std::string worker_id) const;
-  // The Hello that opens shard `shard`'s remote session.
-  net::HelloMessage HelloFor(std::size_t shard) const;
 
   // --- connection management (peer->mu held) ---
   Status HandshakeLocked(std::size_t shard, Peer& peer);

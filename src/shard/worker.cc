@@ -36,35 +36,24 @@ obs::Gauge& ShardGroupsGauge(std::size_t shard_id,
       "condensa_shard_groups", ShardWorkerLabels(shard_id, worker_id));
 }
 
-Worker::Worker(std::size_t shard_id, std::string checkpoint_dir,
-               std::string worker_id)
+std::string ShardCheckpointDir(const std::string& checkpoint_root,
+                               std::size_t shard_id) {
+  return checkpoint_root + "/shard-" + std::to_string(shard_id);
+}
+
+Worker::Worker(std::size_t shard_id, std::string worker_id)
     : shard_id_(shard_id),
-      checkpoint_dir_(std::move(checkpoint_dir)),
       worker_id_(std::move(worker_id)),
       records_counter_(ShardRecordsCounter(shard_id_, worker_id_)) {}
 
 StatusOr<std::unique_ptr<Worker>> Worker::Start(
-    std::size_t shard_id, std::size_t dim, const WorkerOptions& options) {
-  if (options.checkpoint_root.empty()) {
-    return InvalidArgumentError("a shard worker requires a checkpoint_root");
-  }
+    std::size_t shard_id, std::string worker_id,
+    runtime::StreamPipelineConfig config) {
   std::unique_ptr<Worker> worker(new Worker(
-      shard_id, options.checkpoint_root + "/shard-" + std::to_string(shard_id),
-      options.worker_id.empty() ? DefaultWorkerId(shard_id)
-                                : options.worker_id));
-  runtime::StreamPipelineConfig config;
-  config.dim = dim;
-  config.group_size = options.group_size;
-  config.split_rule = options.split_rule;
-  config.checkpoint_dir = worker->checkpoint_dir_;
-  config.snapshot_interval = options.snapshot_interval;
-  config.sync_every_append = options.sync_every_append;
-  config.queue_capacity = options.queue_capacity;
-  config.batch_size = options.batch_size;
-  config.seed = options.seed;
-  config.backend = options.backend;
+      shard_id,
+      worker_id.empty() ? DefaultWorkerId(shard_id) : std::move(worker_id)));
   CONDENSA_ASSIGN_OR_RETURN(worker->pipeline_,
-                            runtime::StreamPipeline::Start(config));
+                            runtime::StreamPipeline::Start(std::move(config)));
   return worker;
 }
 

@@ -4,8 +4,8 @@
 // A Worker condenses one shard's partition of the stream independently of
 // every other shard — no cross-shard locks, no shared state — through the
 // full supervised streaming runtime (runtime::StreamPipeline) over its own
-// crash-safe checkpoint directory <checkpoint_root>/shard-<id>, so a
-// crashed shard recovers alone. Pure streaming consumes no randomness:
+// crash-safe checkpoint directory (ShardCheckpointDir), so a crashed shard
+// recovers alone. Pure streaming consumes no randomness:
 // the sharded release is reproducible from the seed alone. A shard whose
 // stream ends below the k-floor holds its remainder as one sub-k group
 // for the coordinator to fold (see shard/coordinator.h).
@@ -14,48 +14,21 @@
 #define CONDENSA_SHARD_WORKER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "common/status.h"
-#include "core/backend.h"
 #include "core/condensed_group_set.h"
-#include "core/split.h"
 #include "linalg/vector.h"
 #include "obs/metrics.h"
 #include "runtime/pipeline.h"
 
 namespace condensa::shard {
 
-struct WorkerOptions {
-  // The indistinguishability level k. Must be >= 2 (the streaming
-  // runtime refuses k = 1).
-  std::size_t group_size = 10;
-  core::SplitRule split_rule = core::SplitRule::kMomentConsistent;
-
-  // Parent directory; shard i checkpoints under
-  // <checkpoint_root>/shard-<i>. Required.
-  std::string checkpoint_root;
-  std::size_t snapshot_interval = 1024;
-  bool sync_every_append = true;
-  // Queue bound and batch size forwarded to the shard's StreamPipeline.
-  std::size_t queue_capacity = 1024;
-  std::size_t batch_size = 32;
-  // Seeds the shard pipeline's retry jitter. Take per-shard values from
-  // Router::ShardSeeds so shards never share a stream.
-  std::uint64_t seed = 42;
-
-  // Stable identity for metric labels: condensa_shard_*{shard=i,
-  // worker=<id>}. A restarted or rejoined worker that keeps its identity
-  // keeps its series — no duplicate per-incarnation series. Empty picks
-  // DefaultWorkerId(shard_id).
-  std::string worker_id;
-
-  // Anonymization backend (core/backend.h) stamped into this shard's
-  // group set and checkpoints.
-  const core::Backend* backend = &core::CondensationBackend();
-};
+// Shard i's checkpoint directory under `checkpoint_root`:
+// <checkpoint_root>/shard-<i>.
+std::string ShardCheckpointDir(const std::string& checkpoint_root,
+                               std::size_t shard_id);
 
 // The metric identity of a shard served without an explicit worker id:
 // "w<shard_id>".
@@ -71,19 +44,21 @@ obs::Gauge& ShardGroupsGauge(std::size_t shard_id,
 
 class Worker {
  public:
-  // Validates options and starts the shard's pipeline, creating or
-  // recovering <checkpoint_root>/shard-<id>.
-  static StatusOr<std::unique_ptr<Worker>> Start(std::size_t shard_id,
-                                                 std::size_t dim,
-                                                 const WorkerOptions& options);
+  // Starts the shard's pipeline from `config` — the shard's own, with
+  // checkpoint_dir and seed already set (take per-shard seeds from
+  // Router::ShardSeeds so shards never share a stream) — creating or
+  // recovering config.checkpoint_dir. `worker_id` is the stable identity
+  // for metric labels, condensa_shard_*{shard=i, worker=<id>}: a
+  // restarted or rejoined worker that keeps its identity keeps its
+  // series. Empty picks DefaultWorkerId(shard_id).
+  static StatusOr<std::unique_ptr<Worker>> Start(
+      std::size_t shard_id, std::string worker_id,
+      runtime::StreamPipelineConfig config);
 
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
-  // The shard's checkpoint directory.
-  const std::string& checkpoint_dir() const { return checkpoint_dir_; }
-
-  // The resolved metric-label identity (WorkerOptions::worker_id or
+  // The resolved metric-label identity (the worker_id given to Start, or
   // DefaultWorkerId).
   const std::string& worker_id() const { return worker_id_; }
 
@@ -111,11 +86,9 @@ class Worker {
   runtime::StreamPipelineStats stats() const { return pipeline_->stats(); }
 
  private:
-  Worker(std::size_t shard_id, std::string checkpoint_dir,
-         std::string worker_id);
+  Worker(std::size_t shard_id, std::string worker_id);
 
   const std::size_t shard_id_;
-  const std::string checkpoint_dir_;
   const std::string worker_id_;
   // Resolved once: a registry lookup takes a mutex, Submit must not.
   obs::Counter& records_counter_;

@@ -32,25 +32,40 @@ Status ValidateSplitRule(std::uint16_t raw) {
 
 }  // namespace
 
-StatusOr<WorkerOptions> WorkerOptionsFromHello(
-    const net::HelloMessage& hello, const std::string& checkpoint_root,
-    const std::string& worker_id) {
+net::HelloMessage HelloForShard(std::size_t shard_id,
+                                const runtime::StreamPipelineConfig& config) {
+  net::HelloMessage hello;
+  hello.shard_id = shard_id;
+  hello.dim = config.dim;
+  hello.group_size = config.group_size;
+  hello.split_rule = static_cast<std::uint16_t>(config.split_rule);
+  hello.snapshot_interval = config.snapshot_interval;
+  hello.sync_every_append = config.sync_every_append ? 1 : 0;
+  hello.queue_capacity = config.queue_capacity;
+  hello.batch_size = config.batch_size;
+  hello.seed = config.seed;
+  hello.backend = config.backend->id;
+  return hello;
+}
+
+StatusOr<runtime::StreamPipelineConfig> ShardConfigFromHello(
+    const net::HelloMessage& hello, const std::string& checkpoint_root) {
   CONDENSA_RETURN_IF_ERROR(ValidateSplitRule(hello.split_rule));
   // An id this build cannot resolve rejects the session up front instead
   // of condensing under the wrong strategy.
-  WorkerOptions options;
-  CONDENSA_ASSIGN_OR_RETURN(options.backend,
-                            core::FindBackend(hello.backend));
-  options.group_size = static_cast<std::size_t>(hello.group_size);
-  options.split_rule = static_cast<core::SplitRule>(hello.split_rule);
-  options.checkpoint_root = checkpoint_root;
-  options.snapshot_interval = static_cast<std::size_t>(hello.snapshot_interval);
-  options.sync_every_append = hello.sync_every_append != 0;
-  options.queue_capacity = static_cast<std::size_t>(hello.queue_capacity);
-  options.batch_size = static_cast<std::size_t>(hello.batch_size);
-  options.seed = hello.seed;
-  options.worker_id = worker_id;
-  return options;
+  runtime::StreamPipelineConfig config;
+  CONDENSA_ASSIGN_OR_RETURN(config.backend, core::FindBackend(hello.backend));
+  config.dim = static_cast<std::size_t>(hello.dim);
+  config.group_size = static_cast<std::size_t>(hello.group_size);
+  config.split_rule = static_cast<core::SplitRule>(hello.split_rule);
+  config.checkpoint_dir = ShardCheckpointDir(
+      checkpoint_root, static_cast<std::size_t>(hello.shard_id));
+  config.snapshot_interval = static_cast<std::size_t>(hello.snapshot_interval);
+  config.sync_every_append = hello.sync_every_append != 0;
+  config.queue_capacity = static_cast<std::size_t>(hello.queue_capacity);
+  config.batch_size = static_cast<std::size_t>(hello.batch_size);
+  config.seed = hello.seed;
+  return config;
 }
 
 Status WorkerServerConfig::Validate() const {
@@ -141,15 +156,15 @@ Status WorkerServer::HandleHello(net::TcpConnection& conn,
     return OkStatus();
   }
   if (worker_ == nullptr) {
-    StatusOr<WorkerOptions> options = WorkerOptionsFromHello(
-        *hello, config_.checkpoint_root, config_.worker_id);
-    if (!options.ok()) {
-      SendError(conn, options.status());
+    StatusOr<runtime::StreamPipelineConfig> shard_config =
+        ShardConfigFromHello(*hello, config_.checkpoint_root);
+    if (!shard_config.ok()) {
+      SendError(conn, shard_config.status());
       return OkStatus();
     }
-    StatusOr<std::unique_ptr<Worker>> worker = Worker::Start(
-        static_cast<std::size_t>(hello->shard_id),
-        static_cast<std::size_t>(hello->dim), *options);
+    StatusOr<std::unique_ptr<Worker>> worker =
+        Worker::Start(static_cast<std::size_t>(hello->shard_id),
+                      config_.worker_id, *std::move(shard_config));
     if (!worker.ok()) {
       SendError(conn, worker.status());
       return OkStatus();

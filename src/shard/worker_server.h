@@ -7,7 +7,7 @@
 //
 //   Hello        -> builds (or, after a crash, RECOVERS) the shard's
 //                   Worker from the parameters in the message, under
-//                   <checkpoint_root>/shard-<id>. Replies HelloAck with
+//                   ShardCheckpointDir(checkpoint_root, id). Replies HelloAck with
 //                   the worker's stable identity and durable_total — the
 //                   record count already durably in custody, which the
 //                   coordinator uses to trim re-sends exactly.
@@ -35,6 +35,7 @@
 #define CONDENSA_SHARD_WORKER_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,15 +44,23 @@
 #include "net/framed_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "runtime/pipeline.h"
 #include "shard/worker.h"
 
 namespace condensa::shard {
 
-// The Worker a Hello describes; rejects a split rule or backend this
-// build does not know.
-StatusOr<WorkerOptions> WorkerOptionsFromHello(
-    const net::HelloMessage& hello, const std::string& checkpoint_root,
-    const std::string& worker_id);
+// The Hello that asks a worker to run shard `shard_id` with `config`.
+// config.checkpoint_dir does not travel: the worker checkpoints under its
+// own root.
+net::HelloMessage HelloForShard(std::size_t shard_id,
+                                const runtime::StreamPipelineConfig& config);
+
+// The pipeline config a Hello describes, checkpointing under
+// ShardCheckpointDir(checkpoint_root, hello.shard_id). Fields the Hello
+// does not carry keep their StreamPipelineConfig defaults. Rejects a
+// split rule or backend this build does not know.
+StatusOr<runtime::StreamPipelineConfig> ShardConfigFromHello(
+    const net::HelloMessage& hello, const std::string& checkpoint_root);
 
 struct WorkerServerConfig {
   std::string host = "127.0.0.1";

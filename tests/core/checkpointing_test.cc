@@ -13,6 +13,7 @@
 #include "common/failpoint.h"
 #include "common/io.h"
 #include "common/random.h"
+#include "common/wire.h"
 #include "core/backend.h"
 #include "core/serialization.h"
 
@@ -44,7 +45,34 @@ std::vector<Vector> MakeStream(std::size_t count, std::size_t dim,
 // bit-identical (the serialization renders doubles in their shortest
 // round-trip form).
 std::string Fingerprint(const DynamicCondenser& condenser) {
-  return SerializeCondenserState(condenser.ExportState(), 0);
+  return SerializeCondenserState(condenser, 0);
+}
+
+// A v2 journal of generation `sequence`: its header, then one insert
+// entry per record.
+std::string V2Journal(std::size_t sequence, std::size_t dim,
+                      const std::vector<Vector>& inserts) {
+  WireWriter out;
+  out.PutBytes("condensa-journal v2\n");
+  out.PutU64(sequence);
+  out.PutCount(dim);
+  for (const Vector& record : inserts) {
+    AppendJournalEntry(out, 'i', record);
+  }
+  return out.Take();
+}
+
+// Every file in `dir` with its bytes, sorted by name.
+std::vector<std::pair<std::string, std::string>> DirContents(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
+  EXPECT_TRUE(names.ok()) << names.status().ToString();
+  for (const std::string& name : *names) {
+    files.emplace_back(name, *ReadFileToString(dir + "/" + name));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 class CheckpointingTest : public ::testing::Test {
@@ -85,7 +113,7 @@ TEST_F(CheckpointingTest, StateRoundTripWithoutForming) {
 
   std::size_t sequence = 0;
   auto state = DeserializeCondenserState(
-      SerializeCondenserState(condenser.ExportState(), 42), &sequence);
+      SerializeCondenserState(condenser, 42), &sequence);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(sequence, 42u);
   EXPECT_FALSE(state->forming.has_value());
@@ -101,13 +129,18 @@ TEST_F(CheckpointingTest, StateRoundTripWithoutForming) {
   // integers: a long stream's snapshot must stay recoverable.
   for (std::size_t wide : {std::size_t{1} << 31, std::size_t{1} << 32,
                            (std::size_t{1} << 53) + 1}) {
-    DynamicCondenser::State long_run = condenser.ExportState();
+    DynamicCondenser::State long_run;
+    long_run.groups = condenser.groups();
     long_run.records_seen = wide;
     long_run.split_count = wide + 1;
     long_run.merge_count = wide + 2;
+    long_run.bootstrapped = true;
+    auto long_condenser =
+        DynamicCondenser::FromState(std::move(long_run), {.group_size = 4});
+    ASSERT_TRUE(long_condenser.ok()) << long_condenser.status();
     std::size_t wide_sequence = 0;
     auto reloaded = DeserializeCondenserState(
-        SerializeCondenserState(long_run, wide + 3), &wide_sequence);
+        SerializeCondenserState(*long_condenser, wide + 3), &wide_sequence);
     ASSERT_TRUE(reloaded.ok()) << wide << ": " << reloaded.status();
     EXPECT_EQ(wide_sequence, wide + 3);
     EXPECT_EQ(reloaded->records_seen, wide);
@@ -122,10 +155,10 @@ TEST_F(CheckpointingTest, StateRoundTripPreservesFormingBuffer) {
   // Fewer than k records: all of them sit in the forming buffer.
   ASSERT_TRUE(condenser.Insert(MakeRecord(rng, 2, 1.0)).ok());
   ASSERT_TRUE(condenser.Insert(MakeRecord(rng, 2, 1.0)).ok());
-  ASSERT_TRUE(condenser.ExportState().forming.has_value());
+  ASSERT_TRUE(condenser.forming().has_value());
 
   auto state = DeserializeCondenserState(
-      SerializeCondenserState(condenser.ExportState(), 0), nullptr);
+      SerializeCondenserState(condenser, 0), nullptr);
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE(state->forming.has_value());
   EXPECT_EQ(state->forming->count(), 2u);
@@ -307,20 +340,11 @@ TEST_F(CheckpointingTest, LoadMatchesRecoverAndWritesNothing) {
   ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-000009.condensa.tmp.1",
                               "partial")
                   .ok());
-  auto contents = [&dir] {
-    std::vector<std::pair<std::string, std::string>> files;
-    const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
-    for (const std::string& name : *names) {
-      files.emplace_back(name, *ReadFileToString(dir + "/" + name));
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-  };
-  const auto before = contents();
+  const auto before = DirContents(dir);
 
   auto loaded = DurableCondenser::Load(dir, {.group_size = 3});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(contents(), before);
+  EXPECT_EQ(DirContents(dir), before);
 
   auto recovered = DurableCondenser::Recover(dir, {.group_size = 3}, {});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -391,26 +415,65 @@ TEST(RecordLineTest, RejectsTornAndMalformedLines) {
   EXPECT_EQ(ParseRecordLine("x 1 2 .", &parsed), 'x');
 }
 
-TEST_F(CheckpointingTest, CorruptNewestSnapshotFallsBackToOlder) {
-  const std::string dir = FreshDir();
-
-  // Build a valid generation 1 by hand.
+// Writes a valid generation 1 by hand: the snapshot of seven records
+// drawn from `seed`, and `journal` as journal-000001. Generation 2 is a
+// snapshot torn mid-write (no end marker) and, if `newer_journal` is not
+// empty, a journal holding records acknowledged after that snapshot's
+// roll. Returns the condenser generation 1's snapshot holds.
+DynamicCondenser WriteFallbackDir(const std::string& dir, std::uint64_t seed,
+                                  const std::string& journal,
+                                  const std::string& newer_journal) {
   DynamicCondenser condenser(2, {.group_size = 3});
-  Rng rng(7);
+  Rng rng(seed);
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(condenser.Insert(MakeRecord(rng, 2, 0.0)).ok());
+    EXPECT_TRUE(condenser.Insert(MakeRecord(rng, 2, 0.0)).ok());
   }
-  ASSERT_TRUE(
-      WriteFileAtomic(dir + "/snapshot-000001.condensa",
-                      SerializeCondenserState(condenser.ExportState(), 1))
-          .ok());
-  ASSERT_TRUE(WriteFileAtomic(dir + "/journal-000001.log",
-                              "condensa-journal v1 base 1\n")
+  EXPECT_TRUE(WriteFileAtomic(dir + "/snapshot-000001.condensa",
+                              SerializeCondenserState(condenser, 1))
                   .ok());
-  // Generation 2's snapshot got torn mid-write (no end marker).
-  ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-000002.condensa",
+  EXPECT_TRUE(WriteFileAtomic(dir + "/journal-000001.log", journal).ok());
+  EXPECT_TRUE(WriteFileAtomic(dir + "/snapshot-000002.condensa",
                               "condensa-snapshot v1\nseq 2 records 99 spl")
                   .ok());
+  if (!newer_journal.empty()) {
+    EXPECT_TRUE(
+        WriteFileAtomic(dir + "/journal-000002.log", newer_journal).ok());
+  }
+  return condenser;
+}
+
+TEST_F(CheckpointingTest, CorruptNewestSnapshotFallsBackToOlder) {
+  const std::string dir = FreshDir();
+  const DynamicCondenser condenser =
+      WriteFallbackDir(dir, 7, "condensa-journal v1 base 1\n", "");
+
+  // Recovery falls back to generation 1, then rolls its v1 journal to a
+  // v2 generation 2, whose snapshot replaces the torn one.
+  auto recovered = DurableCondenser::Recover(dir, {.group_size = 3}, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->snapshot_sequence(), 2u);
+  EXPECT_EQ(recovered->records_seen(), 7u);
+  EXPECT_EQ(Fingerprint(recovered->condenser()), Fingerprint(condenser));
+  const auto after_first = DirContents(dir);
+  ASSERT_EQ(after_first.size(), 2u);
+  EXPECT_EQ(after_first[0].first, "journal-000002.log");
+  EXPECT_EQ(after_first[0].second, V2Journal(2, 2, {}));
+  EXPECT_EQ(after_first[1].first, "snapshot-000002.condensa");
+  EXPECT_EQ(after_first[1].second, SerializeCondenserState(condenser, 2));
+
+  {
+    auto again = DurableCondenser::Recover(dir, {.group_size = 3}, {});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->snapshot_sequence(), 2u);
+    EXPECT_EQ(Fingerprint(again->condenser()), Fingerprint(condenser));
+  }
+  EXPECT_EQ(DirContents(dir), after_first);
+}
+
+TEST_F(CheckpointingTest, CorruptNewestSnapshotFallsBackToOlderWithV2Journal) {
+  const std::string dir = FreshDir();
+  const DynamicCondenser condenser =
+      WriteFallbackDir(dir, 7, V2Journal(1, 2, {}), "");
 
   auto recovered = DurableCondenser::Recover(dir, {.group_size = 3}, {});
   ASSERT_TRUE(recovered.ok());
@@ -425,32 +488,58 @@ TEST_F(CheckpointingTest, CorruptNewestSnapshotFallsBackToOlder) {
 
 TEST_F(CheckpointingTest, RecoveryIsIdempotentAndOrphansNewerJournals) {
   const std::string dir = FreshDir();
-
-  // Valid generation 1 with two journaled records.
-  DynamicCondenser condenser(2, {.group_size = 3});
-  Rng rng(13);
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(condenser.Insert(MakeRecord(rng, 2, 0.0)).ok());
-  }
-  ASSERT_TRUE(
-      WriteFileAtomic(dir + "/snapshot-000001.condensa",
-                      SerializeCondenserState(condenser.ExportState(), 1))
-          .ok());
-  ASSERT_TRUE(WriteFileAtomic(dir + "/journal-000001.log",
-                              "condensa-journal v1 base 1\n"
-                              "i 0.25 0.5 .\n"
-                              "i 6.5 5.75 .\n")
-                  .ok());
-  // Generation 2: corrupt snapshot, but its journal holds records that
-  // were acknowledged after the snapshot roll.
-  ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot-000002.condensa",
-                              "condensa-snapshot v1\nseq 2 records 99 spl")
-                  .ok());
+  // Generation 1 has two journaled records. Generation 2's journal must
+  // be set aside before the v1 roll opens a fresh journal-000002.
   const std::string orphan_payload =
       "condensa-journal v1 base 2\n"
       "i 1.5 2.5 .\n";
-  ASSERT_TRUE(
-      WriteFileAtomic(dir + "/journal-000002.log", orphan_payload).ok());
+  WriteFallbackDir(dir, 13,
+                   "condensa-journal v1 base 1\n"
+                   "i 0.25 0.5 .\n"
+                   "i 6.5 5.75 .\n",
+                   orphan_payload);
+
+  std::string fingerprint;
+  {
+    auto recovered = DurableCondenser::Recover(dir, {.group_size = 3}, {});
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->snapshot_sequence(), 2u);
+    EXPECT_EQ(recovered->records_seen(), 9u);  // 7 + 2 replayed
+    fingerprint = Fingerprint(recovered->condenser());
+  }
+
+  // The acknowledged-but-unrestorable journal is set aside, not deleted,
+  // and the roll wrote a fresh v2 generation 2 next to it.
+  auto orphan = ReadFileToString(dir + "/journal-000002.log.orphan");
+  ASSERT_TRUE(orphan.ok());
+  EXPECT_EQ(*orphan, orphan_payload);
+  auto fresh_journal = ReadFileToString(dir + "/journal-000002.log");
+  ASSERT_TRUE(fresh_journal.ok()) << fresh_journal.status().ToString();
+  EXPECT_EQ(*fresh_journal, V2Journal(2, 2, {}));
+  auto snapshot = ReadFileToString(dir + "/snapshot-000002.condensa");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_TRUE(snapshot->starts_with("condensa-snapshot v2\n"));
+  const auto after_first = DirContents(dir);
+  ASSERT_EQ(after_first.size(), 3u);
+
+  // Recovering again is a pure no-op: same state, same bytes on disk.
+  {
+    auto again = DurableCondenser::Recover(dir, {.group_size = 3}, {});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->snapshot_sequence(), 2u);
+    EXPECT_EQ(again->records_seen(), 9u);
+    EXPECT_EQ(Fingerprint(again->condenser()), fingerprint);
+  }
+  EXPECT_EQ(DirContents(dir), after_first);
+}
+
+TEST_F(CheckpointingTest,
+       RecoveryIsIdempotentAndOrphansNewerJournalsWithV2Journal) {
+  const std::string dir = FreshDir();
+  const std::string orphan_payload = V2Journal(2, 2, {Vector{1.5, 2.5}});
+  WriteFallbackDir(dir, 13,
+                   V2Journal(1, 2, {Vector{0.25, 0.5}, Vector{6.5, 5.75}}),
+                   orphan_payload);
 
   std::string fingerprint;
   {
@@ -468,19 +557,7 @@ TEST_F(CheckpointingTest, RecoveryIsIdempotentAndOrphansNewerJournals) {
   EXPECT_EQ(*orphan, orphan_payload);
 
   // Snapshot the directory, byte for byte.
-  auto DirState = [&]() {
-    std::vector<std::pair<std::string, std::string>> files;
-    auto entries = ListDirectory(dir);
-    EXPECT_TRUE(entries.ok());
-    for (const std::string& name : *entries) {
-      auto content = ReadFileToString(dir + "/" + name);
-      EXPECT_TRUE(content.ok());
-      files.emplace_back(name, *content);
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-  };
-  const auto after_first = DirState();
+  const auto after_first = DirContents(dir);
 
   // Recovering again is a pure no-op: same state, same bytes on disk.
   {
@@ -490,7 +567,7 @@ TEST_F(CheckpointingTest, RecoveryIsIdempotentAndOrphansNewerJournals) {
     EXPECT_EQ(again->records_seen(), 9u);
     EXPECT_EQ(Fingerprint(again->condenser()), fingerprint);
   }
-  EXPECT_EQ(DirState(), after_first);
+  EXPECT_EQ(DirContents(dir), after_first);
 }
 
 TEST_F(CheckpointingTest, ReplayApplyFailureFailsRecoveryWithoutTruncating) {
@@ -675,7 +752,7 @@ void ExpectV1FixtureState(const DynamicCondenser& condenser) {
   EXPECT_EQ(SerializeGroupSet(condenser.groups()), kV1FixtureGroups);
   EXPECT_EQ(condenser.records_seen(), 10u);
   EXPECT_EQ(condenser.split_count(), 1u);
-  EXPECT_FALSE(condenser.ExportState().forming.has_value());
+  EXPECT_FALSE(condenser.forming().has_value());
 }
 
 TEST_F(CheckpointingTest, V1CheckpointLoadsRecoversAndRollsToV2) {
@@ -687,56 +764,81 @@ TEST_F(CheckpointingTest, V1CheckpointLoadsRecoversAndRollsToV2) {
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     ASSERT_TRUE(WriteFileAtomic(dir + "/" + name, *bytes).ok());
   }
-  auto contents = [&dir] {
-    std::vector<std::pair<std::string, std::string>> files;
-    const StatusOr<std::vector<std::string>> names = ListDirectory(dir);
-    for (const std::string& name : *names) {
-      files.emplace_back(name, *ReadFileToString(dir + "/" + name));
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-  };
   const std::string journal = dir + "/journal-000001.log";
   const std::string torn = *ReadFileToString(journal);
   ASSERT_TRUE(torn.ends_with("i 0.5 -1.25"));
 
-  const auto before = contents();
+  const auto before = DirContents(dir);
   auto loaded = DurableCondenser::Load(dir, {.group_size = 4});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectV1FixtureState(*loaded);
-  EXPECT_EQ(contents(), before);
+  EXPECT_EQ(DirContents(dir), before);
 
+  // Recover repairs the torn tail, then rolls the v1 generation to v2 at
+  // once: one v2 snapshot and an empty v2 journal, nothing of generation
+  // 1 left.
   auto recovered = DurableCondenser::Recover(dir, {.group_size = 4}, {});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectV1FixtureState(recovered->condenser());
-  EXPECT_EQ(*ReadFileToString(journal),
-            torn.substr(0, torn.size() - std::strlen("i 0.5 -1.25")));
+  EXPECT_EQ(Fingerprint(recovered->condenser()), Fingerprint(*loaded));
+  EXPECT_EQ(recovered->snapshot_sequence(), 2u);
+  const std::string v2_journal_header =
+      std::string("condensa-journal v2\n") +
+      std::string("\x02\0\0\0\0\0\0\0\x03\0\0\0", 12);
+  const auto after_first = DirContents(dir);
+  ASSERT_EQ(after_first.size(), 2u);
+  EXPECT_EQ(after_first[0].first, "journal-000002.log");
+  EXPECT_EQ(after_first[0].second, v2_journal_header);
+  EXPECT_EQ(after_first[1].first, "snapshot-000002.condensa");
+  EXPECT_TRUE(after_first[1].second.starts_with("condensa-snapshot v2\n"));
 
   // A second Recover is a no-op.
-  const auto after_first = contents();
   {
     auto again = DurableCondenser::Recover(dir, {.group_size = 4}, {});
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     ExpectV1FixtureState(again->condenser());
+    EXPECT_EQ(Fingerprint(again->condenser()), Fingerprint(*loaded));
   }
-  EXPECT_EQ(contents(), after_first);
+  EXPECT_EQ(DirContents(dir), after_first);
 
-  // The recovered v1 journal keeps taking v1 lines until its roll...
+  // Appends after the roll are v2 entries.
   ASSERT_TRUE(recovered->Insert(Vector{2.0, 1.5, 0.25}).ok());
-  EXPECT_TRUE(ReadFileToString(journal)->ends_with("\ni 2 1.5 0.25 .\n"));
-  // ...and the roll writes both files of the next generation in v2.
-  ASSERT_TRUE(recovered->Checkpoint().ok());
-  EXPECT_FALSE(PathExists(journal));
-  EXPECT_TRUE(ReadFileToString(dir + "/snapshot-000002.condensa")
-                  ->starts_with("condensa-snapshot v2\n"));
-  EXPECT_EQ(*ReadFileToString(dir + "/journal-000002.log"),
-            std::string("condensa-journal v2\n") +
-                std::string("\x02\0\0\0\0\0\0\0\x03\0\0\0", 12));
+  EXPECT_EQ(ReadFileToString(dir + "/journal-000002.log")->size(),
+            kJournalHeaderBytes + JournalEntryBytes(3));
   auto rolled = DurableCondenser::Recover(dir, {.group_size = 4}, {});
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   EXPECT_EQ(rolled->records_seen(), 11u);
   EXPECT_EQ(Fingerprint(rolled->condenser()),
             Fingerprint(recovered->condenser()));
+}
+
+// A v1 roll that fails fails Recover, and leaves the repaired v1
+// generation in place for the next attempt.
+TEST_F(CheckpointingTest, FailedV1RollFailsRecoverAndKeepsTheV1Generation) {
+  const std::string fixture =
+      std::string(CONDENSA_TESTDATA_DIR) + "/checkpoint_v1";
+  const std::string dir = FreshDir();
+  for (const char* name : {"snapshot-000001.condensa", "journal-000001.log"}) {
+    auto bytes = ReadFileToString(fixture + "/" + name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ASSERT_TRUE(WriteFileAtomic(dir + "/" + name, *bytes).ok());
+  }
+  FailPoint::Arm("checkpoint.snapshot", {.fail_at = 1});
+  auto failed = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+  ASSERT_FALSE(failed.ok());
+  FailPoint::Reset();
+  auto names = ListDirectory(dir);
+  ASSERT_TRUE(names.ok());
+  std::sort(names->begin(), names->end());
+  EXPECT_EQ(*names, (std::vector<std::string>{"journal-000001.log",
+                                              "snapshot-000001.condensa"}));
+  EXPECT_TRUE(ReadFileToString(dir + "/journal-000001.log")
+                  ->starts_with("condensa-journal v1"));
+
+  auto recovered = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectV1FixtureState(recovered->condenser());
+  EXPECT_EQ(recovered->snapshot_sequence(), 2u);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ void ExpectMomentsMatch(const DynamicCondenser& condenser,
       sum[j] += group.first_order()[j];
     }
   }
-  if (auto forming = condenser.ExportState().forming; forming.has_value()) {
+  if (const auto& forming = condenser.forming(); forming.has_value()) {
     total += forming->count();
     for (std::size_t j = 0; j < sum.dim(); ++j) {
       sum[j] += forming->first_order()[j];

@@ -73,7 +73,7 @@ std::string MakeStateV2(int inserts) {
   for (int i = 0; i < inserts; ++i) {
     EXPECT_TRUE(condenser.Insert(RandomRecord(rng)).ok());
   }
-  return SerializeCondenserState(condenser.ExportState(), 5);
+  return SerializeCondenserState(condenser, 5);
 }
 
 // Every deserializer under test, behind one uniform signature: returns
@@ -375,7 +375,7 @@ TEST(SerializationCorruptionTest, V2JournalBitFlipsStopAtTheFirstBadEntry) {
     ASSERT_TRUE(RemoveFile(dir + "/" + name).ok());
   }
   const auto fingerprint = [](const DynamicCondenser& condenser) {
-    return SerializeCondenserState(condenser.ExportState(), 0);
+    return SerializeCondenserState(condenser, 0);
   };
   // Eleven inserts and a remove; prefixes[e] is the state after e entries.
   Rng rng(21);

@@ -195,8 +195,8 @@ TEST(ChaosSoakTest, NoAcknowledgedRecordIsEverLost) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->records_seen(), applied);
   EXPECT_EQ(recovered->condenser().groups().TotalRecords() +
-                (recovered->condenser().ExportState().forming.has_value()
-                     ? recovered->condenser().ExportState().forming->count()
+                (recovered->condenser().forming().has_value()
+                     ? recovered->condenser().forming()->count()
                      : 0),
             applied);
 }

@@ -50,7 +50,7 @@ const std::vector<Vector>& Stream() {
 }
 
 std::string Fingerprint(const DynamicCondenser& condenser) {
-  return SerializeCondenserState(condenser.ExportState(), 0);
+  return SerializeCondenserState(condenser, 0);
 }
 
 // Bit-exact state of an uninterrupted in-memory run over the first
@@ -105,7 +105,7 @@ std::size_t PlantSnapshotWithoutTrailer(const std::string& dir) {
     }
   }
   const std::size_t planted = newest + 1;
-  std::string bytes = SerializeCondenserState(loaded->ExportState(), planted);
+  std::string bytes = SerializeCondenserState(*loaded, planted);
   bytes.resize(bytes.size() - kSnapshotTrailerBytes);
   char name[32];
   std::snprintf(name, sizeof(name), "/snapshot-%06zu.condensa", planted);

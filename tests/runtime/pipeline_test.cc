@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -313,7 +315,6 @@ TEST_F(PipelineTest, SpoolReplayKeepsSubnormalRecords) {
 TEST_F(PipelineTest, WatchdogTripsBreakerOnStalledBatch) {
   StreamPipelineConfig config = Config();
   config.batch_deadline_ms = 30.0;
-  config.watchdog_poll_ms = 5.0;
   config.breaker.open_duration_ms = 20.0;
   auto pipeline = StreamPipeline::Start(config);
   ASSERT_TRUE(pipeline.ok());
@@ -332,6 +333,59 @@ TEST_F(PipelineTest, WatchdogTripsBreakerOnStalledBatch) {
   EXPECT_GT(stats->watchdog_stalls, 0u);
   EXPECT_GT(stats->breaker_trips, 0u);
   EXPECT_EQ(stats->applied, 24u);  // stalled records spool, then drain
+  EXPECT_TRUE(stats->Balanced());
+}
+
+// The deadline is checked after every record, the batch's last one
+// included: a batch whose final record alone runs it past the deadline
+// still books the stall and trips the breaker, so the next batch spools
+// and then drains once the breaker's probes pass.
+TEST_F(PipelineTest, OverrunOnABatchsLastRecordStillTripsTheBreaker) {
+  StreamPipelineConfig config = Config();
+  config.batch_size = 4;
+  config.batch_deadline_ms = 100.0;
+  config.breaker.open_duration_ms = 300.0;
+  // The observer runs on the worker after each batch; holding the first
+  // call lets the test queue two full batches before the worker pops.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> observed{0};
+  config.group_observer = [&](const core::CondensedGroupSet&, std::size_t) {
+    if (observed.fetch_add(1) == 0) {
+      entered.set_value();
+      released.wait();
+    }
+  };
+  auto pipeline = StreamPipeline::Start(config);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  const std::vector<Vector> stream = Stream(9, 21);
+  ASSERT_TRUE((*pipeline)->Submit(stream[0]).ok());
+  entered.get_future().wait();
+
+  // The next four journal fsyncs belong to the held-back batch; only the
+  // fourth, its last record's, stalls past the deadline.
+  FailPoint::Arm("io.sync", {.fail_at = 4,
+                             .mode = FailPointMode::kLatency,
+                             .latency_ms = 250.0});
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    ASSERT_TRUE((*pipeline)->Submit(stream[i]).ok());
+  }
+  release.set_value();
+  ASSERT_TRUE((*pipeline)->Flush(10000.0).ok());
+  const StreamPipelineStats live = (*pipeline)->stats();
+  EXPECT_EQ(live.watchdog_stalls, 1u);
+  EXPECT_EQ(live.breaker_trips, 1u);
+  // The overrunning record was applied before the check; the batch after
+  // it met an open breaker and spooled.
+  EXPECT_EQ(live.spooled, 4u);
+
+  auto stats = (*pipeline)->Finish();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->watchdog_stalls, 1u);
+  EXPECT_EQ(stats->spool_replayed, 4u);
+  EXPECT_EQ(stats->spool_remaining, 0u);
+  EXPECT_EQ(stats->applied, stream.size());
   EXPECT_TRUE(stats->Balanced());
 }
 

@@ -24,6 +24,8 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "runtime/pipeline.h"
+#include "shard/router.h"
 #include "shard/stream_service.h"
 #include "shard/worker.h"
 #include "shard/worker_server.h"
@@ -297,15 +299,85 @@ TEST_F(FabricTest, MdavBackendRunsAcrossTheFabric) {
             std::string::npos);
 }
 
+// Every StreamPipelineConfig field except the checkpoint location.
+void ExpectSameShardParameters(const runtime::StreamPipelineConfig& a,
+                               const runtime::StreamPipelineConfig& b) {
+  EXPECT_EQ(a.dim, b.dim);
+  EXPECT_EQ(a.group_size, b.group_size);
+  EXPECT_EQ(a.split_rule, b.split_rule);
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.snapshot_interval, b.snapshot_interval);
+  EXPECT_EQ(a.sync_every_append, b.sync_every_append);
+  EXPECT_EQ(a.queue_capacity, b.queue_capacity);
+  EXPECT_EQ(a.backpressure, b.backpressure);
+  EXPECT_EQ(a.batch_size, b.batch_size);
+  EXPECT_EQ(a.batch_deadline_ms, b.batch_deadline_ms);
+  EXPECT_EQ(a.retry.max_attempts, b.retry.max_attempts);
+  EXPECT_EQ(a.retry.initial_backoff_ms, b.retry.initial_backoff_ms);
+  EXPECT_EQ(a.retry.backoff_multiplier, b.retry.backoff_multiplier);
+  EXPECT_EQ(a.retry.max_backoff_ms, b.retry.max_backoff_ms);
+  EXPECT_EQ(a.retry.jitter_fraction, b.retry.jitter_fraction);
+  EXPECT_EQ(a.retry_budget, b.retry_budget);
+  EXPECT_EQ(a.breaker.failure_threshold, b.breaker.failure_threshold);
+  EXPECT_EQ(a.breaker.open_duration_ms, b.breaker.open_duration_ms);
+  EXPECT_EQ(a.breaker.probe_successes_to_close,
+            b.breaker.probe_successes_to_close);
+  EXPECT_EQ(a.finish_drain_deadline_ms, b.finish_drain_deadline_ms);
+  EXPECT_EQ(a.quarantine_path, b.quarantine_path);
+  EXPECT_EQ(a.spool_path, b.spool_path);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(static_cast<bool>(a.group_observer),
+            static_cast<bool>(b.group_observer));
+}
+
+// One ShardedStreamConfig gives an in-process shard and a remote one the
+// same pipeline: the Hello carries every parameter the in-process shard
+// sets, and only the checkpoint root differs.
+TEST_F(FabricTest, InProcessAndRemoteShardsStartFromEqualConfigs) {
+  ShardedStreamConfig config = BaseConfig(3);
+  config.num_shards = 3;
+  config.checkpoint_root = Dir("local");
+  config.split_rule = core::SplitRule::kPaperVerbatim;
+  config.snapshot_interval = 77;
+  config.sync_every_append = false;
+  config.queue_capacity = 55;
+  config.batch_size = 9;
+  config.backend = *core::FindBackend("mdav");
+  auto service = ShardedStreamService::Start(config);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::vector<std::uint64_t> seeds =
+      Router::ShardSeeds(config.seed, config.num_shards);
+  for (std::size_t shard = 0; shard < config.num_shards; ++shard) {
+    const runtime::StreamPipelineConfig local =
+        (*service)->shard_config(shard);
+    EXPECT_EQ(local.checkpoint_dir,
+              ShardCheckpointDir(config.checkpoint_root, shard));
+    EXPECT_EQ(local.seed, seeds[shard]);
+    EXPECT_EQ(local.batch_size, 9u);
+    EXPECT_EQ(local.backend->id, "mdav");
+
+    auto hello =
+        net::DecodeHello(net::EncodeHello(HelloForShard(shard, local)));
+    ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+    EXPECT_EQ(hello->shard_id, shard);
+    auto remote = ShardConfigFromHello(*hello, Dir("remote"));
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_EQ(remote->checkpoint_dir,
+              ShardCheckpointDir(Dir("remote"), shard));
+    ExpectSameShardParameters(local, *remote);
+  }
+  ASSERT_TRUE((*service)->Finish().ok());
+}
+
 TEST_F(FabricTest, HelloWithAnUnregisteredBackendIsRefused) {
   net::HelloMessage hello;
   hello.dim = 3;
   hello.group_size = 10;
   hello.backend = "bogus";
-  auto options = WorkerOptionsFromHello(hello, Dir("direct"), "w0");
-  ASSERT_FALSE(options.ok());
-  EXPECT_TRUE(IsNotFound(options.status()));
-  EXPECT_NE(std::string(options.status().message()).find("bogus"),
+  auto config = ShardConfigFromHello(hello, Dir("direct"));
+  ASSERT_FALSE(config.ok());
+  EXPECT_TRUE(IsNotFound(config.status()));
+  EXPECT_NE(std::string(config.status().message()).find("bogus"),
             std::string::npos);
 
   // Over the wire the session gets the NotFound back, and the worker
@@ -564,12 +636,12 @@ TEST_F(FabricTest, RejoinAtFinishIsCountedInTheReconnectSeries) {
 TEST_F(FabricTest, WorkerIdentityLabelsBothShardSeries) {
   // Satellite contract: per-shard series carry {shard, worker} so a
   // restarted worker with a stable id keeps its series.
-  WorkerOptions options;
-  options.group_size = 4;
-  options.checkpoint_root = Dir("identity");
-  options.sync_every_append = false;
-  options.worker_id = "stable-w9";
-  auto worker = Worker::Start(9, 2, options);
+  runtime::StreamPipelineConfig config;
+  config.dim = 2;
+  config.group_size = 4;
+  config.checkpoint_dir = ShardCheckpointDir(Dir("identity"), 9);
+  config.sync_every_append = false;
+  auto worker = Worker::Start(9, "stable-w9", config);
   ASSERT_TRUE(worker.ok()) << worker.status().ToString();
   Vector record(2);
   ASSERT_TRUE((*worker)->Submit(record).ok());

@@ -97,7 +97,7 @@ TEST_F(StreamServiceTest, EveryShardCheckpointsInItsOwnDirectory) {
   auto result = (*service)->Finish();
   ASSERT_TRUE(result.ok()) << result.status();
   for (std::size_t shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ((*service)->checkpoint_dir(shard),
+    EXPECT_EQ((*service)->shard_config(shard).checkpoint_dir,
               root_ + "/shard-" + std::to_string(shard));
     auto entries = ListDirectory(root_ + "/shard-" + std::to_string(shard));
     ASSERT_TRUE(entries.ok()) << entries.status();

@@ -1332,7 +1332,7 @@ const std::vector<Command> kCommands = {
       {"batch-size", "N", "32", "worker batch size", &Args::batch_size,
        AtLeast(1)},
       {"batch-deadline-ms", "X", "1000",
-       "watchdog deadline per batch; single-pipeline mode only",
+       "wall-clock deadline per batch; single-pipeline mode only",
        &Args::batch_deadline_ms, Above(0)},
       {"retry-attempts", "N", "4",
        "attempts per transient failure; single-pipeline mode only",
