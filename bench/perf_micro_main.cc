@@ -304,7 +304,7 @@ void BM_KnnPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnPredict)->RangeMultiplier(4)->Range(256, 16384)->Complexity();
 
-// P5: text codecs on the condense_csv shape — 100k records x 10
+// P5: codecs on the condense_csv shape — 100k records x 10
 // features, 3 classes — so the codec layer can be timed on its own.
 constexpr std::size_t kCodecRecords = 100000;
 constexpr std::size_t kCodecDim = 10;
@@ -352,17 +352,27 @@ void BM_CsvRead(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvRead)->Unit(benchmark::kMillisecond);
 
-// Pools of a k = 10 static condensation of the codec dataset.
+// Pools of a k = 10 static condensation of the codec dataset: about 10k
+// groups in 3 labeled pools, what condense_csv saves.
+const condensa::core::CondensedPools& CodecPools() {
+  static const condensa::core::CondensedPools pools = [] {
+    condensa::core::CondensationConfig config;
+    config.group_size = 10;
+    Rng rng(22);
+    auto condensed = condensa::core::CondensationEngine(config).Condense(
+        CodecDataset(), rng);
+    CONDENSA_CHECK(condensed.ok());
+    return *std::move(condensed);
+  }();
+  return pools;
+}
+
+// The v2 pools encoder SavePools writes with.
 void BM_SerializePools(benchmark::State& state) {
-  condensa::core::CondensationConfig config;
-  config.group_size = 10;
-  Rng rng(22);
-  auto pools =
-      condensa::core::CondensationEngine(config).Condense(CodecDataset(), rng);
-  CONDENSA_CHECK(pools.ok());
+  const condensa::core::CondensedPools& pools = CodecPools();
   std::size_t bytes = 0;
   for (auto _ : state) {
-    std::string text = condensa::core::SerializePools(*pools);
+    std::string text = condensa::core::SerializePools(pools);
     benchmark::DoNotOptimize(text.data());
     benchmark::ClobberMemory();
     bytes = text.size();
@@ -370,6 +380,35 @@ void BM_SerializePools(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_SerializePools)->Unit(benchmark::kMillisecond);
+
+// Decodes the same pools from the v1 text earlier builds wrote (case 1:
+// the pools header and per-pool lines around the group-set text) and
+// from the v2 file (case 2).
+void BM_DeserializePools(benchmark::State& state) {
+  const condensa::core::CondensedPools& pools = CodecPools();
+  std::string file;
+  if (state.range(0) == 1) {
+    file = "condensa-pools v1\ntask " +
+           std::to_string(static_cast<int>(pools.task)) + " feature_dim " +
+           std::to_string(pools.feature_dim) + " pools " +
+           std::to_string(pools.pools.size()) + "\n";
+    for (const condensa::core::CondensedPools::Pool& pool : pools.pools) {
+      file += "pool label " + std::to_string(pool.label) + " splits " +
+              std::to_string(pool.splits) + "\n" +
+              condensa::core::SerializeGroupSet(pool.groups);
+    }
+  } else {
+    file = condensa::core::SerializePools(pools);
+  }
+  for (auto _ : state) {
+    auto parsed = condensa::core::DeserializePools(file);
+    CONDENSA_CHECK(parsed.ok());
+    benchmark::DoNotOptimize(parsed->pools.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(file.size()));
+}
+BENCHMARK(BM_DeserializePools)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // P6: query engine execution on the query_serve shape — a k = 10
 // condensation of the codec dataset, about 10k groups in 3 labeled

@@ -1,8 +1,9 @@
 // The one binary codec: little-endian fixed-width scalars and a CRC32.
 //
-// The shard fabric and query wire payloads (net/wire.h, query/wire.h) and
-// the v2 checkpoint files (core/checkpointing.h) are all written with
-// WireWriter and read with WireReader. The reader is bounds-checked:
+// The shard fabric and query wire payloads (net/wire.h, query/wire.h),
+// the v2 checkpoint files (core/checkpointing.h) and the v2 pools and
+// group-set files (core/serialization.h) are all written with WireWriter
+// and read with WireReader. The reader is bounds-checked:
 // every read validates the remaining byte count before touching memory,
 // and every length prefix is validated against the bytes actually present
 // before any allocation. Decoding failures are kDataLoss.

@@ -1,10 +1,8 @@
 #include "core/checkpointing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -55,9 +53,6 @@ constexpr std::string_view kGroupsMagic = "condensa-groups v1";
 
 static_assert(kJournalMagic.size() + 8 + 4 == kJournalHeaderBytes);
 constexpr std::size_t kCrcBytes = 4;
-// The v2 snapshot trailer: u64 byte length and u32 CRC32 of every byte
-// before the trailer.
-constexpr std::size_t kTrailerBytes = 8 + kCrcBytes;
 // Bits of the v2 snapshot's flags byte.
 constexpr std::uint8_t kBootstrappedFlag = 1;
 constexpr std::uint8_t kFormingFlag = 2;
@@ -105,118 +100,28 @@ std::string JournalHeaderV1(std::size_t sequence) {
          "\n";
 }
 
-// Bytes of one group in a v2 snapshot: n, Fs and the upper triangle of Sc.
-std::size_t GroupBytes(std::size_t dim) {
-  return 8 * (1 + dim + dim * (dim + 1) / 2);
-}
-
-void PutGroup(WireWriter& out, const GroupStatistics& group) {
-  const std::size_t d = group.dim();
-  out.PutU64(group.count());
-  for (std::size_t j = 0; j < d; ++j) {
-    out.PutDouble(group.first_order()[j]);
-  }
-  // Upper triangle including the diagonal; Sc is symmetric.
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i; j < d; ++j) {
-      out.PutDouble(group.second_order()(i, j));
-    }
-  }
-}
-
-// Reads one group written by PutGroup. Empty groups and non-finite sums
-// are refused as the v1 group-set reader refuses them.
-StatusOr<GroupStatistics> ReadGroup(WireReader& in, std::size_t dim,
-                                    std::size_t g) {
-  std::uint64_t count = 0;
-  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&count));
-  if (count == 0) {
-    return DataLossError("empty group " + std::to_string(g));
-  }
-  linalg::Vector fs(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    CONDENSA_RETURN_IF_ERROR(in.ReadDouble(&fs[j]));
-    if (!std::isfinite(fs[j])) {
-      return DataLossError("non-finite fs value in group " +
-                           std::to_string(g));
-    }
-  }
-  linalg::Matrix sc(dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = i; j < dim; ++j) {
-      double value = 0.0;
-      CONDENSA_RETURN_IF_ERROR(in.ReadDouble(&value));
-      if (!std::isfinite(value)) {
-        return DataLossError("non-finite sc value in group " +
-                             std::to_string(g));
-      }
-      sc(i, j) = value;
-      sc(j, i) = value;
-    }
-  }
-  return GroupStatistics::FromRawSums(count, std::move(fs), std::move(sc));
-}
-
 StatusOr<DynamicCondenser::State> DeserializeSnapshotV2(
     std::string_view bytes, std::size_t* sequence_out) {
-  if (bytes.size() < kSnapshotMagic.size() + kTrailerBytes) {
-    return DataLossError("snapshot too short for its trailer (truncated write?)");
-  }
-  const std::string_view body = bytes.substr(0, bytes.size() - kTrailerBytes);
-  WireReader trailer(bytes.substr(body.size()));
-  std::uint64_t length = 0;
-  std::uint32_t crc = 0;
-  CONDENSA_RETURN_IF_ERROR(trailer.ReadU64(&length));
-  CONDENSA_RETURN_IF_ERROR(trailer.ReadU32(&crc));
-  if (length != body.size()) {
-    return DataLossError(
-        "snapshot trailer length disagrees with the file (truncated write?)");
-  }
-  if (crc != Crc32(body)) {
-    return DataLossError("snapshot checksum mismatch");
-  }
-
-  WireReader in(body.substr(kSnapshotMagic.size()));
-  std::uint64_t sequence = 0, records = 0, splits = 0, merges = 0, k = 0,
-                num_groups = 0;
+  CONDENSA_ASSIGN_OR_RETURN(std::string_view body,
+                            CheckTrailer(bytes, kSnapshotMagic, "snapshot"));
+  WireReader in(body);
+  std::uint64_t sequence = 0, records = 0, splits = 0, merges = 0;
   std::uint8_t flags = 0;
-  std::uint32_t dim = 0, version = 0;
-  std::string backend;
   CONDENSA_RETURN_IF_ERROR(in.ReadU64(&sequence));
   CONDENSA_RETURN_IF_ERROR(in.ReadU64(&records));
   CONDENSA_RETURN_IF_ERROR(in.ReadU64(&splits));
   CONDENSA_RETURN_IF_ERROR(in.ReadU64(&merges));
   CONDENSA_RETURN_IF_ERROR(in.ReadU8(&flags));
-  CONDENSA_RETURN_IF_ERROR(in.ReadU32(&dim));
-  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&k));
-  CONDENSA_RETURN_IF_ERROR(in.ReadString(&backend));
-  CONDENSA_RETURN_IF_ERROR(in.ReadU32(&version));
-  CONDENSA_RETURN_IF_ERROR(in.ReadU64(&num_groups));
   if ((flags & ~(kBootstrappedFlag | kFormingFlag)) != 0) {
     return DataLossError("unknown snapshot flags");
   }
-  if (dim == 0 || backend.empty() || version == 0 ||
-      version > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
-    return DataLossError("malformed snapshot header");
-  }
-  // Every group takes GroupBytes(dim) bytes, so a count the file cannot
-  // hold is refused before it drives any allocation.
-  const bool forming = (flags & kFormingFlag) != 0;
-  if (dim > body.size() ||
-      num_groups + (forming ? 1 : 0) > in.remaining() / GroupBytes(dim)) {
-    return DataLossError("snapshot group count exceeds file size");
-  }
 
   DynamicCondenser::State state;
-  state.groups = CondensedGroupSet(dim, k);
-  state.groups.SetBackend(std::move(backend), static_cast<int>(version));
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    CONDENSA_ASSIGN_OR_RETURN(GroupStatistics group, ReadGroup(in, dim, g));
-    state.groups.AddGroup(std::move(group));
-  }
-  if (forming) {
-    CONDENSA_ASSIGN_OR_RETURN(state.forming,
-                              ReadGroup(in, dim, num_groups));
+  CONDENSA_ASSIGN_OR_RETURN(state.groups, ReadGroupSet(in));
+  if ((flags & kFormingFlag) != 0) {
+    CONDENSA_ASSIGN_OR_RETURN(
+        state.forming,
+        ReadGroup(in, state.groups.dim(), state.groups.num_groups()));
   }
   CONDENSA_RETURN_IF_ERROR(in.ExpectDone());
   state.records_seen = records;
@@ -340,20 +245,11 @@ std::string SerializeCondenserState(const DynamicCondenser& condenser,
   out.PutU64(condenser.merge_count());
   out.PutU8((condenser.bootstrapped() ? kBootstrappedFlag : 0) |
             (forming ? kFormingFlag : 0));
-  out.PutCount(groups.dim());
-  out.PutU64(groups.indistinguishability_level());
-  out.PutString(groups.backend_id());
-  out.PutU32(static_cast<std::uint32_t>(groups.backend_version()));
-  out.PutU64(groups.num_groups());
-  for (const GroupStatistics& group : groups.groups()) {
-    PutGroup(out, group);
-  }
+  PutGroupSet(out, groups);
   if (forming) {
     PutGroup(out, *forming_group);
   }
-  const std::uint32_t crc = Crc32(out.buffer());
-  out.PutU64(out.size());
-  out.PutU32(crc);
+  PutTrailer(out);
   return out.Take();
 }
 

@@ -10,11 +10,14 @@
 // byte layouts):
 //
 //   snapshot-NNNNNN.condensa   full state in the v2 binary format: a
-//                              header, each group's (n, Fs, upper
-//                              triangle of Sc), the forming buffer, and a
-//                              trailer holding the byte length and a
-//                              CRC32 of everything before it. Written
-//                              atomically (temp + fsync + rename).
+//                              header, the group set and the forming
+//                              buffer in the group codec of
+//                              core/serialization.h (each group's n, Fs
+//                              and upper triangle of Sc), and that
+//                              codec's trailer holding the byte length
+//                              and a CRC32 of everything before it.
+//                              Written atomically (temp + fsync +
+//                              rename).
 //   journal-NNNNNN.log         append-only record log since snapshot N: a
 //                              header naming N and the record dimension
 //                              d, then one fsync'd fixed-size entry per

@@ -122,9 +122,14 @@ TEST(BackendParityTest, DefaultStampWritesNoBackendLine) {
                    BareConfig(core::CondensationMode::kStatic))
                    .Condense(dataset, rng);
   ASSERT_TRUE(pools.ok());
-  // The default backend serializes exactly as the pre-backend format:
-  // no "backend" header line anywhere in the text.
-  EXPECT_EQ(core::SerializePools(*pools).find("backend"), std::string::npos);
+  // The default backend's group-set text (the form the fabric's
+  // FinishResult carries) is exactly the pre-backend format: no
+  // "backend" line anywhere.
+  ASSERT_FALSE(pools->pools.empty());
+  for (const auto& pool : pools->pools) {
+    EXPECT_EQ(core::SerializeGroupSet(pool.groups).find("backend"),
+              std::string::npos);
+  }
 }
 
 TEST(BackendParityTest, MdavEndToEndStampsAndBoundsGroups) {

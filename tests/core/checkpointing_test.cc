@@ -841,5 +841,44 @@ TEST_F(CheckpointingTest, FailedV1RollFailsRecoverAndKeepsTheV1Generation) {
   EXPECT_EQ(recovered->snapshot_sequence(), 2u);
 }
 
+// Snapshots an earlier build wrote in v2, before the group codec moved
+// into core/serialization: tests/core/testdata/checkpoint_v2 (d = 3,
+// k = 3, bootstrapped, four groups after two splits, 15 records) and
+// snapshot_v2_forming.condensa (a two-record forming buffer, not
+// bootstrapped). Each re-serializes byte for byte, so the codec's move
+// left the snapshot bytes unchanged, and the directory loads.
+TEST_F(CheckpointingTest, V2FixtureSnapshotsReserializeByteForByte) {
+  const std::string dir = std::string(CONDENSA_TESTDATA_DIR);
+  for (const char* name : {"checkpoint_v2/snapshot-000005.condensa",
+                           "snapshot_v2_forming.condensa"}) {
+    auto bytes = ReadFileToString(dir + "/" + name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    std::size_t sequence = 0;
+    auto state = DeserializeCondenserState(*bytes, &sequence);
+    ASSERT_TRUE(state.ok()) << name << ": " << state.status().ToString();
+    auto condenser = DynamicCondenser::FromState(*state, {.group_size = 3});
+    ASSERT_TRUE(condenser.ok()) << condenser.status().ToString();
+    EXPECT_EQ(SerializeCondenserState(*condenser, sequence), *bytes) << name;
+  }
+  auto loaded = DurableCondenser::Load(dir + "/checkpoint_v2",
+                                       {.group_size = 3});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records_seen(), 15u);
+  EXPECT_EQ(loaded->groups().num_groups(), 4u);
+  EXPECT_EQ(loaded->split_count(), 2u);
+  EXPECT_TRUE(loaded->bootstrapped());
+}
+
+// A fresh checkpoint's snapshot holds no group, so it is shorter than a
+// wide record's dimension; it must still load.
+TEST_F(CheckpointingTest, EmptySnapshotOfWideRecordsRecovers) {
+  const std::string dir = FreshDir();
+  ASSERT_TRUE(DurableCondenser::Create(200, {.group_size = 4}, {}, dir).ok());
+  auto recovered = DurableCondenser::Recover(dir, {.group_size = 4}, {});
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->groups().dim(), 200u);
+  EXPECT_EQ(recovered->records_seen(), 0u);
+}
+
 }  // namespace
 }  // namespace condensa::core

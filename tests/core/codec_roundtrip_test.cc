@@ -148,7 +148,28 @@ TEST(CodecRoundTripTest, GroupSetDocumentsAreBitExact) {
     ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
     ExpectSameGroupSet(*from_legacy, set);
     EXPECT_LE(text.size(), legacy.size());
+
+    const std::string binary = SerializeGroupSetBinary(set);
+    auto from_binary = DeserializeGroupSet(binary);
+    ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
+    ExpectSameGroupSet(*from_binary, set);
+    EXPECT_EQ(SerializeGroupSetBinary(*from_binary), binary);
   }
+}
+
+// The v1 text pools file earlier builds wrote for `pools`: a header line,
+// then per pool a "pool label L splits S" line and its group-set text.
+std::string V1PoolsText(const CondensedPools& pools) {
+  std::string out = "condensa-pools v1\ntask " +
+                    std::to_string(static_cast<int>(pools.task)) +
+                    " feature_dim " + std::to_string(pools.feature_dim) +
+                    " pools " + std::to_string(pools.pools.size()) + "\n";
+  for (const CondensedPools::Pool& pool : pools.pools) {
+    out += "pool label " + std::to_string(pool.label) + " splits " +
+           std::to_string(pool.splits) + "\n";
+    out += SerializeGroupSet(pool.groups);
+  }
+  return out;
 }
 
 TEST(CodecRoundTripTest, PoolsDocumentsAreBitExact) {
@@ -165,8 +186,9 @@ TEST(CodecRoundTripTest, PoolsDocumentsAreBitExact) {
       pools.pools.push_back({static_cast<int>(p) - 1, kCounts[p % 3],
                              std::move(set)});
     }
-    const std::string text = SerializePools(pools);
-    for (const std::string& document : {text, With17gValues(text)}) {
+    const std::string bytes = SerializePools(pools);
+    const std::string v1 = V1PoolsText(pools);
+    for (const std::string& document : {bytes, v1, With17gValues(v1)}) {
       auto parsed = DeserializePools(document);
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
       EXPECT_EQ(parsed->task, pools.task);
@@ -177,7 +199,7 @@ TEST(CodecRoundTripTest, PoolsDocumentsAreBitExact) {
         EXPECT_EQ(parsed->pools[p].splits, pools.pools[p].splits);
         ExpectSameGroupSet(parsed->pools[p].groups, pools.pools[p].groups);
       }
-      EXPECT_EQ(SerializePools(*parsed), text);
+      EXPECT_EQ(SerializePools(*parsed), bytes);
     }
   }
 }

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/io.h"
 #include "common/random.h"
+#include "common/wire.h"
 #include "core/checkpointing.h"
 #include "core/engine.h"
 #include "core/serialization.h"
@@ -39,22 +41,32 @@ CondensedGroupSet MakeGroups(std::uint64_t seed) {
   return set;
 }
 
-std::string MakePoolsText() {
-  CondensedPools pools;
-  pools.task = data::TaskType::kClassification;
-  pools.feature_dim = 3;
-  pools.pools.push_back({0, 1, MakeGroups(1)});
-  pools.pools.push_back({1, 0, MakeGroups(2)});
-  return SerializePools(pools);
+// A checked-in file an earlier build wrote, under tests/core/testdata.
+std::string Fixture(const std::string& name) {
+  auto text = ReadFileToString(std::string(CONDENSA_TESTDATA_DIR) + "/" + name);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  return text.ok() ? *text : std::string();
 }
+
+// A v1 text pools file as `condensa condense --save-groups` wrote it
+// before pools files became binary: two classes, d = 3.
+std::string MakePoolsText() { return Fixture("pools_v1.txt"); }
 
 // A v1 text snapshot as an earlier build wrote it: the checked-in
 // fixture of tests/core/testdata/checkpoint_v1.
 std::string MakeStateText() {
-  auto text = ReadFileToString(std::string(CONDENSA_TESTDATA_DIR) +
-                               "/checkpoint_v1/snapshot-000001.condensa");
-  EXPECT_TRUE(text.ok()) << text.status().ToString();
-  return text.ok() ? *text : std::string();
+  return Fixture("checkpoint_v1/snapshot-000001.condensa");
+}
+
+// A small v2 pools file: two classes over MakeGroups sets, one of them
+// with a negative label.
+std::string MakePoolsV2() {
+  CondensedPools pools;
+  pools.task = data::TaskType::kClassification;
+  pools.feature_dim = 3;
+  pools.pools.push_back({-1, 1, MakeGroups(1)});
+  pools.pools.push_back({1, 0, MakeGroups(2)});
+  return SerializePools(pools);
 }
 
 Vector RandomRecord(Rng& rng) {
@@ -360,6 +372,153 @@ TEST(SerializationCorruptionTest, V2SnapshotRefusesEveryTruncationAndBitFlip) {
       }
     }
   }
+}
+
+// The v2 pools and group-set files end in the snapshot's trailer, so
+// every truncation and every single-bit flip is refused too, each with
+// one of the two corruption codes.
+TEST(SerializationCorruptionTest,
+     V2StatisticsFilesRefuseEveryTruncationAndBitFlip) {
+  CondensedGroupSet stamped = MakeGroups(12);
+  stamped.SetBackend("mdav", 1);
+  const Target targets[] = {
+      {"pools", &ParsePools, MakePoolsV2(), 0},
+      {"groups", &ParseGroups, SerializeGroupSetBinary(MakeGroups(7)), 0},
+      {"stamped-groups", &ParseGroups, SerializeGroupSetBinary(stamped), 0}};
+  for (const Target& target : targets) {
+    ASSERT_TRUE(target.parse(target.valid).ok()) << target.name;
+    const auto expect_refused = [&target](const Status& status,
+                                          const std::string& what) {
+      EXPECT_FALSE(status.ok()) << target.name << " " << what;
+      EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
+                  status.code() == StatusCode::kInvalidArgument)
+          << target.name << " " << what << ": " << status.ToString();
+    };
+    for (std::size_t cut = 0; cut < target.valid.size(); ++cut) {
+      expect_refused(target.parse(target.valid.substr(0, cut)),
+                     "truncated at " + std::to_string(cut));
+    }
+    for (std::size_t pos = 0; pos < target.valid.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mangled = target.valid;
+        mangled[pos] = static_cast<char>(mangled[pos] ^ (1 << bit));
+        expect_refused(target.parse(mangled),
+                       "bit flip at " + std::to_string(pos) + "." +
+                           std::to_string(bit));
+      }
+    }
+  }
+}
+
+// Writes one group-set section in d = `dim` that claims `groups` groups
+// and holds one two-dimensional group with count `count`, first Fs
+// value `fs0` and last Sc value `sc_last`.
+void PutSection(WireWriter& out, std::uint64_t count, double fs0,
+                double sc_last, std::uint32_t dim = 2,
+                std::uint64_t groups = 1) {
+  out.PutU32(dim);
+  out.PutU64(3);
+  out.PutString("condensation");
+  out.PutU32(1);
+  out.PutU64(groups);
+  out.PutU64(count);
+  for (const double value : {fs0, 1.0, 2.0, 0.5, sc_last}) {
+    out.PutDouble(value);
+  }
+}
+
+// A v2 group-set file whose trailer is intact, over PutSection's
+// section and `extra` zero bytes after it. Checks past the CRC must
+// refuse these.
+std::string GroupsFile(std::uint64_t count, double fs0, double sc_last,
+                       std::uint32_t dim = 2, std::uint64_t groups = 1,
+                       std::size_t extra = 0) {
+  WireWriter out;
+  out.PutBytes("condensa-groups v2\n");
+  PutSection(out, count, fs0, sc_last, dim, groups);
+  out.PutBytes(std::string(extra, '\0'));
+  PutTrailer(out);
+  return out.Take();
+}
+
+// A v2 pools file whose trailer is intact: the header fields, then
+// `with_pool` one pool (label 0) over a valid d = 2 section, then
+// `extra` zero bytes.
+std::string PoolsFile(std::uint8_t task, std::uint32_t feature_dim,
+                      std::uint64_t pool_count, bool with_pool,
+                      std::size_t extra = 0) {
+  WireWriter out;
+  out.PutBytes("condensa-pools v2\n");
+  out.PutU8(task);
+  out.PutU32(feature_dim);
+  out.PutU64(pool_count);
+  if (with_pool) {
+    out.PutU32(0);
+    out.PutU64(0);
+    PutSection(out, 2, 0.5, 3.0);
+  }
+  out.PutBytes(std::string(extra, '\0'));
+  PutTrailer(out);
+  return out.Take();
+}
+
+// What the v1 readers refuse, the v2 readers refuse too, even when the
+// trailer is intact: a zero count, non-finite sums, dim 0, counts the
+// file cannot hold, pools that disagree on backend or dimension, and
+// bytes past the last pool or group.
+TEST(SerializationCorruptionTest, V2ReadersRefuseWhatV1Refuses) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(ParseGroups(GroupsFile(2, 0.5, 3.0)).ok());
+  ASSERT_TRUE(ParsePools(PoolsFile(0, 2, 1, true)).ok());
+  const struct {
+    const char* name;
+    Parser parse;
+    std::string file;
+    const char* message;
+  } cases[] = {
+      {"zero count", &ParseGroups, GroupsFile(0, 0.5, 3.0), "empty group 0"},
+      {"nan fs", &ParseGroups, GroupsFile(2, nan, 3.0),
+       "non-finite fs value in group 0"},
+      {"inf sc", &ParseGroups, GroupsFile(2, 0.5, inf),
+       "non-finite sc value in group 0"},
+      {"dim 0", &ParseGroups, GroupsFile(2, 0.5, 3.0, 0),
+       "malformed group-set header"},
+      {"group count past the file", &ParseGroups,
+       GroupsFile(2, 0.5, 3.0, 2, 2), "exceeds the bytes present"},
+      {"dim past the file", &ParseGroups, GroupsFile(2, 0.5, 3.0, 1u << 31),
+       "exceeds the bytes present"},
+      {"bytes after the groups", &ParseGroups,
+       GroupsFile(2, 0.5, 3.0, 2, 1, 1), "trailing bytes"},
+      {"task out of range", &ParsePools, PoolsFile(3, 2, 0, false),
+       "malformed pools header"},
+      {"feature_dim 0", &ParsePools, PoolsFile(0, 0, 0, false),
+       "malformed pools header"},
+      {"pool count past the file", &ParsePools, PoolsFile(0, 2, 1000, false),
+       "pool count exceeds the bytes present"},
+      {"pool of another dim", &ParsePools, PoolsFile(0, 3, 1, true),
+       "pool dimension mismatch in pool 0"},
+      {"bytes after the pools", &ParsePools, PoolsFile(0, 2, 1, true, 4),
+       "trailing bytes"},
+  };
+  for (const auto& c : cases) {
+    const Status status = c.parse(c.file);
+    EXPECT_FALSE(status.ok()) << c.name;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.name << ": " << status.ToString();
+  }
+
+  // Pools of one file share a backend stamp.
+  CondensedPools mixed;
+  mixed.feature_dim = 3;
+  mixed.pools.push_back({0, 0, MakeGroups(3)});
+  CondensedGroupSet stamped = MakeGroups(4);
+  stamped.SetBackend("mdav", 1);
+  mixed.pools.push_back({1, 0, std::move(stamped)});
+  const Status status = ParsePools(SerializePools(mixed));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("must share a backend"), std::string::npos)
+      << status;
 }
 
 // A bit flip anywhere in a v2 journal stops replay at the entry holding

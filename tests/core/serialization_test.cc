@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/io.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/backend.h"
 #include "core/engine.h"
+#include "data/csv.h"
 #include "data/dataset.h"
 
 namespace condensa::core {
@@ -372,6 +375,120 @@ TEST(PoolsSerializationTest, RejectsPoolsFromMixedBackends) {
   ASSERT_FALSE(reloaded.ok());
   EXPECT_NE(std::string(reloaded.status().message()).find("backend"),
             std::string::npos);
+}
+
+// Pools of every task through the v2 file: a negative label, the mdav
+// stamp and a one-record group come back bit-exact, the file
+// re-serializes to the same bytes, and a release drawn from the loaded
+// pools is byte-identical to one drawn from the pools in memory.
+TEST(PoolsSerializationTest, V2RoundTripKeepsEveryTaskAndItsRelease) {
+  auto mdav = FindBackend("mdav");
+  ASSERT_TRUE(mdav.ok());
+  for (const data::TaskType task :
+       {data::TaskType::kClassification, data::TaskType::kRegression,
+        data::TaskType::kUnlabeled}) {
+    Rng data_rng(21);
+    data::Dataset dataset(2, task);
+    for (int i = 0; i < 40; ++i) {
+      Vector record{data_rng.Gaussian(), data_rng.Gaussian()};
+      if (task == data::TaskType::kClassification) {
+        dataset.Add(std::move(record), i % 3 - 1);
+      } else if (task == data::TaskType::kRegression) {
+        const double target = 2.0 * record[0];
+        dataset.Add(std::move(record), target);
+      } else {
+        dataset.Add(std::move(record));
+      }
+    }
+    Rng rng(22);
+    auto pools =
+        CondensationEngine({.group_size = 4, .backend = *mdav})
+            .Condense(dataset, rng);
+    ASSERT_TRUE(pools.ok()) << pools.status();
+    GroupStatistics single(pools->CondensedDim());
+    single.Add(Vector(pools->CondensedDim(), 0.25));
+    pools->pools.front().groups.AddGroup(std::move(single));
+    pools->pools.front().splits = std::size_t{1} << 33;
+
+    const std::string bytes = SerializePools(*pools);
+    EXPECT_TRUE(StartsWith(bytes, "condensa-pools v2\n"));
+    auto reloaded = DeserializePools(bytes);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    EXPECT_EQ(reloaded->task, task);
+    EXPECT_EQ(reloaded->feature_dim, 2u);
+    ASSERT_EQ(reloaded->pools.size(), pools->pools.size());
+    for (std::size_t p = 0; p < pools->pools.size(); ++p) {
+      const CondensedPools::Pool& pool = reloaded->pools[p];
+      EXPECT_EQ(pool.label, pools->pools[p].label);
+      EXPECT_EQ(pool.splits, pools->pools[p].splits);
+      EXPECT_EQ(pool.groups.backend_id(), "mdav");
+      EXPECT_EQ(pool.groups.backend_version(), 1);
+      // The text form renders every double in its shortest round-trip
+      // form, so equal text means equal bits.
+      EXPECT_EQ(SerializeGroupSet(pool.groups),
+                SerializeGroupSet(pools->pools[p].groups));
+    }
+    EXPECT_EQ(reloaded->pools.front().groups.groups().back().count(), 1u);
+    if (task == data::TaskType::kClassification) {
+      EXPECT_EQ(reloaded->pools.front().label, -1);
+    }
+    EXPECT_EQ(SerializePools(*reloaded), bytes);
+
+    Rng rng_a(99), rng_b(99);
+    auto from_memory = GenerateRelease(*pools, rng_a);
+    auto from_file = GenerateRelease(*reloaded, rng_b);
+    ASSERT_TRUE(from_memory.ok()) << from_memory.status();
+    ASSERT_TRUE(from_file.ok()) << from_file.status();
+    EXPECT_EQ(data::WriteCsvToString(from_file->anonymized),
+              data::WriteCsvToString(from_memory->anonymized));
+  }
+}
+
+// A pools file `condensa condense --save-groups` wrote as v1 text before
+// pools files became binary (tests/core/testdata/pools_v1.txt, two
+// classes, d = 3, dynamic mode) still loads, and `generate --seed=7`
+// from it still writes the release that build wrote
+// (pools_v1_release_seed7.csv), from the v1 file and from its v2 form.
+TEST(PoolsSerializationTest, V1FixtureLoadsAndKeepsItsRelease) {
+  const std::string dir = CONDENSA_TESTDATA_DIR;
+  auto v1 = LoadPools(dir + "/pools_v1.txt");
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  EXPECT_EQ(v1->task, data::TaskType::kClassification);
+  EXPECT_EQ(v1->feature_dim, 3u);
+  ASSERT_EQ(v1->pools.size(), 2u);
+  EXPECT_EQ(v1->pools[0].splits, 1u);
+  EXPECT_EQ(v1->pools[0].groups.TotalRecords() +
+                v1->pools[1].groups.TotalRecords(),
+            13u);
+  auto v2 = DeserializePools(SerializePools(*v1));
+  ASSERT_TRUE(v2.ok()) << v2.status();
+
+  auto expected = ReadFileToString(dir + "/pools_v1_release_seed7.csv");
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  for (const CondensedPools* pools : {&*v1, &*v2}) {
+    Rng rng(7);
+    auto release = GenerateRelease(*pools, rng);
+    ASSERT_TRUE(release.ok()) << release.status();
+    EXPECT_EQ(data::WriteCsvToString(release->anonymized), *expected);
+  }
+}
+
+TEST(SerializationTest, GroupSetFilesAreV2) {
+  Rng rng(5);
+  CondensedGroupSet set = MakeSampleSet(rng, 3, 2, 4);
+  set.SetBackend("mdav", 1);
+  const std::string path =
+      ::testing::TempDir() + "/condensa_groups_v2_test.bin";
+  ASSERT_TRUE(SaveGroupSet(set, path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(*bytes, SerializeGroupSetBinary(set));
+  EXPECT_TRUE(IsBinaryStatisticsFile(*bytes));
+  EXPECT_FALSE(IsBinaryStatisticsFile(SerializeGroupSet(set)));
+  auto loaded = LoadGroupSet(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(SerializeGroupSet(*loaded), SerializeGroupSet(set));
+  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, FormatIsHumanInspectable) {

@@ -1,5 +1,5 @@
 // Fabric chaos soak: remote shards in worker PROCESSES — the shipped
-// `condensa worker` binary (worker_process.h), killed with SIGKILL — not
+// `condensa worker` binary (cli_process.h), killed with SIGKILL — not
 // threads. These tests pin the remote-peer guarantees end-to-end:
 //
 //   * a clean multi-process run, with 1 or 2 workers, releases the exact
@@ -32,12 +32,20 @@
 #include "core/serialization.h"
 #include "shard/stream_service.h"
 #include "shard/worker_server.h"
-#include "worker_process.h"
+#include "cli_process.h"
 
 namespace condensa::shard {
 namespace {
 
 using linalg::Vector;
+
+// A `condensa worker` over `checkpoint_root` on `port` (0 = a free one),
+// listening once this returns.
+StatusOr<CliProcess> SpawnWorker(const std::string& checkpoint_root,
+                                 std::uint16_t port = 0) {
+  return CliProcess::Spawn({"worker", "--port=" + std::to_string(port),
+                            "--checkpoint-root=" + checkpoint_root});
+}
 
 std::vector<Vector> MakeStream(std::size_t count, std::size_t dim,
                                std::uint64_t seed) {
@@ -129,11 +137,11 @@ TEST_F(FabricSoakTest, ForkedWorkersReleaseBitIdenticalToInProcess) {
     auto expected = (*in_process)->Finish();
     ASSERT_TRUE(expected.ok());
 
-    std::vector<WorkerProcess> workers;
+    std::vector<CliProcess> workers;
     ShardedStreamConfig config = SoakConfig(3);
     for (std::size_t i = 0; i < shards; ++i) {
       auto spawned =
-          WorkerProcess::Spawn(Dir(cell + "worker-" + std::to_string(i)));
+          SpawnWorker(Dir(cell + "worker-" + std::to_string(i)));
       ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
       workers.push_back(*std::move(spawned));
       config.workers.push_back({"127.0.0.1", workers.back().port()});
@@ -151,7 +159,7 @@ TEST_F(FabricSoakTest, ForkedWorkersReleaseBitIdenticalToInProcess) {
               core::SerializeGroupSet(expected->groups));
     ExpectLedgerExact(*result, stream.size());
     EXPECT_EQ(result->report.duplicates_detected, 0u);
-    for (WorkerProcess& worker : workers) {
+    for (CliProcess& worker : workers) {
       StatusOr<int> status = worker.Wait();
       ASSERT_TRUE(status.ok()) << status.status().ToString();
       EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0);
@@ -167,10 +175,10 @@ TEST_F(FabricSoakTest, SigkillMidIngestLosesNoAckedRecordsAndWorkerRejoins) {
   const std::string root = Dir("shared");
   const std::vector<Vector> stream = MakeStream(1500, 3, 12);
 
-  std::vector<WorkerProcess> workers;
+  std::vector<CliProcess> workers;
   ShardedStreamConfig config = SoakConfig(3);
   for (std::size_t i = 0; i < kShards; ++i) {
-    auto spawned = WorkerProcess::Spawn(root);
+    auto spawned = SpawnWorker(root);
     ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
     workers.push_back(*std::move(spawned));
     config.workers.push_back({"127.0.0.1", workers.back().port()});
@@ -200,7 +208,7 @@ TEST_F(FabricSoakTest, SigkillMidIngestLosesNoAckedRecordsAndWorkerRejoins) {
   // worker recovers its durable shard state and rejoins on the next
   // redial (or, at the latest, Finish's last-chance handshake).
   {
-    auto respawned = WorkerProcess::Spawn(root, killed_port);
+    auto respawned = SpawnWorker(root, killed_port);
     ASSERT_TRUE(respawned.ok()) << respawned.status().ToString();
     workers[1] = *std::move(respawned);
   }
@@ -228,11 +236,11 @@ TEST_F(FabricSoakTest, KilledWorkerWithoutRespawnIsTakenOverLocally) {
   const std::string root = Dir("shared");
   const std::vector<Vector> stream = MakeStream(800, 3, 13);
 
-  std::vector<WorkerProcess> workers;
+  std::vector<CliProcess> workers;
   ShardedStreamConfig config = SoakConfig(3);
   config.checkpoint_root = root;  // takeover over the workers' root
   for (std::size_t i = 0; i < kShards; ++i) {
-    auto spawned = WorkerProcess::Spawn(root);
+    auto spawned = SpawnWorker(root);
     ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
     workers.push_back(*std::move(spawned));
     config.workers.push_back({"127.0.0.1", workers.back().port()});

@@ -11,42 +11,46 @@
 //     reset concurrently with serving;
 //   * concurrent ingest — a publisher thread swapping new snapshot
 //     versions under the running server;
-//   * process death — SIGKILL of a forked server mid-load and a respawn
-//     on the same port, which retrying clients must ride through.
+//   * process death — SIGKILL of a `condensa query-server` process
+//     (cli_process.h) mid-load and a respawn on the same port, which
+//     retrying clients must ride through, and which every respawned
+//     server must answer.
 //
 // The correctness oracle: every snapshot version v is built by
 // PublishVersion so that its aggregate record count is ExpectedRecords(v),
-// a pure function of v. Any successful answer whose records don't match
-// the formula for its own snapshot_version is a wrong answer and fails
-// the test immediately. Everything else a request may legally experience
-// — in-band kUnavailable after retries, a transport error during the
-// kill window — is counted, not failed.
+// a pure function of v; a spawned server serves one pools file, so its
+// oracle is that file's record count. Any successful answer whose records
+// don't match the oracle is a wrong answer and fails the test
+// immediately. Everything else a request may legally experience —
+// in-band kUnavailable after retries, a transport error during the kill
+// window — is counted, not failed.
 //
-// Duration scales with CONDENSA_CHAOS_SOAK_SECONDS (default ~2s). Under
-// TSan the forking test needs TSAN_OPTIONS=die_after_fork=0 (set by the
-// CI chaos job).
+// Duration scales with CONDENSA_CHAOS_SOAK_SECONDS (default ~2s).
 
 #include <gtest/gtest.h>
 
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cli_process.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/condensed_group_set.h"
+#include "core/engine.h"
 #include "core/group_statistics.h"
+#include "core/serialization.h"
 #include "linalg/vector.h"
 #include "net/socket.h"
 #include "query/client.h"
@@ -118,14 +122,52 @@ struct SoakCounters {
   std::atomic<std::size_t> transport{0};  // connection-level failures
 };
 
-// One churn client: connect, issue retrying aggregates until the
-// deadline, periodically drop the connection on purpose. Any successful
-// answer is checked against the oracle.
+// Answers per server generation, for a server that is killed and
+// respawned. The reaper moves to the next generation only after the old
+// server is dead and before the new one starts, so an answer to a
+// request sent and received within one generation came from that
+// generation's server.
+class Generations {
+ public:
+  std::size_t current() const { return current_.load(); }
+
+  // Counts an answer to a request sent in generation `sent_in`, unless
+  // the server changed before it came back.
+  void Answered(std::size_t sent_in) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (current_.load() == sent_in) ++answers_[sent_in];
+  }
+
+  // Called between the kill and the respawn.
+  void Next() {
+    std::lock_guard<std::mutex> lock(mu_);
+    answers_.push_back(0);
+    current_.store(answers_.size() - 1);
+  }
+
+  std::vector<std::size_t> answers() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return answers_;
+  }
+
+ private:
+  std::atomic<std::size_t> current_{0};
+  mutable std::mutex mu_;
+  std::vector<std::size_t> answers_ = {0};
+};
+
+// One churn client: connect, issue retrying aggregates while `running`
+// says so, periodically drop the connection on purpose. Any successful
+// answer is checked against `expected_records` of its snapshot version
+// and, when `generations` is set, counted for the server generation
+// that gave it.
 void ChurnClient(std::uint16_t port, std::uint64_t seed,
-                 std::chrono::steady_clock::time_point until,
-                 SoakCounters& counters) {
+                 const std::function<bool()>& running,
+                 const std::function<std::size_t(std::uint64_t)>&
+                     expected_records,
+                 SoakCounters& counters, Generations* generations = nullptr) {
   Rng rng(seed);
-  while (std::chrono::steady_clock::now() < until) {
+  while (running()) {
     auto client = QueryClient::Connect("127.0.0.1", port, 2000.0);
     if (!client.ok()) {
       counters.transport.fetch_add(1);
@@ -135,7 +177,9 @@ void ChurnClient(std::uint16_t port, std::uint64_t seed,
     // A burst of requests on this session, then churn.
     const std::size_t burst = 1 + rng.UniformIndex(8);
     for (std::size_t i = 0; i < burst; ++i) {
-      if (std::chrono::steady_clock::now() >= until) break;
+      if (!running()) break;
+      const std::size_t sent_in =
+          generations == nullptr ? 0 : generations->current();
       Query query;
       query.kind = QueryKind::kAggregate;
       QueryRetryOptions retry;
@@ -145,13 +189,14 @@ void ChurnClient(std::uint16_t port, std::uint64_t seed,
       auto result = client->ExecuteWithRetry(query, retry);
       if (result.ok()) {
         counters.answers.fetch_add(1);
-        if (result->aggregate.records !=
-            ExpectedRecords(result->snapshot_version)) {
+        if (generations != nullptr) generations->Answered(sent_in);
+        const std::size_t want = expected_records(result->snapshot_version);
+        if (result->aggregate.records != want) {
           counters.wrong.fetch_add(1);
           ADD_FAILURE() << "wrong answer: version "
                         << result->snapshot_version << " reported "
                         << result->aggregate.records << " records, want "
-                        << ExpectedRecords(result->snapshot_version);
+                        << want;
         }
       } else if (result.status().code() == StatusCode::kUnavailable) {
         counters.shed.fetch_add(1);
@@ -208,9 +253,13 @@ TEST(QueryChaosSoakTest, ConcurrentChurnUnderChaosYieldsNoWrongAnswers) {
 
   SoakCounters counters;
   std::vector<std::thread> threads;
+  const std::function<bool()> running = [until] {
+    return std::chrono::steady_clock::now() < until;
+  };
+  const std::function<std::size_t(std::uint64_t)> oracle = ExpectedRecords;
   for (std::uint64_t c = 0; c < 6; ++c) {
-    threads.emplace_back(ChurnClient, port, 71 + c, until,
-                         std::ref(counters));
+    threads.emplace_back(ChurnClient, port, 71 + c, std::cref(running),
+                         std::cref(oracle), std::ref(counters), nullptr);
   }
   threads.emplace_back(SlowLoris, port, until);
 
@@ -254,26 +303,6 @@ TEST(QueryChaosSoakTest, ConcurrentChurnUnderChaosYieldsNoWrongAnswers) {
   EXPECT_GT(version.load(), 2u) << "publisher never rolled the snapshot";
 }
 
-// Forks a server child answering from `versions` published snapshots on
-// an already-bound listener; returns the child's pid. The child never
-// returns (it _exits), so no parent state is torn down twice.
-pid_t ForkServer(net::TcpListener listener, std::uint64_t versions) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  auto store = std::make_shared<SnapshotStore>();
-  for (std::uint64_t v = 1; v <= versions; ++v) {
-    store->Publish(SnapshotForVersion(v));
-  }
-  QueryServerConfig config;
-  config.poll_ms = 10.0;
-  config.max_sessions = 4;
-  auto server =
-      QueryServer::CreateWithListener(config, store, std::move(listener));
-  if (!server.ok()) ::_exit(3);
-  Status run = (*server)->Run();
-  ::_exit(run.ok() ? 0 : 4);
-}
-
 TEST(QueryChaosSoakTest, SigkillAndRespawnMidLoadNeverYieldsWrongAnswers) {
   FailPoint::Reset();
   const double seconds = SoakSeconds();
@@ -281,50 +310,98 @@ TEST(QueryChaosSoakTest, SigkillAndRespawnMidLoadNeverYieldsWrongAnswers) {
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(static_cast<long>(seconds * 1000.0));
 
-  // Bind in the parent so the port survives the child and a respawn
-  // reclaims it without a rebind race (SO_REUSEADDR in Listen).
-  auto listener = net::TcpListener::Listen("127.0.0.1", 0);
-  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const std::uint16_t port = listener->port();
-  pid_t child = ForkServer(*std::move(listener), 3);
-  ASSERT_GT(child, 0);
+  // The served file, written with SavePools: each spawned server loads
+  // it, so the soak also carries the pools format across a process
+  // boundary. Every aggregate must report the file's record count.
+  const std::string path =
+      ::testing::TempDir() + "/condensa_query_chaos_pools.bin";
+  core::CondensedPools pools;
+  pools.task = data::TaskType::kClassification;
+  pools.feature_dim = 2;
+  for (std::size_t p = 0; p < 3; ++p) {
+    pools.pools.push_back(
+        {static_cast<int>(p), 0, MakePool(double(p), 100 + p)});
+  }
+  ASSERT_TRUE(core::SavePools(pools, path).ok());
+  auto saved = core::LoadPools(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  std::size_t file_records = 0;
+  for (const core::CondensedPools::Pool& pool : saved->pools) {
+    file_records += pool.groups.TotalRecords();
+  }
+  ASSERT_EQ(file_records, 3 * kGroupsPerPool * kRecordsPerGroup);
+
+  const auto spawn = [&path](std::uint16_t port) {
+    return CliProcess::Spawn({"query-server", "--groups=" + path,
+                              "--port=" + std::to_string(port),
+                              "--max-sessions=4"});
+  };
+  auto first = spawn(0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::uint16_t port = first->port();
+  CliProcess server = *std::move(first);
 
   SoakCounters counters;
+  Generations generations;
+  std::atomic<bool> stop{false};
   std::atomic<std::size_t> kills{0};
+  const std::function<bool()> running = [&stop] { return !stop.load(); };
+  const std::function<std::size_t(std::uint64_t)> oracle =
+      [file_records](std::uint64_t) { return file_records; };
   std::vector<std::thread> threads;
   for (std::uint64_t c = 0; c < 3; ++c) {
-    threads.emplace_back(ChurnClient, port, 171 + c, until,
-                         std::ref(counters));
+    threads.emplace_back(ChurnClient, port, 171 + c, std::cref(running),
+                         std::cref(oracle), std::ref(counters),
+                         &generations);
   }
 
-  // The reaper: SIGKILL the serving child mid-load, wait a beat, then
-  // respawn it on the SAME port. Clients must ride through on redial.
-  std::thread reaper([&child, &kills, port, until] {
-    while (std::chrono::steady_clock::now() < until) {
+  // The reaper: once the serving process has answered (or a generous
+  // wait has passed), SIGKILL it mid-load, wait a beat, then respawn it
+  // on the SAME port. Clients must ride through on redial. The clients
+  // stop once the last generation has had its chance to answer.
+  std::thread reaper([&] {
+    const auto await_answer = [&generations] {
+      const std::size_t generation = generations.current();
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (generations.answers()[generation] == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    };
+    while (true) {
+      await_answer();
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
       if (std::chrono::steady_clock::now() >= until) break;
-      ::kill(child, SIGKILL);
-      int status = 0;
-      ::waitpid(child, &status, 0);
+      server.Kill();
       kills.fetch_add(1);
+      generations.Next();
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      auto relisten = net::TcpListener::Listen("127.0.0.1", port);
-      ASSERT_TRUE(relisten.ok()) << relisten.status().ToString();
-      child = ForkServer(*std::move(relisten), 3);
-      ASSERT_GT(child, 0);
+      auto respawned = spawn(port);
+      if (!respawned.ok()) {
+        ADD_FAILURE() << "respawn failed: " << respawned.status().ToString();
+        break;
+      }
+      server = *std::move(respawned);
     }
+    stop.store(true);
   });
 
   for (std::thread& t : threads) t.join();
   reaper.join();
-  ::kill(child, SIGKILL);
-  int status = 0;
-  ::waitpid(child, &status, 0);
+  server.Kill();
+  std::remove(path.c_str());
 
   EXPECT_EQ(counters.wrong.load(), 0u);
   EXPECT_GE(counters.answers.load(), 10u)
       << "soak served suspiciously few answers across restarts";
   EXPECT_GE(kills.load(), 1u) << "the reaper never killed the server";
+  const std::vector<std::size_t> answers = generations.answers();
+  EXPECT_EQ(answers.size(), kills.load() + 1);
+  for (std::size_t g = 0; g < answers.size(); ++g) {
+    EXPECT_GE(answers[g], 1u) << "server generation " << g << " of "
+                              << answers.size() << " never answered";
+  }
 }
 
 }  // namespace

@@ -23,32 +23,63 @@ expect_code() {
   fi
 }
 
-# Exit 0 when every row of CSV file $2 equals the centroid fs / n of a
-# group saved in pools file $1.
-only_centroids() {
-  awk -F'[ ,]' '
-    FNR == NR {
-      if ($1 == "group") n = $3
-      if ($1 == "fs") {
-        ++groups
-        for (j = 2; j <= NF; ++j) centroid[groups, j - 1] = $j / n
-      }
-      next
-    }
-    {
-      ++rows
-      matched = 0
-      for (g = 1; g <= groups && !matched; ++g) {
-        matched = 1
-        for (j = 1; j <= NF; ++j) {
-          d = $j - centroid[g, j]
-          if (d * d > 1e-24) matched = 0
-        }
-      }
-      if (!matched) ++stray
-    }
-    END { exit (groups == 0 || rows == 0 || stray > 0) }
-  ' "$1" "$2"
+# Reads the v2 binary pools file $2 (layout in docs/durability.md) and
+# checks its length and CRC32 trailer. `pools_v2 centroids FILE CSV`
+# exits 0 when every row of CSV equals the centroid fs / n of a saved
+# group; `pools_v2 restamp FILE ID VERSION OUT` writes FILE to OUT with
+# every pool's backend stamp set to (ID, VERSION) and a fresh trailer.
+pools_v2() {
+  python3 - "$@" <<'PY'
+import struct, sys, zlib
+
+mode, path = sys.argv[1], sys.argv[2]
+data = open(path, "rb").read()
+magic = b"condensa-pools v2\n"
+body = data[:-12]
+if (not data.startswith(magic) or len(data) < len(magic) + 12 or
+        struct.unpack("<QI", data[-12:]) != (len(body), zlib.crc32(body))):
+    sys.exit("not a v2 pools file: " + path)
+pos = len(magic)
+
+
+def take(fmt):
+    global pos
+    values = struct.unpack_from("<" + fmt, body, pos)
+    pos += struct.calcsize("<" + fmt)
+    return values
+
+
+task, feature_dim, pool_count = take("BIQ")
+out = bytearray(body[:pos])
+centroids = []
+for _ in range(pool_count):
+    label, splits, dim, k, id_len = take("iQIQI")
+    (backend,) = take("%ds" % id_len)
+    version, groups = take("IQ")
+    groups_at = pos
+    for _ in range(groups):
+        (n,) = take("Q")
+        centroids.append([value / n for value in take("%dd" % dim)])
+        take("%dd" % (dim * (dim + 1) // 2))
+    if mode == "restamp":
+        backend, version = sys.argv[3].encode(), int(sys.argv[4])
+    out += struct.pack("<iQIQI", label, splits, dim, k, len(backend))
+    out += backend + struct.pack("<IQ", version, groups) + body[groups_at:pos]
+if pos != len(body):
+    sys.exit("trailing bytes in " + path)
+
+if mode == "restamp":
+    out += struct.pack("<QI", len(out), zlib.crc32(out))
+    open(sys.argv[5], "wb").write(out)
+    sys.exit(0)
+rows = [[float(v) for v in line.split(",")]
+        for line in open(sys.argv[3]) if line.strip()]
+stray = [row for row in rows
+         if not any(len(row) == len(c) and
+                    all((v - w) ** 2 <= 1e-24 for v, w in zip(row, c))
+                    for c in centroids)]
+sys.exit(1 if not centroids or not rows or stray else 0)
+PY
 }
 
 # Top-level help and unknown commands.
@@ -177,10 +208,16 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
   expect_code 0 "condense --backend=mdav" \
     "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
     --backend=mdav --save-groups="$workdir/groups-mdav.bin" --output=/dev/null
-  if grep -q "backend mdav 1" "$workdir/groups-mdav.bin" 2>/dev/null; then
-    echo "ok: mdav snapshot carries its backend stamp"
+  # Saved statistics are v2 binary; inspect names the format and every
+  # pool's backend stamp.
+  inspected="$("$CLI" inspect --groups="$workdir/groups-mdav.bin")"
+  if printf '%s\n' "$inspected" | grep -qx "format *: v2 binary" &&
+      printf '%s\n' "$inspected" | grep -q "^ *backend *: mdav 1$" &&
+      ! printf '%s\n' "$inspected" | grep "^ *backend *:" |
+        grep -vq ": mdav 1$"; then
+    echo "ok: mdav pools file is v2 binary and every pool is stamped mdav 1"
   else
-    echo "FAIL: mdav snapshot missing 'backend mdav 1' stamp" >&2
+    echo "FAIL: inspect of the mdav pools file: $inspected" >&2
     failures=$((failures + 1))
   fi
   # A group set's stamp picks its sampler everywhere: mdav releases every
@@ -189,7 +226,7 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
   # centroid; the eigen sampler would scatter rows around them.
   if "$CLI" generate --groups="$workdir/groups-mdav.bin" --seed=3 \
       --output="$workdir/generate-mdav.csv" > /dev/null 2>&1 &&
-      only_centroids "$workdir/groups-mdav.bin" \
+      pools_v2 centroids "$workdir/groups-mdav.bin" \
         "$workdir/generate-mdav.csv"; then
     echo "ok: generate from mdav pools writes only saved centroids"
   else
@@ -198,7 +235,8 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
   fi
   if "$CLI" query --groups="$workdir/groups-mdav.bin" --op=regenerate \
       --seed=3 --output="$workdir/regen-mdav.csv" > /dev/null 2>&1 &&
-      only_centroids "$workdir/groups-mdav.bin" "$workdir/regen-mdav.csv"; then
+      pools_v2 centroids "$workdir/groups-mdav.bin" \
+        "$workdir/regen-mdav.csv"; then
     echo "ok: query regenerate from mdav pools writes only saved centroids"
   else
     echo "FAIL: query regenerate from mdav pools wrote rows off the centroids" >&2
@@ -206,10 +244,13 @@ if "$CLI" condense --input="$workdir/data.csv" --k=2 --task=none \
   fi
   # A stamp this build cannot honour is refused, not regenerated under
   # another sampler: a version other than the record's, or an unknown id.
-  sed 's/^backend mdav 1$/backend mdav 2/' "$workdir/groups-mdav.bin" \
-    > "$workdir/groups-mdav2.bin"
-  sed 's/^backend mdav 1$/backend bogus 1/' "$workdir/groups-mdav.bin" \
-    > "$workdir/groups-bogus.bin"
+  if ! pools_v2 restamp "$workdir/groups-mdav.bin" mdav 2 \
+        "$workdir/groups-mdav2.bin" ||
+      ! pools_v2 restamp "$workdir/groups-mdav.bin" bogus 1 \
+        "$workdir/groups-bogus.bin"; then
+    echo "FAIL: could not restamp the mdav pools file" >&2
+    failures=$((failures + 1))
+  fi
   expect_code 1 "generate from pools stamped mdav version 2" \
     "$CLI" generate --groups="$workdir/groups-mdav2.bin" \
     --output="$workdir/generate-mdav2.csv"
@@ -304,12 +345,12 @@ expect_code 2 "shard --mode=stream without --checkpoint-root" \
 expect_code 2 "shard --mode=stream --k=1" \
   "$CLI" shard --mode=stream --k=1 --records=50 --no-sync \
   --checkpoint-root="$workdir/shard-k1"
-rm -f "$workdir/shard-groups.txt"
+rm -f "$workdir/shard-groups.bin"
 expect_code 0 "shard --mode=stream live run" \
   "$CLI" shard --mode=stream --input="$workdir/data.csv" --k=2 --shards=2 \
   --no-sync --checkpoint-root="$workdir/shard-stream" \
-  --save-groups="$workdir/shard-groups.txt"
-if [ -s "$workdir/shard-groups.txt" ]; then
+  --save-groups="$workdir/shard-groups.bin"
+if [ -s "$workdir/shard-groups.bin" ]; then
   echo "ok: shard --mode=stream wrote --save-groups"
 else
   echo "FAIL: shard --mode=stream did not write --save-groups" >&2
@@ -323,14 +364,14 @@ fi
 expect_code 0 "shard --mode=stream seeded release" \
   "$CLI" shard --mode=stream --input="$workdir/data.csv" --k=2 --shards=2 \
   --seed=5 --no-sync --checkpoint-root="$workdir/seeded-shard" \
-  --save-groups="$workdir/seeded-shard-groups.txt" \
+  --save-groups="$workdir/seeded-shard-groups.bin" \
   --output="$workdir/seeded-shard-release.csv"
 expect_code 0 "serve-stream --shards=2 seeded release" \
   "$CLI" serve-stream --input="$workdir/data.csv" --k=2 --shards=2 \
   --seed=5 --no-sync --checkpoint-dir="$workdir/seeded-serve" \
-  --save-groups="$workdir/seeded-serve-groups.txt" \
+  --save-groups="$workdir/seeded-serve-groups.bin" \
   --output="$workdir/seeded-serve-release.csv"
-for pin in groups.txt release.csv; do
+for pin in groups.bin release.csv; do
   if [ -s "$workdir/seeded-shard-$pin" ] &&
       cmp -s "$workdir/seeded-shard-$pin" "$workdir/seeded-serve-$pin"; then
     echo "ok: shard --mode=stream and serve-stream --shards=2 write equal $pin"
@@ -379,6 +420,16 @@ for pin in "0:0.7:0.9|2|4" "|4|8" "1:0.1:0.2|2|4" "0:0.1:0.2,1:0.1:0.2|2|4"; do
     failures=$((failures + 1))
   fi
 done
+# Both handwritten files here are v1 text, which no build writes any
+# more: they pin the v1 reader.
+inspected="$("$CLI" inspect --groups="$workdir/four-groups.txt")"
+if printf '%s\n' "$inspected" | grep -qx "format *: v1 text" &&
+    printf '%s\n' "$inspected" | grep -qx " *backend *: condensation 1"; then
+  echo "ok: inspect reads the v1 text pools file and its default stamp"
+else
+  echo "FAIL: inspect of the v1 text pools file: $inspected" >&2
+  failures=$((failures + 1))
+fi
 # A group file with a NaN first-order sum is corrupt: loading it fails
 # (exit 1) before any answer, instead of the NaN centroid falling inside
 # every range.

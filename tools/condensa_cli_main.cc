@@ -1069,9 +1069,23 @@ int RunQueryServer(const Args& args) {
 
 int RunInspect(const Args& args) {
   const std::string& path = args.groups;
+  auto bytes = condensa::ReadFileToString(path);
+  if (!bytes.ok()) {
+    std::fprintf(stderr, "error reading %s: %s\n", path.c_str(),
+                 bytes.status().ToString().c_str());
+    return 1;
+  }
+  const char* format = condensa::core::IsBinaryStatisticsFile(*bytes)
+                           ? "v2 binary"
+                           : "v1 text";
+  const auto print_stamp = [](const condensa::core::CondensedGroupSet& groups,
+                              const char* indent) {
+    std::printf("%sbackend               : %s %d\n", indent,
+                groups.backend_id().c_str(), groups.backend_version());
+  };
   // Accept either a condensa-pools file (engine output) or a bare
   // condensa-groups file.
-  auto pools = condensa::core::LoadPools(path);
+  auto pools = condensa::core::DeserializePools(*bytes);
   if (pools.ok()) {
     const char* task_name =
         pools->task == condensa::data::TaskType::kClassification
@@ -1080,23 +1094,27 @@ int RunInspect(const Args& args) {
                    ? "regression"
                    : "none");
     std::printf("pool statistics file  : %s\n", path.c_str());
+    std::printf("format                : %s\n", format);
     std::printf("task                  : %s\n", task_name);
     std::printf("feature dimension     : %zu\n", pools->feature_dim);
     std::printf("pools                 : %zu\n", pools->pools.size());
     for (const auto& pool : pools->pools) {
       std::printf("- pool label %d (splits: %zu)\n", pool.label,
                   pool.splits);
+      print_stamp(pool.groups, "    ");
       PrintGroupSummary(pool.groups, "    ");
     }
     return 0;
   }
 
-  auto groups = condensa::core::LoadGroupSet(path);
+  auto groups = condensa::core::DeserializeGroupSet(*bytes);
   if (!groups.ok()) {
     PrintLoadError(path, pools.status(), groups.status());
     return 1;
   }
   std::printf("group statistics file : %s\n", path.c_str());
+  std::printf("format                : %s\n", format);
+  print_stamp(*groups, "");
   PrintGroupSummary(*groups, "");
   return 0;
 }
@@ -1273,7 +1291,8 @@ const std::vector<Command> kCommands = {
       {"header", "", "false", "first CSV row is a header", &Args::header},
       {"seed", "N", "42", "RNG seed; a fixed seed gives an identical release",
        &Args::seed},
-      {"save-groups", "FILE", "", "also save pool statistics for `generate`",
+      {"save-groups", "FILE", "",
+       "also save pool statistics for `generate` (binary file)",
        &Args::save_groups}}},
     {"generate", "regenerate a release from saved statistics", "",
      RunGenerate,
@@ -1344,7 +1363,8 @@ const std::vector<Command> kCommands = {
        "arm failpoints at probability P during ingest, healed before "
        "Finish",
        &Args::chaos, Range{0, 1, false, true}},
-      {"save-groups", "FILE", "", "save the final group statistics",
+      {"save-groups", "FILE", "",
+       "save the final group statistics (binary file)",
        &Args::save_groups},
       {"output", "FILE", "",
        "also anonymize and write a release CSV, regenerated from "
@@ -1393,7 +1413,8 @@ const std::vector<Command> kCommands = {
        "batch mode only: condense threads; 0 = hardware concurrency; "
        "output is identical at any thread count",
        &Args::threads, AtLeast(0)},
-      {"save-groups", "FILE", "", "save the gathered group statistics",
+      {"save-groups", "FILE", "",
+       "save the gathered group statistics (binary file)",
        &Args::save_groups},
       {"output", "FILE", "", "also anonymize and write a release CSV",
        &Args::output},
@@ -1464,7 +1485,8 @@ const std::vector<Command> kCommands = {
       {"heartbeat-timeout-ms", "X", "1500",
        "declare-dead threshold; at least --heartbeat-interval-ms",
        &Args::heartbeat_timeout_ms, Above(0)},
-      {"save-groups", "FILE", "", "save the gathered group statistics",
+      {"save-groups", "FILE", "",
+       "save the gathered group statistics (binary file)",
        &Args::save_groups},
       {"output", "FILE", "", "also anonymize and write a release CSV",
        &Args::output},
@@ -1482,7 +1504,8 @@ const std::vector<Command> kCommands = {
        "backend the state was built with; a mismatched checkpoint refuses "
        "to load",
        &Args::backend},
-      {"save-groups", "FILE", "", "save the recovered group statistics",
+      {"save-groups", "FILE", "",
+       "save the recovered group statistics (binary file)",
        &Args::save_groups}}},
     {"query", "mining queries answered from condensed statistics",
      "Answers come from condensed statistics, never raw records "
@@ -1554,7 +1577,7 @@ const std::vector<Command> kCommands = {
        &Args::deadline_ms, Above(0)}}},
     {"inspect", "print the privacy summary of a saved file", "", RunInspect,
      {{"groups", "FILE", kRequired,
-       "pool statistics (engine output) or bare group statistics file",
+       "pool or group statistics file, binary v2 or text v1",
        &Args::groups}}},
     {"evaluate", "compare an original and an anonymized CSV (mu, linkage)",
      "", RunEvaluate,
